@@ -26,14 +26,11 @@ from .quantale import (
 )
 from .reporting import CheckFailure, ValidationReport, Verdict
 from .vspace import (
-    EpsilonTestSet,
     VSpace,
     ball,
     ball_of_set,
     classify,
     combined_test_values,
-    dual,
-    epsilon_test_set,
     has_uniformly_vanishing_asymmetry,
     has_vanishing_asymmetry,
     is_uniformly_continuous,
@@ -60,18 +57,14 @@ from .filters import (
     roundify,
 )
 from .completion import (
-    CauchyFilterSpace,
     CompletionSpace,
     ExtensionResult,
     canonical_embedding,
-    cauchy_filter_space,
     complete,
     extend_to_completion,
     filter_point_name,
     induced_completion_map,
-    is_cauchy_complete,
     minimal_cauchy_filters,
-    zero_distance_intersection_cauchy,
 )
 from .structures import (
     EquivalenceReport,
@@ -84,12 +77,15 @@ from .structures import (
     va_equivalence_report,
 )
 from .verify import (
+    CauchyFilterSpace,
     InstanceGenerator,
     SEARCH_TARGETS,
     SearchResult,
     VerificationReport,
+    cauchy_filter_space,
     check_category_laws,
     enumerate_filter_families,
+    is_cauchy_complete,
     oracle_collapsed_formulas,
     oracle_epsilon_reduction,
     oracle_filters,
@@ -97,6 +93,7 @@ from .verify import (
     run_theorem_suite,
     search_counterexamples,
     triangle_repair,
+    zero_distance_intersection_cauchy,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import serialize
-from .completion import complete, resolve_max_points
+from .completion import complete
 from .errors import DomainMismatchError, PreconditionError, StructureError
 from .filters import Filter, roundify
 from .quantale import validate_value_quantale
@@ -159,8 +159,8 @@ def _cmd_classify(args, out: _Out) -> int:
 
 def _cmd_complete(args, out: _Out) -> int:
     space = serialize.parse_space(_read_payload(args.file, "space"))
-    comp = complete(space, resolve_max_points(args.max_points))
-    payload = serialize.completion_to_payload(comp)
+    comp = complete(space)
+    payload = serialize.completion_to_payload(serialize.completion_space_doc(comp))
     out.text(f"completion points: {len(comp.filters)}")
     for f in comp.filters:
         out.text(f"  core {{{','.join(f.core)}}}")
@@ -279,6 +279,21 @@ def _cmd_search(args, out: _Out) -> int:
     return EXIT_OK
 
 
+def _int_at_least(minimum: int):
+    """Argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qc",
@@ -310,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete", parents=[common])
     p.add_argument("file")
-    p.add_argument("--max-points", type=int, default=None)
     p.set_defaults(fn=_cmd_complete)
 
     p = sub.add_parser("roundify", parents=[common])
@@ -322,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=("all", "oracles", "theorems", "structures", "degenerate", "category"))
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--instances", type=int, default=25)
-    p.add_argument("--max-points", type=int, default=5)
+    p.add_argument("--instances", type=_int_at_least(1), default=25)
+    p.add_argument("--max-points", type=_int_at_least(1), default=5)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("search", parents=[common])
     p.add_argument("--target", required=True, choices=SEARCH_TARGETS)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=_cmd_search)
     return parser

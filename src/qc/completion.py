@@ -1,22 +1,21 @@
 """Completion of a finite continuity space by minimal Cauchy filters.
 
-`cauchy_filter_space` enumerates every proper Cauchy filter (one per
-non-empty core), `complete` keeps the minimal ones and equips them with
-the filter distance; the canonical embedding sends a point to its point
-filter.  The construction also re-checks that roundification is a
-bijective isometry between the completion and the separation quotient of
-the full Cauchy filter space: explicitly while the filter count is small,
-and by an equivalent linear certificate past that, since the quotient's
-distance matrix is quadratic in a possibly exponential filter count.
+`minimal_cauchy_filters` finds the minimal Cauchy filters in closed form:
+they are the filters whose cores are the maximal point-filter cores (the
+proof sketch is in its docstring).  `complete` equips them with the filter
+distance, and the canonical embedding sends a point to its point filter.
+The same argument shows that every finite space is Cauchy complete.
 
-Carrier sizes are capped (2^n cores are enumerated); the cap defaults to
-16 and can be overridden by the QC_MAX_POINTS environment variable or per
-call.
+The definitional enumerations over all 2^n cores (the space of every
+proper Cauchy filter, Cauchy completeness, Cauchy intersections of
+zero-distance filters) live in `qc.verify`.  There they serve as oracles:
+theorem checks compare the closed form with them and re-check that
+roundification maps the separation quotient of the Cauchy filter space
+isometrically onto the completion.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -25,39 +24,16 @@ from .filters import (
     Filter,
     filter_distance,
     image_filter,
-    intersect,
-    is_cauchy,
-    is_minimal_cauchy,
     converges,
     point_filter,
     roundify,
 )
-from .reporting import Verdict
 from .vspace import (
     VSpace,
     classify,
     has_uniformly_vanishing_asymmetry,
     is_uniformly_continuous,
-    separation_quotient,
 )
-
-DEFAULT_MAX_POINTS = 16
-
-
-def resolve_max_points(explicit=None) -> int:
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("QC_MAX_POINTS")
-    return int(env) if env else DEFAULT_MAX_POINTS
-
-
-def _check_size(space: VSpace, max_points) -> None:
-    cap = resolve_max_points(max_points)
-    if space.size > cap:
-        raise PreconditionError(
-            f"carrier has {space.size} points; completion enumerates 2^n cores "
-            f"and is capped at {cap} (raise via QC_MAX_POINTS or max_points)"
-        )
 
 
 def filter_point_name(f: Filter) -> str:
@@ -70,63 +46,25 @@ def _filters_to_space(base: VSpace, filters: list[Filter]) -> VSpace:
     return VSpace(base.quantale, names, dmat)
 
 
-@dataclass(frozen=True)
-class CauchyFilterSpace:
-    """Every proper Cauchy filter with the filter distance."""
+def minimal_cauchy_filters(space: VSpace) -> tuple[Filter, ...]:
+    """Proper Cauchy filters with no proper Cauchy subfilter, in closed form.
 
-    base: VSpace
-    space: VSpace
-    filters: tuple[Filter, ...]
-    base_uva: Verdict
-
-
-def _proper_cauchy_filters(space: VSpace) -> list[Filter]:
-    return [
-        f
-        for mask in range(1, space.full_mask + 1)
-        for f in [Filter(space, mask)]
-        if is_cauchy(f)
-    ]
-
-
-def cauchy_filter_space(space: VSpace, max_points=None) -> CauchyFilterSpace:
-    """Enumerate proper Cauchy filters by core, in ascending mask order.
-
-    Works on any valid space; when the base lacks uniformly vanishing
-    asymmetry the returned flag records the witness and the structural
-    guarantees about the result are void.
+    One filter per maximal point-filter core, in ascending core-mask order.
+    Proof sketch: the meet of two positive test values is positive, so the
+    finitely many test values have a least one, m, and B_m(x) is the core
+    of the point filter of x.  Balls grow with the radius, so a filter is
+    Cauchy iff its core lies in some B_m(x), i.e. in some point-filter core.
+    A smaller filter has a larger core, so the minimal Cauchy filters are
+    those whose cores are the maximal point-filter cores.  With no test
+    values every filter is Cauchy, every point core is the whole carrier,
+    and the single filter {X} results; an empty carrier has none.
     """
-    _check_size(space, max_points)
-    filters = _proper_cauchy_filters(space)
-    return CauchyFilterSpace(
-        base=space,
-        space=_filters_to_space(space, filters),
-        filters=tuple(filters),
-        base_uva=has_uniformly_vanishing_asymmetry(space),
+    cores = {point_filter(space, p).core_mask for p in space.points}
+    return tuple(
+        Filter(space, m)
+        for m in sorted(cores)
+        if not any(m != c and m | c == c for c in cores)
     )
-
-
-def minimal_cauchy_filters(space: VSpace, max_points=None) -> tuple[Filter, ...]:
-    """Proper Cauchy filters with no proper Cauchy subfilter (definitional)."""
-    _check_size(space, max_points)
-    cauchy_masks = {
-        mask
-        for mask in range(1, space.full_mask + 1)
-        if is_cauchy(Filter(space, mask))
-    }
-    out = []
-    for mask in sorted(cauchy_masks):
-        rest = space.full_mask & ~mask
-        extra = rest
-        minimal = True
-        while extra:
-            if (mask | extra) in cauchy_masks:
-                minimal = False
-                break
-            extra = (extra - 1) & rest
-        if minimal:
-            out.append(Filter(space, mask))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -142,22 +80,22 @@ class CompletionSpace:
         return self.filters[self.embedding[point]]
 
 
-def complete(space: VSpace, max_points=None) -> CompletionSpace:
+def complete(space: VSpace) -> CompletionSpace:
     """Build the space of minimal Cauchy filters over a UVA base.
 
     Refuses bases without uniformly vanishing asymmetry, quoting the
     witness.  The point filters are located among the minimal filters to
-    produce the embedding, and the separation quotient of the Cauchy
-    filter space is checked to be isometric to the result under
-    roundification.
+    produce the embedding, which is checked to be isometric.  That the
+    result is the separation quotient of the Cauchy filter space under
+    roundification is the theorem check
+    `completion.minimal_space_isometric_to_quotient` in `qc.verify`.
     """
     uva = has_uniformly_vanishing_asymmetry(space)
     if not uva:
         raise PreconditionError(
             f"completion needs uniformly vanishing asymmetry; fails at {uva.witness}"
         )
-    _check_size(space, max_points)
-    filters = list(minimal_cauchy_filters(space, max_points))
+    filters = minimal_cauchy_filters(space)
     by_mask = {f.core_mask: i for i, f in enumerate(filters)}
     embedding = {}
     for p in space.points:
@@ -171,70 +109,11 @@ def complete(space: VSpace, max_points=None) -> CompletionSpace:
     comp = CompletionSpace(
         base=space,
         space=_filters_to_space(space, filters),
-        filters=tuple(filters),
+        filters=filters,
         embedding=embedding,
     )
-    _check_quotient_isometry(space, comp, max_points)
     _check_embedding_isometry(space, comp)
     return comp
-
-
-_EXPLICIT_QUOTIENT_LIMIT = 256
-
-
-def _check_quotient_isometry(space: VSpace, comp: CompletionSpace, max_points) -> None:
-    """Separation quotient of the Cauchy filter space matches the completion.
-
-    Roundification must send each mutual-zero-distance class of proper
-    Cauchy filters to a unique minimal Cauchy filter, bijectively and
-    preserving distances exactly.  With few Cauchy filters the quotient is
-    built explicitly and compared entry by entry; past the limit the same
-    facts are certified without the quadratic distance matrix: every filter
-    sits at zero distance from its roundification (its core is inside the
-    fattened core, so the cross pair (s,s) is available in both directions),
-    the roundifications are exactly the minimal filters, and the completion
-    is separated, which forces distinct roundifications into distinct
-    zero-distance classes.
-    """
-    cauchy = _proper_cauchy_filters(space)
-    minimal_masks = {f.core_mask for f in comp.filters}
-    rounded_masks = set()
-    for f in cauchy:
-        rounded = roundify(f)
-        if f.core_mask | rounded.core_mask != rounded.core_mask:
-            raise InvariantError("roundification dropped part of a core")
-        rounded_masks.add(rounded.core_mask)
-    if rounded_masks != minimal_masks:
-        raise InvariantError(
-            "roundification does not map Cauchy filters onto minimal filters"
-        )
-    if not classify(comp.space)["separated"]:
-        raise InvariantError("completion space is not separated")
-    if len(cauchy) > _EXPLICIT_QUOTIENT_LIMIT:
-        return
-    tilde_space = _filters_to_space(space, cauchy)
-    quotient, projection = separation_quotient(tilde_space)
-    name_to_filter = {filter_point_name(f): f for f in cauchy}
-    class_image = {}
-    for name, cls in projection.items():
-        rounded = roundify(name_to_filter[name])
-        seen = class_image.setdefault(cls, rounded.core_mask)
-        if seen != rounded.core_mask:
-            raise InvariantError(
-                "roundification is not constant on a zero-distance class"
-            )
-    if len(class_image) != len(comp.filters):
-        raise InvariantError(
-            "roundification does not biject filter classes onto minimal filters"
-        )
-    mask_to_idx = {f.core_mask: i for i, f in enumerate(comp.filters)}
-    qidx = {p: i for i, p in enumerate(quotient.points)}
-    for cls_a, mask_a in class_image.items():
-        for cls_b, mask_b in class_image.items():
-            da = quotient.dmat[qidx[cls_a]][qidx[cls_b]]
-            db = comp.space.dmat[mask_to_idx[mask_a]][mask_to_idx[mask_b]]
-            if da != db:
-                raise InvariantError("quotient and completion distances differ")
 
 
 def _check_embedding_isometry(space: VSpace, comp: CompletionSpace) -> None:
@@ -256,9 +135,10 @@ def canonical_embedding(space: VSpace) -> dict:
             f"the canonical embedding needs uniformly vanishing asymmetry; "
             f"fails at {uva.witness}"
         )
+    minimal = {f.core_mask for f in minimal_cauchy_filters(space)}
     out = {p: point_filter(space, p) for p in space.points}
     for p, f in out.items():
-        if not is_minimal_cauchy(f):
+        if f.core_mask not in minimal:
             raise InvariantError(f"point filter of {p!r} is not minimal Cauchy")
     for x in space.points:
         for y in space.points:
@@ -269,16 +149,6 @@ def canonical_embedding(space: VSpace) -> dict:
     return out
 
 
-def is_cauchy_complete(space: VSpace, max_points=None) -> Verdict:
-    """Every proper Cauchy filter converges; witness is a divergent core."""
-    _check_size(space, max_points)
-    for mask in range(1, space.full_mask + 1):
-        f = Filter(space, mask)
-        if is_cauchy(f) and not any(converges(f, x) for x in space.points):
-            return Verdict(False, {"core": f.core})
-    return Verdict(True)
-
-
 @dataclass(frozen=True)
 class ExtensionResult:
     completion: CompletionSpace
@@ -286,14 +156,13 @@ class ExtensionResult:
     uniqueness_checked: bool
 
 
-def extend_to_completion(fmap: dict, source: VSpace, target: VSpace,
-                         max_points=None) -> ExtensionResult:
+def extend_to_completion(fmap: dict, source: VSpace, target: VSpace) -> ExtensionResult:
     """Extend a uniformly continuous map through the canonical embedding.
 
     Requires: source separated with uniformly vanishing asymmetry, target
-    separated, uniformly vanishing asymmetry, and Cauchy complete, and the
-    map uniformly continuous.  The extension sends a minimal Cauchy filter
-    to the unique limit of the roundified image filter.  When both the
+    separated with uniformly vanishing asymmetry, and the map uniformly
+    continuous.  The extension sends a minimal Cauchy filter to the unique
+    limit of the roundified image filter.  When both the
     completion and the target have at most four points, uniqueness of the
     extension is confirmed by enumerating every map.
     """
@@ -306,14 +175,15 @@ def extend_to_completion(fmap: dict, source: VSpace, target: VSpace,
         failed.append("target is not separated")
     if not has_uniformly_vanishing_asymmetry(target):
         failed.append("target lacks uniformly vanishing asymmetry")
-    if not is_cauchy_complete(target, max_points):
-        failed.append("target is not Cauchy complete")
+    # the target must also be Cauchy complete; every finite space is (each
+    # Cauchy filter converges to the centre of the ball holding its core,
+    # see minimal_cauchy_filters), so there is nothing to test
     if not is_uniformly_continuous(fmap, source, target):
         failed.append("map is not uniformly continuous")
     if failed:
         raise PreconditionError("; ".join(failed))
 
-    comp = complete(source, max_points)
+    comp = complete(source)
     mapping = {}
     for f in comp.filters:
         rounded = roundify(image_filter(fmap, f, target))
@@ -369,13 +239,3 @@ def induced_completion_map(fmap: dict, source_comp: CompletionSpace,
         out[filter_point_name(f)] = name
     return out
 
-
-def zero_distance_intersection_cauchy(space: VSpace, max_points=None) -> Verdict:
-    """Zero-distance proper Cauchy filters have Cauchy intersections."""
-    tilde = cauchy_filter_space(space, max_points)
-    bot = space.quantale.bottom
-    for f in tilde.filters:
-        for g in tilde.filters:
-            if filter_distance(f, g) == bot and not is_cauchy(intersect(f, g)):
-                return Verdict(False, {"cores": (f.core, g.core)})
-    return Verdict(True)

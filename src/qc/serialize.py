@@ -114,11 +114,14 @@ def parse_space(payload) -> VSpace:
         if field not in payload:
             raise StructureError(f"space payload is missing {field!r}")
     q = parse_quantale(payload["quantale"])
+    points = payload["points"]
+    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+        raise StructureError("space points must be a list of strings")
     rows = payload["d"]
-    if not isinstance(rows, list):
-        raise StructureError("space distances must be a matrix")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise StructureError("space distances must be a list of rows, each a list")
     dmat = [[q.parse(e) for e in row] for row in rows]
-    return VSpace(q, payload["points"], dmat)
+    return VSpace(q, points, dmat)
 
 
 # --- filters ----------------------------------------------------------------
@@ -147,24 +150,9 @@ class CompletionDoc:
     cores: tuple
     embedding: dict
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CompletionDoc)
-            and self.space == other.space
-            and self.cores == other.cores
-            and self.embedding == other.embedding
-        )
 
-
-def completion_to_payload(comp: CompletionSpace) -> dict:
-    return {
-        "space": space_to_payload(comp.space),
-        "points": [{"core": list(f.core)} for f in comp.filters],
-        "embedding": {p: int(i) for p, i in sorted(comp.embedding.items())},
-    }
-
-
-def completion_doc_to_payload(doc: CompletionDoc) -> dict:
+def completion_to_payload(doc: CompletionDoc) -> dict:
+    """Payload of a completion; `completion_space_doc` converts a computed one."""
     return {
         "space": space_to_payload(doc.space),
         "points": [{"core": list(core)} for core in doc.cores],
@@ -198,7 +186,6 @@ def completion_space_doc(comp: CompletionSpace) -> CompletionDoc:
 __all__ = [
     "SCHEMA",
     "CompletionDoc",
-    "completion_doc_to_payload",
     "completion_space_doc",
     "completion_to_payload",
     "dumps_canonical",

@@ -1,6 +1,6 @@
 """Oracles and the machine-checked theorem suite.
 
-Three layers of defence:
+Four layers of defence:
 
 * family-level oracles re-derive every collapsed core formula (membership,
   image, intersection, roundification, filter distance, the round
@@ -9,6 +9,9 @@ Three layers of defence:
 * the dense-sampling oracle replays each epsilon-quantified predicate with
   quantifiers ranging over stratified random rationals instead of the
   finite test set, and demands identical verdicts;
+* the definitional enumerations over all 2^n filter cores (the space of
+  every proper Cauchy filter, Cauchy completeness, Cauchy intersections of
+  zero-distance filters) are oracles for the closed forms the library uses;
 * the theorem suite runs every structural statement about filters,
   completions, and the asymmetry classes over seeded generated instances,
   recording failures as replayable data rather than raising.
@@ -26,14 +29,12 @@ from itertools import product
 
 from . import serialize
 from .completion import (
-    cauchy_filter_space,
+    _filters_to_space,
     complete,
     extend_to_completion,
     filter_point_name,
     induced_completion_map,
-    is_cauchy_complete,
     minimal_cauchy_filters,
-    zero_distance_intersection_cauchy,
 )
 from .errors import InvariantError, PreconditionError, QcError
 from .filters import (
@@ -42,8 +43,10 @@ from .filters import (
     _converges_over,
     _point_core_over,
     _round_over,
+    converges,
     filter_distance,
     image_filter,
+    intersect,
     is_cauchy,
     is_minimal_cauchy,
     is_round,
@@ -51,6 +54,7 @@ from .filters import (
     roundify,
 )
 from .quantale import EXT_RATIONAL, INF, BUILTIN_QUANTALES, ValueQuantale
+from .reporting import Verdict
 from .structures import (
     topology_of,
     topology_of_relation,
@@ -441,6 +445,80 @@ def oracle_collapsed_formulas(n: int = 4) -> VerificationReport:
     report.failures = tuple(failures)
     report.runtime = time.monotonic() - start
     return report
+
+
+# ---------------------------------------------------------------------------
+# definitional enumerations over every filter core
+
+
+ORACLE_MAX_POINTS = 16
+
+
+def _refuse_large(space: VSpace) -> None:
+    if space.size > ORACLE_MAX_POINTS:
+        raise PreconditionError(
+            f"carrier has {space.size} points; this oracle enumerates all 2^n "
+            f"cores and takes at most {ORACLE_MAX_POINTS}"
+        )
+
+
+@dataclass(frozen=True)
+class CauchyFilterSpace:
+    """Every proper Cauchy filter with the filter distance."""
+
+    base: VSpace
+    space: VSpace
+    filters: tuple[Filter, ...]
+    base_uva: Verdict
+
+
+def cauchy_filter_space(space: VSpace) -> CauchyFilterSpace:
+    """Enumerate proper Cauchy filters by core, in ascending mask order.
+
+    Works on any valid space; when the base lacks uniformly vanishing
+    asymmetry the returned flag records the witness and the structural
+    guarantees about the result are void.
+    """
+    _refuse_large(space)
+    cores = (Filter(space, m) for m in range(1, space.full_mask + 1))
+    filters = [f for f in cores if is_cauchy(f)]
+    return CauchyFilterSpace(
+        base=space,
+        space=_filters_to_space(space, filters),
+        filters=tuple(filters),
+        base_uva=has_uniformly_vanishing_asymmetry(space),
+    )
+
+
+def _divergent_cauchy_core(space: VSpace, cauchy):
+    """First proper core passing `cauchy(mask)` that converges nowhere, or None."""
+    for mask in range(1, space.full_mask + 1):
+        f = Filter(space, mask)
+        if cauchy(mask) and not any(converges(f, x) for x in space.points):
+            return f.core
+    return None
+
+
+def is_cauchy_complete(space: VSpace) -> Verdict:
+    """Every proper Cauchy filter converges; witness is a divergent core."""
+    _refuse_large(space)
+    core = _divergent_cauchy_core(space, lambda m: is_cauchy(Filter(space, m)))
+    return Verdict(True) if core is None else Verdict(False, {"core": core})
+
+
+def _zero_distance_failure(tilde: CauchyFilterSpace):
+    bot = tilde.base.quantale.bottom
+    for f in tilde.filters:
+        for g in tilde.filters:
+            if filter_distance(f, g) == bot and not is_cauchy(intersect(f, g)):
+                return {"cores": (f.core, g.core)}
+    return None
+
+
+def zero_distance_intersection_cauchy(space: VSpace) -> Verdict:
+    """Zero-distance proper Cauchy filters have Cauchy intersections."""
+    witness = _zero_distance_failure(cauchy_filter_space(space))
+    return Verdict(witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -875,8 +953,58 @@ def _check_quotient_inherits(ctx: _Ctx):
     return None
 
 
+def _check_minimal_filters_closed_form(ctx: _Ctx):
+    closed = [f.core_mask for f in minimal_cauchy_filters(ctx.space)]
+    definitional = [m for m in ctx.cores if ctx.minimal(m)]
+    if closed != definitional:
+        names = ctx.space.names_of
+        return {
+            "closed_form": [names(m) for m in closed],
+            "definitional": [names(m) for m in definitional],
+        }
+    return None
+
+
+def _check_finite_cauchy_complete(ctx: _Ctx):
+    core = _divergent_cauchy_core(ctx.space, ctx.cauchy)
+    return None if core is None else {"core": core}
+
+
 def _check_completion_isometric_to_quotient(ctx: _Ctx):
-    ctx.completion  # the constructor re-checks the roundification isometry
+    """Roundification maps the separation quotient of the Cauchy filter
+    space bijectively and isometrically onto the completion.
+
+    Each proper Cauchy filter must lie inside its roundification, the
+    roundifications must be exactly the minimal filters, roundification
+    must be constant on each mutual-zero-distance class and tell distinct
+    classes apart, and quotient distances must equal completion distances.
+    """
+    comp, tilde = ctx.completion, ctx.tilde
+    rounded = {}
+    for f in tilde.filters:
+        r = ctx.roundified(f.core_mask)
+        if f.core_mask | r != r:
+            return {"check": "roundification dropped part of a core", "core": f.core}
+        rounded[filter_point_name(f)] = r
+    mask_to_idx = {f.core_mask: i for i, f in enumerate(comp.filters)}
+    if set(rounded.values()) != set(mask_to_idx):
+        return {"check": "roundification does not map Cauchy filters onto minimal filters"}
+    quotient, projection = separation_quotient(tilde.space)
+    class_image = {}
+    for name, cls in projection.items():
+        if class_image.setdefault(cls, rounded[name]) != rounded[name]:
+            return {"check": "roundification is not constant on a zero-distance class",
+                    "class": cls}
+    if len(class_image) != len(comp.filters):
+        return {"check": "roundification does not biject filter classes onto minimal filters"}
+    qidx = {p: i for i, p in enumerate(quotient.points)}
+    for cls_a, mask_a in class_image.items():
+        for cls_b, mask_b in class_image.items():
+            da = quotient.dmat[qidx[cls_a]][qidx[cls_b]]
+            db = comp.space.dmat[mask_to_idx[mask_a]][mask_to_idx[mask_b]]
+            if da != db:
+                return {"check": "quotient and completion distances differ",
+                        "classes": (cls_a, cls_b)}
     return None
 
 
@@ -922,8 +1050,7 @@ def _check_completion_separated_uva(ctx: _Ctx):
 
 
 def _check_zero_distance_intersection(ctx: _Ctx):
-    verdict = zero_distance_intersection_cauchy(ctx.space)
-    return None if verdict else verdict.witness
+    return _zero_distance_failure(ctx.tilde)
 
 
 def _check_completion_idempotent(ctx: _Ctx):
@@ -1087,6 +1214,8 @@ THEOREM_CHECKS = (
     TheoremCheck("filters.ball_set_distance_bounds", _check_ball_distance_bounds),
     TheoremCheck("filters.roundify_functorial", _check_roundify_functorial, ("uva", "pair<=3")),
     TheoremCheck("filters.roundify_adjunction", _check_roundify_adjunction, ("uva", "pair<=3")),
+    TheoremCheck("completion.minimal_filters_closed_form", _check_minimal_filters_closed_form),
+    TheoremCheck("completion.finite_spaces_cauchy_complete", _check_finite_cauchy_complete),
     TheoremCheck("completion.cauchy_space_is_uva_vspace", _check_tilde_is_uva_vspace, ("uva",)),
     TheoremCheck("completion.quotient_inherits_asymmetry", _check_quotient_inherits),
     TheoremCheck("completion.minimal_space_isometric_to_quotient", _check_completion_isometric_to_quotient, ("uva",)),
@@ -1277,7 +1406,6 @@ SEARCH_TARGETS = (
     "roundify-round-without-UVA",
     "minimal-iff-without-UVA",
     "embedding-isometry-without-UVA",
-    "completeness-without-UVA",
 )
 
 
@@ -1310,17 +1438,6 @@ def _violation(space: VSpace, target: str):
                         "filter_distance": space.quantale.format(got),
                         "distance": space.quantale.format(space.dmat[i][j]),
                     }
-        return None
-    if target == "completeness-without-UVA":
-        filters = minimal_cauchy_filters(space)
-        if not filters:
-            return None
-        names = [filter_point_name(f) for f in filters]
-        dmat = [[filter_distance(f, g) for g in filters] for f in filters]
-        hat = VSpace(space.quantale, names, dmat)
-        verdict = is_cauchy_complete(hat)
-        if not verdict:
-            return {"divergent_core": verdict.witness["core"]}
         return None
     raise PreconditionError(f"unknown target {target!r}; known: {SEARCH_TARGETS}")
 

@@ -11,7 +11,6 @@ module re-checks it against dense random sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -172,18 +171,6 @@ def combined_test_values(*spaces: VSpace) -> tuple:
     return tuple([below] + finite + [INF])
 
 
-@dataclass(frozen=True)
-class EpsilonTestSet:
-    """Ascending positive test values attached to one space."""
-
-    space: VSpace
-    values: tuple
-
-
-def epsilon_test_set(space: VSpace) -> EpsilonTestSet:
-    return EpsilonTestSet(space, space.test_values)
-
-
 def validate_vspace(space: VSpace) -> ValidationReport:
     """Report zero-diagonal and triangle violations with witnesses."""
     q = space.quantale
@@ -217,10 +204,6 @@ def validate_vspace(space: VSpace) -> ValidationReport:
                         )
                     )
     return ValidationReport("vspace", tuple(failures))
-
-
-def dual(space: VSpace) -> VSpace:
-    return space.dual()
 
 
 def ball(space: VSpace, x, eps, side: str = "forward") -> frozenset:
@@ -415,40 +398,32 @@ def _as_index_map(fmap, source: VSpace, target: VSpace) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _uc_over(fidx, source: VSpace, target: VSpace, eps_values, delta_values) -> Verdict:
+def _uc_violation(fidx, source: VSpace, target: VSpace, delta, eps):
+    """A pair within delta whose image is not within eps; None or witness."""
     qs, qt = source.quantale, target.quantale
+    for i in range(source.size):
+        for j in range(source.size):
+            if qs.leq(source.dmat[i][j], delta) and not qt.leq(
+                target.dmat[fidx[i]][fidx[j]], eps
+            ):
+                return (source.points[i], source.points[j])
+    return None
+
+
+def _uc_over(fidx, source: VSpace, target: VSpace, eps_values, delta_values) -> Verdict:
     for eps in eps_values:
-        ok = False
-        for delta in delta_values:
-            good = True
-            for i in range(source.size):
-                for j in range(source.size):
-                    if qs.leq(source.dmat[i][j], delta) and not qt.leq(
-                        target.dmat[fidx[i]][fidx[j]], eps
-                    ):
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                ok = True
-                break
-        if not ok:
-            pair = None
-            if delta_values:
-                d0 = delta_values[0]
-                for i in range(source.size):
-                    for j in range(source.size):
-                        if qs.leq(source.dmat[i][j], d0) and not qt.leq(
-                            target.dmat[fidx[i]][fidx[j]], eps
-                        ):
-                            pair = (source.points[i], source.points[j])
-                            break
-                    if pair:
-                        break
-            witness = {"epsilon": qt.format(eps)}
-            if pair:
-                witness["pair"] = pair
+        if not any(
+            _uc_violation(fidx, source, target, delta, eps) is None
+            for delta in delta_values
+        ):
+            witness = {"epsilon": target.quantale.format(eps)}
+            bad = (
+                _uc_violation(fidx, source, target, delta_values[0], eps)
+                if delta_values
+                else None
+            )
+            if bad is not None:
+                witness["pair"] = bad
             return Verdict(False, witness)
     return Verdict(True)
 

@@ -82,19 +82,28 @@ class TestComplete:
         assert obj["payload"]["points"] == [{"core": ["a", "b"]}, {"core": ["c"]}]
         # round trip: the emitted object re-parses to an equal value
         doc = serialize.parse_completion(obj["payload"])
-        assert serialize.completion_doc_to_payload(doc) == obj["payload"]
+        assert serialize.completion_to_payload(doc) == obj["payload"]
 
     def test_non_uva_exits_one(self, capsys, x2n_file):
         code, _, err = run(capsys, "complete", x2n_file)
         assert code == 1
         assert "uniformly vanishing asymmetry" in err
 
-    def test_size_cap_respected(self, capsys, tmp_path):
-        big = VSpace(E, [f"p{i}" for i in range(5)], [[0] * 5 for _ in range(5)])
+    def test_large_space_completes(self, capsys, tmp_path):
+        # no carrier-size cap: 20 points in two zero-distance clusters
+        n = 20
+        big = VSpace(
+            E,
+            [f"p{i}" for i in range(n)],
+            [[0 if i % 2 == j % 2 else 1 for j in range(n)] for i in range(n)],
+        )
         path = write_space(tmp_path, "big.json", big)
+        code, out, _ = run(capsys, "complete", path)
+        assert code == 0
+        assert "completion points: 2" in out
         code, _, err = run(capsys, "complete", path, "--max-points", "4")
-        assert code == 1
-        assert "capped" in err
+        assert code == 2
+        assert "unrecognized arguments: --max-points" in err
 
 
 class TestValidate:
@@ -125,6 +134,22 @@ class TestValidate:
         code, _, err = run(capsys, "validate-space", "/nonexistent/nope.json")
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("points", "ab", "points must be a list of strings"),
+            ("d", ["0"], "each a list"),
+        ],
+    )
+    def test_mistyped_payload_exits_two(self, capsys, tmp_path, field, value, message):
+        payload = {"quantale": "ext_rational", "points": ["a"], "d": [["0"]]}
+        payload[field] = value
+        path = tmp_path / "mistyped.json"
+        path.write_text(serialize.dumps_canonical(serialize.envelope("space", payload)))
+        code, out, err = run(capsys, "validate-space", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_parse_error_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -231,7 +256,7 @@ class TestSearchCommand:
 
     def test_zero_budget(self, capsys):
         code, out, _ = run(
-            capsys, "search", "--target", "completeness-without-UVA",
+            capsys, "search", "--target", "minimal-iff-without-UVA",
             "--budget", "0", "--seed", "3",
         )
         assert code == 0
@@ -244,6 +269,21 @@ class TestUsage:
 
     def test_unknown_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--max-points", "0"], "argument --max-points: must be at least 1, got 0"),
+            (["verify", "--instances", "-3"], "argument --instances: must be at least 1, got -3"),
+            (["verify", "--instances", "many"], "argument --instances: invalid int value: 'many'"),
+            (["search", "--target", "minimal-iff-without-UVA", "--budget", "-2"],
+             "argument --budget: must be at least 0, got -2"),
+        ],
+    )
+    def test_bad_numeric_argument_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error: " + message in err
 
 
 class TestFlagPositions:

@@ -5,6 +5,8 @@ import pytest
 from qc import (
     EXT_RATIONAL,
     INF,
+    Filter,
+    InstanceGenerator,
     InvariantError,
     PreconditionError,
     VSpace,
@@ -73,12 +75,18 @@ class TestCauchyFilterSpace:
         assert not result.base_uva.ok
 
     def test_size_cap(self, monkeypatch):
-        space = VSpace(E, [f"p{i}" for i in range(5)], [[0] * 5 for _ in range(5)])
-        with pytest.raises(PreconditionError):
-            cauchy_filter_space(space, max_points=4)
-        monkeypatch.setenv("QC_MAX_POINTS", "4")
-        with pytest.raises(PreconditionError):
-            cauchy_filter_space(space)
+        # the 2^n oracles refuse carriers past a fixed 16 points; no
+        # environment variable or parameter moves that limit
+        space = VSpace(E, [f"p{i}" for i in range(17)], [[0] * 17 for _ in range(17)])
+        monkeypatch.setenv("QC_MAX_POINTS", "64")
+        for oracle in (
+            cauchy_filter_space,
+            is_cauchy_complete,
+            zero_distance_intersection_cauchy,
+        ):
+            with pytest.raises(PreconditionError) as err:
+                oracle(space)
+            assert "at most 16" in str(err.value)
 
 
 class TestComplete:
@@ -121,6 +129,24 @@ class TestComplete:
     def test_degenerate_single_point(self, xq1):
         comp = complete(xq1)
         assert comp.space.points == ("{p,q}",)
+
+    def test_large_clustered_space(self):
+        # 24 points in 3 interleaved zero-distance clusters: past the 2^n
+        # reach, the closed form still yields one filter per cluster
+        skeleton = [[0, 1, 2], [2, 0, 1], [3, 1, 0]]
+        n = 24
+        space = VSpace(
+            E,
+            [f"p{i}" for i in range(n)],
+            [[skeleton[i % 3][j % 3] for j in range(n)] for i in range(n)],
+        )
+        comp = complete(space)
+        assert [f.core for f in comp.filters] == [
+            tuple(f"p{i}" for i in range(n) if i % 3 == c) for c in range(3)
+        ]
+        assert comp.embedding == {f"p{i}": i % 3 for i in range(n)}
+        assert [list(row) for row in comp.space.dmat] == skeleton
+        assert validate_vspace(comp.space).ok
 
     def test_idempotent_up_to_isometry(self, x3z):
         comp = complete(x3z)
@@ -175,7 +201,33 @@ class TestCauchyComplete:
             assert is_cauchy_complete(space).ok == is_cauchy_complete(space.dual()).ok
 
 
+def definitional_minimal_masks(space):
+    """Cores of the minimal Cauchy filters by enumeration: the Cauchy cores
+    no strictly larger Cauchy core contains, ascending."""
+    cauchy = [m for m in range(1, space.full_mask + 1) if is_cauchy(Filter(space, m))]
+    return [m for m in cauchy if not any(c != m and c & m == m for c in cauchy)]
+
+
 class TestMinimalFilters:
+    def test_closed_form_matches_enumeration(self, Q1, Q3, chain4, pinched):
+        compared = multi = non_uva = 0
+        for k, q in enumerate((E, Q1, Q3, chain4, pinched)):
+            for force_uva in (False, True):
+                # a low zero weight keeps clusters apart, so many spaces
+                # have several minimal filters
+                gen = InstanceGenerator(
+                    seed=900 + 2 * k + force_uva, quantale=q, min_points=1,
+                    max_points=6, zero_weight=1, force_uva=force_uva,
+                )
+                for _, space in gen.instances(100):
+                    got = [f.core_mask for f in minimal_cauchy_filters(space)]
+                    assert got == definitional_minimal_masks(space), space.dmat
+                    compared += 1
+                    multi += len(got) > 1
+                    non_uva += not has_uniformly_vanishing_asymmetry(space)
+        assert compared == 1000
+        assert multi >= 300 and non_uva >= 200
+
     def test_maximal_zero_classes(self, x3z):
         cores = [f.core for f in minimal_cauchy_filters(x3z)]
         assert cores == [("a", "b"), ("c",)]

@@ -86,18 +86,22 @@ class TestFilterFormat:
 class TestCompletionFormat:
     def test_roundtrip(self, x3z):
         comp = complete(x3z)
-        payload = serialize.completion_to_payload(comp)
+        payload = serialize.completion_to_payload(serialize.completion_space_doc(comp))
         doc = serialize.parse_completion(payload)
         assert doc == serialize.completion_space_doc(comp)
-        assert serialize.completion_doc_to_payload(doc) == payload
+        assert serialize.completion_to_payload(doc) == payload
 
     def test_payload_shape(self, x3z):
-        payload = serialize.completion_to_payload(complete(x3z))
+        payload = serialize.completion_to_payload(
+            serialize.completion_space_doc(complete(x3z))
+        )
         assert payload["points"] == [{"core": ["a", "b"]}, {"core": ["c"]}]
         assert payload["embedding"] == {"a": 0, "b": 0, "c": 1}
 
     def test_bad_embedding_rejected(self, x3z):
-        payload = serialize.completion_to_payload(complete(x3z))
+        payload = serialize.completion_to_payload(
+            serialize.completion_space_doc(complete(x3z))
+        )
         payload["embedding"]["a"] = 9
         with pytest.raises(StructureError):
             serialize.parse_completion(payload)

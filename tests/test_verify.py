@@ -174,6 +174,52 @@ class TestTheoremSuite:
         # roundness lemmas need a positive cone and must not run over Q1
         assert by_id["filters.roundify_round_under_uva"].instances == 0
 
+    def test_closed_form_checks_run_ungated(self, pinched):
+        # the closed form and Cauchy completeness hold on every finite space,
+        # so these checks run with or without uniformly vanishing asymmetry
+        from qc.verify import THEOREM_CHECKS
+
+        ids = ("completion.minimal_filters_closed_form",
+               "completion.finite_spaces_cauchy_complete")
+        checks = tuple(c for c in THEOREM_CHECKS if c.id in ids)
+        for gen in (
+            InstanceGenerator(seed=19, zero_weight=1),
+            InstanceGenerator(seed=20, quantale=pinched),
+            InstanceGenerator(seed=21, quantale=BUILTIN_QUANTALES["Q1"]),
+        ):
+            reports = run_theorem_suite(gen, 6, checks=checks)[-2:]
+            assert [r.id for r in reports] == list(ids)
+            assert all(r.ok and r.instances == r.passes == 6 for r in reports)
+
+    def test_closed_form_check_catches_wrong_order(self, monkeypatch):
+        import qc.verify as verify
+
+        real = verify.minimal_cauchy_filters
+        monkeypatch.setattr(verify, "minimal_cauchy_filters", lambda s: real(s)[::-1])
+        check = verify.TheoremCheck(
+            "closed_form", verify._check_minimal_filters_closed_form
+        )
+        report = run_theorem_suite(InstanceGenerator(seed=19, zero_weight=1), 6,
+                                   checks=(check,))[-1]
+        assert report.failures
+
+    def test_quotient_check_catches_wrong_distances(self, monkeypatch):
+        from dataclasses import replace
+
+        import qc.verify as verify
+
+        real = verify.complete
+        monkeypatch.setattr(
+            verify, "complete", lambda s: replace(real(s), space=real(s).space.dual())
+        )
+        check = next(c for c in verify.THEOREM_CHECKS
+                     if c.id == "completion.minimal_space_isometric_to_quotient")
+        report = run_theorem_suite(InstanceGenerator(seed=13, force_uva=True), 12,
+                                   checks=(check,))[-1]
+        assert report.failures
+        witness = report.failures[0]["witness"]
+        assert witness["check"] == "quotient and completion distances differ"
+
     def test_reports_are_replayable(self):
         gen = InstanceGenerator(seed=17, force_uva=True)
         reports = run_theorem_suite(gen, 3)

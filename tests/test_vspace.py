@@ -14,8 +14,6 @@ from qc import (
     ball,
     ball_of_set,
     classify,
-    dual,
-    epsilon_test_set,
     has_uniformly_vanishing_asymmetry,
     has_vanishing_asymmetry,
     is_uniformly_continuous,
@@ -62,14 +60,14 @@ class TestValidate:
 
 class TestDual:
     def test_transpose(self, x2a):
-        op = dual(x2a)
+        op = x2a.dual()
         assert op.d("a", "b") == 2 and op.d("b", "a") == 1
 
     def test_symmetric_fixed(self, x2s):
-        assert dual(x2s) == x2s
+        assert x2s.dual() == x2s
 
     def test_involution(self, x2a):
-        assert dual(dual(x2a)) == x2a
+        assert x2a.dual().dual() == x2a
 
 
 class TestBalls:
@@ -92,7 +90,7 @@ class TestBalls:
             for p in space.points:
                 for eps in space.test_values:
                     assert ball(space, p, eps, "backward") == ball(
-                        dual(space), p, eps, "forward"
+                        space.dual(), p, eps, "forward"
                     )
 
     def test_unknown_point(self, x2a):
@@ -182,21 +180,20 @@ class TestSeparationQuotient:
 
 class TestEpsilonTestSet:
     def test_x2a_values(self, x2a):
-        ts = epsilon_test_set(x2a)
-        assert ts.values == (Fraction(1, 2), Fraction(1), Fraction(2), INF)
+        assert x2a.test_values == (Fraction(1, 2), Fraction(1), Fraction(2), INF)
 
     def test_finite_quantale_positives(self, Q3):
         space = VSpace(Q3, ["a", "b"], [[0, 1], [1, 0]])
-        assert epsilon_test_set(space).values == Q3.positives
+        assert space.test_values == Q3.positives
         assert [Q3.format(e) for e in Q3.positives] == ["0", "1", "inf"]
 
     def test_all_zero_space(self):
         space = VSpace(E, ["a", "b"], [[0, 0], [0, 0]])
-        assert epsilon_test_set(space).values == (Fraction(1), INF)
+        assert space.test_values == (Fraction(1), INF)
 
     def test_all_values_positive(self, x2a, x3z):
         for space in (x2a, x3z):
-            for eps in epsilon_test_set(space).values:
+            for eps in space.test_values:
                 assert E.well_above(eps, Fraction(0))
 
 
@@ -324,4 +321,4 @@ class TestEmptySpace:
         assert validate_vspace(empty).ok
         assert classify(empty) == {"symmetric": True, "separated": True}
         assert has_uniformly_vanishing_asymmetry(empty).ok
-        assert epsilon_test_set(empty).values == (Fraction(1), INF)
+        assert empty.test_values == (Fraction(1), INF)

@@ -209,7 +209,7 @@ def _cmd_roundify(args, out: _Out) -> int:
 
 def _suite_sections(args):
     seed = args.seed
-    base = dict(max_points=min(args.max_points, 5))
+    base = dict(max_points=args.max_points)
     ext = InstanceGenerator(seed=seed, force_uva=True, **base)
     q3 = InstanceGenerator(
         seed=seed + 1, quantale=serialize.parse_quantale("Q3"), force_uva=True, **base
@@ -279,8 +279,8 @@ def _cmd_search(args, out: _Out) -> int:
     return EXIT_OK
 
 
-def _int_at_least(minimum: int):
-    """Argparse type: an integer no smaller than `minimum`."""
+def _bounded_int(minimum: int, maximum: int | None = None):
+    """Argparse type: an integer in [minimum, maximum] (no upper bound if None)."""
 
     def parse(text: str) -> int:
         try:
@@ -289,6 +289,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -336,13 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=("all", "oracles", "theorems", "structures", "degenerate", "category"))
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--instances", type=_int_at_least(1), default=25)
-    p.add_argument("--max-points", type=_int_at_least(1), default=5)
+    p.add_argument("--instances", type=_bounded_int(1), default=25)
+    # generated instances feed 2^n oracles in the theorem suite
+    p.add_argument("--max-points", type=_bounded_int(1, 5), default=5)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("search", parents=[common])
     p.add_argument("--target", required=True, choices=SEARCH_TARGETS)
-    p.add_argument("--budget", type=_int_at_least(0), required=True)
+    p.add_argument("--budget", type=_bounded_int(0), required=True)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=_cmd_search)
     return parser

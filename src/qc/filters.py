@@ -104,27 +104,17 @@ def _point_core_over(space: VSpace, i: int, values, fwd: bool) -> int:
 
 def _cauchy_over(f: Filter, values, fwd: bool):
     """First radius with no ball covering the core, or None."""
-    space = f.space
+    core = f.core_mask
     for eps in values:
-        if not any(
-            (space._ball(x, eps, fwd) | f.core_mask) == space._ball(x, eps, fwd)
-            for x in range(space.size)
-        ):
+        if not any(b | core == b for b in f.space._balls(eps, fwd)):
             return eps
     return None
 
 
 def _round_over(f: Filter, values) -> bool:
-    space = f.space
     core = f.core_mask
     for eps in values:
-        ok = True
-        for x in range(space.size):
-            b = space._ball(x, eps, True)
-            if (b | core) == b and (b | core) != core:
-                ok = False
-                break
-        if ok:
+        if not any(b | core == b != core for b in f.space._balls(eps, True)):
             return True
     return False
 

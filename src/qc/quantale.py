@@ -23,6 +23,7 @@ corpus of small lattices before anything downstream relies on it.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 
@@ -83,7 +84,8 @@ class ValueQuantale:
     """Interface shared by the quantale families.
 
     Subclasses provide: check, leq, add, meet, join, well_above, subtract,
-    nth_fraction, interpolate, sort_key, format, parse, bottom, top.
+    nth_fraction, interpolate, sort_key, format, parse, bottom, top, and
+    the rank kernel _below_mask.
     """
 
     is_finite: bool = False
@@ -91,6 +93,17 @@ class ValueQuantale:
 
     def check(self, element):
         """Normalise an element, raising DomainMismatchError if foreign."""
+        raise NotImplementedError
+
+    def _below_mask(self, values, element) -> int:
+        """Bit u set iff values[u] <= element.
+
+        `values` must be distinct normalised elements in `sort_key` order,
+        such as a space's compiled values or a subsequence of them.  Only
+        `element` is checked: this is the internal kernel behind balls and
+        the triangle check, and the values were checked when the space was
+        built.
+        """
         raise NotImplementedError
 
     def contains(self, element) -> bool:
@@ -151,6 +164,10 @@ class ExtendedRationalQuantale(ValueQuantale):
         if isinstance(a, _Infinity) or isinstance(b, _Infinity):
             return INF
         return a + b
+
+    def _below_mask(self, values, element) -> int:
+        # a chain sorted ascending: the values below element are a prefix
+        return (1 << bisect_right(values, self.check(element))) - 1
 
     def meet(self, elements):
         result = INF
@@ -402,6 +419,15 @@ class FiniteQuantale(ValueQuantale):
 
     def add(self, a, b):
         return self._add[self.check(a)][self.check(b)]
+
+    def _below_mask(self, values, element) -> int:
+        col = self.check(element)
+        leq = self._leq
+        m = 0
+        for u, v in enumerate(values):
+            if leq[v][col]:
+                m |= 1 << u
+        return m
 
     def meet(self, elements):
         return reduce(

@@ -131,11 +131,17 @@ def filter_to_payload(f: Filter) -> dict:
     return {"space": space_to_payload(f.space), "core": list(f.core)}
 
 
+def _parse_core(core) -> tuple[str, ...]:
+    if not isinstance(core, list) or not all(isinstance(p, str) for p in core):
+        raise StructureError(f"a core must be a list of point names, got {core!r}")
+    return tuple(core)
+
+
 def parse_filter(payload) -> Filter:
     if not isinstance(payload, dict) or "space" not in payload or "core" not in payload:
         raise StructureError("filter payload needs 'space' and 'core'")
     space = parse_space(payload["space"])
-    return Filter(space, space.mask(payload["core"]))
+    return Filter(space, space.mask(_parse_core(payload["core"])))
 
 
 # --- completions ------------------------------------------------------------
@@ -167,12 +173,22 @@ def parse_completion(payload) -> CompletionDoc:
         if field not in payload:
             raise StructureError(f"completion payload is missing {field!r}")
     space = parse_space(payload["space"])
-    cores = tuple(tuple(entry["core"]) for entry in payload["points"])
-    embedding = dict(payload["embedding"])
+    points = payload["points"]
+    if not isinstance(points, list) or not all(
+        isinstance(entry, dict) and "core" in entry for entry in points
+    ):
+        raise StructureError("completion points must be a list of objects with a 'core'")
+    cores = tuple(_parse_core(entry["core"]) for entry in points)
+    embedding = payload["embedding"]
+    if not isinstance(embedding, dict):
+        raise StructureError("completion embedding must be an object")
+    base = {p for core in cores for p in core}
     for p, i in embedding.items():
-        if not isinstance(i, int) or not 0 <= i < len(cores):
+        if p not in base:
+            raise StructureError(f"embedding names {p!r}, which is in no core")
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(cores):
             raise StructureError(f"embedding index {i!r} for {p!r} out of range")
-    return CompletionDoc(space, cores, embedding)
+    return CompletionDoc(space, cores, dict(embedding))
 
 
 def completion_space_doc(comp: CompletionSpace) -> CompletionDoc:

@@ -75,15 +75,9 @@ def topology_of(space: VSpace, side: str = "forward") -> FiniteTopology:
     if not space.test_values:
         # no positive radii means no basic balls: the indiscrete topology
         return FiniteTopology(space.points, frozenset({0, space.full_mask}))
-    q = space.quantale
     base = set()
-    for i in range(space.size):
-        for eps in space.test_values:
-            m = 0
-            for j in range(space.size):
-                if q.well_above(eps, space.dmat[i][j]):
-                    m |= 1 << j
-            base.add(m)
+    for eps in space.test_values:
+        base.update(space._strict_balls(eps))
     opens = _close_under_union_intersection(space.size, base)
     if space.full_mask not in opens:
         raise InvariantError("strict balls fail to cover the carrier")
@@ -105,35 +99,20 @@ class QuasiUniformity:
 def quasi_uniformity_of(space: VSpace, side: str = "forward") -> QuasiUniformity:
     """Intersection of the test-value entourages; reflexive by construction."""
     fwd = _forward(side)
-    q = space.quantale
     n = space.size
-    core = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            dd = space.dmat[i][j] if fwd else space.dmat[j][i]
-            row.append(all(q.leq(dd, eps) for eps in space.test_values))
-        core.append(tuple(row))
+    rows = [space.full_mask] * n
+    for eps in space.test_values:
+        rows = [r & b for r, b in zip(rows, space._balls(eps, fwd))]
+    core = tuple([tuple([bool(r >> j & 1) for j in range(n)]) for r in rows])
     for i in range(n):
         if not core[i][i]:
             raise InvariantError("entourage core is not reflexive")
-    return QuasiUniformity(space.points, tuple(core))
-
-
-def _entourage(space: VSpace, eps, fwd: bool):
-    q = space.quantale
-    return tuple(
-        tuple(
-            q.leq(space.dmat[i][j] if fwd else space.dmat[j][i], eps)
-            for j in range(space.size)
-        )
-        for i in range(space.size)
-    )
+    return QuasiUniformity(space.points, core)
 
 
 def _refines(a, b) -> bool:
-    """Relation a is contained in relation b."""
-    return all(not x or y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    """Relation a is contained in relation b (both as per-point row masks)."""
+    return all(not x & ~y for x, y in zip(a, b))
 
 
 def uniformities_equal(space: VSpace) -> Verdict:
@@ -143,10 +122,10 @@ def uniformities_equal(space: VSpace) -> Verdict:
     by_core = fwd.core == bwd.core
     tv = space.test_values
     mutual = all(
-        any(_refines(_entourage(space, d, False), _entourage(space, e, True)) for d in tv)
+        any(_refines(space._balls(d, False), space._balls(e, True)) for d in tv)
         for e in tv
     ) and all(
-        any(_refines(_entourage(space, d, True), _entourage(space, e, False)) for d in tv)
+        any(_refines(space._balls(d, True), space._balls(e, False)) for d in tv)
         for e in tv
     )
     if by_core != mutual:

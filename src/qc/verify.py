@@ -1,6 +1,6 @@
 """Oracles and the machine-checked theorem suite.
 
-Four layers of defence:
+Five layers of defence:
 
 * family-level oracles re-derive every collapsed core formula (membership,
   image, intersection, roundification, filter distance, the round
@@ -12,11 +12,16 @@ Four layers of defence:
 * the definitional enumerations over all 2^n filter cores (the space of
   every proper Cauchy filter, Cauchy completeness, Cauchy intersections of
   zero-distance filters) are oracles for the closed forms the library uses;
+* the per-entry definitions of the triangle law, balls, the uniform flip
+  and the entourage core (and VA, UVA and symmetry moduli on top of them)
+  are oracles for the rank-compiled mask kernels of `qc.vspace`, which the
+  test suite compares with them;
 * the theorem suite runs every structural statement about filters,
   completions, and the asymmetry classes over seeded generated instances,
   recording failures as replayable data rather than raising.
 
-The suite refuses to run unless the oracle layers pass first.
+The suite refuses to run unless the first two oracle layers (the oracle
+gate) pass first.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .filters import (
     roundify,
 )
 from .quantale import EXT_RATIONAL, INF, BUILTIN_QUANTALES, ValueQuantale
-from .reporting import Verdict
+from .reporting import CheckFailure, ValidationReport, Verdict
 from .structures import (
     topology_of,
     topology_of_relation,
@@ -519,6 +524,120 @@ def zero_distance_intersection_cauchy(space: VSpace) -> Verdict:
     """Zero-distance proper Cauchy filters have Cauchy intersections."""
     witness = _zero_distance_failure(cauchy_filter_space(space))
     return Verdict(witness is None, witness)
+
+
+# ---------------------------------------------------------------------------
+# per-entry definitions behind the rank-compiled space kernels
+#
+# `qc.vspace` decides balls, the uniform flip, the entourage core and the
+# triangle law on bitmasks over a space's distinct values.  These are the
+# definitions they replace, one checked quantale call per matrix entry (per
+# triple for the triangle law); tests compare the two exactly.
+
+
+def definitional_validate_vspace(space: VSpace) -> ValidationReport:
+    """Zero-diagonal and triangle failures by the n^3 triple loop."""
+    q = space.quantale
+    failures = []
+    for i in range(space.size):
+        if space.dmat[i][i] != q.bottom:
+            failures.append(
+                CheckFailure(
+                    "zero-diagonal",
+                    {"point": space.points[i], "value": q.format(space.dmat[i][i])},
+                )
+            )
+    for i in range(space.size):
+        for j in range(space.size):
+            for k in range(space.size):
+                lhs = space.dmat[i][k]
+                rhs = q.add(space.dmat[i][j], space.dmat[j][k])
+                if not q.leq(lhs, rhs):
+                    failures.append(
+                        CheckFailure(
+                            "triangle",
+                            {
+                                "triple": tuple(space.points[x] for x in (i, j, k)),
+                                "lhs": q.format(lhs),
+                                "rhs": q.format(rhs),
+                            },
+                        )
+                    )
+    return ValidationReport("vspace", tuple(failures))
+
+
+def definitional_ball(space: VSpace, i: int, eps, forward: bool) -> int:
+    """Mask of the j with d(i,j) <= eps (forward) or d(j,i) <= eps."""
+    q = space.quantale
+    m = 0
+    for j in range(space.size):
+        if q.leq(space.dmat[i][j] if forward else space.dmat[j][i], eps):
+            m |= 1 << j
+    return m
+
+
+def definitional_flip(space: VSpace, delta, eps):
+    """First pair with d(y,x) <= delta but not d(x,y) <= eps, or None."""
+    q = space.quantale
+    for i in range(space.size):
+        for j in range(space.size):
+            if q.leq(space.dmat[j][i], delta) and not q.leq(space.dmat[i][j], eps):
+                return (space.points[i], space.points[j])
+    return None
+
+
+def definitional_entourage_core(space: VSpace, forward: bool) -> tuple:
+    """Boolean rows: (i, j) related iff the distance is <= every test value."""
+    q = space.quantale
+    n = space.size
+    return tuple(
+        tuple(
+            all(
+                q.leq(space.dmat[i][j] if forward else space.dmat[j][i], eps)
+                for eps in space.test_values
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def definitional_uva(space: VSpace) -> Verdict:
+    """`has_uniformly_vanishing_asymmetry` on the per-entry flip."""
+    q, tv = space.quantale, space.test_values
+    for eps in tv:
+        if all(definitional_flip(space, delta, eps) is not None for delta in tv):
+            pair = definitional_flip(space, tv[0], eps)
+            return Verdict(False, {"epsilon": q.format(eps), "pair": pair})
+    return Verdict(True)
+
+
+def _definitional_pointwise_ok(space: VSpace, i: int, delta, eps) -> bool:
+    fwd_e, bwd_e = (definitional_ball(space, i, eps, f) for f in (True, False))
+    fwd_d, bwd_d = (definitional_ball(space, i, delta, f) for f in (True, False))
+    return not bwd_d & ~fwd_e and not fwd_d & ~bwd_e
+
+
+def definitional_va(space: VSpace) -> Verdict:
+    """`has_vanishing_asymmetry` on per-entry balls."""
+    q, tv = space.quantale, space.test_values
+    for i in range(space.size):
+        for eps in tv:
+            if not any(_definitional_pointwise_ok(space, i, d, eps) for d in tv):
+                return Verdict(False, {"point": space.points[i], "epsilon": q.format(eps)})
+    return Verdict(True)
+
+
+def definitional_symmetry_modulus(space: VSpace, eps, point=None):
+    """`symmetry_modulus` (uniform, or pointwise at `point`) per entry."""
+    q = space.quantale
+    for delta in sorted(space.test_values, key=q.sort_key, reverse=True):
+        if point is None:
+            if definitional_flip(space, delta, eps) is None:
+                return delta
+        elif _definitional_pointwise_ok(space, space.index(point), delta, eps):
+            return delta
+    return None
 
 
 # ---------------------------------------------------------------------------

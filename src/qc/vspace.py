@@ -7,6 +7,23 @@ quantales the full set of elements well above 0, and for the extended
 rationals one representative per threshold cell of the space's distance
 values.  The sufficiency of that reduction is not assumed here; the verify
 module re-checks it against dense random sampling.
+
+Each space is compiled once, on first use, into a rank form: its distinct
+distance values in `sort_key` order, and per point and per value the
+bitmask of the points at that forward (backward) distance.  Every
+order-only predicate reads that form: a ball of radius eps is the union of
+the masks whose value is <= eps, so the order is consulted once per
+(space, eps) over the distinct values instead of once per entry.  Balls,
+zero neighbourhoods, the symmetry and separation tests, the uniform flip
+behind UVA and symmetry moduli, and uniform continuity are mask
+operations.  The triangle check in `validate_vspace` runs over value
+classes: the sum of two values met along a two-step path is taken once
+with the exact quantale addition, and the values of a row not below it
+are found with the exact order.  The add-based code stays on the exact elements
+(Fraction, INF, or table indices): those sums, `triangle_repair` in
+`qc.verify`, and set distances (a meet over the distinct values that
+occur).  The per-entry definitions of the triangle law, balls, the flip
+and the entourage core are kept in `qc.verify` as oracles.
 """
 
 from __future__ import annotations
@@ -73,43 +90,41 @@ class VSpace:
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
 
+    @cached_property
+    def _ranks(self) -> "_RankForm":
+        return _RankForm(self.quantale, self.dmat)
+
+    def _balls(self, eps, forward: bool) -> tuple[int, ...]:
+        """Per point, the mask of the ball of radius eps around it."""
+        key = (forward, eps)
+        balls = self._ball_cache.get(key)
+        if balls is None:
+            form = self._ranks
+            below = self.quantale._below_mask(form.values, eps)
+            rows = form.fwd if forward else form.bwd
+            # the kernels build tuples from lists: tuple() over a generator
+            # grows and then shrinks its result, which on 16-64 point spaces
+            # fragmented the heap enough to raise peak memory by about 1 MB
+            balls = self._ball_cache[key] = tuple([_union(row.items(), below) for row in rows])
+        return balls
+
     def _ball(self, i: int, eps, forward: bool) -> int:
-        key = (forward, i, eps)
-        m = self._ball_cache.get(key)
-        if m is None:
-            q = self.quantale
-            m = 0
-            for j in range(self.size):
-                dd = self.dmat[i][j] if forward else self.dmat[j][i]
-                if q.leq(dd, eps):
-                    m |= 1 << j
-            self._ball_cache[key] = m
-        return m
+        return self._balls(eps, forward)[i]
+
+    def _strict_balls(self, eps) -> tuple[int, ...]:
+        """Per point x, the mask of the y with eps well above d(x,y)."""
+        form, q = self._ranks, self.quantale
+        strict = sum(1 << u for u, v in enumerate(form.values) if q.well_above(eps, v))
+        return tuple([_union(row.items(), strict) for row in form.fwd])
 
     @cached_property
     def zero_fwd(self) -> tuple[int, ...]:
         """Per point, the mask of points at outgoing distance 0."""
-        bot = self.quantale.bottom
-        out = []
-        for i in range(self.size):
-            m = 0
-            for j in range(self.size):
-                if self.dmat[i][j] == bot:
-                    m |= 1 << j
-            out.append(m)
-        return tuple(out)
+        return self._ranks.masks_at(self.quantale.bottom, True)
 
     @cached_property
     def zero_bwd(self) -> tuple[int, ...]:
-        bot = self.quantale.bottom
-        out = []
-        for i in range(self.size):
-            m = 0
-            for j in range(self.size):
-                if self.dmat[j][i] == bot:
-                    m |= 1 << j
-            out.append(m)
-        return tuple(out)
+        return self._ranks.masks_at(self.quantale.bottom, False)
 
     @cached_property
     def test_values(self) -> tuple:
@@ -146,6 +161,56 @@ class VSpace:
         return f"<VSpace {list(self.points)} over {self.quantale.label}>"
 
 
+class _RankForm:
+    """A distance matrix compiled over its distinct values.
+
+    `values` holds the distinct entries in `sort_key` order; the rank of an
+    entry is its index there.  `fwd[i]` maps each rank occurring in row i
+    to the mask of the j with d(i,j) of that rank; `bwd[i]` does the same
+    for column i.
+    """
+
+    __slots__ = ("values", "fwd", "bwd")
+
+    def __init__(self, quantale: ValueQuantale, dmat):
+        # number the values in order of appearance, then renumber by sort_key
+        seen = {}
+        n = len(dmat)
+        fwd = [{} for _ in range(n)]
+        bwd = [{} for _ in range(n)]
+        for i, row in enumerate(dmat):
+            out, bit_i = fwd[i], 1 << i
+            for j, e in enumerate(row):
+                u = seen.setdefault(e, len(seen))
+                out[u] = out.get(u, 0) | 1 << j
+                col = bwd[j]
+                col[u] = col.get(u, 0) | bit_i
+        self.values = tuple(sorted(seen, key=quantale.sort_key))
+        rank = [0] * len(seen)
+        for r, v in enumerate(self.values):
+            rank[seen[v]] = r
+        self.fwd = tuple([{rank[u]: m for u, m in row.items()} for row in fwd])
+        self.bwd = tuple([{rank[u]: m for u, m in row.items()} for row in bwd])
+
+    def masks_at(self, value, forward: bool) -> tuple[int, ...]:
+        """Per point, the mask of entries equal to `value`."""
+        rows = self.fwd if forward else self.bwd
+        try:
+            u = self.values.index(value)
+        except ValueError:
+            return (0,) * len(rows)
+        return tuple([row.get(u, 0) for row in rows])
+
+
+def _union(classes, ranks: int) -> int:
+    """Union of the masks of the (rank, mask) pairs whose rank is in `ranks`."""
+    m = 0
+    for u, mask in classes:
+        if ranks >> u & 1:
+            m |= mask
+    return m
+
+
 def combined_test_values(*spaces: VSpace) -> tuple:
     """Epsilon candidates sufficient for the quantified predicates.
 
@@ -162,17 +227,18 @@ def combined_test_values(*spaces: VSpace) -> tuple:
         return q.positives
     values = set()
     for s in spaces:
-        for row in s.dmat:
-            for e in row:
-                if e != Fraction(0):
-                    values.add(e)
-    finite = sorted(v for v in values if v != INF)
+        values.update(s._ranks.values)
+    finite = sorted(v for v in values if v != Fraction(0) and v != INF)
     below = Fraction(1) if not finite else finite[0] / 2
     return tuple([below] + finite + [INF])
 
 
 def validate_vspace(space: VSpace) -> ValidationReport:
-    """Report zero-diagonal and triangle violations with witnesses."""
+    """Report zero-diagonal and triangle violations with witnesses.
+
+    Triangle failures come in ascending (i, j, k) order, one per triple
+    with d(i,k) not below d(i,j) + d(j,k).
+    """
     q = space.quantale
     failures = []
     for i in range(space.size):
@@ -183,27 +249,82 @@ def validate_vspace(space: VSpace) -> ValidationReport:
                     {"point": space.points[i], "value": q.format(space.dmat[i][i])},
                 )
             )
-    for i in range(space.size):
-        for j in range(space.size):
-            for k in range(space.size):
+    for i, row in enumerate(_triangle_violations(space)):
+        for j, bad in enumerate(row):
+            while bad:
+                low = bad & -bad
+                k = low.bit_length() - 1
+                bad ^= low
                 lhs = space.dmat[i][k]
                 rhs = q.add(space.dmat[i][j], space.dmat[j][k])
-                if not q.leq(lhs, rhs):
-                    failures.append(
-                        CheckFailure(
-                            "triangle",
-                            {
-                                "triple": (
-                                    space.points[i],
-                                    space.points[j],
-                                    space.points[k],
-                                ),
-                                "lhs": q.format(lhs),
-                                "rhs": q.format(rhs),
-                            },
-                        )
+                failures.append(
+                    CheckFailure(
+                        "triangle",
+                        {
+                            "triple": (
+                                space.points[i],
+                                space.points[j],
+                                space.points[k],
+                            ),
+                            "lhs": q.format(lhs),
+                            "rhs": q.format(rhs),
+                        },
                     )
+                )
     return ValidationReport("vspace", tuple(failures))
+
+
+def _triangle_violations(space: VSpace) -> list[list[int]]:
+    """Per pair (i, j), the mask of the k with d(i,k) not <= d(i,j) + d(j,k).
+
+    Works over value classes; no chain is assumed.  The points k with
+    d(i,k) not below a value s are the union of the classes of row i whose
+    value is not below s, found by the quantale's exact order on the
+    distinct values of row i.  For a pair (i, j) with d(i,j) = values[a],
+    the violations are the union over the classes b of row j of the points
+    of class b that are not below values[a] + values[b], a sum taken once
+    per (a, b) with the exact quantale addition.  The pairs are visited one
+    value a at a time, so the table of sums never holds more than one row.
+    """
+    q = space.quantale
+    form = space._ranks
+    values, rows = form.values, form.fwd
+    n = space.size
+    # per point: its distinct values ascending, their masks, and a memo from
+    # a set of those values (as a mask) to the points at the other values
+    local = []
+    for row in rows:
+        ranks = sorted(row)
+        local.append((tuple([values[u] for u in ranks]), tuple([row[u] for u in ranks]), {}))
+    out = [[0] * n for _ in range(n)]
+    for a, va in enumerate(values):
+        sums = {}
+        for i in range(n):
+            pairs = rows[i].get(a, 0)
+            if not pairs:
+                continue
+            vals_i, masks_i, above_i = local[i]
+            out_i = out[i]
+            hits = {}  # class b -> points of row i not below values[a] + values[b]
+            while pairs:
+                low = pairs & -pairs
+                j = low.bit_length() - 1
+                pairs ^= low
+                ks = 0
+                for b, mask_j in rows[j].items():
+                    hit = hits.get(b)
+                    if hit is None:
+                        s = sums.get(b)
+                        if s is None:
+                            s = sums[b] = q.add(va, values[b])
+                        below = q._below_mask(vals_i, s)
+                        hit = above_i.get(below)
+                        if hit is None:
+                            hit = above_i[below] = _union(enumerate(masks_i), ~below)
+                        hits[b] = hit
+                    ks |= mask_j & hit
+                out_i[j] = ks
+    return out
 
 
 def ball(space: VSpace, x, eps, side: str = "forward") -> frozenset:
@@ -233,36 +354,30 @@ def _forward(side: str) -> bool:
 
 def set_distance(space: VSpace, source, target):
     """Meet of d(s,t) over the cross pairs; top when either set is empty."""
-    q = space.quantale
-    si = [space.index(p) for p in source]
-    ti = [space.index(p) for p in target]
-    return q.meet(space.dmat[i][j] for i in si for j in ti)
+    return _set_distance_masks(space, space.mask(source), space.mask(target))
 
 
 def _set_distance_masks(space: VSpace, smask: int, tmask: int):
-    q = space.quantale
-    return q.meet(
-        space.dmat[i][j]
-        for i in range(space.size)
-        if smask >> i & 1
-        for j in range(space.size)
-        if tmask >> j & 1
-    )
+    # the meet is idempotent, so it runs over the distinct values that occur
+    form = space._ranks
+    ranks = 0
+    while smask:
+        low = smask & -smask
+        smask ^= low
+        for u, mask in form.fwd[low.bit_length() - 1].items():
+            if mask & tmask:
+                ranks |= 1 << u
+    return space.quantale.meet(v for u, v in enumerate(form.values) if ranks >> u & 1)
 
 
 def classify(space: VSpace) -> dict:
     """Symmetry and separation of the distance matrix."""
-    q = space.quantale
-    symmetric = all(
-        space.dmat[i][j] == space.dmat[j][i]
-        for i in range(space.size)
-        for j in range(space.size)
+    form = space._ranks
+    symmetric = form.fwd == form.bwd
+    separated = all(
+        not f & b & ~(1 << i)
+        for i, (f, b) in enumerate(zip(space.zero_fwd, space.zero_bwd))
     )
-    separated = True
-    for i in range(space.size):
-        for j in range(space.size):
-            if i != j and space.dmat[i][j] == q.bottom and space.dmat[j][i] == q.bottom:
-                separated = False
     return {"symmetric": symmetric, "separated": separated}
 
 
@@ -312,11 +427,12 @@ def separation_quotient(space: VSpace) -> tuple[VSpace, dict]:
 
 def _uniform_flip_ok(space: VSpace, delta, eps):
     """d(y,x) <= delta implies d(x,y) <= eps for all pairs; None or witness."""
-    q = space.quantale
-    for i in range(space.size):
-        for j in range(space.size):
-            if q.leq(space.dmat[j][i], delta) and not q.leq(space.dmat[i][j], eps):
-                return (space.points[i], space.points[j])
+    for i, (near, within) in enumerate(
+        zip(space._balls(delta, False), space._balls(eps, True))
+    ):
+        bad = near & ~within
+        if bad:
+            return (space.points[i], space.points[(bad & -bad).bit_length() - 1])
     return None
 
 
@@ -400,13 +516,15 @@ def _as_index_map(fmap, source: VSpace, target: VSpace) -> tuple[int, ...]:
 
 def _uc_violation(fidx, source: VSpace, target: VSpace, delta, eps):
     """A pair within delta whose image is not within eps; None or witness."""
-    qs, qt = source.quantale, target.quantale
-    for i in range(source.size):
-        for j in range(source.size):
-            if qs.leq(source.dmat[i][j], delta) and not qt.leq(
-                target.dmat[fidx[i]][fidx[j]], eps
-            ):
+    images = target._balls(eps, True)
+    for i, near in enumerate(source._balls(delta, True)):
+        within = images[fidx[i]]
+        while near:
+            low = near & -near
+            j = low.bit_length() - 1
+            if not within >> fidx[j] & 1:
                 return (source.points[i], source.points[j])
+            near ^= low
     return None
 
 

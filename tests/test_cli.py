@@ -278,6 +278,7 @@ class TestUsage:
             (["verify", "--instances", "many"], "argument --instances: invalid int value: 'many'"),
             (["search", "--target", "minimal-iff-without-UVA", "--budget", "-2"],
              "argument --budget: must be at least 0, got -2"),
+            (["verify", "--max-points", "9"], "argument --max-points: must be at most 5, got 9"),
         ],
     )
     def test_bad_numeric_argument_exits_two(self, capsys, argv, message):

@@ -131,22 +131,29 @@ class TestComplete:
         assert comp.space.points == ("{p,q}",)
 
     def test_large_clustered_space(self):
-        # 24 points in 3 interleaved zero-distance clusters: past the 2^n
-        # reach, the closed form still yields one filter per cluster
-        skeleton = [[0, 1, 2], [2, 0, 1], [3, 1, 0]]
-        n = 24
-        space = VSpace(
-            E,
-            [f"p{i}" for i in range(n)],
-            [[skeleton[i % 3][j % 3] for j in range(n)] for i in range(n)],
-        )
-        comp = complete(space)
-        assert [f.core for f in comp.filters] == [
-            tuple(f"p{i}" for i in range(n) if i % 3 == c) for c in range(3)
+        # points in interleaved zero-distance clusters, far past the 2^n
+        # reach: the closed form still yields one filter per cluster.  The
+        # 20-cluster skeleton has asymmetric distances in [2, 3], so every
+        # two-step sum exceeds every distance.
+        wide = [
+            [0 if a == b else 2 + Fraction((7 * a + 3 * b) % 5, 4) for b in range(20)]
+            for a in range(20)
         ]
-        assert comp.embedding == {f"p{i}": i % 3 for i in range(n)}
-        assert [list(row) for row in comp.space.dmat] == skeleton
-        assert validate_vspace(comp.space).ok
+        for n, skeleton in ((24, [[0, 1, 2], [2, 0, 1], [3, 1, 0]]), (200, wide)):
+            c = len(skeleton)
+            space = VSpace(
+                E,
+                [f"p{i}" for i in range(n)],
+                [[skeleton[i % c][j % c] for j in range(n)] for i in range(n)],
+            )
+            comp = complete(space)
+            assert len(comp.filters) == c
+            assert [f.core for f in comp.filters] == [
+                tuple(f"p{i}" for i in range(n) if i % c == k) for k in range(c)
+            ]
+            assert comp.embedding == {f"p{i}": i % c for i in range(n)}
+            assert [list(row) for row in comp.space.dmat] == skeleton
+            assert validate_vspace(comp.space).ok
 
     def test_idempotent_up_to_isometry(self, x3z):
         comp = complete(x3z)

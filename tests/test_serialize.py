@@ -82,6 +82,13 @@ class TestFilterFormat:
         assert payload["core"] == ["a", "b"]
         assert serialize.parse_filter(payload) == f
 
+    @pytest.mark.parametrize("core", ["ab", 5, None, ["a", 1], {"a": 1}])
+    def test_mistyped_core_rejected(self, x3z, core):
+        payload = serialize.filter_to_payload(principal_filter(x3z, ["a"]))
+        payload["core"] = core
+        with pytest.raises(StructureError):
+            serialize.parse_filter(payload)
+
 
 class TestCompletionFormat:
     def test_roundtrip(self, x3z):
@@ -105,6 +112,21 @@ class TestCompletionFormat:
         payload["embedding"]["a"] = 9
         with pytest.raises(StructureError):
             serialize.parse_completion(payload)
+        good = serialize.completion_to_payload(
+            serialize.completion_space_doc(complete(x3z))
+        )
+        for field, value in (
+            ("points", [{"core": "ab"}, {"core": ["c"]}]),
+            ("points", [{"core": 5}, {"core": ["c"]}]),
+            ("points", [{"core": None}, {"core": ["c"]}]),
+            ("points", [["a", "b"], {"core": ["c"]}]),
+            ("points", "ab"),
+            ("embedding", [["a", 0]]),
+            ("embedding", {"a": 0, "b": 0, "c": 1, "z": 1}),
+            ("embedding", {"a": True}),
+        ):
+            with pytest.raises(StructureError):
+                serialize.parse_completion({**good, field: value})
 
 
 class TestEnvelope:

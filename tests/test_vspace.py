@@ -322,3 +322,88 @@ class TestEmptySpace:
         assert classify(empty) == {"symmetric": True, "separated": True}
         assert has_uniformly_vanishing_asymmetry(empty).ok
         assert empty.test_values == (Fraction(1), INF)
+
+
+def _raw_space(rng, q, n):
+    """Random matrix, no repair: mostly triangle-invalid, some diagonals off."""
+    if q.is_finite:
+        draw = lambda: rng.randrange(q.size)  # noqa: E731
+    else:
+        pool = [Fraction(0), INF] + [Fraction(a, b) for a in (1, 2, 3, 5) for b in (1, 2, 3)]
+        draw = lambda: rng.choice(pool)  # noqa: E731
+    d = [[draw() for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.8:
+        for i in range(n):
+            d[i][i] = q.bottom
+    return VSpace(q, [f"p{i}" for i in range(n)], d)
+
+
+class TestCompiledKernels:
+    def test_match_definitions(self, Q1, Q3, chain4, pinched):
+        # the mask kernels against the per-entry definitions, witnesses and
+        # failure order included, on raw (mostly invalid) matrices
+        import random
+
+        from qc import quasi_uniformity_of
+        from qc.errors import InvariantError
+        from qc.vspace import _uc_violation
+        from qc.verify import (
+            definitional_ball,
+            definitional_entourage_core,
+            definitional_symmetry_modulus,
+            definitional_uva,
+            definitional_va,
+            definitional_validate_vspace,
+        )
+
+        rng = random.Random(20261018)
+        quantales = (E, Q1, Q3, chain4, pinched)
+        invalid = off_diagonal = 0
+        for t in range(1000):
+            q = quantales[t % len(quantales)]
+            space = _raw_space(rng, q, rng.randint(1, 7))
+            want = definitional_validate_vspace(space)
+            assert validate_vspace(space).failures == want.failures, space.dmat
+            invalid += "triangle" in want.failed_checks()
+            off_diagonal += "zero-diagonal" in want.failed_checks()
+            assert has_vanishing_asymmetry(space) == definitional_va(space)
+            assert has_uniformly_vanishing_asymmetry(space) == definitional_uva(space)
+            for forward, side in ((True, "forward"), (False, "backward")):
+                core = definitional_entourage_core(space, forward)
+                if all(core[i][i] for i in range(space.size)):
+                    assert quasi_uniformity_of(space, side).core == core
+                else:
+                    with pytest.raises(InvariantError):
+                        quasi_uniformity_of(space, side)
+            radii = space.test_values + (q.bottom, q.top)
+            for i in range(space.size):
+                for eps in radii:
+                    for forward in (True, False):
+                        assert space._ball(i, eps, forward) == definitional_ball(
+                            space, i, eps, forward
+                        )
+            fidx = [rng.randrange(space.size) for _ in space.points]
+            p = rng.choice(space.points)
+            for eps in space.test_values:
+                assert space._strict_balls(eps) == tuple(
+                    sum(1 << j for j, e in enumerate(row) if q.well_above(eps, e))
+                    for row in space.dmat
+                )
+                delta = rng.choice(space.test_values)
+                assert _uc_violation(fidx, space, space, delta, eps) == next(
+                    (
+                        (space.points[i], space.points[j])
+                        for i in range(space.size)
+                        for j in range(space.size)
+                        if q.leq(space.dmat[i][j], delta)
+                        and not q.leq(space.dmat[fidx[i]][fidx[j]], eps)
+                    ),
+                    None,
+                )
+                assert symmetry_modulus(space, eps) == definitional_symmetry_modulus(
+                    space, eps
+                )
+                assert symmetry_modulus(
+                    space, eps, "pointwise", p
+                ) == definitional_symmetry_modulus(space, eps, p)
+        assert invalid > 500 and off_diagonal >= 100, (invalid, off_diagonal)

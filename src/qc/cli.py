@@ -113,6 +113,19 @@ def _jsonable(obj):
     return str(obj)
 
 
+def _read_valid_space(path: str):
+    """Parse a space file and refuse a space that fails `validate_vspace`."""
+    space = serialize.parse_space(_read_payload(path, "space"))
+    report = validate_vspace(space)
+    if not report.ok:
+        first = report.failures[0]
+        raise StructureError(
+            f"space is invalid: {first.check} "
+            f"{json.dumps(_jsonable(first.witness), sort_keys=True)}"
+        )
+    return space
+
+
 def _cmd_validate_space(args, out: _Out) -> int:
     space = serialize.parse_space(_read_payload(args.file, "space"))
     report = validate_vspace(space)
@@ -133,7 +146,7 @@ def _cmd_validate_space(args, out: _Out) -> int:
 
 
 def _cmd_classify(args, out: _Out) -> int:
-    space = serialize.parse_space(_read_payload(args.file, "space"))
+    space = _read_valid_space(args.file)
     basic = classify(space)
     va = has_vanishing_asymmetry(space)
     uva = has_uniformly_vanishing_asymmetry(space)
@@ -158,7 +171,7 @@ def _cmd_classify(args, out: _Out) -> int:
 
 
 def _cmd_complete(args, out: _Out) -> int:
-    space = serialize.parse_space(_read_payload(args.file, "space"))
+    space = _read_valid_space(args.file)
     comp = complete(space)
     payload = serialize.completion_to_payload(serialize.completion_space_doc(comp))
     out.text(f"completion points: {len(comp.filters)}")
@@ -170,7 +183,7 @@ def _cmd_complete(args, out: _Out) -> int:
 
 
 def _cmd_topology(args, out: _Out) -> int:
-    space = serialize.parse_space(_read_payload(args.file, "space"))
+    space = _read_valid_space(args.file)
     report = {}
     for side in ("forward", "backward"):
         top = topology_of(space, side)
@@ -181,7 +194,7 @@ def _cmd_topology(args, out: _Out) -> int:
 
 
 def _cmd_uniformity(args, out: _Out) -> int:
-    space = serialize.parse_space(_read_payload(args.file, "space"))
+    space = _read_valid_space(args.file)
     report = {}
     for side in ("forward", "backward"):
         uni = quasi_uniformity_of(space, side)
@@ -198,7 +211,7 @@ def _cmd_uniformity(args, out: _Out) -> int:
 
 
 def _cmd_roundify(args, out: _Out) -> int:
-    space = serialize.parse_space(_read_payload(args.file, "space"))
+    space = _read_valid_space(args.file)
     names = [p for p in args.core.split(",") if p] if args.core else []
     f = Filter(space, space.mask(names))
     rounded = roundify(f)
@@ -230,9 +243,11 @@ def _cmd_verify(args, out: _Out) -> int:
     sections = _suite_sections(args)
     chosen = list(sections) if args.suite == "all" else [args.suite]
     payload_sections = []
+    timed = []
     failed = 0
     for name in chosen:
         reports = sections[name]()
+        timed.extend(reports)
         section_payload = {"section": name, "reports": [r.payload() for r in reports]}
         payload_sections.append(section_payload)
         for r in reports:
@@ -259,6 +274,10 @@ def _cmd_verify(args, out: _Out) -> int:
             "sections": payload_sections,
         },
     )
+    if args.timings:
+        # runtimes stay out of the report, which must be deterministic
+        for r in sorted(timed, key=lambda r: r.runtime, reverse=True):
+            print(f"{r.id} {r.runtime:.4f}", file=sys.stderr)
     return EXIT_OK if not failed else EXIT_MATH
 
 
@@ -341,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=_bounded_int(1), default=25)
     # generated instances feed 2^n oracles in the theorem suite
     p.add_argument("--max-points", type=_bounded_int(1, 5), default=5)
+    p.add_argument("--timings", action="store_true",
+                   help="print each check's runtime in seconds to stderr, slowest first")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("search", parents=[common])

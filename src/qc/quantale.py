@@ -8,7 +8,11 @@ with a point at infinity.  All arithmetic is exact: table indices,
 
 Elements are plain values (an int index, a Fraction, or INF) and are only
 meaningful relative to their owning quantale; every public operation
-normalises and checks its element arguments.
+normalises and checks its element arguments.  Two private rank kernels,
+`_below_mask` and `_meet_ranks`, work on a compiled space's distinct
+values, which were checked when the space was built: the order test behind
+balls and the meet behind set and filter distances run there without a
+check per value.
 
 The well-above relation on finite tables is computed by the closed form
 
@@ -85,7 +89,7 @@ class ValueQuantale:
 
     Subclasses provide: check, leq, add, meet, join, well_above, subtract,
     nth_fraction, interpolate, sort_key, format, parse, bottom, top, and
-    the rank kernel _below_mask.
+    the rank kernels _below_mask and _meet_ranks.
     """
 
     is_finite: bool = False
@@ -103,6 +107,14 @@ class ValueQuantale:
         `element` is checked: this is the internal kernel behind balls and
         the triangle check, and the values were checked when the space was
         built.
+        """
+        raise NotImplementedError
+
+    def _meet_ranks(self, values, ranks: int):
+        """Meet of the values[u] with bit u set in `ranks`; top when none is.
+
+        `values` is as for `_below_mask`.  Nothing is checked: this is the
+        internal kernel behind set and filter distances.
         """
         raise NotImplementedError
 
@@ -146,7 +158,9 @@ class ExtendedRationalQuantale(ValueQuantale):
         if isinstance(element, int):
             element = Fraction(element)
         if isinstance(element, Fraction):
-            if element < 0:
+            # the denominator of a Fraction is positive, so the sign is the
+            # numerator's; this skips Fraction's rich comparison
+            if element.numerator < 0:
                 raise DomainMismatchError(f"negative value {element} is not in [0, inf]")
             return element
         raise DomainMismatchError(f"not an extended-rational element: {element!r}")
@@ -168,6 +182,10 @@ class ExtendedRationalQuantale(ValueQuantale):
     def _below_mask(self, values, element) -> int:
         # a chain sorted ascending: the values below element are a prefix
         return (1 << bisect_right(values, self.check(element))) - 1
+
+    def _meet_ranks(self, values, ranks: int):
+        # a chain sorted ascending: the meet is the value at the lowest rank
+        return values[(ranks & -ranks).bit_length() - 1] if ranks else INF
 
     def meet(self, elements):
         result = INF
@@ -427,6 +445,16 @@ class FiniteQuantale(ValueQuantale):
         for u, v in enumerate(values):
             if leq[v][col]:
                 m |= 1 << u
+        return m
+
+    def _meet_ranks(self, values, ranks: int):
+        # no chain is assumed: fold the meet table over the set ranks
+        meet_t = self._meet_t
+        m = self._top
+        while ranks:
+            low = ranks & -ranks
+            m = meet_t[m][values[low.bit_length() - 1]]
+            ranks ^= low
         return m
 
     def meet(self, elements):

@@ -12,10 +12,10 @@ Five layers of defence:
 * the definitional enumerations over all 2^n filter cores (the space of
   every proper Cauchy filter, Cauchy completeness, Cauchy intersections of
   zero-distance filters) are oracles for the closed forms the library uses;
-* the per-entry definitions of the triangle law, balls, the uniform flip
-  and the entourage core (and VA, UVA and symmetry moduli on top of them)
-  are oracles for the rank-compiled mask kernels of `qc.vspace`, which the
-  test suite compares with them;
+* the per-entry definitions of the triangle law, balls, the uniform flip,
+  the entourage core and set distances (and VA, UVA and symmetry moduli on
+  top of them) are oracles for the rank-compiled kernels of `qc.vspace`,
+  which the test suite compares with them;
 * the theorem suite runs every structural statement about filters,
   completions, and the asymmetry classes over seeded generated instances,
   recording failures as replayable data rather than raising.
@@ -30,6 +30,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from . import serialize
@@ -296,11 +297,12 @@ def _family_image(fidx, n_src: int, n_tgt: int, members: frozenset) -> frozenset
     return frozenset(out)
 
 
-def _family_distance(space: VSpace, m1: frozenset, m2: frozenset):
-    q = space.quantale
-    return q.join(
-        _set_distance_masks(space, s, t) for s in sorted(m1) for t in sorted(m2)
-    )
+def _family_distance(q: ValueQuantale, table, m1: frozenset, m2: frozenset):
+    """Join over member pairs of their set distance, read from `table`.
+
+    The join is idempotent, so it runs over the distinct values read.
+    """
+    return q.join({table[s][t] for s in m1 for t in m2})
 
 
 def _family_roundify(space: VSpace, members: frozenset) -> frozenset:
@@ -394,16 +396,19 @@ def _collapsed_formula_failures(space: VSpace, pair_limit: int = 64) -> list:
         # round reduction (definitional quantifies over every member)
         if _family_is_round(space, fam) != bool(is_round(f)):
             fail("round-reduction", core=f.core)
-    # intersection and distance on (a sample of) filter pairs
+    # intersection and distance on (a sample of) filter pairs; the members
+    # of the families are subsets, so their set distances are tabled once
     pairs = [(a, b) for a in cores for b in cores]
     if len(pairs) > pair_limit:
         pairs = [(a, b) for a, b in pairs if bin(a).count("1") <= 2 and bin(b).count("1") <= 2]
+    q = space.quantale
+    table = [[_set_distance_masks(space, s, t) for t in cores] for s in cores]
     for a, b in pairs:
         inter = frozenset(families[a] & families[b])
         if inter != families[a | b]:
             fail("intersection", cores=(space.names_of(a), space.names_of(b)))
         fa, fb = Filter(space, a), Filter(space, b)
-        if _family_distance(space, families[a], families[b]) != filter_distance(fa, fb):
+        if _family_distance(q, table, families[a], families[b]) != filter_distance(fa, fb):
             fail("filter-distance", cores=(fa.core, fb.core))
     return failures
 
@@ -512,11 +517,16 @@ def is_cauchy_complete(space: VSpace) -> Verdict:
 
 
 def _zero_distance_failure(tilde: CauchyFilterSpace):
-    bot = tilde.base.quantale.bottom
-    for f in tilde.filters:
-        for g in tilde.filters:
-            if filter_distance(f, g) == bot and not is_cauchy(intersect(f, g)):
+    # the filter space's matrix holds the filter distances; its zero masks
+    # list the pairs at distance 0 in the order of a nested loop
+    filters = tilde.filters
+    for f, zeros in zip(filters, tilde.space.zero_fwd):
+        while zeros:
+            low = zeros & -zeros
+            g = filters[low.bit_length() - 1]
+            if not is_cauchy(intersect(f, g)):
                 return {"cores": (f.core, g.core)}
+            zeros ^= low
     return None
 
 
@@ -529,10 +539,11 @@ def zero_distance_intersection_cauchy(space: VSpace) -> Verdict:
 # ---------------------------------------------------------------------------
 # per-entry definitions behind the rank-compiled space kernels
 #
-# `qc.vspace` decides balls, the uniform flip, the entourage core and the
-# triangle law on bitmasks over a space's distinct values.  These are the
-# definitions they replace, one checked quantale call per matrix entry (per
-# triple for the triangle law); tests compare the two exactly.
+# `qc.vspace` decides balls, the uniform flip, the entourage core, the
+# triangle law and set distances on bitmasks over a space's distinct values.
+# These are the definitions they replace, one checked quantale call per
+# matrix entry (per triple for the triangle law); tests compare the two
+# exactly.
 
 
 def definitional_validate_vspace(space: VSpace) -> ValidationReport:
@@ -564,6 +575,18 @@ def definitional_validate_vspace(space: VSpace) -> ValidationReport:
                         )
                     )
     return ValidationReport("vspace", tuple(failures))
+
+
+def definitional_set_distance(space: VSpace, smask: int, tmask: int):
+    """Checked meet of d(s,t) over the cross pairs of two point masks."""
+    n = space.size
+    return space.quantale.meet(
+        space.dmat[i][j]
+        for i in range(n)
+        if smask >> i & 1
+        for j in range(n)
+        if tmask >> j & 1
+    )
 
 
 def definitional_ball(space: VSpace, i: int, eps, forward: bool) -> int:
@@ -705,6 +728,12 @@ def _dedupe_by_pattern(space: VSpace, values) -> tuple:
     return tuple(sorted(seen.values(), key=q.sort_key))
 
 
+@lru_cache(maxsize=64)
+def _dense_representatives(space: VSpace, samples: int, seed: int) -> tuple:
+    """The deduped dense samples, shared by every predicate on one space."""
+    return _dedupe_by_pattern(space, _dense_values(space, samples, seed))
+
+
 def _predicate_profile(space: VSpace, predicate: str, values) -> tuple:
     n = space.size
     cores = range(1 << n)
@@ -754,7 +783,7 @@ def oracle_epsilon_reduction(space: VSpace, predicate: str, samples: int = 1000,
             "dense sampling applies to the extended-rational family only"
         )
     start = time.monotonic()
-    dense = _dedupe_by_pattern(space, _dense_values(space, samples, seed))
+    dense = _dense_representatives(space, samples, seed)
     via_test = _predicate_profile(space, predicate, space.test_values)
     via_dense = _predicate_profile(space, predicate, dense)
     failures = ()

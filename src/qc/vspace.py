@@ -16,14 +16,18 @@ the masks whose value is <= eps, so the order is consulted once per
 (space, eps) over the distinct values instead of once per entry.  Balls,
 zero neighbourhoods, the symmetry and separation tests, the uniform flip
 behind UVA and symmetry moduli, and uniform continuity are mask
-operations.  The triangle check in `validate_vspace` runs over value
-classes: the sum of two values met along a two-step path is taken once
-with the exact quantale addition, and the values of a row not below it
-are found with the exact order.  The add-based code stays on the exact elements
-(Fraction, INF, or table indices): those sums, `triangle_repair` in
-`qc.verify`, and set distances (a meet over the distinct values that
-occur).  The per-entry definitions of the triangle law, balls, the flip
-and the entourage core are kept in `qc.verify` as oracles.
+operations.  A set distance collects the ranks of the values met between
+the two masks and takes their meet in one private quantale kernel,
+`ValueQuantale._meet_ranks` (the lowest rank on the extended-rational
+chain, a fold of the meet table on finite quantales), so filter distances
+and completion matrices make no checked element call per value.  The
+triangle check in `validate_vspace` runs over value classes: the sum of
+two values met along a two-step path is taken once with the exact
+quantale addition, and the values of a row not below it are found with the
+exact order.  The add-based code stays on the exact elements (Fraction,
+INF, or table indices): those sums and `triangle_repair` in `qc.verify`.
+The per-entry definitions of the triangle law, balls, the flip, the
+entourage core and set distances are kept in `qc.verify` as oracles.
 """
 
 from __future__ import annotations
@@ -358,7 +362,7 @@ def set_distance(space: VSpace, source, target):
 
 
 def _set_distance_masks(space: VSpace, smask: int, tmask: int):
-    # the meet is idempotent, so it runs over the distinct values that occur
+    # the meet is idempotent, so it runs over the ranks of the values that occur
     form = space._ranks
     ranks = 0
     while smask:
@@ -367,7 +371,7 @@ def _set_distance_masks(space: VSpace, smask: int, tmask: int):
         for u, mask in form.fwd[low.bit_length() - 1].items():
             if mask & tmask:
                 ranks |= 1 << u
-    return space.quantale.meet(v for u, v in enumerate(form.values) if ranks >> u & 1)
+    return space.quantale._meet_ranks(form.values, ranks)
 
 
 def classify(space: VSpace) -> dict:

@@ -159,6 +159,28 @@ class TestValidate:
         assert "line" in err
 
 
+class TestInvalidSpace:
+    @pytest.mark.parametrize(
+        "command", ["complete", "uniformity", "classify", "topology", "roundify"]
+    )
+    @pytest.mark.parametrize(
+        "dmat,first",
+        [
+            ([[0, 1, 5], [1, 0, 1], [1, 1, 2]],
+             'zero-diagonal {"point": "c", "value": "2"}'),
+            ([[0, 1, 5], [1, 0, 1], [1, 1, 0]],
+             'triangle {"lhs": "5", "rhs": "2", "triple": ["a", "b", "c"]}'),
+        ],
+    )
+    def test_exits_two_with_first_failure(self, capsys, tmp_path, command, dmat, first):
+        names = "abc"[: len(dmat)]
+        path = write_space(tmp_path, "bad.json", VSpace(E, list(names), dmat))
+        extra = ["--core", "a"] if command == "roundify" else []
+        code, out, err = run(capsys, command, path, *extra)
+        assert code == 2 and out == ""
+        assert err == f"error: space is invalid: {first}\n"
+
+
 class TestTopologyUniformity:
     def test_topology(self, capsys, x2n_file):
         code, out, _ = run(capsys, "--format", "structured", "topology", x2n_file)
@@ -223,6 +245,19 @@ class TestVerifyCommand:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_timings_leave_report_unchanged(self, capsys):
+        args = ["--format", "structured", "verify", "--suite", "category",
+                "--seed", "3", "--instances", "3"]
+        code1, plain, err1 = run(capsys, *args)
+        code2, timed, err2 = run(capsys, *args, "--timings")
+        assert code1 == code2 == 0
+        assert plain == timed and err1 == ""
+        ids = [r["id"] for r in json.loads(timed)["payload"]["sections"][0]["reports"]]
+        lines = [line.split(" ") for line in err2.splitlines()]
+        assert sorted(name for name, _ in lines) == sorted(ids)
+        seconds = [float(s) for _, s in lines]
+        assert seconds == sorted(seconds, reverse=True)
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -43,6 +43,28 @@ class TestMeetJoin:
         with pytest.raises(DomainMismatchError):
             Q3.meet([5])
 
+    def test_check_rejects_negatives_by_sign(self):
+        assert E.check(Fraction(0)) == 0 and E.check(Fraction(1, 3)) == Fraction(1, 3)
+        assert E.check(2) == Fraction(2)
+        for bad in (Fraction(-1, 3), Fraction(1, -3), -2):
+            with pytest.raises(DomainMismatchError):
+                E.check(bad)
+
+    def test_rank_meet_matches_checked_meet(self, Q1, Q3, chain4, pinched):
+        # the unchecked kernel against the public meet, on every rank set of
+        # a sorted value list (all elements of the finite quantales, so the
+        # incomparable a and b of pinched, which meet at e, are covered)
+        ext = sorted(
+            [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2), INF], key=E.sort_key
+        )
+        cases = [(E, ext)] + [
+            (q, sorted(q.elements(), key=q.sort_key)) for q in (Q1, Q3, chain4, pinched)
+        ]
+        for q, values in cases:
+            for ranks in range(1 << len(values)):
+                chosen = [v for u, v in enumerate(values) if ranks >> u & 1]
+                assert q._meet_ranks(values, ranks) == q.meet(chosen), (q.label, ranks)
+
 
 class TestAdd:
     def test_top_absorbs(self):

@@ -118,6 +118,26 @@ class TestFamilyOracle:
         report = oracle_collapsed_formulas(4)
         assert report.ok
 
+    def test_collapsed_formulas_catch_wrong_filter_distance(self, monkeypatch):
+        # the tabled family distance must still tell a wrong collapse apart
+        import qc.verify as verify
+
+        real = verify.filter_distance
+
+        def wrong(f, g):
+            d = real(f, g)
+            if (f.core_mask, g.core_mask) == (0b01, 0b10):
+                q = f.space.quantale
+                return q.bottom if d == q.top else q.top
+            return d
+
+        monkeypatch.setattr(verify, "filter_distance", wrong)
+        report = oracle_collapsed_formulas(4)
+        # every battery space but the one over Q1, which has a single value
+        assert report.instances == 8 and report.passes == 1
+        assert [f["check"] for f in report.failures] == ["filter-distance"] * 7
+        assert all(f["cores"] == (("p0",), ("p1",)) for f in report.failures)
+
 
 class TestEpsilonOracle:
     @pytest.mark.parametrize(
@@ -219,6 +239,35 @@ class TestTheoremSuite:
         assert report.failures
         witness = report.failures[0]["witness"]
         assert witness["check"] == "quotient and completion distances differ"
+
+    def test_zero_distance_check_catches_non_cauchy_union(self, monkeypatch):
+        # two zero-distance clusters; the union core {c, d} is declared not
+        # Cauchy, so the first zero-distance pair meeting there is reported
+        import qc.verify as verify
+        from qc import Filter, Verdict, is_cauchy
+        from qc.verify import definitional_set_distance
+
+        space = VSpace(E, list("abcd"), [
+            [0 if i // 2 == j // 2 else 1 for j in range(4)] for i in range(4)
+        ])
+        target = space.mask("cd")
+        monkeypatch.setattr(
+            verify,
+            "is_cauchy",
+            lambda f, side="forward": (
+                Verdict(False, {}) if f.core_mask == target else is_cauchy(f, side)
+            ),
+        )
+        cores = [m for m in range(1, 16) if m != target and is_cauchy(Filter(space, m))]
+        expected = next(
+            (space.names_of(a), space.names_of(b))
+            for a in cores
+            for b in cores
+            if a | b == target and definitional_set_distance(space, a, b) == 0
+        )
+        assert expected == (("c",), ("d",))
+        verdict = verify.zero_distance_intersection_cauchy(space)
+        assert not verdict.ok and verdict.witness == {"cores": expected}
 
     def test_reports_are_replayable(self):
         gen = InstanceGenerator(seed=17, force_uva=True)

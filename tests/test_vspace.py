@@ -350,6 +350,7 @@ class TestCompiledKernels:
         from qc.verify import (
             definitional_ball,
             definitional_entourage_core,
+            definitional_set_distance,
             definitional_symmetry_modulus,
             definitional_uva,
             definitional_va,
@@ -375,6 +376,15 @@ class TestCompiledKernels:
                 else:
                     with pytest.raises(InvariantError):
                         quasi_uniformity_of(space, side)
+            # set distances: every subset pair up to 4 points; beyond that
+            # the empty set, the singletons and the carrier
+            n, full = space.size, space.full_mask
+            masks = [m for m in range(full + 1) if n <= 4 or bin(m).count("1") in (0, 1, n)]
+            for sm in masks:
+                for tm in masks:
+                    assert set_distance(
+                        space, space.names_of(sm), space.names_of(tm)
+                    ) == definitional_set_distance(space, sm, tm), (space.dmat, sm, tm)
             radii = space.test_values + (q.bottom, q.top)
             for i in range(space.size):
                 for eps in radii:

@@ -8,11 +8,20 @@ with a point at infinity.  All arithmetic is exact: table indices,
 
 Elements are plain values (an int index, a Fraction, or INF) and are only
 meaningful relative to their owning quantale; every public operation
-normalises and checks its element arguments.  Two private rank kernels,
-`_below_mask` and `_meet_ranks`, work on a compiled space's distinct
-values, which were checked when the space was built: the order test behind
-balls and the meet behind set and filter distances run there without a
-check per value.
+normalises and checks its element arguments.  Private rank kernels work on
+a compiled space's distinct values, which were checked when the space was
+built, so they make no check per value.  `_meet_ranks` is the meet behind
+set and filter distances.  The order test behind balls and the triangle
+check depends on the family.  On a finite quantale `_below_mask` reads the
+order table, and no chain is assumed.  On the extended-rational chain
+`_order_keys` gives each value an exact key, value * L with L the lcm of
+the denominators, as a plain int; INF, always the last value, gets a top
+sentinel above every sum of two finite keys.  Order tests and sums then run
+on ints: `_count_below` for balls, and in `qc.vspace` the triangle check
+and in `qc.verify` `triangle_repair`.  When L would pass `_KEY_SCALE_BITS`
+bits (many coprime denominators), the keys are the Fractions themselves,
+with a Fraction sentinel: the code that reads them is the same, and only
+the size of the keys is bounded.
 
 The well-above relation on finite tables is computed by the closed form
 
@@ -27,9 +36,13 @@ corpus of small lattices before anything downstream relies on it.
 from __future__ import annotations
 
 import random
+import re
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
+from math import lcm
+from typing import NamedTuple
 
 from .errors import DomainMismatchError, InvariantError, PreconditionError, StructureError
 from .reporting import CheckFailure, ValidationReport
@@ -83,13 +96,35 @@ class _Infinity:
 
 INF = _Infinity()
 
+# Bit budget for the scale L of extended-rational order keys.  Past it the
+# keys are the Fractions themselves: L grows with the number of coprime
+# denominators, and lcm keys of a few dozen ~20-bit prime denominators
+# already cost more memory than the Fractions they replace.
+_KEY_SCALE_BITS = 128
+
+
+class _OrderKeys(NamedTuple):
+    """Exact keys for the values of a compiled space on the extended-rational chain.
+
+    `keys[u]` is `values[u] * scale` as an int, or `values[u]` itself when
+    `scale` is None (the Fraction fallback).  When INF occurs it is the last
+    value, and its key is a top sentinel above the sum of any two finite
+    keys.  `finite` counts the finite values.  Keys are ascending, and the sum
+    of two finite keys is the key of the sum of their values.
+    """
+
+    keys: tuple
+    scale: int | None
+    finite: int
+
 
 class ValueQuantale:
     """Interface shared by the quantale families.
 
     Subclasses provide: check, leq, add, meet, join, well_above, subtract,
     nth_fraction, interpolate, sort_key, format, parse, bottom, top, and
-    the rank kernels _below_mask and _meet_ranks.
+    the rank kernels _meet_ranks and either _below_mask (finite tables) or
+    _order_keys with _count_below (the extended-rational chain).
     """
 
     is_finite: bool = False
@@ -99,21 +134,18 @@ class ValueQuantale:
         """Normalise an element, raising DomainMismatchError if foreign."""
         raise NotImplementedError
 
-    def _below_mask(self, values, element) -> int:
-        """Bit u set iff values[u] <= element.
+    def _order_keys(self, values) -> _OrderKeys | None:
+        """Exact keys for `values` on a chain; None where no chain is assumed.
 
         `values` must be distinct normalised elements in `sort_key` order,
-        such as a space's compiled values or a subsequence of them.  Only
-        `element` is checked: this is the internal kernel behind balls and
-        the triangle check, and the values were checked when the space was
-        built.
+        such as a space's compiled values.  Nothing is checked.
         """
-        raise NotImplementedError
+        return None
 
     def _meet_ranks(self, values, ranks: int):
         """Meet of the values[u] with bit u set in `ranks`; top when none is.
 
-        `values` is as for `_below_mask`.  Nothing is checked: this is the
+        `values` is as for `_order_keys`.  Nothing is checked: this is the
         internal kernel behind set and filter distances.
         """
         raise NotImplementedError
@@ -179,9 +211,30 @@ class ExtendedRationalQuantale(ValueQuantale):
             return INF
         return a + b
 
-    def _below_mask(self, values, element) -> int:
-        # a chain sorted ascending: the values below element are a prefix
-        return (1 << bisect_right(values, self.check(element))) - 1
+    def _order_keys(self, values) -> _OrderKeys:
+        finite = len(values) - (bool(values) and isinstance(values[-1], _Infinity))
+        scale = lcm(*[v.denominator for v in values[:finite]])
+        if scale.bit_length() <= _KEY_SCALE_BITS:
+            keys = [v.numerator * (scale // v.denominator) for v in values[:finite]]
+        else:
+            scale, keys = None, list(values[:finite])
+        if finite < len(values):
+            keys.append(2 * keys[-1] + 1 if keys else 1)
+        return _OrderKeys(tuple(keys), scale, finite)
+
+    def _count_below(self, okeys: _OrderKeys, element) -> int:
+        """Number of the keyed values <= element; they are a prefix.
+
+        Only `element` is checked: this is the internal kernel behind balls.
+        """
+        element = self.check(element)
+        if isinstance(element, _Infinity):
+            return len(okeys.keys)
+        if okeys.scale is not None:
+            # keys are ints: v <= element iff key(v) <= floor(element * L)
+            element = element.numerator * okeys.scale // element.denominator
+        # a finite element never reaches the sentinel, however large it is
+        return bisect_right(okeys.keys, element, 0, okeys.finite)
 
     def _meet_ranks(self, values, ranks: int):
         # a chain sorted ascending: the meet is the value at the lowest rank
@@ -260,6 +313,15 @@ class ExtendedRationalQuantale(ValueQuantale):
         s = text.strip()
         if s == "inf":
             return INF
+        # without an exponent, no number Fraction builds has more digits than
+        # the literal has characters
+        limit = sys.get_int_max_str_digits()
+        if (len(s) > limit or "e" in s or "E" in s) and _literal_digits(s) > limit:
+            shown = repr(s) if len(s) <= 40 else repr(s[:40]) + "..."
+            raise StructureError(
+                f"rational literal {shown} is too large: its numerator or "
+                f"denominator would exceed {limit} digits"
+            )
         try:
             value = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
@@ -276,6 +338,33 @@ class ExtendedRationalQuantale(ValueQuantale):
 
 
 EXT_RATIONAL = ExtendedRationalQuantale()
+
+# the decimal and exponent forms `Fraction` accepts (`\d` as there: any
+# Unicode decimal digit); "num/den" literals are left to `int`, which
+# refuses more than sys.get_int_max_str_digits() digits itself
+_DECIMAL_LITERAL = re.compile(
+    r"[-+]?(?P<whole>[\d_]*)(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?\Z"
+)
+
+
+def _literal_digits(s: str) -> int:
+    """Digits of the numerator or denominator `Fraction(s)` would build.
+
+    An upper bound taken before the fraction is reduced, computed without
+    building either number, so "1e999999999" costs nothing to refuse.  0 for
+    anything that is not a decimal or exponent literal.
+    """
+    m = _DECIMAL_LITERAL.match(s)
+    if m is None:
+        return 0
+    whole, frac, exp = ((g or "").replace("_", "") for g in m.group("whole", "frac", "exp"))
+    digits = exp.lstrip("+-")
+    if len(digits) > 18:
+        return sys.maxsize
+    power = int(exp) if digits else 0
+    # Fraction multiplies the mantissa by 10**power, or the denominator
+    # 10**len(frac) by 10**-power
+    return max(len(whole + frac) + max(power, 0), len(frac) - min(power, 0) + 1)
 
 
 def _normalise_tables(names, leq, add):
@@ -439,6 +528,12 @@ class FiniteQuantale(ValueQuantale):
         return self._add[self.check(a)][self.check(b)]
 
     def _below_mask(self, values, element) -> int:
+        """Bit u set iff values[u] <= element, read from the order table.
+
+        `values` is as for `_order_keys`, or a subsequence of such values.
+        Only `element` is checked: this is the internal kernel behind balls
+        and the triangle check.
+        """
         col = self.check(element)
         leq = self._leq
         m = 0

@@ -56,6 +56,9 @@ def loads_envelope(text: str, expected_kind: str | None = None) -> tuple[str, di
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError(f"bad JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError as exc:
+        # an integer literal longer than sys.get_int_max_str_digits()
+        raise StructureError(f"bad JSON: {exc}") from None
     return parse_envelope(obj, expected_kind)
 
 

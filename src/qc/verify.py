@@ -15,7 +15,8 @@ Five layers of defence:
 * the per-entry definitions of the triangle law, balls, the uniform flip,
   the entourage core and set distances (and VA, UVA and symmetry moduli on
   top of them) are oracles for the rank-compiled kernels of `qc.vspace`,
-  which the test suite compares with them;
+  and the checked triangle repair for the keyed one the generator uses;
+  the test suite compares each with its oracle;
 * the theorem suite runs every structural statement about filters,
   completions, and the asymmetry classes over seeded generated instances,
   recording failures as replayable data rather than raising.
@@ -171,9 +172,34 @@ def triangle_repair(quantale: ValueQuantale, dmat) -> tuple[list, int]:
     """Relax every entry below all two-step path sums until stable.
 
     Entries never increase; the pass stabilises within |X|^3 full rounds.
+    Entries are checked once, on the way in.  The loop is the one of
+    `definitional_triangle_repair`, run on table indices for a finite
+    quantale and on exact keys on the extended rationals (value * L with L
+    the lcm of the denominators, or the Fractions themselves past the key
+    budget; INF is None, since relaxed sums outgrow any top sentinel), and
+    it returns the same matrix and the same number of rounds.
     """
-    n = len(dmat)
-    d = [list(row) for row in dmat]
+    d = [[quantale.check(e) for e in row] for row in dmat]
+    if quantale.is_finite:
+        return d, _relax(d, (quantale._add, quantale._leq, quantale._meet_t))
+    finite = sorted({e for row in d for e in row if e is not INF})
+    okeys = quantale._order_keys(finite)
+    key = dict(zip(finite, okeys.keys))
+    k = [[key.get(e) for e in row] for row in d]
+    rounds = _relax(k, None)
+    scale = okeys.scale
+    back = (lambda c: Fraction(c, scale)) if scale is not None else (lambda c: c)
+    return [[INF if c is None else back(c) for c in row] for row in k], rounds
+
+
+def _relax(d, tables) -> int:
+    """`definitional_triangle_repair`'s loop, in place; the number of rounds.
+
+    With `tables` (add, leq, meet) the entries are indices of a finite
+    quantale; with None they are keys of a chain, None standing for its top.
+    """
+    add, leq, meet = tables or (None, None, None)
+    n = len(d)
     rounds = 0
     changed = True
     while changed:
@@ -182,18 +208,30 @@ def triangle_repair(quantale: ValueQuantale, dmat) -> tuple[list, int]:
         if rounds > n * n * n + 1:
             raise InvariantError("triangle repair failed to stabilise")
         for i in range(n):
+            row = d[i]
             for k in range(n):
-                best = d[i][k]
-                for j in range(n):
-                    cand = quantale.add(d[i][j], d[j][k])
-                    if not quantale.leq(best, cand):
-                        best = quantale.meet([best, cand])
-                if best != d[i][k]:
-                    if not quantale.leq(best, d[i][k]):
+                best = row[k]
+                if tables is None:
+                    for j in range(n):
+                        a, b = row[j], d[j][k]
+                        if a is None or b is None:
+                            continue
+                        cand = a + b
+                        if best is None or cand < best:
+                            best = cand
+                    increased = best != row[k] and row[k] is not None and best > row[k]
+                else:
+                    for j in range(n):
+                        cand = add[row[j]][d[j][k]]
+                        if not leq[best][cand]:
+                            best = meet[best][cand]
+                    increased = not leq[best][row[k]]
+                if best != row[k]:
+                    if increased:
                         raise InvariantError("triangle repair increased a distance")
-                    d[i][k] = best
+                    row[k] = best
                     changed = True
-    return d, rounds
+    return rounds
 
 
 def _generate_space(gen: InstanceGenerator, rng: random.Random, max_points=None) -> VSpace:
@@ -306,13 +344,14 @@ def _family_distance(q: ValueQuantale, table, m1: frozenset, m2: frozenset):
 
 
 def _family_roundify(space: VSpace, members: frozenset) -> frozenset:
+    radii = [space._balls(eps, True) for eps in space.test_values]
     base = []
     for s in sorted(members):
-        for eps in space.test_values:
+        for balls in radii:
             m = 0
             for i in range(space.size):
                 if s >> i & 1:
-                    m |= space._ball(i, eps, True)
+                    m |= balls[i]
             base.append(m)
     fam = _family_generated(space.size, base)
     if not _family_is_filter(space.size, fam):
@@ -321,12 +360,12 @@ def _family_roundify(space: VSpace, members: frozenset) -> frozenset:
 
 
 def _family_is_round(space: VSpace, members: frozenset) -> bool:
+    radii = [space._balls(eps, True) for eps in space.test_values]
     for fp in sorted(members):
         found = False
-        for eps in space.test_values:
+        for balls in radii:
             ok = True
-            for x in range(space.size):
-                b = space._ball(x, eps, True)
+            for b in balls:
                 if b in members and (b | fp) != fp:
                     ok = False
                     break
@@ -540,10 +579,37 @@ def zero_distance_intersection_cauchy(space: VSpace) -> Verdict:
 # per-entry definitions behind the rank-compiled space kernels
 #
 # `qc.vspace` decides balls, the uniform flip, the entourage core, the
-# triangle law and set distances on bitmasks over a space's distinct values.
-# These are the definitions they replace, one checked quantale call per
-# matrix entry (per triple for the triangle law); tests compare the two
-# exactly.
+# triangle law and set distances on bitmasks over a space's distinct values
+# (on exact integer keys for the extended rationals), and `triangle_repair`
+# relaxes keys or table indices.  These are the definitions they replace,
+# one checked quantale call per matrix entry (per triple for the triangle
+# law and the repair); tests compare the two exactly.
+
+
+def definitional_triangle_repair(quantale: ValueQuantale, dmat) -> tuple[list, int]:
+    """`triangle_repair` with one checked quantale call per operation."""
+    n = len(dmat)
+    d = [list(row) for row in dmat]
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        if rounds > n * n * n + 1:
+            raise InvariantError("triangle repair failed to stabilise")
+        for i in range(n):
+            for k in range(n):
+                best = d[i][k]
+                for j in range(n):
+                    cand = quantale.add(d[i][j], d[j][k])
+                    if not quantale.leq(best, cand):
+                        best = quantale.meet([best, cand])
+                if best != d[i][k]:
+                    if not quantale.leq(best, d[i][k]):
+                        raise InvariantError("triangle repair increased a distance")
+                    d[i][k] = best
+                    changed = True
+    return d, rounds
 
 
 def definitional_validate_vspace(space: VSpace) -> ValidationReport:
@@ -1278,10 +1344,10 @@ def _check_balls_closed(ctx: _Ctx):
     space = ctx.space
     fwd_top = topology_of(space, "forward")
     bwd_top = topology_of(space, "backward")
+    radii = [(eps, space._balls(eps, True), space._balls(eps, False)) for eps in space.test_values]
     for i in range(space.size):
-        for eps in space.test_values:
-            fwd_ball = space._ball(i, eps, True)
-            bwd_ball = space._ball(i, eps, False)
+        for eps, fwd_balls, bwd_balls in radii:
+            fwd_ball, bwd_ball = fwd_balls[i], bwd_balls[i]
             witness = {
                 "point": space.points[i],
                 "epsilon": space.quantale.format(eps),

@@ -20,18 +20,25 @@ operations.  A set distance collects the ranks of the values met between
 the two masks and takes their meet in one private quantale kernel,
 `ValueQuantale._meet_ranks` (the lowest rank on the extended-rational
 chain, a fold of the meet table on finite quantales), so filter distances
-and completion matrices make no checked element call per value.  The
-triangle check in `validate_vspace` runs over value classes: the sum of
-two values met along a two-step path is taken once with the exact
-quantale addition, and the values of a row not below it are found with the
-exact order.  The add-based code stays on the exact elements (Fraction,
-INF, or table indices): those sums and `triangle_repair` in `qc.verify`.
-The per-entry definitions of the triangle law, balls, the flip, the
-entourage core and set distances are kept in `qc.verify` as oracles.
+and completion matrices make no checked element call per value.
+
+On the extended rationals the rank form also holds one exact key per
+value (`ExtendedRationalQuantale._order_keys`): value * L as an int, with
+L the lcm of the denominators and a top sentinel for INF, or, when L would
+pass the quantale's bit budget, the Fractions themselves with a Fraction
+sentinel.  Two kernels run on the keys.  A ball bisects them at
+floor(eps * L).  The triangle check in `validate_vspace` forms each sum of
+two values as the sum of their keys and finds the values of a row not
+below it by bisecting the row's keys.  On finite quantales the triangle
+check runs over value classes with the table addition and order, and no
+chain is assumed.  The per-entry definitions of the triangle law, balls,
+the flip, the entourage core and set distances are kept in `qc.verify` as
+oracles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 
@@ -103,8 +110,11 @@ class VSpace:
         key = (forward, eps)
         balls = self._ball_cache.get(key)
         if balls is None:
-            form = self._ranks
-            below = self.quantale._below_mask(form.values, eps)
+            form, q = self._ranks, self.quantale
+            if form.keys is None:
+                below = q._below_mask(form.values, eps)
+            else:
+                below = (1 << q._count_below(form.keys, eps)) - 1
             rows = form.fwd if forward else form.bwd
             # the kernels build tuples from lists: tuple() over a generator
             # grows and then shrinks its result, which on 16-64 point spaces
@@ -171,10 +181,11 @@ class _RankForm:
     `values` holds the distinct entries in `sort_key` order; the rank of an
     entry is its index there.  `fwd[i]` maps each rank occurring in row i
     to the mask of the j with d(i,j) of that rank; `bwd[i]` does the same
-    for column i.
+    for column i.  `keys` holds the quantale's exact order keys of the
+    values on the extended-rational chain, and is None on finite quantales.
     """
 
-    __slots__ = ("values", "fwd", "bwd")
+    __slots__ = ("values", "fwd", "bwd", "keys")
 
     def __init__(self, quantale: ValueQuantale, dmat):
         # number the values in order of appearance, then renumber by sort_key
@@ -195,6 +206,7 @@ class _RankForm:
             rank[seen[v]] = r
         self.fwd = tuple([{rank[u]: m for u, m in row.items()} for row in fwd])
         self.bwd = tuple([{rank[u]: m for u, m in row.items()} for row in bwd])
+        self.keys = quantale._order_keys(self.values)
 
     def masks_at(self, value, forward: bool) -> tuple[int, ...]:
         """Per point, the mask of entries equal to `value`."""
@@ -279,16 +291,67 @@ def validate_vspace(space: VSpace) -> ValidationReport:
 
 
 def _triangle_violations(space: VSpace) -> list[list[int]]:
-    """Per pair (i, j), the mask of the k with d(i,k) not <= d(i,j) + d(j,k).
+    """Per pair (i, j), the mask of the k with d(i,k) not <= d(i,j) + d(j,k)."""
+    if space._ranks.keys is None:
+        return _table_triangle_violations(space)
+    return _keyed_triangle_violations(space)
 
-    Works over value classes; no chain is assumed.  The points k with
-    d(i,k) not below a value s are the union of the classes of row i whose
-    value is not below s, found by the quantale's exact order on the
-    distinct values of row i.  For a pair (i, j) with d(i,j) = values[a],
-    the violations are the union over the classes b of row j of the points
-    of class b that are not below values[a] + values[b], a sum taken once
-    per (a, b) with the exact quantale addition.  The pairs are visited one
-    value a at a time, so the table of sums never holds more than one row.
+
+def _keyed_triangle_violations(space: VSpace) -> list[list[int]]:
+    """The triangle check on the exact order keys of the extended rationals.
+
+    Row i's classes sorted by key give, per position, the union of the
+    masks from there on; the points of row i not below a sum s are that
+    union at the position `bisect_right` finds for s.  For a pair (i, j)
+    the violations are the union over the classes of row j, taken in
+    ascending key order, of their points not below key[d(i,j)] + key[b];
+    once a sum reaches row i's largest key no later class can violate.
+    """
+    form = space._ranks
+    keys = form.keys.keys
+    n = space.size
+    # per point: its keys ascending, the suffix unions of their masks, and
+    # its (key, mask) classes
+    local = []
+    for row in form.fwd:
+        ranks = sorted(row)
+        suffix = [0] * (len(ranks) + 1)
+        for t in range(len(ranks) - 1, -1, -1):
+            suffix[t] = suffix[t + 1] | row[ranks[t]]
+        local.append(([keys[u] for u in ranks], suffix, [(keys[u], row[u]) for u in ranks]))
+    out = []
+    for i, row in enumerate(form.fwd):
+        keys_i, above_i, _ = local[i]
+        top_i = keys_i[-1]
+        out_i = [0] * n
+        for a, pairs in row.items():
+            key_a = keys[a]
+            while pairs:
+                low = pairs & -pairs
+                j = low.bit_length() - 1
+                pairs ^= low
+                ks = 0
+                for key_b, mask_j in local[j][2]:
+                    s = key_a + key_b
+                    if s >= top_i:
+                        break
+                    ks |= mask_j & above_i[bisect_right(keys_i, s)]
+                out_i[j] = ks
+        out.append(out_i)
+    return out
+
+
+def _table_triangle_violations(space: VSpace) -> list[list[int]]:
+    """The triangle check over value classes on a finite quantale's tables.
+
+    No chain is assumed.  The points k with d(i,k) not below a value s are
+    the union of the classes of row i whose value is not below s, found by
+    the quantale's order table on the distinct values of row i.  For a pair
+    (i, j) with d(i,j) = values[a], the violations are the union over the
+    classes b of row j of the points of class b that are not below
+    values[a] + values[b], a sum taken once per (a, b) with the exact
+    quantale addition.  The pairs are visited one value a at a time, so the
+    table of sums never holds more than one row.
     """
     q = space.quantale
     form = space._ranks
@@ -467,10 +530,15 @@ def _pointwise_modulus_ok(space: VSpace, i: int, delta, eps) -> bool:
 
 def _has_va_over(space: VSpace, eps_values, delta_values) -> Verdict:
     q = space.quantale
+    # each radius's balls are fetched once; the loops read them per point
+    eps_balls = [(eps, space._balls(eps, True), space._balls(eps, False)) for eps in eps_values]
+    delta_balls = [(space._balls(d, True), space._balls(d, False)) for d in delta_values]
     for i in range(space.size):
-        for eps in eps_values:
+        for eps, fwd_e, bwd_e in eps_balls:
+            fwd_ei, bwd_ei = fwd_e[i], bwd_e[i]
             if not any(
-                _pointwise_modulus_ok(space, i, delta, eps) for delta in delta_values
+                not bwd_d[i] & ~fwd_ei and not fwd_d[i] & ~bwd_ei
+                for fwd_d, bwd_d in delta_balls
             ):
                 return Verdict(
                     False, {"point": space.points[i], "epsilon": q.format(eps)}

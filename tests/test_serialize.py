@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -73,6 +74,35 @@ class TestSpaceFormat:
     def test_missing_field(self):
         with pytest.raises(StructureError):
             serialize.parse_space({"points": [], "d": []})
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["1e5000", "1e-5000", "0e999999999", "1e999999999", "1E99999999999999999999",
+         "2.5e+4_400", "1" * 4400, "0." + "1" * 4400],
+    )
+    def test_huge_rational_literal_refused(self, literal):
+        # refused from the literal alone: neither number is ever built
+        payload = {"quantale": "ext_rational", "points": ["a", "b"],
+                   "d": [["0", literal], ["1", "0"]]}
+        with pytest.raises(StructureError, match="too large"):
+            serialize.parse_space(payload)
+
+    def test_rational_literal_at_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        for literal in (f"1e{limit - 1}", f"1e-{limit - 1}", "7" * limit):
+            value = E.parse(literal)
+            assert E.parse(E.format(value)) == value
+        with pytest.raises(StructureError, match="too large"):
+            E.parse(f"1e{limit}")
+
+    @pytest.mark.parametrize("literal", ["1e+_", "1e_", "e5", "1/0", "1e5e5"])
+    def test_malformed_exponent_refused(self, literal):
+        with pytest.raises(StructureError, match="bad rational literal"):
+            E.parse(literal)
+
+    def test_huge_json_integer_refused(self):
+        with pytest.raises(StructureError, match="bad JSON"):
+            serialize.loads_envelope('{"n": ' + "1" * (sys.get_int_max_str_digits() + 1) + "}")
 
 
 class TestFilterFormat:

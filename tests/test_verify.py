@@ -98,6 +98,35 @@ class TestTriangleRepair:
         repaired, rounds = triangle_repair(E, x2a.dmat)
         assert [list(r) for r in x2a.dmat] == repaired
 
+    def test_matches_definition(self, Q1, Q3, chain4, pinched):
+        # the keyed and table loops against the checked one, on raw matrices
+        # (diagonals off, INF, ints, and denominators whose lcm passes the
+        # key budget, so both key kinds run)
+        import random
+
+        from qc.verify import definitional_triangle_repair
+
+        rng = random.Random(20261018)
+        big = [2**89 - 1, 2**107 - 1, 2**127 - 1]
+        changed = fallback = 0
+        for t in range(600):
+            q = (E, Q1, Q3, chain4, pinched)[t % 5]
+            n = rng.randint(0, 6)
+            if q.is_finite:
+                d = [[rng.randrange(q.size) for _ in range(n)] for _ in range(n)]
+            else:
+                dens = big if t % 2 else [1, 2, 3, 7]
+                pool = [Fraction(0), INF, 0, 2] + [
+                    Fraction(rng.randint(1, 60), rng.choice(dens)) for _ in range(5)
+                ]
+                d = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+                finite = sorted({E.check(e) for row in d for e in row} - {INF})
+                fallback += E._order_keys(finite).scale is None
+            want = definitional_triangle_repair(q, d)
+            assert triangle_repair(q, d) == want, (q.label, d)
+            changed += want[1] > 1
+        assert changed > 200 and fallback > 20, (changed, fallback)
+
 
 class TestFamilyOracle:
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 4), (3, 8)])

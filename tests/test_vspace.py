@@ -417,3 +417,75 @@ class TestCompiledKernels:
                     space, eps, "pointwise", p
                 ) == definitional_symmetry_modulus(space, eps, p)
         assert invalid > 500 and off_diagonal >= 100, (invalid, off_diagonal)
+
+        # the exact keys of the extended rationals: large coprime denominators
+        # (lcm keys past the budget, so the Fraction keys run), INF entries,
+        # and rows of all-distinct values
+        primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121]
+        fallback = distinct = 0
+        for t in range(240):
+            n = rng.randint(1, 7)
+            if t % 3 == 0:
+                pool = [Fraction(0), INF] + [Fraction(rng.randint(1, 10**7), p) for p in primes]
+                draw = lambda: rng.choice(pool)  # noqa: E731
+            elif t % 3 == 1:
+                draw = lambda: (  # noqa: E731
+                    INF if rng.random() < 0.15
+                    else Fraction(rng.randint(1, 10**7), rng.choice(primes))
+                )
+            else:
+                draw = lambda: Fraction(rng.randint(1, 10**4), rng.randint(1, 12))  # noqa: E731
+            d = [[draw() for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.8:
+                for i in range(n):
+                    d[i][i] = Fraction(0)
+            space = VSpace(E, [f"p{i}" for i in range(n)], d)
+            fallback += space._ranks.keys.scale is None
+            distinct += all(len(set(row)) == n for row in d)
+            assert validate_vspace(space).failures == definitional_validate_vspace(space).failures
+            # 10**12 is finite but above the INF key's sentinel
+            for i in range(n):
+                for eps in space.test_values + (Fraction(0), INF, Fraction(10**12)):
+                    for forward in (True, False):
+                        assert space._ball(i, eps, forward) == definitional_ball(
+                            space, i, eps, forward
+                        )
+            assert has_vanishing_asymmetry(space) == definitional_va(space)
+            assert has_uniformly_vanishing_asymmetry(space) == definitional_uva(space)
+        assert fallback > 40 and distinct > 60, (fallback, distinct)
+
+    def test_hostile_denominators_take_fraction_keys(self):
+        # distances with distinct ~20-bit prime denominators: lcm keys would
+        # grow with the number of values, so past the budget the keys are the
+        # Fractions themselves and stay as small as the entries
+        from qc.quantale import _KEY_SCALE_BITS
+        from qc.verify import definitional_validate_vspace
+
+        def primes_from(start, count):
+            out, p = [], start
+            while len(out) < count:
+                p += 1
+                if all(p % f for f in range(2, int(p**0.5) + 1)):
+                    out.append(p)
+            return out
+
+        n = 16  # plus a far point at distance INF from every other
+        dens = iter(primes_from(2**20, n * (n - 1) // 2))
+        d = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        for i in range(n):
+            for j in range(i):
+                d[i][j] = d[j][i] = 1 + Fraction(1, next(dens))
+            d[i][n] = d[n][i] = INF
+        space = VSpace(E, [f"p{i}" for i in range(n + 1)], d)
+        keys = space._ranks.keys
+        assert keys.scale is None and keys.finite == n * (n - 1) // 2 + 1
+        assert all(isinstance(k, Fraction) for k in keys.keys)
+        assert max(k.denominator.bit_length() for k in keys.keys) <= 21
+        assert max(k.numerator.bit_length() for k in keys.keys) <= 23
+        assert keys.keys[-1] > 2 * keys.keys[-2]  # the Fraction top sentinel
+        assert validate_vspace(space).ok and definitional_validate_vspace(space).ok
+        # the same values on three points stay within the budget as ints
+        small = VSpace(E, ["a", "b", "c"], [row[:3] for row in d[:3]])
+        keys = small._ranks.keys
+        assert keys.scale.bit_length() <= _KEY_SCALE_BITS
+        assert all(type(k) is int for k in keys.keys)

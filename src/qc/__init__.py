@@ -1,6 +1,8 @@
 """Exact computation with value quantales, finite continuity spaces,
 Cauchy filters, and completions; plus a machine-checked theorem suite."""
 
+import importlib
+
 from .errors import (
     DomainMismatchError,
     InvariantError,
@@ -76,24 +78,38 @@ from .structures import (
     uva_equivalence_report,
     va_equivalence_report,
 )
-from .verify import (
-    CauchyFilterSpace,
-    InstanceGenerator,
-    SEARCH_TARGETS,
-    SearchResult,
-    VerificationReport,
-    cauchy_filter_space,
-    check_category_laws,
-    enumerate_filter_families,
-    is_cauchy_complete,
-    oracle_collapsed_formulas,
-    oracle_epsilon_reduction,
-    oracle_filters,
-    oracle_gate,
-    run_theorem_suite,
-    search_counterexamples,
-    triangle_repair,
-    zero_distance_intersection_cauchy,
-)
+from . import serialize
 
 __version__ = "0.1.0"
+
+# the oracle module is large and only the theorem suite and the CLI need
+# it, so its names load on first use (PEP 562)
+_VERIFY_NAMES = frozenset(
+    {
+        "CauchyFilterSpace",
+        "InstanceGenerator",
+        "SEARCH_TARGETS",
+        "SearchResult",
+        "VerificationReport",
+        "cauchy_filter_space",
+        "check_category_laws",
+        "enumerate_filter_families",
+        "is_cauchy_complete",
+        "oracle_collapsed_formulas",
+        "oracle_epsilon_reduction",
+        "oracle_filters",
+        "oracle_gate",
+        "run_theorem_suite",
+        "search_counterexamples",
+        "triangle_repair",
+        "zero_distance_intersection_cauchy",
+    }
+)
+
+
+def __getattr__(name):
+    if name == "verify" or name in _VERIFY_NAMES:
+        # import_module, not `from . import verify`, which would come back here
+        verify = importlib.import_module(__name__ + ".verify")
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -76,9 +76,6 @@ class CompletionSpace:
     filters: tuple[Filter, ...]
     embedding: dict
 
-    def embedded_filter(self, point) -> Filter:
-        return self.filters[self.embedding[point]]
-
 
 def complete(space: VSpace) -> CompletionSpace:
     """Build the space of minimal Cauchy filters over a UVA base.

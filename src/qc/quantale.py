@@ -306,8 +306,14 @@ class ExtendedRationalQuantale(ValueQuantale):
         return "inf" if isinstance(element, _Infinity) else str(element)
 
     def parse(self, text):
+        limit = _literal_digit_limit()
         if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
-            return self.check(text)
+            value = self.check(text)
+            top = max(value.numerator, value.denominator)
+            # 2**(3 * limit) < 10**limit, so shorter ints need no power of ten
+            if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+                raise _too_large(f"rational value of {top.bit_length()} bits", limit)
+            return value
         if not isinstance(text, str):
             raise StructureError(f"cannot parse element from {text!r}")
         s = text.strip()
@@ -315,13 +321,9 @@ class ExtendedRationalQuantale(ValueQuantale):
             return INF
         # without an exponent, no number Fraction builds has more digits than
         # the literal has characters
-        limit = sys.get_int_max_str_digits()
-        if (len(s) > limit or "e" in s or "E" in s) and _literal_digits(s) > limit:
+        if limit and (len(s) > limit or "e" in s or "E" in s) and _literal_digits(s) > limit:
             shown = repr(s) if len(s) <= 40 else repr(s[:40]) + "..."
-            raise StructureError(
-                f"rational literal {shown} is too large: its numerator or "
-                f"denominator would exceed {limit} digits"
-            )
+            raise _too_large(f"rational literal {shown}", limit)
         try:
             value = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
@@ -339,11 +341,32 @@ class ExtendedRationalQuantale(ValueQuantale):
 
 EXT_RATIONAL = ExtendedRationalQuantale()
 
-# the decimal and exponent forms `Fraction` accepts (`\d` as there: any
-# Unicode decimal digit); "num/den" literals are left to `int`, which
-# refuses more than sys.get_int_max_str_digits() digits itself
-_DECIMAL_LITERAL = re.compile(
-    r"[-+]?(?P<whole>[\d_]*)(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?\Z"
+
+def _literal_digit_limit() -> int:
+    """Most digits a numerator or denominator read from input may have.
+
+    Fewer than half of sys.get_int_max_str_digits(): a sum of two values
+    read, the largest number qc derives from its input and prints (as a
+    triangle witness), then has at most that many digits and still prints.
+    0 when ints print without a limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    return (limit - 1) // 2 if limit else 0
+
+
+def _too_large(what: str, limit: int) -> StructureError:
+    return StructureError(
+        f"{what} is too large: its numerator or denominator would exceed "
+        f"{limit} digits, fewer than half the {sys.get_int_max_str_digits()} "
+        f"digits an int may print, so that sums of two values stay printable"
+    )
+
+
+# the "num/den", decimal and exponent forms `Fraction` accepts (`\d` as
+# there: any Unicode decimal digit)
+_RATIONAL_LITERAL = re.compile(
+    r"[-+]?(?P<whole>[\d_]*)"
+    r"(?:/(?P<den>[\d_]*)|(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?)\Z"
 )
 
 
@@ -352,12 +375,16 @@ def _literal_digits(s: str) -> int:
 
     An upper bound taken before the fraction is reduced, computed without
     building either number, so "1e999999999" costs nothing to refuse.  0 for
-    anything that is not a decimal or exponent literal.
+    anything that is not a rational literal.
     """
-    m = _DECIMAL_LITERAL.match(s)
+    m = _RATIONAL_LITERAL.match(s)
     if m is None:
         return 0
-    whole, frac, exp = ((g or "").replace("_", "") for g in m.group("whole", "frac", "exp"))
+    whole, den, frac, exp = (
+        (g or "").replace("_", "") for g in m.group("whole", "den", "frac", "exp")
+    )
+    if den:
+        return max(len(whole), len(den))
     digits = exp.lstrip("+-")
     if len(digits) > 18:
         return sys.maxsize

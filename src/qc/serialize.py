@@ -22,7 +22,7 @@ from .quantale import (
     FiniteQuantale,
     ValueQuantale,
 )
-from .vspace import VSpace
+from .vspace import VSpace, _entry_classes
 
 SCHEMA = "qc/1"
 
@@ -59,6 +59,8 @@ def loads_envelope(text: str, expected_kind: str | None = None) -> tuple[str, di
     except ValueError as exc:
         # an integer literal longer than sys.get_int_max_str_digits()
         raise StructureError(f"bad JSON: {exc}") from None
+    except RecursionError:
+        raise StructureError("bad JSON: arrays or objects nested too deeply") from None
     return parse_envelope(obj, expected_kind)
 
 
@@ -103,10 +105,11 @@ def parse_quantale(payload) -> ValueQuantale:
 
 def space_to_payload(space: VSpace) -> dict:
     q = space.quantale
+    names = [q.format(v) for v in space._ranks.values]
     return {
         "quantale": quantale_to_payload(q),
         "points": list(space.points),
-        "d": [[q.format(e) for e in row] for row in space.dmat],
+        "d": [[names[r] for r in row] for row in space._ranks.rank],
     }
 
 
@@ -123,8 +126,9 @@ def parse_space(payload) -> VSpace:
     rows = payload["d"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise StructureError("space distances must be a list of rows, each a list")
-    dmat = [[q.parse(e) for e in row] for row in rows]
-    return VSpace(q, points, dmat)
+    # each distinct literal is parsed once; VSpace checks each parsed value
+    # once and merges literals that denote the same element
+    return VSpace(q, points, _entry_classes(rows, q.parse))
 
 
 # --- filters ----------------------------------------------------------------

@@ -8,12 +8,17 @@ rationals one representative per threshold cell of the space's distance
 values.  The sufficiency of that reduction is not assumed here; the verify
 module re-checks it against dense random sampling.
 
-Each space is compiled once, on first use, into a rank form: its distinct
-distance values in `sort_key` order, and per point and per value the
-bitmask of the points at that forward (backward) distance.  Every
-order-only predicate reads that form: a ball of radius eps is the union of
-the masks whose value is <= eps, so the order is consulted once per
-(space, eps) over the distinct values instead of once per entry.  Balls,
+A space is stored in rank form, built at construction: its distinct
+distance values in `sort_key` order, the rank of each entry among them,
+and per point and per value the bitmask of the points at that forward
+(backward) distance.  Construction checks each distinct entry once, after
+telling entries apart by type and value (`_entry_classes`); reading a
+space file parses each distinct literal once the same way, and entries
+that denote one element share a value.  `dmat` is a read-only view of
+the matrix built on first use.  Every order-only predicate reads the
+rank form: a ball of radius eps is the union of the masks whose value is
+<= eps, so the order is consulted once per (space, eps) over the distinct
+values instead of once per entry.  Balls,
 zero neighbourhoods, the symmetry and separation tests, the uniform flip
 behind UVA and symmetry moduli, and uniform continuity are mask
 operations.  A set distance collects the ranks of the values met between
@@ -39,8 +44,10 @@ oracles.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainMismatchError, InvariantError, PreconditionError, StructureError
 from .quantale import INF, ValueQuantale, QuantaleMorphism, validate_quantale_morphism
@@ -51,24 +58,26 @@ class VSpace:
     """Finite carrier with distances in a value quantale.
 
     Construction checks shapes and element membership only; use
-    `validate_vspace` for the zero-diagonal and triangle laws.
+    `validate_vspace` for the zero-diagonal and triangle laws.  Each
+    distinct entry is checked once, and the matrix is stored in rank form
+    (`_RankForm`); `dmat` is a read-only view built on first use.
     """
 
     def __init__(self, quantale: ValueQuantale, points, distances):
         if not isinstance(quantale, ValueQuantale):
             raise StructureError(f"not a quantale: {quantale!r}")
+        if not isinstance(distances, _EntryClasses):
+            distances = _entry_classes(distances)
         points = tuple(str(p) for p in points)
         if len(set(points)) != len(points) or any(not p for p in points):
             raise StructureError("point names must be unique and non-empty")
         n = len(points)
-        distances = tuple(tuple(row) for row in distances)
-        if len(distances) != n or any(len(row) != n for row in distances):
+        classes = distances.classes
+        if len(classes) != n or any(len(row) != n for row in classes):
             raise StructureError(f"distance matrix must be {n}x{n}")
         self.quantale = quantale
         self.points = points
-        self.dmat = tuple(
-            tuple(quantale.check(e) for e in row) for row in distances
-        )
+        self._ranks = _RankForm(quantale, distances)
         self._pindex = {p: i for i, p in enumerate(points)}
         self._ball_cache: dict = {}
 
@@ -87,10 +96,14 @@ class VSpace:
             raise StructureError(f"unknown point {point!r}") from None
 
     def d(self, x, y):
-        return self.dmat[self.index(x)][self.index(y)]
+        form = self._ranks
+        return form.values[form.rank[self.index(x)][self.index(y)]]
 
-    def _d(self, i: int, j: int):
-        return self.dmat[i][j]
+    @cached_property
+    def dmat(self) -> tuple:
+        """The distance matrix as a tuple of rows, read from the rank form."""
+        values = self._ranks.values
+        return tuple([tuple([values[r] for r in row]) for row in self._ranks.rank])
 
     def mask(self, names) -> int:
         m = 0
@@ -100,10 +113,6 @@ class VSpace:
 
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
-
-    @cached_property
-    def _ranks(self) -> "_RankForm":
-        return _RankForm(self.quantale, self.dmat)
 
     def _balls(self, eps, forward: bool) -> tuple[int, ...]:
         """Per point, the mask of the ball of radius eps around it."""
@@ -145,13 +154,9 @@ class VSpace:
         return combined_test_values(self)
 
     def dual(self) -> "VSpace":
+        form = self._ranks
         return VSpace(
-            self.quantale,
-            self.points,
-            tuple(
-                tuple(self.dmat[j][i] for j in range(self.size))
-                for i in range(self.size)
-            ),
+            self.quantale, self.points, _EntryClasses(form.values, tuple(zip(*form.rank)))
         )
 
     def __eq__(self, other):
@@ -161,12 +166,13 @@ class VSpace:
             isinstance(other, VSpace)
             and self.quantale == other.quantale
             and self.points == other.points
-            and self.dmat == other.dmat
+            and self._ranks.values == other._ranks.values
+            and self._ranks.rank == other._ranks.rank
         )
 
     @cached_property
     def _hash(self):
-        return hash((self.quantale, self.points, self.dmat))
+        return hash((self.quantale, self.points, self._ranks.values, self._ranks.rank))
 
     def __hash__(self):
         return self._hash
@@ -175,37 +181,68 @@ class VSpace:
         return f"<VSpace {list(self.points)} over {self.quantale.label}>"
 
 
+class _EntryClasses(NamedTuple):
+    """A distance matrix as its distinct entries and a class per entry.
+
+    `classes[i][j]` indexes `values`, and every value is the class of some
+    entry.  Values need not be checked elements yet, and two of them may
+    denote the same element: `_RankForm` checks each once and merges equal
+    ones.
+    """
+
+    values: Sequence
+    classes: Sequence
+
+
+def _entry_classes(rows, parse=None) -> _EntryClasses:
+    """Number the distinct entries of `rows` in order of first occurrence.
+
+    Entries are told apart by type and value, so True never shares the
+    class of 1, nor 1.0 that of 1; `parse`, when given, turns each distinct
+    entry into its value.  An unhashable entry gets a class of its own and
+    is left for `parse` or the element check to refuse.
+    """
+    memo, values, classes = {}, [], []
+    for row in rows:
+        out = []
+        for e in row:
+            key = (type(e), e)
+            try:
+                c = memo.get(key)
+            except TypeError:
+                c = key = None
+            if c is None:
+                c = len(values)
+                values.append(e if parse is None else parse(e))
+                if key is not None:
+                    memo[key] = c
+            out.append(c)
+        classes.append(out)
+    return _EntryClasses(values, classes)
+
+
 class _RankForm:
     """A distance matrix compiled over its distinct values.
 
     `values` holds the distinct entries in `sort_key` order; the rank of an
-    entry is its index there.  `fwd[i]` maps each rank occurring in row i
-    to the mask of the j with d(i,j) of that rank; `bwd[i]` does the same
-    for column i.  `keys` holds the quantale's exact order keys of the
-    values on the extended-rational chain, and is None on finite quantales.
+    entry is its index there, and `rank[i][j]` is the rank of d(i,j).
+    `fwd[i]` maps each rank occurring in row i to the mask of the j with
+    d(i,j) of that rank; `bwd[i]` does the same for column i.  `keys` holds
+    the quantale's exact order keys of the values on the extended-rational
+    chain, and is None on finite quantales.
     """
 
-    __slots__ = ("values", "fwd", "bwd", "keys")
+    __slots__ = ("values", "rank", "fwd", "bwd", "keys")
 
-    def __init__(self, quantale: ValueQuantale, dmat):
-        # number the values in order of appearance, then renumber by sort_key
-        seen = {}
-        n = len(dmat)
-        fwd = [{} for _ in range(n)]
-        bwd = [{} for _ in range(n)]
-        for i, row in enumerate(dmat):
-            out, bit_i = fwd[i], 1 << i
-            for j, e in enumerate(row):
-                u = seen.setdefault(e, len(seen))
-                out[u] = out.get(u, 0) | 1 << j
-                col = bwd[j]
-                col[u] = col.get(u, 0) | bit_i
-        self.values = tuple(sorted(seen, key=quantale.sort_key))
-        rank = [0] * len(seen)
-        for r, v in enumerate(self.values):
-            rank[seen[v]] = r
-        self.fwd = tuple([{rank[u]: m for u, m in row.items()} for row in fwd])
-        self.bwd = tuple([{rank[u]: m for u, m in row.items()} for row in bwd])
+    def __init__(self, quantale: ValueQuantale, entries: _EntryClasses):
+        # one check per distinct entry; entries denoting one element merge
+        checked = [quantale.check(v) for v in entries.values]
+        self.values = tuple(sorted(set(checked), key=quantale.sort_key))
+        rank_of = {v: r for r, v in enumerate(self.values)}
+        renumber = [rank_of[v] for v in checked]
+        self.rank = tuple([tuple([renumber[c] for c in row]) for row in entries.classes])
+        self.fwd = _masks_by_rank(self.rank)
+        self.bwd = _masks_by_rank(zip(*self.rank))
         self.keys = quantale._order_keys(self.values)
 
     def masks_at(self, value, forward: bool) -> tuple[int, ...]:
@@ -216,6 +253,17 @@ class _RankForm:
         except ValueError:
             return (0,) * len(rows)
         return tuple([row.get(u, 0) for row in rows])
+
+
+def _masks_by_rank(rows) -> tuple[dict, ...]:
+    """Per row of ranks, the mask of the positions holding each rank."""
+    out = []
+    for row in rows:
+        masks = {}
+        for j, r in enumerate(row):
+            masks[r] = masks.get(r, 0) | 1 << j
+        out.append(masks)
+    return tuple(out)
 
 
 def _union(classes, ranks: int) -> int:
@@ -256,13 +304,14 @@ def validate_vspace(space: VSpace) -> ValidationReport:
     with d(i,k) not below d(i,j) + d(j,k).
     """
     q = space.quantale
+    values, rank = space._ranks.values, space._ranks.rank
     failures = []
     for i in range(space.size):
-        if space.dmat[i][i] != q.bottom:
+        if values[rank[i][i]] != q.bottom:
             failures.append(
                 CheckFailure(
                     "zero-diagonal",
-                    {"point": space.points[i], "value": q.format(space.dmat[i][i])},
+                    {"point": space.points[i], "value": q.format(values[rank[i][i]])},
                 )
             )
     for i, row in enumerate(_triangle_violations(space)):
@@ -271,8 +320,8 @@ def validate_vspace(space: VSpace) -> ValidationReport:
                 low = bad & -bad
                 k = low.bit_length() - 1
                 bad ^= low
-                lhs = space.dmat[i][k]
-                rhs = q.add(space.dmat[i][j], space.dmat[j][k])
+                lhs = values[rank[i][k]]
+                rhs = q.add(values[rank[i][j]], values[rank[j][k]])
                 failures.append(
                     CheckFailure(
                         "triangle",
@@ -455,33 +504,26 @@ def separation_quotient(space: VSpace) -> tuple[VSpace, dict]:
     where a class is named after its first member in carrier order.  The
     induced distance is checked for representative independence.
     """
-    q = space.quantale
+    form = space._ranks
+    rank = form.rank
     n = space.size
     rep = list(range(n))
-    for i in range(n):
-        for j in range(i):
-            if (
-                space.dmat[i][j] == q.bottom
-                and space.dmat[j][i] == q.bottom
-                and rep[i] == i
-            ):
-                rep[i] = rep[j]
+    for i, (f, b) in enumerate(zip(space.zero_fwd, space.zero_bwd)):
+        earlier = f & b & ((1 << i) - 1)
+        if earlier:
+            rep[i] = rep[(earlier & -earlier).bit_length() - 1]
+    if any(rank[i][j] != rank[rep[i]][rep[j]] for i in range(n) for j in range(n)):
+        raise InvariantError(
+            "quotient distance is not representative independent; "
+            "the input space violates the triangle law"
+        )
     reps = sorted(set(rep))
-    classes = {r: [i for i in range(n) if rep[i] == r] for r in reps}
-    dmat = [
-        [space.dmat[r][s] for s in reps]
-        for r in reps
-    ]
-    for a, r in enumerate(reps):
-        for b, s in enumerate(reps):
-            for i in classes[r]:
-                for j in classes[s]:
-                    if space.dmat[i][j] != dmat[a][b]:
-                        raise InvariantError(
-                            "quotient distance is not representative independent; "
-                            "the input space violates the triangle law"
-                        )
-    out = VSpace(q, [space.points[r] for r in reps], dmat)
+    # every value occurs between representatives, since each entry equals one
+    out = VSpace(
+        space.quantale,
+        [space.points[r] for r in reps],
+        _EntryClasses(form.values, [[rank[r][s] for s in reps] for r in reps]),
+    )
     projection = {space.points[i]: space.points[rep[i]] for i in range(n)}
     if not classify(out)["separated"]:
         raise InvariantError("separation quotient failed to separate")
@@ -636,10 +678,12 @@ def pushforward(morphism: QuantaleMorphism, space: VSpace) -> VSpace:
         )
     if morphism.source != space.quantale:
         raise DomainMismatchError("space is not over the morphism's source quantale")
+    form = space._ranks
+    # images of equal values are equal: map each distinct value once
     out = VSpace(
         morphism.target,
         space.points,
-        [[morphism(e) for e in row] for row in space.dmat],
+        _EntryClasses([morphism(v) for v in form.values], form.rank),
     )
     check = validate_vspace(out)
     if not check.ok:

@@ -173,6 +173,10 @@ class TestHugeLiterals:
             ("classify", [["0", "1", "1e5000"], ["1", "0", "1"], ["1", "1", "0"]]),
             ("validate-space", [["0", "1e999999999"], ["1", "0"]]),
             ("classify", [["0", "1e-5000"], ["1", "0"]]),
+            # each literal is under the int print limit, but the triangle
+            # witness d(a,b) + d(b,c) would print twice as many digits
+            ("validate-space", [["0", "1/1" + "0" * 2499 + "1", "5"],
+                                ["1", "0", "1/1" + "0" * 2499 + "3"], ["1", "1", "0"]]),
         ],
     )
     def test_exits_two(self, capsys, tmp_path, command, dmat):
@@ -195,6 +199,13 @@ class TestHugeLiterals:
         code, out, err = run(capsys, "validate-space", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: bad JSON")
+
+    def test_deep_nesting_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "validate-space", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad JSON") and "nested too deeply" in err
 
 
 class TestInvalidSpace:
@@ -293,6 +304,19 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "21c6ad7fc2bd21c86e42f5c3f62ae1c75fcda93ba6f6355321657f93691a0439"
+        )
+
+    def test_space_reports_pinned(self, capsys, tmp_path, x2a, x2n, x2s, x3z, xq1):
+        # validate-space, classify and complete stay byte-identical on the
+        # fixtures; a change that alters them updates this hash and says why
+        digest = hashlib.sha256()
+        for name, space in (("x2a", x2a), ("x2n", x2n), ("x2s", x2s), ("x3z", x3z), ("xq1", xq1)):
+            path = write_space(tmp_path, f"{name}.json", space)
+            for command in ("validate-space", "classify", "complete"):
+                code, out, err = run(capsys, "--format", "structured", command, path)
+                digest.update(f"{name} {command} {code}\n{out}{err}".encode("utf-8"))
+        assert digest.hexdigest() == (
+            "ea3bf85f93185b2d3058f87ff78fdf5ffbd1b079d4bd4fea68e52d11730b862e"
         )
 
     def test_timings_leave_report_unchanged(self, capsys):

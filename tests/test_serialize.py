@@ -88,12 +88,27 @@ class TestSpaceFormat:
             serialize.parse_space(payload)
 
     def test_rational_literal_at_the_digit_limit(self):
-        limit = sys.get_int_max_str_digits()
-        for literal in (f"1e{limit - 1}", f"1e-{limit - 1}", "7" * limit):
+        # fewer than half the int print limit, so the sum of two values read
+        # still prints
+        limit = (sys.get_int_max_str_digits() - 1) // 2
+        at = (f"1e{limit - 1}", f"1e-{limit - 1}", "7" * limit, "1/" + "7" * limit,
+              10**limit - 1)
+        for literal in at:
             value = E.parse(literal)
             assert E.parse(E.format(value)) == value
-        with pytest.raises(StructureError, match="too large"):
-            E.parse(f"1e{limit}")
+            assert E.format(E.add(value, E.parse("1/" + "3" * limit)))
+        for literal in (f"1e{limit}", f"1e-{limit}", "7" * (limit + 1), "1/" + "7" * (limit + 1),
+                        "7" * (limit + 1) + "/1", 10**limit):
+            with pytest.raises(StructureError, match="too large"):
+                E.parse(literal)
+
+    def test_no_digit_limit_when_ints_print_unbounded(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert E.parse("1") == 1 and E.parse("7" * 5000) == int("7" * 5000)
+        finally:
+            sys.set_int_max_str_digits(old)
 
     @pytest.mark.parametrize("literal", ["1e+_", "1e_", "e5", "1/0", "1e5e5"])
     def test_malformed_exponent_refused(self, literal):

@@ -452,3 +452,27 @@ class TestNonChainSuite:
     def test_category_laws_over_pinched_diamond(self, pinched):
         reports = check_category_laws(InstanceGenerator(seed=608, quantale=pinched), 6)
         assert all(r.ok for r in reports)
+
+
+class TestLazyImport:
+    def test_import_qc_leaves_the_oracles_unloaded(self):
+        # a fresh interpreter: this one has loaded qc.verify already
+        import os
+        import subprocess
+        import sys
+
+        import qc
+
+        script = (
+            "import sys, qc\n"
+            "assert 'qc.verify' not in sys.modules\n"
+            "assert qc.serialize.parse_space\n"
+            "assert qc.triangle_repair is qc.verify.triangle_repair\n"
+            "from qc import oracle_gate\n"
+        )
+        src = os.path.dirname(os.path.dirname(qc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qc.no_such_name

@@ -177,6 +177,38 @@ class TestSeparationQuotient:
             for y in x3z.points:
                 assert quotient.d(projection[x], projection[y]) == x3z.d(x, y)
 
+    def test_matches_per_entry_definition(self, Q1, Q3, chain4, pinched):
+        # classes and representative independence are read off the rank
+        # form; the reference compares entries
+        import random
+
+        from qc.errors import InvariantError
+
+        rng = random.Random(20261020)
+        quantales = (E, Q1, Q3, chain4, pinched)
+        refused = collapsed = 0
+        for t in range(400):
+            q = quantales[t % len(quantales)]
+            space = _raw_space(rng, q, rng.randint(0, 6))
+            d, n = space.dmat, space.size
+            rep = list(range(n))
+            for i in range(n):
+                for j in range(i):
+                    if d[i][j] == d[j][i] == q.bottom and rep[i] == i:
+                        rep[i] = rep[j]
+            reps = sorted(set(rep))
+            if any(d[i][j] != d[rep[i]][rep[j]] for i in range(n) for j in range(n)):
+                refused += 1
+                with pytest.raises(InvariantError, match="representative independent"):
+                    separation_quotient(space)
+                continue
+            collapsed += len(reps) < n
+            quotient, projection = separation_quotient(space)
+            assert quotient.points == tuple(space.points[r] for r in reps)
+            assert quotient.dmat == tuple(tuple(d[r][s] for s in reps) for r in reps)
+            assert projection == {space.points[i]: space.points[rep[i]] for i in range(n)}
+        assert refused > 20 and collapsed > 20, (refused, collapsed)
+
 
 class TestEpsilonTestSet:
     def test_x2a_values(self, x2a):
@@ -489,3 +521,78 @@ class TestCompiledKernels:
         keys = small._ranks.keys
         assert keys.scale.bit_length() <= _KEY_SCALE_BITS
         assert all(type(k) is int for k in keys.keys)
+
+
+def _literal(rng, q, e):
+    """One of the literals that parse to element e."""
+    if q.is_finite:
+        return rng.choice([e, q.names[e]])
+    if e == INF:
+        return "inf"
+    forms = [str(e), f"{2 * e.numerator}/{2 * e.denominator}", f" {e} "]
+    if e.denominator == 1:
+        forms.append(e.numerator)
+    if 1000 % e.denominator == 0:
+        forms.append(str(e.numerator * (1000 // e.denominator) / 1000))
+    return rng.choice(forms)
+
+
+class TestBuildPath:
+    # parse_space and VSpace(q, points, distances) build the same rank form:
+    # each distinct entry is checked once, and entries that denote the same
+    # element share one value
+    @pytest.mark.parametrize("qname", ["ext_rational", "chain4"])
+    @pytest.mark.parametrize(
+        "earlier,later",
+        [(1, True), ("1", 1.0), (1, 1.0), ("0", float("nan")), (1, [1]), ("1", {"a": 1})],
+    )
+    def test_entries_of_other_types_not_merged(self, qname, earlier, later):
+        from qc import BUILTIN_QUANTALES, serialize
+
+        payload = {"quantale": qname, "points": ["a", "b"], "d": [["0", earlier], [later, "0"]]}
+        with pytest.raises(StructureError):
+            serialize.parse_space(payload)
+        q = BUILTIN_QUANTALES[qname]
+        with pytest.raises(DomainMismatchError):
+            VSpace(q, ["a", "b"], [[0, 1], [later, 0]])
+
+    def test_equivalent_literals_share_a_value(self, chain4):
+        from qc import serialize
+
+        space = serialize.parse_space(
+            {
+                "quantale": "ext_rational",
+                "points": ["a", "b", "c"],
+                "d": [["0", "1/2", "2/4"], ["0.5", 0, "05/10"], [1, "1.0", "0"]],
+            }
+        )
+        form = space._ranks
+        assert form.values == (0, Fraction(1, 2), 1)
+        assert form.fwd == ({0: 0b001, 1: 0b110}, {0: 0b010, 1: 0b101}, {0: 0b100, 2: 0b011})
+        h = Fraction(1, 2)
+        assert space == VSpace(E, ["a", "b", "c"], [[0, h, h], [h, 0, h], [1, 1, 0]])
+        space = serialize.parse_space(
+            {"quantale": "chain4", "points": ["a", "b"], "d": [["0", 1], ["1", 0]]}
+        )
+        assert space._ranks.values == (0, 1)
+        assert space._ranks.fwd == ({0: 0b01, 1: 0b10}, {1: 0b01, 0: 0b10})
+
+    def test_parse_and_construct_agree(self, Q1, Q3, chain4, pinched):
+        import random
+
+        from qc import serialize
+
+        rng = random.Random(20261019)
+        quantales = (E, Q1, Q3, chain4, pinched)
+        for t in range(250):
+            q = quantales[t % len(quantales)]
+            space = _raw_space(rng, q, rng.randint(0, 6))
+            payload = serialize.space_to_payload(space)
+            payload["d"] = [[_literal(rng, q, e) for e in row] for row in space.dmat]
+            parsed = serialize.parse_space(payload)
+            built = VSpace(q, space.points, [list(row) for row in space.dmat])
+            assert parsed == built == space and hash(parsed) == hash(built)
+            for field in ("values", "rank", "fwd", "bwd", "keys"):
+                assert getattr(parsed._ranks, field) == getattr(built._ranks, field), field
+            assert parsed.dmat == space.dmat
+            assert serialize.space_to_payload(parsed) == serialize.space_to_payload(space)

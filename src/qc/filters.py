@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainMismatchError, InvariantError, PreconditionError, StructureError
+from .errors import DomainMismatchError, PreconditionError, StructureError
 from .reporting import Verdict
 from .vspace import (
     VSpace,
     _as_index_map,
-    _forward,
     _set_distance_masks,
+    _zero_masks,
     has_uniformly_vanishing_asymmetry,
     is_uniformly_continuous,
 )
@@ -95,67 +95,36 @@ def image_filter(fmap: dict, f: Filter, target: VSpace) -> Filter:
     return Filter(target, m)
 
 
-def _point_core_over(space: VSpace, i: int, values, fwd: bool) -> int:
-    core = space.full_mask
-    for eps in values:
-        core &= space._ball(i, eps, fwd)
-    return core
-
-
-def _cauchy_over(f: Filter, values, fwd: bool):
-    """First radius with no ball covering the core, or None."""
-    core = f.core_mask
-    for eps in values:
-        if not any(b | core == b for b in f.space._balls(eps, fwd)):
-            return eps
-    return None
-
-
-def _round_over(f: Filter, values) -> bool:
-    core = f.core_mask
-    for eps in values:
-        if not any(b | core == b != core for b in f.space._balls(eps, True)):
-            return True
-    return False
-
-
-def _converges_over(f: Filter, i: int, values, fwd: bool):
-    """First radius whose ball around point i misses the core, or None."""
-    space = f.space
-    for eps in values:
-        b = space._ball(i, eps, fwd)
-        if (b | f.core_mask) != b:
-            return eps
-    return None
-
-
 def point_filter(space: VSpace, x, side: str = "forward") -> Filter:
     """Filter generated by the balls around a point.
 
-    The core is the intersection of the test-set balls, which equals the
-    zero-distance neighbourhood; with no positive test values (degenerate
-    quantale) the base is empty and the least filter {X} results.
+    The core is the intersection of the test-value balls, the ball of the
+    least one: the zero neighbourhood.  With no positive test values
+    (degenerate quantale) the base is empty and the least filter {X} results.
     """
     i = space.index(x)
-    return Filter(space, _point_core_over(space, i, space.test_values, _forward(side)))
+    zero = _zero_masks(space, side)[i]
+    return Filter(space, zero if space.test_values else space.full_mask)
 
 
 def is_cauchy(f: Filter, side: str = "forward") -> Verdict:
-    """Some ball of every radius is a member; witness is the failing radius."""
-    bad = _cauchy_over(f, f.space.test_values, _forward(side))
-    if bad is None:
-        return Verdict(True)
-    return Verdict(False, {"epsilon": f.space.quantale.format(bad)})
+    """Some ball of every radius is a member: a zero neighbourhood covers the core."""
+    zeros, core, tv = _zero_masks(f.space, side), f.core_mask, f.space.test_values
+    if tv and not any(z | core == z for z in zeros):
+        return Verdict(False, {"epsilon": f.space.quantale.format(tv[0])})
+    return Verdict(True)
 
 
 def is_round(f: Filter) -> Verdict:
     """Every member absorbs all sufficiently small covering balls.
 
     Checked on the core only: a radius that works for the core works for
-    every superset.  The reduction is re-checked against the all-members
-    definition by the verify module.
+    every superset, and the least test value works if any does, so no zero
+    neighbourhood may strictly contain the core.  The verify module
+    re-checks the reduction against the all-members definition.
     """
-    if _round_over(f, f.space.test_values):
+    core = f.core_mask
+    if f.space.test_values and not any(z | core == z != core for z in f.space.zero_fwd):
         return Verdict(True)
     return Verdict(False, {"member": f.core})
 
@@ -221,20 +190,14 @@ def is_minimal_cauchy(f: Filter, method: str = "definitional") -> Verdict:
 
 
 def converges(f: Filter, x, side: str = "forward") -> Verdict:
-    """Every ball around x is a member; cross-checked against the point filter."""
+    """Every ball around x is a member: the core lies in x's zero neighbourhood."""
     space = f.space
     i = space.index(x)
-    fwd = _forward(side)
-    bad = _converges_over(f, i, space.test_values, fwd)
-    if bad is None:
-        verdict = Verdict(True)
-    else:
-        verdict = Verdict(False, {"epsilon": space.quantale.format(bad)})
-    pf = point_filter(space, x, side)
-    by_inclusion = (f.core_mask | pf.core_mask) == pf.core_mask
-    if by_inclusion != verdict.ok:
-        raise InvariantError("ball convergence and point-filter inclusion disagree")
-    return verdict
+    zero = _zero_masks(space, side)[i]
+    tv = space.test_values
+    if tv and zero | f.core_mask != zero:
+        return Verdict(False, {"epsilon": space.quantale.format(tv[0])})
+    return Verdict(True)
 
 
 def filter_distance(f: Filter, g: Filter):

@@ -2,9 +2,10 @@
 
 Envelope: {"schema": "qc/1", "kind": ..., "payload": ...}.  Quantales are
 either the name of a built-in ("ext_rational", "Q1", "Q2", "Q3", "chain4")
-or a finite table object; elements serialize as element names for finite
-quantales and as "p/q", "n", or "inf" for the extended rationals.  Every
-emitted object re-parses to an equal value.
+or a finite table object, which must pass `validate_value_quantale`;
+elements serialize as element names for finite quantales and as "p/q",
+"n", or "inf" for the extended rationals.  Every emitted object re-parses
+to an equal value.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .quantale import (
     ExtendedRationalQuantale,
     FiniteQuantale,
     ValueQuantale,
+    validate_value_quantale,
 )
 from .vspace import VSpace, _entry_classes
 
@@ -96,7 +98,16 @@ def parse_quantale(payload) -> ValueQuantale:
         for field in ("elements", "leq", "add"):
             if field not in payload:
                 raise StructureError(f"finite quantale payload is missing {field!r}")
-        return FiniteQuantale(payload["elements"], payload["leq"], payload["add"])
+        q = FiniteQuantale(payload["elements"], payload["leq"], payload["add"])
+        # the zero-mask forms of the quantified predicates rest on the axioms
+        report = validate_value_quantale(q.names, q._leq, q._add)
+        if not report.ok:
+            first = report.failures[0]
+            raise StructureError(
+                f"tables are not a value quantale: failed axiom {first.check} "
+                f"{json.dumps(first.witness, sort_keys=True)}"
+            )
+        return q
     raise StructureError(f"unknown quantale kind {kind!r}")
 
 

@@ -8,7 +8,8 @@ Five layers of defence:
   confirm that every upward- and intersection-closed family is principal;
 * the dense-sampling oracle replays each epsilon-quantified predicate with
   quantifiers ranging over stratified random rationals instead of the
-  finite test set, and demands identical verdicts;
+  finite test set, and demands identical verdicts; those test-value loops
+  are in turn the oracles for the zero-mask closed forms of the library;
 * the definitional enumerations over all 2^n filter cores (the space of
   every proper Cauchy filter, Cauchy completeness, Cauchy intersections of
   zero-distance filters) are oracles for the closed forms the library uses;
@@ -46,10 +47,6 @@ from .completion import (
 from .errors import InvariantError, PreconditionError, QcError
 from .filters import (
     Filter,
-    _cauchy_over,
-    _converges_over,
-    _point_core_over,
-    _round_over,
     converges,
     filter_distance,
     image_filter,
@@ -71,10 +68,7 @@ from .structures import (
 )
 from .vspace import (
     VSpace,
-    _has_uva_over,
-    _has_va_over,
     _set_distance_masks,
-    _uc_over,
     _uniform_flip_ok,
     classify,
     combined_test_values,
@@ -730,6 +724,128 @@ def definitional_symmetry_modulus(space: VSpace, eps, point=None):
 
 
 # ---------------------------------------------------------------------------
+# test-value loops: the quantified definitions behind the zero-mask forms
+
+
+def _has_uva_over(space: VSpace, eps_values, delta_values) -> Verdict:
+    q = space.quantale
+    for eps in eps_values:
+        found = False
+        for delta in delta_values:
+            if _uniform_flip_ok(space, delta, eps) is None:
+                found = True
+                break
+        if not found:
+            witness = {"epsilon": q.format(eps)}
+            bad = _uniform_flip_ok(space, delta_values[0], eps) if delta_values else None
+            if bad is not None:
+                witness["pair"] = bad
+            return Verdict(False, witness)
+    return Verdict(True)
+
+
+def _has_va_over(space: VSpace, eps_values, delta_values) -> Verdict:
+    q = space.quantale
+    # each radius's balls are fetched once; the loops read them per point
+    eps_balls = [(eps, space._balls(eps, True), space._balls(eps, False)) for eps in eps_values]
+    delta_balls = [(space._balls(d, True), space._balls(d, False)) for d in delta_values]
+    for i in range(space.size):
+        for eps, fwd_e, bwd_e in eps_balls:
+            fwd_ei, bwd_ei = fwd_e[i], bwd_e[i]
+            if not any(
+                not bwd_d[i] & ~fwd_ei and not fwd_d[i] & ~bwd_ei
+                for fwd_d, bwd_d in delta_balls
+            ):
+                return Verdict(
+                    False, {"point": space.points[i], "epsilon": q.format(eps)}
+                )
+    return Verdict(True)
+
+
+def _uc_violation(fidx, source: VSpace, target: VSpace, delta, eps):
+    """A pair within delta whose image is not within eps; None or witness."""
+    images = target._balls(eps, True)
+    for i, near in enumerate(source._balls(delta, True)):
+        within = images[fidx[i]]
+        while near:
+            low = near & -near
+            j = low.bit_length() - 1
+            if not within >> fidx[j] & 1:
+                return (source.points[i], source.points[j])
+            near ^= low
+    return None
+
+
+def _uc_over(fidx, source: VSpace, target: VSpace, eps_values, delta_values) -> Verdict:
+    for eps in eps_values:
+        if not any(
+            _uc_violation(fidx, source, target, delta, eps) is None
+            for delta in delta_values
+        ):
+            witness = {"epsilon": target.quantale.format(eps)}
+            bad = (
+                _uc_violation(fidx, source, target, delta_values[0], eps)
+                if delta_values
+                else None
+            )
+            if bad is not None:
+                witness["pair"] = bad
+            return Verdict(False, witness)
+    return Verdict(True)
+
+
+def _point_core_over(space: VSpace, i: int, values, fwd: bool) -> int:
+    core = space.full_mask
+    for eps in values:
+        core &= space._ball(i, eps, fwd)
+    return core
+
+
+def _cauchy_over(f: Filter, values, fwd: bool):
+    """First radius with no ball covering the core, or None."""
+    core = f.core_mask
+    for eps in values:
+        if not any(b | core == b for b in f.space._balls(eps, fwd)):
+            return eps
+    return None
+
+
+def _round_over(f: Filter, values) -> bool:
+    core = f.core_mask
+    for eps in values:
+        if not any(b | core == b != core for b in f.space._balls(eps, True)):
+            return True
+    return False
+
+
+def _converges_over(f: Filter, i: int, values, fwd: bool):
+    """First radius whose ball around point i misses the core, or None."""
+    space = f.space
+    for eps in values:
+        b = space._ball(i, eps, fwd)
+        if (b | f.core_mask) != b:
+            return eps
+    return None
+
+
+def _refines(a, b) -> bool:
+    """Relation a is contained in relation b (both as per-point row masks)."""
+    return all(not x & ~y for x, y in zip(a, b))
+
+
+def _base_refinement(space: VSpace) -> bool:
+    """U(X) = U(X^op) by mutual refinement of the test-value entourage bases."""
+    tv = space.test_values
+    return all(
+        any(_refines(space._balls(d, False), space._balls(e, True)) for d in tv)
+        for e in tv
+    ) and all(
+        any(_refines(space._balls(d, True), space._balls(e, False)) for d in tv)
+        for e in tv
+    )
+
+
+# ---------------------------------------------------------------------------
 # dense epsilon-reduction oracle
 
 
@@ -1324,9 +1440,18 @@ def _check_uva_implies_va(ctx: _Ctx):
 
 
 def _check_finite_collapse(ctx: _Ctx):
-    zero_sym = _zero_pattern_symmetric(ctx.space)
-    if not (ctx.va.ok == ctx.uva.ok == zero_sym):
-        return {"va": ctx.va.ok, "uva": ctx.uva.ok, "zero_symmetric": zero_sym}
+    """The gate of the zero-mask forms: VA, UVA and U(X) = U(X^op) by their
+    test-value loops, the library's verdicts and witnesses, and the
+    per-entry zero pattern all agree."""
+    space, tv = ctx.space, ctx.space.test_values
+    va, uva = _has_va_over(space, tv, tv), _has_uva_over(space, tv, tv)
+    if va != ctx.va or uva != ctx.uva:
+        return {"va": va.witness, "uva": uva.witness,
+                "closed_va": ctx.va.witness, "closed_uva": ctx.uva.witness}
+    zero_sym = _zero_pattern_symmetric(space)
+    mutual = _base_refinement(space)
+    if not (va.ok == uva.ok == zero_sym == mutual):
+        return {"va": va.ok, "uva": uva.ok, "zero_symmetric": zero_sym, "base_refinement": mutual}
     return None
 
 

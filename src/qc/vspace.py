@@ -1,12 +1,24 @@
 """Finite continuity spaces: a carrier plus a quantale-valued distance matrix.
 
 Point subsets are bitmasks internally; the public API speaks point names
-and frozensets.  Quantified definitions (vanishing asymmetry, uniform
-continuity, moduli) are decided over a finite epsilon test set: for finite
-quantales the full set of elements well above 0, and for the extended
-rationals one representative per threshold cell of the space's distance
-values.  The sufficiency of that reduction is not assumed here; the verify
-module re-checks it against dense random sampling.
+and frozensets.
+
+Every "for every eps above 0 there is a delta" predicate is decided on the
+zero masks.  The predicates see a radius only through balls, which grow
+with it, so a radius that witnesses an existential can be shrunk, and so
+can one that refutes a universal: each predicate holds iff it holds with
+eps = delta = t, the least test value, and when it fails t is the first
+failing eps.  The balls of radius t are the zero masks.  On the extended
+rationals t is half the least positive distance (1 when there is none).
+On a finite value quantale t is 0: the approximation axiom at 0 makes 0
+the meet of the positives, and the positive-meet axiom makes that finite
+meet well above 0.  `combined_test_values` refuses a table with positives
+but without 0 among them; with no positives (Q1) every quantifier is
+vacuous.  The test-value loops that define VA, UVA, uniform continuity,
+the point filter, the Cauchy, round and convergence tests and the
+entourage core are oracles in `qc.verify`.  `symmetry_modulus` (the
+largest delta, not a monotone quantifier) and the strict-ball topology
+keep their loops.
 
 A space is stored in rank form, built at construction: its distinct
 distance values in `sort_key` order, the rank of each entry among them,
@@ -18,11 +30,10 @@ that denote one element share a value.  `dmat` is a read-only view of
 the matrix built on first use.  Every order-only predicate reads the
 rank form: a ball of radius eps is the union of the masks whose value is
 <= eps, so the order is consulted once per (space, eps) over the distinct
-values instead of once per entry.  Balls,
-zero neighbourhoods, the symmetry and separation tests, the uniform flip
-behind UVA and symmetry moduli, and uniform continuity are mask
-operations.  A set distance collects the ranks of the values met between
-the two masks and takes their meet in one private quantale kernel,
+values instead of once per entry.  Balls, zero neighbourhoods, the
+symmetry and separation tests and the uniform flip behind symmetry moduli
+are mask operations.  A set distance collects the ranks of the values met
+between the two masks and takes their meet in one private quantale kernel,
 `ValueQuantale._meet_ranks` (the lowest rank on the extended-rational
 chain, a fold of the meet table on finite quantales), so filter distances
 and completion matrices make no checked element call per value.
@@ -278,16 +289,23 @@ def _union(classes, ranks: int) -> int:
 def combined_test_values(*spaces: VSpace) -> tuple:
     """Epsilon candidates sufficient for the quantified predicates.
 
-    Finite quantales: every element well above 0.  Extended rationals: half
-    the least positive distance, every positive distance value of the given
-    spaces, and infinity; the representative below the positives is 1 when
-    there are no finite positive distances.
+    Finite quantales: every element well above 0, which on a value quantale
+    starts with 0 itself (module docstring); a table with positives but
+    without 0 among them is refused.  Extended rationals: half the least
+    positive distance, every positive distance value of the given spaces,
+    and infinity; the representative below the positives is 1 when there
+    are no finite positive distances.  Either way the balls of the first
+    test value are the zero masks.
     """
     q = spaces[0].quantale
     for s in spaces[1:]:
         if s.quantale != q:
             raise DomainMismatchError("spaces live over different quantales")
     if q.is_finite:
+        if q.positives and q.positives[0] != q.bottom:
+            raise PreconditionError(
+                f"{q.label} is not a value quantale: 0 is not well above 0"
+            )
         return q.positives
     values = set()
     for s in spaces:
@@ -531,7 +549,12 @@ def separation_quotient(space: VSpace) -> tuple[VSpace, dict]:
 
 
 # ---------------------------------------------------------------------------
-# quantified predicates over explicit candidate value lists
+# quantified predicates, decided on the zero masks (module docstring)
+
+
+def _zero_masks(space: VSpace, side: str) -> tuple[int, ...]:
+    """Per point, its zero neighbourhood on `side`: the ball of the least test value."""
+    return space.zero_fwd if _forward(side) else space.zero_bwd
 
 
 def _uniform_flip_ok(space: VSpace, delta, eps):
@@ -545,23 +568,6 @@ def _uniform_flip_ok(space: VSpace, delta, eps):
     return None
 
 
-def _has_uva_over(space: VSpace, eps_values, delta_values) -> Verdict:
-    q = space.quantale
-    for eps in eps_values:
-        found = False
-        for delta in delta_values:
-            if _uniform_flip_ok(space, delta, eps) is None:
-                found = True
-                break
-        if not found:
-            witness = {"epsilon": q.format(eps)}
-            bad = _uniform_flip_ok(space, delta_values[0], eps) if delta_values else None
-            if bad is not None:
-                witness["pair"] = bad
-            return Verdict(False, witness)
-    return Verdict(True)
-
-
 def _pointwise_modulus_ok(space: VSpace, i: int, delta, eps) -> bool:
     fwd_e = space._ball(i, eps, True)
     bwd_e = space._ball(i, eps, False)
@@ -570,32 +576,36 @@ def _pointwise_modulus_ok(space: VSpace, i: int, delta, eps) -> bool:
     return (bwd_d | fwd_e) == fwd_e and (fwd_d | bwd_e) == bwd_e
 
 
-def _has_va_over(space: VSpace, eps_values, delta_values) -> Verdict:
-    q = space.quantale
-    # each radius's balls are fetched once; the loops read them per point
-    eps_balls = [(eps, space._balls(eps, True), space._balls(eps, False)) for eps in eps_values]
-    delta_balls = [(space._balls(d, True), space._balls(d, False)) for d in delta_values]
-    for i in range(space.size):
-        for eps, fwd_e, bwd_e in eps_balls:
-            fwd_ei, bwd_ei = fwd_e[i], bwd_e[i]
-            if not any(
-                not bwd_d[i] & ~fwd_ei and not fwd_d[i] & ~bwd_ei
-                for fwd_d, bwd_d in delta_balls
-            ):
-                return Verdict(
-                    False, {"point": space.points[i], "epsilon": q.format(eps)}
-                )
+def has_uniformly_vanishing_asymmetry(space: VSpace) -> Verdict:
+    """For every eps some delta makes d(y,x) <= delta imply d(x,y) <= eps.
+
+    Holds iff d(y,x) = 0 implies d(x,y) = 0; the witness is the least test
+    value and the first pair (x, y) that breaks it.
+    """
+    tv = space.test_values
+    if tv:
+        for i, (back, out) in enumerate(zip(space.zero_bwd, space.zero_fwd)):
+            bad = back & ~out
+            if bad:
+                pair = (space.points[i], space.points[(bad & -bad).bit_length() - 1])
+                return Verdict(False, {"epsilon": space.quantale.format(tv[0]), "pair": pair})
     return Verdict(True)
 
 
-def has_uniformly_vanishing_asymmetry(space: VSpace) -> Verdict:
-    tv = space.test_values
-    return _has_uva_over(space, tv, tv)
-
-
 def has_vanishing_asymmetry(space: VSpace) -> Verdict:
+    """At each x, every eps has a delta with B^delta(x) in B_eps(x) and dually.
+
+    Holds iff each point's forward and backward zero masks agree; the
+    witness is the first point where they differ and the least test value.
+    """
     tv = space.test_values
-    return _has_va_over(space, tv, tv)
+    if tv:
+        for i, (out, back) in enumerate(zip(space.zero_fwd, space.zero_bwd)):
+            if out != back:
+                return Verdict(
+                    False, {"point": space.points[i], "epsilon": space.quantale.format(tv[0])}
+                )
+    return Verdict(True)
 
 
 def symmetry_modulus(space: VSpace, eps, mode: str = "uniform", point=None):
@@ -628,45 +638,28 @@ def _as_index_map(fmap, source: VSpace, target: VSpace) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _uc_violation(fidx, source: VSpace, target: VSpace, delta, eps):
-    """A pair within delta whose image is not within eps; None or witness."""
-    images = target._balls(eps, True)
-    for i, near in enumerate(source._balls(delta, True)):
-        within = images[fidx[i]]
-        while near:
-            low = near & -near
-            j = low.bit_length() - 1
-            if not within >> fidx[j] & 1:
-                return (source.points[i], source.points[j])
-            near ^= low
-    return None
-
-
-def _uc_over(fidx, source: VSpace, target: VSpace, eps_values, delta_values) -> Verdict:
-    for eps in eps_values:
-        if not any(
-            _uc_violation(fidx, source, target, delta, eps) is None
-            for delta in delta_values
-        ):
-            witness = {"epsilon": target.quantale.format(eps)}
-            bad = (
-                _uc_violation(fidx, source, target, delta_values[0], eps)
-                if delta_values
-                else None
-            )
-            if bad is not None:
-                witness["pair"] = bad
-            return Verdict(False, witness)
-    return Verdict(True)
-
-
 def is_uniformly_continuous(fmap: dict, source: VSpace, target: VSpace) -> Verdict:
-    """For every eps above 0 some delta bounds image distances by eps."""
+    """For every eps above 0 some delta bounds image distances by eps.
+
+    Holds iff the map keeps zero distances zero; the witness is the least
+    test value of the two spaces and the first pair it sends apart.
+    """
     if source.quantale != target.quantale:
         raise DomainMismatchError("uniform continuity needs a shared quantale")
     fidx = _as_index_map(fmap, source, target)
     tv = combined_test_values(source, target)
-    return _uc_over(fidx, source, target, tv, tv)
+    if tv:
+        images = target.zero_fwd
+        for i, near in enumerate(source.zero_fwd):
+            within = images[fidx[i]]
+            while near:
+                low = near & -near
+                j = low.bit_length() - 1
+                if not within >> fidx[j] & 1:
+                    pair = (source.points[i], source.points[j])
+                    return Verdict(False, {"epsilon": target.quantale.format(tv[0]), "pair": pair})
+                near ^= low
+    return Verdict(True)
 
 
 def pushforward(morphism: QuantaleMorphism, space: VSpace) -> VSpace:

@@ -119,6 +119,17 @@ class TestValidate:
         assert lines[-1] == "quantale: invalid"
         assert "witness" in lines[0]
 
+    def test_space_over_diamond_tables_exits_two(self, capsys, tmp_path, diamond_tables):
+        names, leq, join = diamond_tables
+        quantale = serialize.quantale_to_payload(FiniteQuantale(names, leq, join))
+        doc = {"quantale": quantale, "points": ["x", "y", "z"],
+               "d": [["0", "inf", "a"], ["b", "0", "inf"], ["a", "inf", "0"]]}
+        path = tmp_path / "diamond-space.json"
+        path.write_text(serialize.dumps_canonical(serialize.envelope("space", doc)))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "failed axiom a∧b ≻ 0" in err
+
     def test_chain_valid(self, capsys, tmp_path, Q3):
         path = write_quantale_tables(tmp_path, "q3.json", Q3.names, Q3._leq, Q3._add)
         code, out, _ = run(capsys, "validate-quantale", path)

@@ -27,14 +27,20 @@ class TestQuantaleFormat:
     def test_builtin_names(self, Q3):
         assert serialize.parse_quantale("Q3") == Q3
 
-    def test_finite_roundtrip(self, Q3, chain4, diamond_tables):
-        names, leq, join = diamond_tables
-        diamond = FiniteQuantale(names, leq, join)
-        for q in (Q3, chain4, diamond):
+    def test_finite_roundtrip(self, Q3, chain4, pinched):
+        for q in (Q3, chain4, pinched):
             payload = serialize.quantale_to_payload(q)
             assert serialize.parse_quantale(payload) == q
             # payloads survive a JSON round trip
             assert serialize.parse_quantale(json.loads(json.dumps(payload))) == q
+
+    def test_tables_that_are_not_a_value_quantale_are_refused(self, diamond_tables):
+        # a lattice whose addition is its join, but whose incomparable
+        # positives meet at 0: the positive-meet axiom fails
+        names, leq, join = diamond_tables
+        payload = serialize.quantale_to_payload(FiniteQuantale(names, leq, join))
+        with pytest.raises(StructureError, match="failed axiom a∧b ≻ 0"):
+            serialize.parse_quantale(payload)
 
     def test_unknown_name(self):
         with pytest.raises(StructureError):

@@ -394,7 +394,8 @@ class TestCrossSpaceReduction:
         # dense stratified sample over both spaces' threshold cells does
         import random
 
-        from qc.vspace import _uc_over, combined_test_values
+        from qc.verify import _uc_over
+        from qc.vspace import combined_test_values
         from helpers import all_maps
 
         rng = random.Random(9)

@@ -6,6 +6,7 @@ from qc import (
     EXT_RATIONAL,
     INF,
     DomainMismatchError,
+    FiniteQuantale,
     IdentityMorphism,
     PreconditionError,
     StepMorphism,
@@ -14,6 +15,7 @@ from qc import (
     ball,
     ball_of_set,
     classify,
+    combined_test_values,
     has_uniformly_vanishing_asymmetry,
     has_vanishing_asymmetry,
     is_uniformly_continuous,
@@ -22,6 +24,7 @@ from qc import (
     set_distance,
     symmetry_modulus,
     validate_vspace,
+    Verdict,
 )
 
 from helpers import ball_raw, triangle_holds
@@ -370,16 +373,76 @@ def _raw_space(rng, q, n):
     return VSpace(q, [f"p{i}" for i in range(n)], d)
 
 
+def _assert_zero_forms_match_loops(rng, space, target):
+    """The zero-mask forms against the test-value loops that define them,
+    witnesses included: every filter predicate on every core (on larger
+    carriers the empty core, the singletons, the carrier and a few random
+    ones), and uniform continuity of random maps into `target`."""
+    from qc import Filter, converges, is_cauchy, is_round, point_filter
+    from qc.structures import uniformities_equal
+    from qc.errors import InvariantError
+    from qc.verify import (
+        _base_refinement,
+        _cauchy_over,
+        _converges_over,
+        _has_uva_over,
+        _has_va_over,
+        _point_core_over,
+        _round_over,
+        _uc_over,
+    )
+
+    q, tv, n = space.quantale, space.test_values, space.size
+
+    def first_bad(eps):
+        return Verdict(True) if eps is None else Verdict(False, {"epsilon": q.format(eps)})
+
+    assert has_vanishing_asymmetry(space) == _has_va_over(space, tv, tv)
+    assert has_uniformly_vanishing_asymmetry(space) == _has_uva_over(space, tv, tv)
+    try:
+        assert uniformities_equal(space).ok == _base_refinement(space)
+    except InvariantError:  # a non-reflexive entourage core: invalid diagonal
+        assert any(space.dmat[i][i] != q.bottom for i in range(n))
+    sides = ((True, "forward"), (False, "backward"))
+    for i, p in enumerate(space.points):
+        for forward, side in sides:
+            want = _point_core_over(space, i, tv, forward)
+            assert point_filter(space, p, side).core_mask == want
+    full = space.full_mask
+    if n <= 4:
+        cores = range(full + 1)
+    else:
+        cores = [0, full] + [1 << i for i in range(n)] + [rng.randrange(full) for _ in range(4)]
+    for m in cores:
+        f = Filter(space, m)
+        want = Verdict(True) if _round_over(f, tv) else Verdict(False, {"member": f.core})
+        assert is_round(f) == want, (space.dmat, m)
+        for forward, side in sides:
+            assert is_cauchy(f, side) == first_bad(_cauchy_over(f, tv, forward))
+            for i, p in enumerate(space.points):
+                assert converges(f, p, side) == first_bad(_converges_over(f, i, tv, forward))
+    if n and not target.size:
+        return  # no map into the empty carrier
+    both = combined_test_values(space, target)
+    for _ in range(3):
+        fidx = tuple(rng.randrange(target.size) for _ in range(n))
+        fmap = {p: target.points[k] for p, k in zip(space.points, fidx)}
+        assert is_uniformly_continuous(fmap, space, target) == _uc_over(
+            fidx, space, target, both, both
+        ), (space.dmat, target.dmat, fidx)
+
+
 class TestCompiledKernels:
-    def test_match_definitions(self, Q1, Q3, chain4, pinched):
-        # the mask kernels against the per-entry definitions, witnesses and
-        # failure order included, on raw (mostly invalid) matrices
+    def test_match_definitions(self, Q1, Q3, chain4, pinched, diamond_tables):
+        # the mask kernels against the per-entry definitions, and the zero-mask
+        # forms against their test-value loops, witnesses and failure order
+        # included, on raw (mostly invalid) matrices
         import random
 
         from qc import quasi_uniformity_of
         from qc.errors import InvariantError
-        from qc.vspace import _uc_violation
         from qc.verify import (
+            _uc_violation,
             definitional_ball,
             definitional_entourage_core,
             definitional_set_distance,
@@ -390,6 +453,7 @@ class TestCompiledKernels:
         )
 
         rng = random.Random(20261018)
+        aux = random.Random(7)  # maps, targets and cores for the zero-mask forms
         quantales = (E, Q1, Q3, chain4, pinched)
         invalid = off_diagonal = 0
         for t in range(1000):
@@ -401,6 +465,8 @@ class TestCompiledKernels:
             off_diagonal += "zero-diagonal" in want.failed_checks()
             assert has_vanishing_asymmetry(space) == definitional_va(space)
             assert has_uniformly_vanishing_asymmetry(space) == definitional_uva(space)
+            if t % 2 == 0:  # 100 spaces per quantale
+                _assert_zero_forms_match_loops(aux, space, _raw_space(aux, q, aux.randint(1, 4)))
             for forward, side in ((True, "forward"), (False, "backward")):
                 core = definitional_entourage_core(space, forward)
                 if all(core[i][i] for i in range(space.size)):
@@ -449,6 +515,54 @@ class TestCompiledKernels:
                     space, eps, "pointwise", p
                 ) == definitional_symmetry_modulus(space, eps, p)
         assert invalid > 500 and off_diagonal >= 100, (invalid, off_diagonal)
+
+        # the empty carrier, with and without test values (Q1 has none)
+        for q in (E, Q1):
+            empty = VSpace(q, [], [])
+            for target in (empty, _raw_space(rng, q, 2)):
+                _assert_zero_forms_match_loops(rng, empty, target)
+                _assert_zero_forms_match_loops(rng, target, empty)
+
+        # every value quantale on the lattices of at most 5 elements with
+        # pinched's addition (any two nonzero elements sum to the top)
+        from qc.quantale import validate_value_quantale
+        from test_acceptance import lattice_corpus
+
+        accepted = 0
+        for leq in lattice_corpus():
+            size = len(leq)
+            bot = next(b for b in range(size) if all(leq[b]))
+            top = next(t for t in range(size) if all(row[t] for row in leq))
+            add = [[j if i == bot else i if j == bot else top for j in range(size)]
+                   for i in range(size)]
+            names = [f"e{i}" for i in range(size)]
+            if not validate_value_quantale(names, leq, add).ok:
+                continue
+            accepted += 1
+            q = FiniteQuantale(names, leq, add)
+            for _ in range(12):
+                space = _raw_space(rng, q, rng.randint(1, 6))
+                _assert_zero_forms_match_loops(rng, space, _raw_space(rng, q, rng.randint(1, 4)))
+        assert accepted >= 15, accepted
+
+        # tables that fail the axioms may have positives without 0, where the
+        # zero masks do not decide the quantifiers: every predicate refuses
+        from qc import Filter, converges, is_cauchy, is_round, point_filter
+
+        space = _raw_space(rng, FiniteQuantale(*diamond_tables), 3)
+        f = Filter(space, 1)
+        for call in (
+            lambda: has_vanishing_asymmetry(space),
+            lambda: has_uniformly_vanishing_asymmetry(space),
+            lambda: is_uniformly_continuous({p: p for p in space.points}, space, space),
+            lambda: point_filter(space, "p0"),
+            lambda: is_cauchy(f),
+            lambda: is_round(f),
+            lambda: converges(f, "p0"),
+            lambda: quasi_uniformity_of(space),
+        ):
+            with pytest.raises(PreconditionError, match="not a value quantale"):
+                call()
 
         # the exact keys of the extended rationals: large coprime denominators
         # (lcm keys past the budget, so the Fraction keys run), INF entries,

@@ -27,6 +27,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = "tests/test_vspace.py::TestCompiledKernels::test_match_definitions"
+# the qc verify theorem checks that compare the closed forms with their loops
+GATE = "tests/test_acceptance.py::test_criterion_7_equivalence_lists"
 
 
 class Mutant(NamedTuple):
@@ -65,6 +67,20 @@ MUTANTS = (
         "if q.positives and q.positives[0] != q.bottom:",
         "if False:",
         (KERNELS,),
+    ),
+    Mutant(
+        "point-filter-ignores-side",
+        "filters.py",
+        "zero = _zero_masks(space, side)[i]\n    return Filter(",
+        "zero = space.zero_fwd[i]\n    return Filter(",
+        (GATE,),
+    ),
+    Mutant(
+        "uniform-continuity-backward-images",
+        "vspace.py",
+        "images = target.zero_fwd",
+        "images = target.zero_bwd",
+        (GATE,),
     ),
     Mutant(
         "count-below-unbounded",

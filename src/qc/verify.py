@@ -1080,11 +1080,13 @@ class _Ctx:
         return table[mask]
 
     def point_filters(self, fwd: bool = True):
+        """Point filters by their test-value loop, not the library's zero masks."""
+        space = self.space
         return self._memo(
             ("pf", fwd),
             lambda: tuple(
-                point_filter(self.space, p, "forward" if fwd else "backward")
-                for p in self.space.points
+                Filter(space, _point_core_over(space, i, space.test_values, fwd))
+                for i in range(space.size)
             ),
         )
 
@@ -1429,7 +1431,31 @@ def _check_va_conditions(ctx: _Ctx):
 
 
 def _check_uva_conditions(ctx: _Ctx):
-    uva_equivalence_report(ctx.space)
+    """The library's UVA report against the three conditions by their loops."""
+    space, tv = ctx.space, ctx.space.test_values
+    report = uva_equivalence_report(space)
+    # the dual holds the same distance values, so it shares the test values
+    op, ident = space.dual(), tuple(range(space.size))
+    into, outof = _uc_over(ident, op, space, tv, tv), _uc_over(ident, space, op, tv, tv)
+    loops = {
+        "uniform_modulus": _has_uva_over(space, tv, tv),
+        "identity_uniformly_continuous": (
+            Verdict(True) if into and outof
+            else Verdict(False, (into.witness or outof.witness))
+        ),
+        "uniformities_equal": _base_refinement(space),
+    }
+    votes = {bool(v) for v in loops.values()}
+    closed = report.conditions
+    if (
+        votes != {report.holds}
+        or closed["uniform_modulus"] != loops["uniform_modulus"]
+        or closed["identity_uniformly_continuous"] != loops["identity_uniformly_continuous"]
+        or bool(closed["uniformities_equal"]) != loops["uniformities_equal"]
+    ):
+        return {"holds": report.holds,
+                "closed": {k: bool(v) for k, v in closed.items()},
+                "loops": {k: bool(v) for k, v in loops.items()}}
     return None
 
 
@@ -1442,7 +1468,8 @@ def _check_uva_implies_va(ctx: _Ctx):
 def _check_finite_collapse(ctx: _Ctx):
     """The gate of the zero-mask forms: VA, UVA and U(X) = U(X^op) by their
     test-value loops, the library's verdicts and witnesses, and the
-    per-entry zero pattern all agree."""
+    per-entry zero pattern all agree, and each point filter's closed-form
+    core equals its loop core on both sides."""
     space, tv = ctx.space, ctx.space.test_values
     va, uva = _has_va_over(space, tv, tv), _has_uva_over(space, tv, tv)
     if va != ctx.va or uva != ctx.uva:
@@ -1452,6 +1479,12 @@ def _check_finite_collapse(ctx: _Ctx):
     mutual = _base_refinement(space)
     if not (va.ok == uva.ok == zero_sym == mutual):
         return {"va": va.ok, "uva": uva.ok, "zero_symmetric": zero_sym, "base_refinement": mutual}
+    for fwd in (True, False):
+        for i, f in enumerate(ctx.point_filters(fwd)):
+            g = point_filter(space, space.points[i], "forward" if fwd else "backward")
+            if f.core_mask != g.core_mask:
+                return {"point": space.points[i], "forward": fwd,
+                        "loop": f.core, "closed": g.core}
     return None
 
 

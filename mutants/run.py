@@ -29,6 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNELS = "tests/test_vspace.py::TestCompiledKernels::test_match_definitions"
 # the qc verify theorem checks that compare the closed forms with their loops
 GATE = "tests/test_acceptance.py::test_criterion_7_equivalence_lists"
+TWINS = "tests/test_vspace.py::TestTwinClasses"
+BUILD = "tests/test_vspace.py::TestBuildPath"
 
 
 class Mutant(NamedTuple):
@@ -81,6 +83,41 @@ MUTANTS = (
         "images = target.zero_fwd",
         "images = target.zero_bwd",
         (GATE,),
+    ),
+    Mutant(
+        "twins-keyed-on-rows-alone",
+        "vspace.py",
+        "zip(map(id, form.fwd), map(id, form.bwd))",
+        "zip(map(id, form.fwd), map(id, form.fwd))",
+        (TWINS,),
+    ),
+    Mutant(
+        "twin-columns-not-expanded",
+        "vspace.py",
+        "for t in twins[j]:",
+        "for t in [j]:",
+        (TWINS,),
+    ),
+    Mutant(
+        "keyed-early-break-one-key-too-soon",
+        "vspace.py",
+        "if s >= top_i:",
+        "if s + 1 >= top_i:",
+        (KERNELS,),
+    ),
+    Mutant(
+        "entry-classes-memo-keyed-on-value-alone",
+        "vspace.py",
+        "key = (type(e), e)",
+        "key = e",
+        (BUILD,),
+    ),
+    Mutant(
+        "rank-form-no-merge-of-equal-values",
+        "vspace.py",
+        "tuple(sorted(set(checked), key=quantale.sort_key))",
+        "tuple(sorted(checked, key=quantale.sort_key))",
+        (BUILD,),
     ),
     Mutant(
         "count-below-unbounded",

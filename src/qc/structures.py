@@ -101,16 +101,17 @@ def quasi_uniformity_of(space: VSpace, side: str = "forward") -> QuasiUniformity
     """Intersection of the test-value entourages; reflexive by construction.
 
     That is the zero relation, the entourage of the least test value, or
-    every pair when there are no test values.
+    every pair when there are no test values.  Each distinct zero mask is
+    expanded into a row once, and points with equal masks (twins among
+    them) share it.
     """
     zeros = _zero_masks(space, side)
     n = space.size
     rows = zeros if space.test_values else [space.full_mask] * n
-    core = tuple([tuple([bool(r >> j & 1) for j in range(n)]) for r in rows])
-    for i in range(n):
-        if not core[i][i]:
-            raise InvariantError("entourage core is not reflexive")
-    return QuasiUniformity(space.points, core)
+    expanded = {r: tuple([bool(r >> j & 1) for j in range(n)]) for r in set(rows)}
+    if any(not r >> i & 1 for i, r in enumerate(rows)):
+        raise InvariantError("entourage core is not reflexive")
+    return QuasiUniformity(space.points, tuple([expanded[r] for r in rows]))
 
 
 def uniformities_equal(space: VSpace) -> Verdict:

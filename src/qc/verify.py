@@ -695,9 +695,26 @@ def definitional_uva(space: VSpace) -> Verdict:
     return Verdict(True)
 
 
-def _definitional_pointwise_ok(space: VSpace, i: int, delta, eps) -> bool:
-    fwd_e, bwd_e = (definitional_ball(space, i, eps, f) for f in (True, False))
-    fwd_d, bwd_d = (definitional_ball(space, i, delta, f) for f in (True, False))
+def _definitional_balls_at(space: VSpace, i: int):
+    """The per-entry (forward, backward) balls around point i, by radius.
+
+    Each ball is computed once per radius, so the quantifiers over pairs of
+    radii below cost one per-entry ball per (point, radius, side).
+    """
+    memo = {}
+
+    def balls(eps):
+        pair = memo.get(eps)
+        if pair is None:
+            pair = memo[eps] = tuple(definitional_ball(space, i, eps, f) for f in (True, False))
+        return pair
+
+    return balls
+
+
+def _definitional_pointwise_ok(balls, delta, eps) -> bool:
+    fwd_e, bwd_e = balls(eps)
+    fwd_d, bwd_d = balls(delta)
     return not bwd_d & ~fwd_e and not fwd_d & ~bwd_e
 
 
@@ -705,8 +722,9 @@ def definitional_va(space: VSpace) -> Verdict:
     """`has_vanishing_asymmetry` on per-entry balls."""
     q, tv = space.quantale, space.test_values
     for i in range(space.size):
+        balls = _definitional_balls_at(space, i)
         for eps in tv:
-            if not any(_definitional_pointwise_ok(space, i, d, eps) for d in tv):
+            if not any(_definitional_pointwise_ok(balls, d, eps) for d in tv):
                 return Verdict(False, {"point": space.points[i], "epsilon": q.format(eps)})
     return Verdict(True)
 
@@ -714,11 +732,13 @@ def definitional_va(space: VSpace) -> Verdict:
 def definitional_symmetry_modulus(space: VSpace, eps, point=None):
     """`symmetry_modulus` (uniform, or pointwise at `point`) per entry."""
     q = space.quantale
+    if point is not None:
+        balls = _definitional_balls_at(space, space.index(point))
     for delta in sorted(space.test_values, key=q.sort_key, reverse=True):
         if point is None:
             if definitional_flip(space, delta, eps) is None:
                 return delta
-        elif _definitional_pointwise_ok(space, space.index(point), delta, eps):
+        elif _definitional_pointwise_ok(balls, delta, eps):
             return delta
     return None
 

@@ -23,12 +23,13 @@ keep their loops.
 A space is stored in rank form, built at construction: its distinct
 distance values in `sort_key` order, the rank of each entry among them,
 and per point and per value the bitmask of the points at that forward
-(backward) distance.  Construction checks each distinct entry once, after
-telling entries apart by type and value (`_entry_classes`); reading a
-space file parses each distinct literal once the same way, and entries
-that denote one element share a value.  `dmat` is a read-only view of
-the matrix built on first use.  Every order-only predicate reads the
-rank form: a ball of radius eps is the union of the masks whose value is
+(backward) distance.  Points with equal rows of ranks share one forward
+mask dict, and points with equal columns one backward dict.
+Construction checks each distinct entry once, after telling entries apart
+by type and value (`_entry_classes`); reading a space file parses each
+distinct literal once the same way, and entries that denote one element
+share a value.  `dmat` is a read-only view of the matrix built on first
+use.  Every order-only predicate reads the rank form: a ball of radius eps is the union of the masks whose value is
 <= eps, so the order is consulted once per (space, eps) over the distinct
 values instead of once per entry.  Balls, zero neighbourhoods, the
 symmetry and separation tests and the uniform flip behind symmetry moduli
@@ -47,9 +48,16 @@ floor(eps * L).  The triangle check in `validate_vspace` forms each sum of
 two values as the sum of their keys and finds the values of a row not
 below it by bisecting the row's keys.  On finite quantales the triangle
 check runs over value classes with the table addition and order, and no
-chain is assumed.  The per-entry definitions of the triangle law, balls,
-the flip, the entourage core and set distances are kept in `qc.verify` as
-oracles.
+chain is assumed.
+
+The triangle check works once per twin class.  Twins are points with an
+equal row and an equal column of ranks, found by exact equality (their
+shared mask dicts), never by zero distance, so the check assumes nothing
+of the law it checks.  On a valid space the points at mutual distance 0
+are twins, so a space of c clusters costs the check about c * c pairs
+(i, j) instead of n * n; twins of i share i's violations, and twins of j
+get j's.  The per-entry definitions of the triangle law, balls, the flip,
+the entourage core and set distances are kept in `qc.verify` as oracles.
 """
 
 from __future__ import annotations
@@ -267,12 +275,18 @@ class _RankForm:
 
 
 def _masks_by_rank(rows) -> tuple[dict, ...]:
-    """Per row of ranks, the mask of the positions holding each rank."""
-    out = []
+    """Per row of ranks, the mask of the positions holding each rank.
+
+    Equal rows share one dict, built once; the dicts are read-only, so two
+    points share theirs exactly when their rows of ranks are equal.
+    """
+    memo, out = {}, []
     for row in rows:
-        masks = {}
-        for j, r in enumerate(row):
-            masks[r] = masks.get(r, 0) | 1 << j
+        masks = memo.get(row)
+        if masks is None:
+            masks = memo[row] = {}
+            for j, r in enumerate(row):
+                masks[r] = masks.get(r, 0) | 1 << j
         out.append(masks)
     return tuple(out)
 
@@ -333,6 +347,8 @@ def validate_vspace(space: VSpace) -> ValidationReport:
                 )
             )
     for i, row in enumerate(_triangle_violations(space)):
+        if not any(row):
+            continue
         for j, bad in enumerate(row):
             while bad:
                 low = bad & -bad
@@ -357,14 +373,49 @@ def validate_vspace(space: VSpace) -> ValidationReport:
     return ValidationReport("vspace", tuple(failures))
 
 
+def _twins(form: _RankForm) -> dict[int, list[int]]:
+    """Each twin class, as its first point mapped to its members in order.
+
+    Twins are points with an equal rank row and an equal rank column, that
+    is, whose `fwd` dicts and whose `bwd` dicts are shared
+    (`_masks_by_rank`).  They are told apart by exact equality, never by
+    zero distance, so the triangle check assumes nothing of the law it
+    checks.
+    """
+    first, classes = {}, {}
+    for i, key in enumerate(zip(map(id, form.fwd), map(id, form.bwd))):
+        classes.setdefault(first.setdefault(key, i), []).append(i)
+    return classes
+
+
 def _triangle_violations(space: VSpace) -> list[list[int]]:
-    """Per pair (i, j), the mask of the k with d(i,k) not <= d(i,j) + d(j,k)."""
-    if space._ranks.keys is None:
-        return _table_triangle_violations(space)
-    return _keyed_triangle_violations(space)
+    """Per pair (i, j), the mask of the k with d(i,k) not <= d(i,j) + d(j,k).
+
+    The kernels visit the twin representatives of i and j only, with k
+    over every point.  A twin i' of i has the row of i, so its violations
+    are those of i; a twin j' of j has d(i,j') = d(i,j) by the equal
+    columns and d(j',k) = d(j,k) by the equal rows, so the mask of (i, j')
+    is that of (i, j).  The full matrix is filled in from the
+    representatives, and twins share their rows of it.
+    """
+    form = space._ranks
+    twins = _twins(form)
+    if form.keys is None:
+        found = _table_triangle_violations(space, twins)
+    else:
+        found = _keyed_triangle_violations(space, twins)
+    out = [None] * space.size
+    for i, members in twins.items():
+        row = [0] * space.size
+        for j, ks in found[i].items():
+            for t in twins[j]:
+                row[t] = ks
+        for t in members:
+            out[t] = row
+    return out
 
 
-def _keyed_triangle_violations(space: VSpace) -> list[list[int]]:
+def _keyed_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[int, int]]:
     """The triangle check on the exact order keys of the extended rationals.
 
     Row i's classes sorted by key give, per position, the union of the
@@ -373,26 +424,31 @@ def _keyed_triangle_violations(space: VSpace) -> list[list[int]]:
     the violations are the union over the classes of row j, taken in
     ascending key order, of their points not below key[d(i,j)] + key[b];
     once a sum reaches row i's largest key no later class can violate.
+    Only twin representatives i and j are visited (`_triangle_violations`);
+    the result maps each representative i to its representatives j with a
+    violation, and to their masks.
     """
     form = space._ranks
     keys = form.keys.keys
-    n = space.size
-    # per point: its keys ascending, the suffix unions of their masks, and
-    # its (key, mask) classes
-    local = []
-    for row in form.fwd:
+    reps = sum(1 << i for i in twins)
+    # per representative: its keys ascending, the suffix unions of their
+    # masks, and its (key, mask) classes
+    local = {}
+    for i in twins:
+        row = form.fwd[i]
         ranks = sorted(row)
         suffix = [0] * (len(ranks) + 1)
         for t in range(len(ranks) - 1, -1, -1):
             suffix[t] = suffix[t + 1] | row[ranks[t]]
-        local.append(([keys[u] for u in ranks], suffix, [(keys[u], row[u]) for u in ranks]))
-    out = []
-    for i, row in enumerate(form.fwd):
+        local[i] = ([keys[u] for u in ranks], suffix, [(keys[u], row[u]) for u in ranks])
+    out = {}
+    for i in twins:
         keys_i, above_i, _ = local[i]
         top_i = keys_i[-1]
-        out_i = [0] * n
-        for a, pairs in row.items():
+        bad_i = out[i] = {}
+        for a, pairs in form.fwd[i].items():
             key_a = keys[a]
+            pairs &= reps
             while pairs:
                 low = pairs & -pairs
                 j = low.bit_length() - 1
@@ -403,12 +459,12 @@ def _keyed_triangle_violations(space: VSpace) -> list[list[int]]:
                     if s >= top_i:
                         break
                     ks |= mask_j & above_i[bisect_right(keys_i, s)]
-                out_i[j] = ks
-        out.append(out_i)
+                if ks:
+                    bad_i[j] = ks
     return out
 
 
-def _table_triangle_violations(space: VSpace) -> list[list[int]]:
+def _table_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[int, int]]:
     """The triangle check over value classes on a finite quantale's tables.
 
     No chain is assumed.  The points k with d(i,k) not below a value s are
@@ -418,27 +474,29 @@ def _table_triangle_violations(space: VSpace) -> list[list[int]]:
     classes b of row j of the points of class b that are not below
     values[a] + values[b], a sum taken once per (a, b) with the exact
     quantale addition.  The pairs are visited one value a at a time, so the
-    table of sums never holds more than one row.
+    table of sums never holds more than one row.  Only twin representatives
+    i and j are visited, and the result has the shape of
+    `_keyed_triangle_violations`.
     """
     q = space.quantale
     form = space._ranks
     values, rows = form.values, form.fwd
-    n = space.size
-    # per point: its distinct values ascending, their masks, and a memo from
-    # a set of those values (as a mask) to the points at the other values
-    local = []
-    for row in rows:
-        ranks = sorted(row)
-        local.append((tuple([values[u] for u in ranks]), tuple([row[u] for u in ranks]), {}))
-    out = [[0] * n for _ in range(n)]
+    reps = sum(1 << i for i in twins)
+    # per representative: its distinct values ascending, their masks, and a
+    # memo from a set of those values (as a mask) to the points at the others
+    local = {}
+    for i in twins:
+        ranks = sorted(rows[i])
+        local[i] = (tuple([values[u] for u in ranks]), tuple([rows[i][u] for u in ranks]), {})
+    out = {i: {} for i in twins}
     for a, va in enumerate(values):
         sums = {}
-        for i in range(n):
-            pairs = rows[i].get(a, 0)
+        for i in twins:
+            pairs = rows[i].get(a, 0) & reps
             if not pairs:
                 continue
             vals_i, masks_i, above_i = local[i]
-            out_i = out[i]
+            bad_i = out[i]
             hits = {}  # class b -> points of row i not below values[a] + values[b]
             while pairs:
                 low = pairs & -pairs
@@ -457,7 +515,8 @@ def _table_triangle_violations(space: VSpace) -> list[list[int]]:
                             hit = above_i[below] = _union(enumerate(masks_i), ~below)
                         hits[b] = hit
                     ks |= mask_j & hit
-                out_i[j] = ks
+                if ks:
+                    bad_i[j] = ks
     return out
 
 

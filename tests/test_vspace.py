@@ -359,13 +359,18 @@ class TestEmptySpace:
         assert empty.test_values == (Fraction(1), INF)
 
 
+def _entry_drawer(rng, q):
+    """A draw of one random entry: any element, or on the extended
+    rationals one of a small pool with 0, INF and shared denominators."""
+    if q.is_finite:
+        return lambda: rng.randrange(q.size)
+    pool = [Fraction(0), INF] + [Fraction(a, b) for a in (1, 2, 3, 5) for b in (1, 2, 3)]
+    return lambda: rng.choice(pool)
+
+
 def _raw_space(rng, q, n):
     """Random matrix, no repair: mostly triangle-invalid, some diagonals off."""
-    if q.is_finite:
-        draw = lambda: rng.randrange(q.size)  # noqa: E731
-    else:
-        pool = [Fraction(0), INF] + [Fraction(a, b) for a in (1, 2, 3, 5) for b in (1, 2, 3)]
-        draw = lambda: rng.choice(pool)  # noqa: E731
+    draw = _entry_drawer(rng, q)
     d = [[draw() for _ in range(n)] for _ in range(n)]
     if rng.random() < 0.8:
         for i in range(n):
@@ -635,6 +640,103 @@ class TestCompiledKernels:
         keys = small._ranks.keys
         assert keys.scale.bit_length() <= _KEY_SCALE_BITS
         assert all(type(k) is int for k in keys.keys)
+
+
+def _planted_twins(rng, q):
+    """A matrix with planted twins, perturbed, and the kind of perturbation.
+
+    A base matrix on 1-4 points, triangle-repaired or raw, is blown up:
+    each base point gets 1-3 copies with its row and its column, so the
+    copies are twins and fail the triangle law where their originals do.
+    Then one entry may change: anywhere; in a copy's column, off the copy's
+    class ("row": the copy keeps its row but not its column); or in a
+    copy's row, off its class ("column").
+    """
+    from qc.verify import triangle_repair
+
+    draw = _entry_drawer(rng, q)
+    m = rng.randint(1, 4)
+    base = [[draw() for _ in range(m)] for _ in range(m)]
+    if rng.random() < 0.9:
+        for i in range(m):
+            base[i][i] = q.bottom
+    if rng.random() < 0.5:
+        base = triangle_repair(q, base)[0]
+    src = [i for i in range(m) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(src)
+    n = len(src)
+    d = [[base[a][b] for b in src] for a in src]
+    kind = rng.choice(("none", "entry", "row", "column"))
+    if kind == "entry":
+        d[rng.randrange(n)][rng.randrange(n)] = draw()
+    elif kind in ("row", "column"):
+        x = rng.randrange(n)
+        others = [z for z in range(n) if src[z] != src[x]]
+        if others:
+            z = rng.choice(others)
+            value = draw()
+            if kind == "row":
+                d[z][x] = value
+            else:
+                d[x][z] = value
+    return d, kind
+
+
+class TestTwinClasses:
+    # the triangle check visits twin representatives only: points with an
+    # equal row and an equal column, told apart by exact equality
+    def test_planted_twins_match_definitions(self, Q3, chain4, pinched):
+        import random
+
+        from qc import quasi_uniformity_of
+        from qc.errors import InvariantError
+        from qc.verify import definitional_entourage_core, definitional_validate_vspace
+        from qc.vspace import _twins
+
+        rng = random.Random(20261020)
+        quantales = (E, chain4, Q3, pinched)
+        twin_failures = row_only = column_only = 0
+        for t in range(600):
+            q = quantales[t % len(quantales)]
+            d, kind = _planted_twins(rng, q)
+            n = len(d)
+            space = VSpace(q, [f"p{i}" for i in range(n)], d)
+            cols = list(zip(*space.dmat))
+            classes = {}
+            for i in range(n):
+                classes.setdefault((space.dmat[i], cols[i]), []).append(i)
+            assert list(_twins(space._ranks).values()) == list(classes.values()), d
+            copies = {space.points[i] for c in classes.values() for i in c[1:]}
+            for i in range(n):
+                for j in range(i):
+                    same_row, same_col = space.dmat[i] == space.dmat[j], cols[i] == cols[j]
+                    row_only += same_row and not same_col
+                    column_only += same_col and not same_row
+            want = definitional_validate_vspace(space)
+            assert validate_vspace(space).failures == want.failures, (d, kind)
+            # a failure (i, j, k) with j a twin but not its class's first
+            # point is found only by filling in the twin columns
+            twin_failures += any(
+                f.check == "triangle" and f.witness["triple"][1] in copies
+                for f in want.failures
+            )
+            assert classify(space) == {
+                "symmetric": all(space.dmat[i][j] == cols[i][j] for i in range(n) for j in range(n)),
+                "separated": not any(
+                    space.dmat[i][j] == q.bottom == space.dmat[j][i]
+                    for i in range(n) for j in range(i)
+                ),
+            }, d
+            for forward, side in ((True, "forward"), (False, "backward")):
+                core = definitional_entourage_core(space, forward)
+                if all(core[i][i] for i in range(n)):
+                    assert quasi_uniformity_of(space, side).core == core, d
+                else:
+                    with pytest.raises(InvariantError):
+                        quasi_uniformity_of(space, side)
+        assert twin_failures > 100 and row_only > 150 and column_only > 150, (
+            twin_failures, row_only, column_only,
+        )
 
 
 def _literal(rng, q, e):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .completion import CompletionSpace, filter_point_name
 from .errors import StructureError
@@ -101,28 +100,15 @@ def parse_quantale(payload) -> ValueQuantale:
                 raise StructureError(f"finite quantale payload is missing {field!r}")
         q = FiniteQuantale(payload["elements"], payload["leq"], payload["add"])
         # the zero-mask forms of the quantified predicates rest on the axioms
-        refusal = _value_quantale_refusal(q)
-        if refusal is not None:
-            raise StructureError(refusal)
+        report = validate_value_quantale(q.names, q._leq, q._add)
+        if not report.ok:
+            first = report.failures[0]
+            raise StructureError(
+                f"tables are not a value quantale: failed axiom {first.check} "
+                f"{json.dumps(first.witness, sort_keys=True)}"
+            )
         return q
     raise StructureError(f"unknown quantale kind {kind!r}")
-
-
-@lru_cache(maxsize=64)
-def _value_quantale_refusal(q: FiniteQuantale) -> str | None:
-    """Why the tables of `q` are not a value quantale, or None.
-
-    Finite quantales are equal when their tables are, so the axioms are
-    checked once per distinct table content, however many files embed it.
-    """
-    report = validate_value_quantale(q.names, q._leq, q._add)
-    if report.ok:
-        return None
-    first = report.failures[0]
-    return (
-        f"tables are not a value quantale: failed axiom {first.check} "
-        f"{json.dumps(first.witness, sort_keys=True)}"
-    )
 
 
 # --- spaces -----------------------------------------------------------------

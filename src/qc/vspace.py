@@ -24,20 +24,21 @@ A space is stored in rank form, built at construction: its distinct
 distance values in `sort_key` order, the rank of each entry among them,
 and per point and per value the bitmask of the points at that forward
 (backward) distance.  Points with equal rows of ranks share one forward
-mask dict, and points with equal columns one backward dict.
-Construction checks each distinct entry once, after telling entries apart
-by type and value (`_entry_classes`); reading a space file parses each
-distinct literal once the same way, and entries that denote one element
-share a value.  `dmat` is a read-only view of the matrix built on first
-use.  Every order-only predicate reads the rank form: a ball of radius eps is the union of the masks whose value is
-<= eps, so the order is consulted once per (space, eps) over the distinct
-values instead of once per entry.  Balls, zero neighbourhoods, the
-symmetry and separation tests and the uniform flip behind symmetry moduli
-are mask operations.  A set distance collects the ranks of the values met
-between the two masks and takes their meet in one private quantale kernel,
-`ValueQuantale._meet_ranks` (the lowest rank on the extended-rational
-chain, a fold of the meet table on finite quantales), so filter distances
-and completion matrices make no checked element call per value.
+mask dict, and points with equal columns one backward dict.  Construction
+checks each distinct entry once, after telling entries apart by type and
+value (`_entry_classes`); reading a space file parses each distinct
+literal once the same way, and entries that denote one element share a
+value.  `dmat` is a read-only view of the matrix built on first use.
+Every order-only predicate reads the rank form: a ball of radius eps is
+the union of the masks whose value is <= eps, so the order is consulted
+once per (space, eps) over the distinct values instead of once per entry.
+Balls, zero neighbourhoods, the symmetry and separation tests and the
+uniform flip behind symmetry moduli are mask operations.  A set distance
+collects the ranks of the values met between the two masks and takes their
+meet in one private quantale kernel, `ValueQuantale._meet_ranks` (the
+lowest rank on the extended-rational chain, a fold of the meet table on
+finite quantales), so filter distances and completion matrices make no
+checked element call per value.
 
 On the extended rationals the rank form also holds one exact key per
 value (`ExtendedRationalQuantale._order_keys`): value * L as an int, with

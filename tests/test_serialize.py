@@ -9,7 +9,6 @@ from qc import (
     FiniteQuantale,
     StructureError,
     VSpace,
-    capped_chain,
     complete,
     principal_filter,
     roundify,
@@ -42,34 +41,6 @@ class TestQuantaleFormat:
         payload = serialize.quantale_to_payload(FiniteQuantale(names, leq, join))
         with pytest.raises(StructureError, match="failed axiom a∧b ≻ 0"):
             serialize.parse_quantale(payload)
-
-    def test_value_quantale_verdict_checked_once_per_table(self, diamond_tables, monkeypatch):
-        # each distinct table content is checked once; an invalid one is
-        # refused on every read
-        from qc.quantale import validate_value_quantale
-
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return validate_value_quantale(*args)
-
-        monkeypatch.setattr(serialize, "validate_value_quantale", counted)
-        serialize._value_quantale_refusal.cache_clear()
-        names, leq, join = diamond_tables
-        bad = serialize.quantale_to_payload(FiniteQuantale(names, leq, join))
-        good = serialize.quantale_to_payload(capped_chain(4))
-        for _ in range(3):
-            with pytest.raises(StructureError, match="failed axiom a∧b ≻ 0"):
-                serialize.parse_quantale(json.loads(json.dumps(bad)))
-            assert serialize.parse_quantale(json.loads(json.dumps(good))) == capped_chain(4)
-        assert len(calls) == 2
-        # a table that differs in one entry is checked anew, once
-        good["add"][1][1] = 3
-        for _ in range(2):
-            assert serialize.parse_quantale(good) != capped_chain(4)
-        assert len(calls) == 3
-        serialize._value_quantale_refusal.cache_clear()
 
     def test_unknown_name(self):
         with pytest.raises(StructureError):

@@ -31,6 +31,8 @@ KERNELS = "tests/test_vspace.py::TestCompiledKernels::test_match_definitions"
 GATE = "tests/test_acceptance.py::test_criterion_7_equivalence_lists"
 TWINS = "tests/test_vspace.py::TestTwinClasses"
 BUILD = "tests/test_vspace.py::TestBuildPath"
+UC_MEMO = "tests/test_verify.py::TestUcMemo"
+CATEGORY = "tests/test_verify.py::TestCategoryLaws"
 
 
 class Mutant(NamedTuple):
@@ -153,6 +155,34 @@ MUTANTS = (
         "[[filter_distance(f, g) for g in filters] for f in filters]",
         "[[filter_distance(g, f) for g in filters] for f in filters]",
         ("tests/test_completion.py",),
+    ),
+    Mutant(
+        "uc-memo-ignores-direction",
+        "verify.py",
+        'table = self._memo(("uc", source, target), lambda: {})',
+        'table = self._memo(("uc",), lambda: {})',
+        (UC_MEMO, CATEGORY),
+    ),
+    Mutant(
+        "zero-distance-union-marked-unchecked",
+        "verify.py",
+        "            if union not in passed:\n"
+        "                if not is_cauchy(intersect(f, g)):\n"
+        "                    return {\"cores\": (f.core, g.core)}\n"
+        "                passed.add(union)\n",
+        "            passed.add(union)\n"
+        "            if union not in passed:\n"
+        "                if not is_cauchy(intersect(f, g)):\n"
+        "                    return {\"cores\": (f.core, g.core)}\n",
+        ("tests/test_verify.py::TestTheoremSuite::test_zero_distance_check_catches_non_cauchy_union",),
+    ),
+    Mutant(
+        "uc-over-images-at-delta",
+        "verify.py",
+        "_uc_violation(fidx, source, balls, images) is None\n            for balls in near\n",
+        "_uc_violation(fidx, source, balls, target._balls(delta, True)) is None\n"
+        "            for delta, balls in zip(delta_values, near)\n",
+        (UC_MEMO,),
     ),
 )
 

@@ -64,8 +64,11 @@ class _Out:
         else:
             body = "\n".join(self.lines) + "\n"
         if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(body)
+            try:
+                with open(self.path, "w", encoding="utf-8") as fh:
+                    fh.write(body)
+            except OSError as exc:
+                raise StructureError(f"cannot write {self.path}: {exc}")
         else:
             sys.stdout.write(body)
 

@@ -68,6 +68,8 @@ from .structures import (
 )
 from .vspace import (
     VSpace,
+    _EntryClasses,
+    _entry_classes,
     _set_distance_masks,
     _uniform_flip_ok,
     classify,
@@ -329,12 +331,15 @@ def _family_image(fidx, n_src: int, n_tgt: int, members: frozenset) -> frozenset
     return frozenset(out)
 
 
-def _family_distance(q: ValueQuantale, table, m1: frozenset, m2: frozenset):
+def _family_distance(q: ValueQuantale, table: _EntryClasses, m1: frozenset, m2: frozenset):
     """Join over member pairs of their set distance, read from `table`.
 
-    The join is idempotent, so it runs over the distinct values read.
+    `table` numbers the set distances by class (`_entry_classes`), so the
+    pairs are gathered as ints; the join is idempotent, so it runs over the
+    distinct classes read.
     """
-    return q.join({table[s][t] for s in m1 for t in m2})
+    classes = table.classes
+    return q.join([table.values[c] for c in {classes[s][t] for s in m1 for t in m2}])
 
 
 def _family_roundify(space: VSpace, members: frozenset) -> frozenset:
@@ -435,7 +440,7 @@ def _collapsed_formula_failures(space: VSpace, pair_limit: int = 64) -> list:
     if len(pairs) > pair_limit:
         pairs = [(a, b) for a, b in pairs if bin(a).count("1") <= 2 and bin(b).count("1") <= 2]
     q = space.quantale
-    table = [[_set_distance_masks(space, s, t) for t in cores] for s in cores]
+    table = _entry_classes([_set_distance_masks(space, s, t) for t in cores] for s in cores)
     for a, b in pairs:
         inter = frozenset(families[a] & families[b])
         if inter != families[a | b]:
@@ -551,14 +556,21 @@ def is_cauchy_complete(space: VSpace) -> Verdict:
 
 def _zero_distance_failure(tilde: CauchyFilterSpace):
     # the filter space's matrix holds the filter distances; its zero masks
-    # list the pairs at distance 0 in the order of a nested loop
+    # list the pairs at distance 0 in the order of a nested loop.  The
+    # intersection's core is the union of the two cores, so each union is
+    # decided once; it joins `passed` only after passing, so the first
+    # failing pair is still the one reported
     filters = tilde.filters
+    passed = set()
     for f, zeros in zip(filters, tilde.space.zero_fwd):
         while zeros:
             low = zeros & -zeros
             g = filters[low.bit_length() - 1]
-            if not is_cauchy(intersect(f, g)):
-                return {"cores": (f.core, g.core)}
+            union = f.core_mask | g.core_mask
+            if union not in passed:
+                if not is_cauchy(intersect(f, g)):
+                    return {"cores": (f.core, g.core)}
+                passed.add(union)
             zeros ^= low
     return None
 
@@ -649,22 +661,51 @@ def definitional_set_distance(space: VSpace, smask: int, tmask: int):
     )
 
 
-def definitional_ball(space: VSpace, i: int, eps, forward: bool) -> int:
-    """Mask of the j with d(i,j) <= eps (forward) or d(j,i) <= eps."""
-    q = space.quantale
-    m = 0
-    for j in range(space.size):
-        if q.leq(space.dmat[i][j] if forward else space.dmat[j][i], eps):
-            m |= 1 << j
-    return m
+def definitional_balls(space: VSpace, eps) -> tuple:
+    """Per point i, the masks of the j with d(i,j) <= eps (forward) and
+    with d(j,i) <= eps (backward); one checked `leq` per entry."""
+    q, d, n = space.quantale, space.dmat, space.size
+    fwd, bwd = [0] * n, [0] * n
+    for i in range(n):
+        for j in range(n):
+            if q.leq(d[i][j], eps):
+                fwd[i] |= 1 << j
+                bwd[j] |= 1 << i
+    return tuple(fwd), tuple(bwd)
 
 
-def definitional_flip(space: VSpace, delta, eps):
+def _definitional_within(space: VSpace):
+    """Per radius t, the per-entry verdicts `d(i,j) <= t`, read lazily.
+
+    Each verdict is one checked `leq`, made on its first read and kept, so
+    within one call the flips and balls below compare each entry with each
+    radius at most once, and never compare one they do not read.
+    """
+    q, d, n = space.quantale, space.dmat, space.size
+    memo = {}
+
+    def within(t):
+        cells = memo.get(t)
+        if cells is None:
+            cells = memo[t] = [[None] * n for _ in range(n)]
+
+        def at(i, j):
+            v = cells[i][j]
+            if v is None:
+                v = cells[i][j] = q.leq(d[i][j], t)
+            return v
+
+        return at
+
+    return within
+
+
+def _definitional_flip(space: VSpace, within, delta, eps):
     """First pair with d(y,x) <= delta but not d(x,y) <= eps, or None."""
-    q = space.quantale
+    near, close = within(delta), within(eps)
     for i in range(space.size):
         for j in range(space.size):
-            if q.leq(space.dmat[j][i], delta) and not q.leq(space.dmat[i][j], eps):
+            if near(j, i) and not close(i, j):
                 return (space.points[i], space.points[j])
     return None
 
@@ -688,25 +729,35 @@ def definitional_entourage_core(space: VSpace, forward: bool) -> tuple:
 def definitional_uva(space: VSpace) -> Verdict:
     """`has_uniformly_vanishing_asymmetry` on the per-entry flip."""
     q, tv = space.quantale, space.test_values
+    within = _definitional_within(space)
     for eps in tv:
-        if all(definitional_flip(space, delta, eps) is not None for delta in tv):
-            pair = definitional_flip(space, tv[0], eps)
+        if all(_definitional_flip(space, within, delta, eps) is not None for delta in tv):
+            pair = _definitional_flip(space, within, tv[0], eps)
             return Verdict(False, {"epsilon": q.format(eps), "pair": pair})
     return Verdict(True)
 
 
-def _definitional_balls_at(space: VSpace, i: int):
+def _definitional_balls_at(space: VSpace, i: int, within):
     """The per-entry (forward, backward) balls around point i, by radius.
 
-    Each ball is computed once per radius, so the quantifiers over pairs of
-    radii below cost one per-entry ball per (point, radius, side).
+    Each ball is computed once per radius from the verdicts of `within`, so
+    the quantifiers over pairs of radii below cost one checked `leq` per
+    (entry, radius), shared by the forward ball of i and the backward ball
+    of j.
     """
     memo = {}
 
     def balls(eps):
         pair = memo.get(eps)
         if pair is None:
-            pair = memo[eps] = tuple(definitional_ball(space, i, eps, f) for f in (True, False))
+            at = within(eps)
+            fwd = bwd = 0
+            for j in range(space.size):
+                if at(i, j):
+                    fwd |= 1 << j
+                if at(j, i):
+                    bwd |= 1 << j
+            pair = memo[eps] = (fwd, bwd)
         return pair
 
     return balls
@@ -721,8 +772,9 @@ def _definitional_pointwise_ok(balls, delta, eps) -> bool:
 def definitional_va(space: VSpace) -> Verdict:
     """`has_vanishing_asymmetry` on per-entry balls."""
     q, tv = space.quantale, space.test_values
+    within = _definitional_within(space)
     for i in range(space.size):
-        balls = _definitional_balls_at(space, i)
+        balls = _definitional_balls_at(space, i, within)
         for eps in tv:
             if not any(_definitional_pointwise_ok(balls, d, eps) for d in tv):
                 return Verdict(False, {"point": space.points[i], "epsilon": q.format(eps)})
@@ -732,11 +784,12 @@ def definitional_va(space: VSpace) -> Verdict:
 def definitional_symmetry_modulus(space: VSpace, eps, point=None):
     """`symmetry_modulus` (uniform, or pointwise at `point`) per entry."""
     q = space.quantale
+    within = _definitional_within(space)
     if point is not None:
-        balls = _definitional_balls_at(space, space.index(point))
+        balls = _definitional_balls_at(space, space.index(point), within)
     for delta in sorted(space.test_values, key=q.sort_key, reverse=True):
         if point is None:
-            if definitional_flip(space, delta, eps) is None:
+            if _definitional_flip(space, within, delta, eps) is None:
                 return delta
         elif _definitional_pointwise_ok(balls, delta, eps):
             return delta
@@ -782,11 +835,14 @@ def _has_va_over(space: VSpace, eps_values, delta_values) -> Verdict:
     return Verdict(True)
 
 
-def _uc_violation(fidx, source: VSpace, target: VSpace, delta, eps):
-    """A pair within delta whose image is not within eps; None or witness."""
-    images = target._balls(eps, True)
-    for i, near in enumerate(source._balls(delta, True)):
-        within = images[fidx[i]]
+def _uc_violation(fidx, source: VSpace, near_balls, image_balls):
+    """A pair within a source ball whose image leaves the target ball.
+
+    `near_balls` are the source's forward balls at some delta and
+    `image_balls` the target's at some eps; None or the witness pair.
+    """
+    for i, near in enumerate(near_balls):
+        within = image_balls[fidx[i]]
         while near:
             low = near & -near
             j = low.bit_length() - 1
@@ -797,17 +853,15 @@ def _uc_violation(fidx, source: VSpace, target: VSpace, delta, eps):
 
 
 def _uc_over(fidx, source: VSpace, target: VSpace, eps_values, delta_values) -> Verdict:
+    near = [source._balls(delta, True) for delta in delta_values]
     for eps in eps_values:
+        images = target._balls(eps, True)
         if not any(
-            _uc_violation(fidx, source, target, delta, eps) is None
-            for delta in delta_values
+            _uc_violation(fidx, source, balls, images) is None
+            for balls in near
         ):
             witness = {"epsilon": target.quantale.format(eps)}
-            bad = (
-                _uc_violation(fidx, source, target, delta_values[0], eps)
-                if delta_values
-                else None
-            )
+            bad = _uc_violation(fidx, source, near[0], images) if near else None
             if bad is not None:
                 witness["pair"] = bad
             return Verdict(False, witness)
@@ -1048,7 +1102,17 @@ def oracle_gate() -> list[VerificationReport]:
 
 
 class _Ctx:
-    """Per-instance cache shared by the theorem checks."""
+    """Per-instance cache shared by the theorem checks and category laws.
+
+    Memoised once per instance: the Cauchy, round, roundified and minimal
+    verdicts per core, the loop point filters, the filter space, the
+    completion, the separation quotients, the combined test values per
+    (source, target) pair, and, per pair, whether each index map is
+    uniformly continuous (by the test-value loop `_uc_over`).  A check's
+    runtime includes filling any memo it is the first to ask for, so
+    runtimes move between checks when the order or the set of checks
+    changes; verdicts and witnesses do not.
+    """
 
     def __init__(self, gen: InstanceGenerator, child_seed: int):
         self.seed = child_seed
@@ -1128,16 +1192,26 @@ class _Ctx:
             ("sep_sibling",), lambda: separation_quotient(self.sibling)[0]
         )
 
+    def test_values(self, source: VSpace, target: VSpace) -> tuple:
+        return self._memo(
+            ("tv", source, target), lambda: combined_test_values(source, target)
+        )
+
+    def uc(self, fidx, source: VSpace, target: VSpace) -> bool:
+        """Whether the index map `fidx` is uniformly continuous from
+        `source` to `target`, by the test-value loop, decided once."""
+        table = self._memo(("uc", source, target), lambda: {})
+        if fidx not in table:
+            tv = self.test_values(source, target)
+            table[fidx] = bool(_uc_over(fidx, source, target, tv, tv))
+        return table[fidx]
+
     def uc_maps(self, source: VSpace, target: VSpace):
-        out = []
-        for values in product(range(target.size), repeat=source.size):
-            if _uc_over(values, source, target,
-                        combined_test_values(source, target),
-                        combined_test_values(source, target)):
-                out.append(
-                    {source.points[i]: target.points[v] for i, v in enumerate(values)}
-                )
-        return out
+        return [
+            {source.points[i]: target.points[v] for i, v in enumerate(fidx)}
+            for fidx in product(range(target.size), repeat=source.size)
+            if self.uc(fidx, source, target)
+        ]
 
 
 def _zero_pattern_symmetric(space: VSpace) -> bool:
@@ -1228,29 +1302,31 @@ def _check_ball_distance_bounds(ctx: _Ctx):
     return None
 
 
-def _morphism_ok(uc: bool, fidx, fmask: int, gmask: int, src: VSpace) -> bool:
-    if not uc:
-        return False
+def _image_mask(fidx, fmask: int, src: VSpace) -> int:
     img = 0
     for i in range(src.size):
         if fmask >> i & 1:
             img |= 1 << fidx[i]
-    return img | gmask == gmask
+    return img
+
+
+def _morphism_ok(uc: bool, fidx, fmask: int, gmask: int, src: VSpace) -> bool:
+    return uc and _image_mask(fidx, fmask, src) | gmask == gmask
 
 
 def _check_roundify_functorial(ctx: _Ctx):
     x, y = ctx.space, ctx.sibling
-    tv = combined_test_values(x, y)
     ry = {m: roundify(Filter(y, m)).core_mask for m in range(y.full_mask + 1)}
     for fidx in product(range(y.size), repeat=x.size):
-        uc = bool(_uc_over(fidx, x, y, tv, tv))
-        if not uc:
+        if not ctx.uc(fidx, x, y):
             continue
         for fm in range(x.full_mask + 1):
+            # a morphism iff the image lies in the target core (the map is
+            # uniformly continuous here), so the images are taken once
+            img = _image_mask(fidx, fm, x)
+            rimg = _image_mask(fidx, ctx.roundified(fm), x)
             for gm in range(y.full_mask + 1):
-                if _morphism_ok(uc, fidx, fm, gm, x) and not _morphism_ok(
-                    uc, fidx, ctx.roundified(fm), ry[gm], x
-                ):
+                if img | gm == gm and rimg | ry[gm] != ry[gm]:
                     return {
                         "map": list(fidx),
                         "source_core": x.names_of(fm),
@@ -1261,7 +1337,6 @@ def _check_roundify_functorial(ctx: _Ctx):
 
 def _check_roundify_adjunction(ctx: _Ctx):
     x, y = ctx.space, ctx.sibling
-    tv = combined_test_values(x, y)
     y_cr = [
         m
         for m in range(1, y.full_mask + 1)
@@ -1270,7 +1345,7 @@ def _check_roundify_adjunction(ctx: _Ctx):
     ]
     x_c = [m for m in ctx.cores if ctx.cauchy(m)]
     for fidx in product(range(y.size), repeat=x.size):
-        uc = bool(_uc_over(fidx, x, y, tv, tv))
+        uc = ctx.uc(fidx, x, y)
         for fm in x_c:
             for gm in y_cr:
                 lhs = _morphism_ok(uc, fidx, ctx.roundified(fm), gm, x)
@@ -1697,26 +1772,24 @@ def run_theorem_suite(generator: InstanceGenerator, count: int,
 
 def _category_instance_failures(ctx: _Ctx, law: str, rng: random.Random):
     x, y = ctx.space, ctx.sibling
-    tv = combined_test_values(x, y)
-    maps = list(product(range(y.size), repeat=x.size))
-    uc_of = {fidx: bool(_uc_over(fidx, x, y, tv, tv)) for fidx in maps}
     if law == "identity_morphism":
         ident = tuple(range(x.size))
-        uc_id = bool(_uc_over(ident, x, x, x.test_values, x.test_values))
+        uc_id = ctx.uc(ident, x, x)
         for fm in range(x.full_mask + 1):
             if not _morphism_ok(uc_id, ident, fm, fm, x):
                 return {"core": x.names_of(fm)}
         return None
+    maps = list(product(range(y.size), repeat=x.size))
     if law == "powerset_left_adjoint":
         for fidx in maps:
+            uc = ctx.uc(fidx, x, y)
             for gm in range(y.full_mask + 1):
-                if _morphism_ok(uc_of[fidx], fidx, 0, gm, x) != uc_of[fidx]:
+                if _morphism_ok(uc, fidx, 0, gm, x) != uc:
                     return {"map": list(fidx), "target_core": y.names_of(gm)}
         return None
     if law == "carrier_right_adjoint":
-        tv_yx = combined_test_values(y, x)
         for gidx in product(range(x.size), repeat=y.size):
-            uc = bool(_uc_over(gidx, y, x, tv_yx, tv_yx))
+            uc = ctx.uc(gidx, y, x)
             for gm in range(y.full_mask + 1):
                 if _morphism_ok(uc, gidx, gm, x.full_mask, y) != uc:
                     return {"map": list(gidx), "source_core": y.names_of(gm)}
@@ -1726,14 +1799,13 @@ def _category_instance_failures(ctx: _Ctx, law: str, rng: random.Random):
     if law == "roundify_adjunction":
         return _check_roundify_adjunction(ctx)
     if law == "composition":
-        tv_yx = combined_test_values(y, x)
         for _ in range(10):
             fidx = maps[rng.randrange(len(maps))]
             gidx = tuple(rng.randrange(x.size) for _ in range(y.size))
-            uc_f = uc_of[fidx]
-            uc_g = bool(_uc_over(gidx, y, x, tv_yx, tv_yx))
+            uc_f = ctx.uc(fidx, x, y)
+            uc_g = ctx.uc(gidx, y, x)
             gf = tuple(gidx[fidx[i]] for i in range(x.size))
-            uc_gf = bool(_uc_over(gf, x, x, x.test_values, x.test_values))
+            uc_gf = ctx.uc(gf, x, x)
             fm = rng.randrange(x.full_mask + 1)
             gm = rng.randrange(y.full_mask + 1)
             hm = rng.randrange(x.full_mask + 1)

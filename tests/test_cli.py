@@ -364,6 +364,23 @@ class TestVerifyCommand:
         assert obj["payload"]["command"] == "verify"
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_exits_two_with_error_line(self, capsys, tmp_path, x2n_file, where, command):
+        target = tmp_path if where == "directory" else tmp_path / "absent" / "report.json"
+        argv = (
+            ["classify", x2n_file]
+            if command == "classify"
+            else ["verify", "--suite", "degenerate", "--instances", "1"]
+        )
+        code, out, err = run(capsys, "--output", str(target), *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert len(err.splitlines()) == 1
+        assert where == "directory" or not target.parent.exists()
+
+
 class TestSearchCommand:
     def test_search_reports_findings(self, capsys):
         code, out, _ = run(

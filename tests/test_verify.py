@@ -413,6 +413,48 @@ class TestCrossSpaceReduction:
             )
 
 
+class TestUcMemo:
+    def test_memo_matches_loop_and_closed_form(self, Q3, pinched):
+        # every index map in all three directions, plus a target equal to
+        # (but not the same object as) the source; x -> y runs first, so a
+        # memo that forgot the direction would hand its verdicts to x -> x
+        from itertools import product
+
+        from qc import is_uniformly_continuous
+        from qc.verify import _Ctx, _uc_over
+        from qc.vspace import combined_test_values
+
+        def directions(x, y):
+            twin = VSpace(x.quantale, x.points, x.dmat)
+            assert twin == x and twin is not x
+            return ((x, y), (y, x), (x, x), (x, twin), (twin, x))
+
+        cases = []
+        for q in (E, Q3, pinched):
+            gen = InstanceGenerator(seed=41, quantale=q, max_points=3)
+            for child in gen.child_seeds(4):
+                ctx = _Ctx(gen, child)
+                cases.append((ctx, directions(ctx.space, ctx.sibling)))
+        # zero distance in x, distance 1 in y: the map (0, 1) is the
+        # identity on x but not uniformly continuous into y
+        ctx = _Ctx(InstanceGenerator(seed=41), 0)
+        x = VSpace(E, ["a", "b"], [[0, 0], [0, 0]])
+        y = VSpace(E, ["u", "v", "w"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        cases.append((ctx, directions(x, y)))
+        verdicts = set()
+        for ctx, pairs in cases:
+            for source, target in pairs:
+                tv = combined_test_values(source, target)
+                for fidx in product(range(target.size), repeat=source.size):
+                    fmap = {p: target.points[v] for p, v in zip(source.points, fidx)}
+                    memo = ctx.uc(fidx, source, target)
+                    loop = bool(_uc_over(fidx, source, target, tv, tv))
+                    closed = bool(is_uniformly_continuous(fmap, source, target))
+                    assert memo == loop == closed, (source, target, fidx)
+                    verdicts.add(memo)
+        assert verdicts == {True, False}
+
+
 class TestFailureReporting:
     def test_failing_check_recorded_as_data(self):
         from qc.verify import TheoremCheck, run_theorem_suite

@@ -448,7 +448,7 @@ class TestCompiledKernels:
         from qc.errors import InvariantError
         from qc.verify import (
             _uc_violation,
-            definitional_ball,
+            definitional_balls,
             definitional_entourage_core,
             definitional_set_distance,
             definitional_symmetry_modulus,
@@ -488,13 +488,10 @@ class TestCompiledKernels:
                     assert set_distance(
                         space, space.names_of(sm), space.names_of(tm)
                     ) == definitional_set_distance(space, sm, tm), (space.dmat, sm, tm)
-            radii = space.test_values + (q.bottom, q.top)
-            for i in range(space.size):
-                for eps in radii:
-                    for forward in (True, False):
-                        assert space._ball(i, eps, forward) == definitional_ball(
-                            space, i, eps, forward
-                        )
+            for eps in space.test_values + (q.bottom, q.top):
+                assert (space._balls(eps, True), space._balls(eps, False)) == (
+                    definitional_balls(space, eps)
+                )
             fidx = [rng.randrange(space.size) for _ in space.points]
             p = rng.choice(space.points)
             for eps in space.test_values:
@@ -503,7 +500,9 @@ class TestCompiledKernels:
                     for row in space.dmat
                 )
                 delta = rng.choice(space.test_values)
-                assert _uc_violation(fidx, space, space, delta, eps) == next(
+                assert _uc_violation(
+                    fidx, space, space._balls(delta, True), space._balls(eps, True)
+                ) == next(
                     (
                         (space.points[i], space.points[j])
                         for i in range(space.size)
@@ -595,12 +594,10 @@ class TestCompiledKernels:
             distinct += all(len(set(row)) == n for row in d)
             assert validate_vspace(space).failures == definitional_validate_vspace(space).failures
             # 10**12 is finite but above the INF key's sentinel
-            for i in range(n):
-                for eps in space.test_values + (Fraction(0), INF, Fraction(10**12)):
-                    for forward in (True, False):
-                        assert space._ball(i, eps, forward) == definitional_ball(
-                            space, i, eps, forward
-                        )
+            for eps in space.test_values + (Fraction(0), INF, Fraction(10**12)):
+                assert (space._balls(eps, True), space._balls(eps, False)) == (
+                    definitional_balls(space, eps)
+                )
             assert has_vanishing_asymmetry(space) == definitional_va(space)
             assert has_uniformly_vanishing_asymmetry(space) == definitional_uva(space)
         assert fallback > 40 and distinct > 60, (fallback, distinct)

@@ -33,6 +33,7 @@ TWINS = "tests/test_vspace.py::TestTwinClasses"
 BUILD = "tests/test_vspace.py::TestBuildPath"
 UC_MEMO = "tests/test_verify.py::TestUcMemo"
 CATEGORY = "tests/test_verify.py::TestCategoryLaws"
+BUILDER = "tests/test_completion.py::TestFilterSpaceBuilder"
 
 
 class Mutant(NamedTuple):
@@ -152,9 +153,37 @@ MUTANTS = (
     Mutant(
         "completion-distances-transposed",
         "completion.py",
-        "[[filter_distance(f, g) for g in filters] for f in filters]",
-        "[[filter_distance(g, f) for g in filters] for f in filters]",
+        "_set_distance_ranks(base, f.core_mask, g.core_mask)",
+        "_set_distance_ranks(base, g.core_mask, f.core_mask)",
         ("tests/test_completion.py",),
+    ),
+    Mutant(
+        "filter-space-join-not-meet",
+        "completion.py",
+        "values.append(base.quantale._meet_ranks(form.values, ranks))",
+        "values.append(form.values[ranks.bit_length() - 1])",
+        (BUILDER,),
+    ),
+    Mutant(
+        "dual-of-dual-not-self",
+        "vspace.py",
+        "op._dual = self",
+        "op._dual = op",
+        ("tests/test_vspace.py::TestDual",),
+    ),
+    Mutant(
+        "strict-balls-cache-ignores-radius",
+        "vspace.py",
+        'key = ("strict", eps)',
+        'key = ("strict",)',
+        (KERNELS,),
+    ),
+    Mutant(
+        "uc-witness-source-test-values",
+        "vspace.py",
+        "eps = combined_test_values(source, target)[0]",
+        "eps = source.test_values[0]",
+        (KERNELS,),
     ),
     Mutant(
         "uc-memo-ignores-direction",

@@ -6,6 +6,11 @@ proof sketch is in its docstring).  `complete` equips them with the filter
 distance, and the canonical embedding sends a point to its point filter.
 The same argument shows that every finite space is Cauchy complete.
 
+A space of filters is built straight into rank form (`_filters_to_space`):
+each pair of filters is classed by the mask of the base ranks met between
+their cores, an int (`qc.vspace._set_distance_ranks`, the kernel behind
+`filter_distance`), and the meet is taken once per class.
+
 The definitional enumerations over all 2^n cores (the space of every
 proper Cauchy filter, Cauchy completeness, Cauchy intersections of
 zero-distance filters) live in `qc.verify`.  There they serve as oracles:
@@ -30,6 +35,8 @@ from .filters import (
 )
 from .vspace import (
     VSpace,
+    _EntryClasses,
+    _set_distance_ranks,
     classify,
     has_uniformly_vanishing_asymmetry,
     is_uniformly_continuous,
@@ -41,9 +48,28 @@ def filter_point_name(f: Filter) -> str:
 
 
 def _filters_to_space(base: VSpace, filters: list[Filter]) -> VSpace:
+    """The filters with the filter distance, built straight into rank form.
+
+    Each pair of filters is classed by the mask of the base ranks met
+    between their cores (`_set_distance_ranks`, the kernel behind
+    `filter_distance`), and the meet is taken once per class.  A meet the
+    base does not hold (on a finite quantale that is not a chain) is
+    checked and placed by `_RankForm` like any other entry.
+    """
+    form = base._ranks
+    memo, values, classes = {}, [], []
+    for f in filters:
+        row = []
+        for g in filters:
+            ranks = _set_distance_ranks(base, f.core_mask, g.core_mask)
+            c = memo.get(ranks)
+            if c is None:
+                c = memo[ranks] = len(values)
+                values.append(base.quantale._meet_ranks(form.values, ranks))
+            row.append(c)
+        classes.append(row)
     names = [filter_point_name(f) for f in filters]
-    dmat = [[filter_distance(f, g) for g in filters] for f in filters]
-    return VSpace(base.quantale, names, dmat)
+    return VSpace(base.quantale, names, _EntryClasses(values, classes))
 
 
 def minimal_cauchy_filters(space: VSpace) -> tuple[Filter, ...]:

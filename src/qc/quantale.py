@@ -316,16 +316,21 @@ class ExtendedRationalQuantale(ValueQuantale):
             return value
         if not isinstance(text, str):
             raise StructureError(f"cannot parse element from {text!r}")
-        s = text.strip()
-        if s == "inf":
+        if text == "inf":
             return INF
         # without an exponent, no number Fraction builds has more digits than
         # the literal has characters
-        if limit and (len(s) > limit or "e" in s or "E" in s) and _literal_digits(s) > limit:
-            shown = repr(s) if len(s) <= 40 else repr(s[:40]) + "..."
+        suspect = len(text) > limit or "e" in text or "E" in text
+        if limit and suspect and _literal_digits(text) > limit:
+            shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
             raise _too_large(f"rational literal {shown}", limit)
+        if not _GRAMMAR_LITERAL.match(text):
+            raise StructureError(
+                f"bad rational literal {text!r}: expected \"p/q\", \"n\", \"inf\", "
+                f"or a decimal with an optional exponent, in ASCII digits"
+            )
         try:
-            value = Fraction(s)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise StructureError(f"bad rational literal {text!r}: {exc}") from None
         if value < 0:
@@ -367,6 +372,14 @@ def _too_large(what: str, limit: int) -> StructureError:
 _RATIONAL_LITERAL = re.compile(
     r"[-+]?(?P<whole>[\d_]*)"
     r"(?:/(?P<den>[\d_]*)|(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?)\Z"
+)
+
+
+# the literals qc reads: "p/q", "n", and decimals with an optional exponent,
+# in ASCII digits, with no sign but "-" (refused as negative afterwards), no
+# "_" separators and no surrounding space
+_GRAMMAR_LITERAL = re.compile(
+    r"-?(?:[0-9]+/[0-9]+|(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?)\Z"
 )
 
 

@@ -781,19 +781,25 @@ def definitional_va(space: VSpace) -> Verdict:
     return Verdict(True)
 
 
-def definitional_symmetry_modulus(space: VSpace, eps, point=None):
-    """`symmetry_modulus` (uniform, or pointwise at `point`) per entry."""
+def definitional_symmetry_moduli(space: VSpace, point=None) -> dict:
+    """`symmetry_modulus` (uniform, or pointwise at `point`) per entry, for
+    every test value eps, as a dict eps -> delta; one verdict table serves
+    every eps."""
     q = space.quantale
     within = _definitional_within(space)
     if point is not None:
         balls = _definitional_balls_at(space, space.index(point), within)
-    for delta in sorted(space.test_values, key=q.sort_key, reverse=True):
+
+    def ok(delta, eps):
         if point is None:
-            if _definitional_flip(space, within, delta, eps) is None:
-                return delta
-        elif _definitional_pointwise_ok(balls, delta, eps):
-            return delta
-    return None
+            return _definitional_flip(space, within, delta, eps) is None
+        return _definitional_pointwise_ok(balls, delta, eps)
+
+    deltas = sorted(space.test_values, key=q.sort_key, reverse=True)
+    return {
+        eps: next((delta for delta in deltas if ok(delta, eps)), None)
+        for eps in space.test_values
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1106,9 +1112,12 @@ class _Ctx:
 
     Memoised once per instance: the Cauchy, round, roundified and minimal
     verdicts per core, the loop point filters, the filter space, the
-    completion, the separation quotients, the combined test values per
-    (source, target) pair, and, per pair, whether each index map is
-    uniformly continuous (by the test-value loop `_uc_over`).  A check's
+    separation quotients, the completion of each space asked for
+    (`completion_of`: the instance's space, its separation quotient and
+    the sibling's, so the functoriality and universal-property checks do
+    not complete them again), the combined test values per (source,
+    target) pair, and, per pair, whether each index map is uniformly
+    continuous (by the test-value loop `_uc_over`).  A check's
     runtime includes filling any memo it is the first to ask for, so
     runtimes move between checks when the order or the set of checks
     changes; verdicts and witnesses do not.
@@ -1180,7 +1189,11 @@ class _Ctx:
 
     @property
     def completion(self):
-        return self._memo(("completion",), lambda: complete(self.space))
+        return self.completion_of(self.space)
+
+    def completion_of(self, space: VSpace):
+        """`complete(space)`, built once per space and instance."""
+        return self._memo(("completion", space), lambda: complete(space))
 
     @property
     def separated(self):
@@ -1495,7 +1508,7 @@ def _check_completion_functorial(ctx: _Ctx):
     maps = ctx.uc_maps(x, y)
     rng = ctx.check_rng("functorial")
     fmap = maps[rng.randrange(len(maps))]
-    cx, cy = complete(x), complete(y)
+    cx, cy = ctx.completion_of(x), ctx.completion_of(y)
     induced = induced_completion_map(fmap, cx, cy)
     uc = is_uniformly_continuous(induced, cx.space, cy.space)
     if not uc:
@@ -1510,7 +1523,7 @@ def _check_completion_functorial(ctx: _Ctx):
 
 def _check_universal_property(ctx: _Ctx):
     x = ctx.separated
-    target = complete(ctx.sep_sibling).space
+    target = ctx.completion_of(ctx.sep_sibling).space
     maps = ctx.uc_maps(x, target)
     rng = ctx.check_rng("universal")
     fmap = maps[rng.randrange(len(maps))]

@@ -33,12 +33,17 @@ Every order-only predicate reads the rank form: a ball of radius eps is
 the union of the masks whose value is <= eps, so the order is consulted
 once per (space, eps) over the distinct values instead of once per entry.
 Balls, zero neighbourhoods, the symmetry and separation tests and the
-uniform flip behind symmetry moduli are mask operations.  A set distance
-collects the ranks of the values met between the two masks and takes their
-meet in one private quantale kernel, `ValueQuantale._meet_ranks` (the
-lowest rank on the extended-rational chain, a fold of the meet table on
-finite quantales), so filter distances and completion matrices make no
-checked element call per value.
+uniform flip behind symmetry moduli are mask operations.  Strict balls
+share the ball cache.  `dual()` is built once and linked back, so it is an
+involution on objects: `space.dual().dual() is space`.  A set distance
+collects the ranks of the values met between the two masks as a mask
+(`_set_distance_ranks`) and takes their meet in one private quantale
+kernel, `ValueQuantale._meet_ranks` (the lowest rank on the
+extended-rational chain, a fold of the meet table on finite quantales), so
+filter distances make no checked element call per value.  A space of
+filters is classed by those rank masks, with one meet per class
+(`qc.completion._filters_to_space`), and handed to `VSpace` as
+`_EntryClasses`, so its entries are never hashed one by one.
 
 On the extended rationals the rank form also holds one exact key per
 value (`ExtendedRationalQuantale._order_keys`): value * L as an int, with
@@ -70,7 +75,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DomainMismatchError, InvariantError, PreconditionError, StructureError
-from .quantale import INF, ValueQuantale, QuantaleMorphism, validate_quantale_morphism
+from .quantale import INF, ValueQuantale, QuantaleMorphism, _Infinity, validate_quantale_morphism
 from .reporting import CheckFailure, ValidationReport, Verdict
 
 
@@ -100,6 +105,7 @@ class VSpace:
         self._ranks = _RankForm(quantale, distances)
         self._pindex = {p: i for i, p in enumerate(points)}
         self._ball_cache: dict = {}
+        self._dual = None
 
     @property
     def size(self) -> int:
@@ -156,9 +162,13 @@ class VSpace:
 
     def _strict_balls(self, eps) -> tuple[int, ...]:
         """Per point x, the mask of the y with eps well above d(x,y)."""
-        form, q = self._ranks, self.quantale
-        strict = sum(1 << u for u, v in enumerate(form.values) if q.well_above(eps, v))
-        return tuple([_union(row.items(), strict) for row in form.fwd])
+        key = ("strict", eps)
+        balls = self._ball_cache.get(key)
+        if balls is None:
+            form, q = self._ranks, self.quantale
+            strict = sum(1 << u for u, v in enumerate(form.values) if q.well_above(eps, v))
+            balls = self._ball_cache[key] = tuple([_union(row.items(), strict) for row in form.fwd])
+        return balls
 
     @cached_property
     def zero_fwd(self) -> tuple[int, ...]:
@@ -174,10 +184,15 @@ class VSpace:
         return combined_test_values(self)
 
     def dual(self) -> "VSpace":
-        form = self._ranks
-        return VSpace(
-            self.quantale, self.points, _EntryClasses(form.values, tuple(zip(*form.rank)))
-        )
+        """The transposed space, built once; the dual of the dual is `self`."""
+        op = self._dual
+        if op is None:
+            form = self._ranks
+            op = self._dual = VSpace(
+                self.quantale, self.points, _EntryClasses(form.values, tuple(zip(*form.rank)))
+            )
+            op._dual = self
+        return op
 
     def __eq__(self, other):
         if self is other:
@@ -322,12 +337,16 @@ def combined_test_values(*spaces: VSpace) -> tuple:
                 f"{q.label} is not a value quantale: 0 is not well above 0"
             )
         return q.positives
-    values = set()
-    for s in spaces:
-        values.update(s._ranks.values)
-    finite = sorted(v for v in values if v != Fraction(0) and v != INF)
-    below = Fraction(1) if not finite else finite[0] / 2
-    return tuple([below] + finite + [INF])
+    if len(spaces) == 1:
+        values = spaces[0]._ranks.values
+    else:
+        values = sorted({v for s in spaces for v in s._ranks.values}, key=q.sort_key)
+    # distinct and ascending: 0, when present, is first and INF last
+    lo = 1 if values and not values[0] else 0
+    hi = len(values) - (bool(values) and isinstance(values[-1], _Infinity))
+    finite = values[lo:hi]
+    below = finite[0] / 2 if finite else Fraction(1)
+    return (below, *finite, INF)
 
 
 def validate_vspace(space: VSpace) -> ValidationReport:
@@ -553,15 +572,20 @@ def set_distance(space: VSpace, source, target):
 
 def _set_distance_masks(space: VSpace, smask: int, tmask: int):
     # the meet is idempotent, so it runs over the ranks of the values that occur
-    form = space._ranks
+    return space.quantale._meet_ranks(space._ranks.values, _set_distance_ranks(space, smask, tmask))
+
+
+def _set_distance_ranks(space: VSpace, smask: int, tmask: int) -> int:
+    """The mask of the ranks of the values d(s,t) over the cross pairs."""
+    fwd = space._ranks.fwd
     ranks = 0
     while smask:
         low = smask & -smask
         smask ^= low
-        for u, mask in form.fwd[low.bit_length() - 1].items():
+        for u, mask in fwd[low.bit_length() - 1].items():
             if mask & tmask:
                 ranks |= 1 << u
-    return space.quantale._meet_ranks(form.values, ranks)
+    return ranks
 
 
 def classify(space: VSpace) -> dict:
@@ -707,8 +731,9 @@ def is_uniformly_continuous(fmap: dict, source: VSpace, target: VSpace) -> Verdi
     if source.quantale != target.quantale:
         raise DomainMismatchError("uniform continuity needs a shared quantale")
     fidx = _as_index_map(fmap, source, target)
-    tv = combined_test_values(source, target)
-    if tv:
+    # over one quantale the test values of one space are empty iff those of
+    # any spaces are; the combined ones are built for a witness only
+    if source.test_values:
         images = target.zero_fwd
         for i, near in enumerate(source.zero_fwd):
             within = images[fidx[i]]
@@ -717,7 +742,8 @@ def is_uniformly_continuous(fmap: dict, source: VSpace, target: VSpace) -> Verdi
                 j = low.bit_length() - 1
                 if not within >> fidx[j] & 1:
                     pair = (source.points[i], source.points[j])
-                    return Verdict(False, {"epsilon": target.quantale.format(tv[0]), "pair": pair})
+                    eps = combined_test_values(source, target)[0]
+                    return Verdict(False, {"epsilon": target.quantale.format(eps), "pair": pair})
                 near ^= low
     return Verdict(True)
 

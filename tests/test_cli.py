@@ -211,6 +211,16 @@ class TestHugeLiterals:
         assert code == 2 and out == ""
         assert err.startswith("error: bad JSON")
 
+    @pytest.mark.parametrize("literal", ["1_0", "\u0661", " 1 ", "+1"])
+    def test_literal_outside_grammar_exits_two(self, capsys, tmp_path, literal):
+        payload = {"quantale": "ext_rational", "points": ["a", "b"],
+                   "d": [["0", literal], ["1", "0"]]}
+        path = tmp_path / "odd.json"
+        path.write_text(serialize.dumps_canonical(serialize.envelope("space", payload)))
+        code, out, err = run(capsys, "validate-space", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "bad rational literal" in err
+
     def test_deep_nesting_exits_two(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -243,6 +243,55 @@ class TestMinimalFilters:
         assert minimal_cauchy_filters(VSpace(E, [], [])) == ()
 
 
+class TestFilterSpaceBuilder:
+    """The rank-class builder behind `complete` and `cauchy_filter_space`
+    against the checked meet of every cross pair, entry by entry."""
+
+    @staticmethod
+    def _assert_matches_definition(space):
+        from qc.completion import _filters_to_space
+        from qc.verify import definitional_set_distance
+
+        masks = range(1, space.full_mask + 1)
+        built = _filters_to_space(space, [Filter(space, m) for m in masks])
+        for a, sm in enumerate(masks):
+            for b, tm in enumerate(masks):
+                want = definitional_set_distance(space, sm, tm)
+                assert built.dmat[a][b] == want, (space.dmat, sm, tm)
+        return built
+
+    def test_matches_definitional_set_distance(self, Q3, chain4, pinched):
+        import random
+
+        from test_vspace import _raw_space
+
+        rng = random.Random(20261020)
+        kinds = {True: 0, False: 0}
+        for k, q in enumerate((E, Q3, chain4, pinched)):
+            spaces = [_raw_space(rng, q, rng.randint(1, 4)) for _ in range(15)]
+            for force_uva in (False, True):
+                gen = InstanceGenerator(
+                    seed=700 + 2 * k + force_uva, quantale=q, min_points=1,
+                    max_points=4, zero_weight=1, force_uva=force_uva,
+                )
+                spaces += [space for _, space in gen.instances(15)]
+            for space in spaces:
+                self._assert_matches_definition(space)
+                kinds[bool(has_uniformly_vanishing_asymmetry(space))] += 1
+        assert min(kinds.values()) >= 30, kinds
+
+    def test_meet_outside_the_base(self, pinched):
+        # a and b are incomparable; the distance from {x} to {y,z} is their
+        # meet e, which no entry of the base holds
+        names = {n: i for i, n in enumerate(pinched.names)}
+        z, e, a, b, top = (names[n] for n in ("0", "e", "a", "b", "T"))
+        space = VSpace(pinched, ["x", "y", "z"], [[z, a, b], [top, z, top], [top, top, z]])
+        assert validate_vspace(space).ok and e not in space._ranks.values
+        built = self._assert_matches_definition(space)
+        assert built.d("{x}", "{y,z}") == e
+        assert built._ranks.values == tuple(sorted(built._ranks.values, key=pinched.sort_key))
+
+
 class TestExtension:
     def test_identity_extension(self, x2a):
         comp = complete(x2a)

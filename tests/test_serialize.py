@@ -121,6 +121,13 @@ class TestSpaceFormat:
         with pytest.raises(StructureError, match="bad rational literal"):
             E.parse(literal)
 
+    @pytest.mark.parametrize("literal", ["1_0", "\u0661", " 1 ", "+1"])
+    def test_literal_outside_grammar_refused(self, literal):
+        # Fraction reads each of these (as 10, 1, 1 and 1); the grammar is
+        # "p/q", "n", "inf" and decimals with an optional exponent
+        with pytest.raises(StructureError, match="bad rational literal"):
+            E.parse(literal)
+
     def test_huge_json_integer_refused(self):
         with pytest.raises(StructureError, match="bad JSON"):
             serialize.loads_envelope('{"n": ' + "1" * (sys.get_int_max_str_digits() + 1) + "}")

@@ -32,6 +32,7 @@ GATE = "tests/test_acceptance.py::test_criterion_7_equivalence_lists"
 TWINS = "tests/test_vspace.py::TestTwinClasses"
 BUILD = "tests/test_vspace.py::TestBuildPath"
 UC_MEMO = "tests/test_verify.py::TestUcMemo"
+GENERATOR = "tests/test_verify.py::TestGenerator::test_key_space_matches_value_route"
 CATEGORY = "tests/test_verify.py::TestCategoryLaws"
 BUILDER = "tests/test_completion.py::TestFilterSpaceBuilder"
 
@@ -114,6 +115,48 @@ MUTANTS = (
         "key = (type(e), e)",
         "key = e",
         (BUILD,),
+    ),
+    Mutant(
+        "entry-classes-fast-row-skips-fallback",
+        "vspace.py",
+        "        except (KeyError, TypeError):\n            pass\n",
+        "        except (KeyError, TypeError):\n            continue\n",
+        (BUILD,),
+    ),
+    Mutant(
+        "entry-classes-unhashable-row-not-caught",
+        "vspace.py",
+        "            continue\n        except (KeyError, TypeError):\n",
+        "            continue\n        except KeyError:\n",
+        (BUILD,),
+    ),
+    Mutant(
+        "entry-classes-text-memo-takes-any-type",
+        "vspace.py",
+        "if key[0] is str:",
+        "if True:",
+        (BUILD,),
+    ),
+    Mutant(
+        "literal-p-over-q-loses-denominator",
+        "quantale.py",
+        "value = Fraction(int(num), int(den))",
+        "value = Fraction(int(num))",
+        (BUILD,),
+    ),
+    Mutant(
+        "core-row-bits-not-reversed",
+        "structures.py",
+        'f"{r:0{n}b}"[::-1]',
+        'f"{r:0{n}b}"',
+        (KERNELS,),
+    ),
+    Mutant(
+        "generator-uva-skips-re-relaxation",
+        "verify.py",
+        "            _relax(k, _tables(q))\n",
+        "            pass\n",
+        (GENERATOR,),
     ),
     Mutant(
         "rank-form-no-merge-of-equal-values",

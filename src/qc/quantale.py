@@ -176,7 +176,7 @@ class ExtendedRationalQuantale(ValueQuantale):
 
     @property
     def bottom(self):
-        return Fraction(0)
+        return _ZERO
 
     @property
     def top(self):
@@ -249,7 +249,7 @@ class ExtendedRationalQuantale(ValueQuantale):
         return result
 
     def join(self, elements):
-        result = Fraction(0)
+        result = _ZERO
         for e in elements:
             e = self.check(e)
             if self.leq(result, e):
@@ -268,7 +268,7 @@ class ExtendedRationalQuantale(ValueQuantale):
         """Left adjoint of addition: meet{c : a <= b + c}."""
         a, b = self.check(a), self.check(b)
         if self.leq(a, b):
-            return Fraction(0)
+            return _ZERO
         if isinstance(a, _Infinity):
             return INF
         return a - b
@@ -298,7 +298,7 @@ class ExtendedRationalQuantale(ValueQuantale):
     def sort_key(self, element):
         element = self.check(element)
         if isinstance(element, _Infinity):
-            return (1, Fraction(0))
+            return (1, _ZERO)
         return (0, element)
 
     def format(self, element) -> str:
@@ -330,7 +330,15 @@ class ExtendedRationalQuantale(ValueQuantale):
                 f"or a decimal with an optional exponent, in ASCII digits"
             )
         try:
-            value = Fraction(text)
+            # the grammar admits ASCII digits only, so "n" and "p/q" are read
+            # as ints; the other forms, signed ones included, go to Fraction
+            num, slash, den = text.partition("/")
+            if not num.isdigit():
+                value = Fraction(text)
+            elif slash:
+                value = Fraction(int(num), int(den))
+            else:
+                value = Fraction(int(num))
         except (ValueError, ZeroDivisionError) as exc:
             raise StructureError(f"bad rational literal {text!r}: {exc}") from None
         if value < 0:
@@ -345,6 +353,9 @@ class ExtendedRationalQuantale(ValueQuantale):
 
 
 EXT_RATIONAL = ExtendedRationalQuantale()
+
+# the zero of the extended rationals; a Fraction is immutable, so one serves
+_ZERO = Fraction(0)
 
 
 def _literal_digit_limit() -> int:

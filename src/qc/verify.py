@@ -156,7 +156,7 @@ def _draw_value(gen: InstanceGenerator, rng: random.Random):
     total = gen.zero_weight + gen.inf_weight + gen.finite_weight
     roll = rng.randrange(total)
     if roll < gen.zero_weight:
-        return Fraction(0)
+        return q.bottom
     if roll < gen.zero_weight + gen.inf_weight:
         return INF
     return Fraction(
@@ -175,17 +175,43 @@ def triangle_repair(quantale: ValueQuantale, dmat) -> tuple[list, int]:
     budget; INF is None, since relaxed sums outgrow any top sentinel), and
     it returns the same matrix and the same number of rounds.
     """
+    keys, value, rounds = _repair_keys(quantale, dmat)
+    return [[value(c) for c in row] for row in keys], rounds
+
+
+def _repair_keys(quantale: ValueQuantale, dmat):
+    """`triangle_repair` on the keys: the repaired matrix of keys, the map
+    from a key to its value, and the number of rounds.
+
+    The keys are table indices on a finite quantale, and on the extended
+    rationals the exact keys with None for INF.  Either way a sum of keys
+    is the key of the sum, and a value is 0 iff its key is the key of 0.
+    """
     d = [[quantale.check(e) for e in row] for row in dmat]
     if quantale.is_finite:
-        return d, _relax(d, (quantale._add, quantale._leq, quantale._meet_t))
+        return d, _same, _relax(d, _tables(quantale))
     finite = sorted({e for row in d for e in row if e is not INF})
     okeys = quantale._order_keys(finite)
     key = dict(zip(finite, okeys.keys))
     k = [[key.get(e) for e in row] for row in d]
     rounds = _relax(k, None)
     scale = okeys.scale
-    back = (lambda c: Fraction(c, scale)) if scale is not None else (lambda c: c)
-    return [[INF if c is None else back(c) for c in row] for row in k], rounds
+
+    def value(c):
+        if c is None:
+            return INF
+        return c if scale is None else Fraction(c, scale)
+
+    return k, value, rounds
+
+
+def _same(c):
+    return c
+
+
+def _tables(quantale: ValueQuantale):
+    """The (add, leq, meet) tables `_relax` runs on; None on the extended rationals."""
+    return (quantale._add, quantale._leq, quantale._meet_t) if quantale.is_finite else None
 
 
 def _relax(d, tables) -> int:
@@ -242,19 +268,22 @@ def _generate_space(gen: InstanceGenerator, rng: random.Random, max_points=None)
         for i in range(n):
             for j in range(i):
                 d[i][j] = d[j][i]
-    d, _ = triangle_repair(q, d)
+    # the space is repaired and made UVA on the keys of `_repair_keys`, and
+    # each distinct key is turned into its value once
+    k, value, _ = _repair_keys(q, d)
     if gen.force_uva:
+        zero = q.bottom if q.is_finite else 0
         for _ in range(n * n + 1):
             changed = False
             for i in range(n):
                 for j in range(n):
-                    if d[i][j] == q.bottom and d[j][i] != q.bottom:
-                        d[j][i] = q.bottom
+                    if k[i][j] == zero and k[j][i] != zero:
+                        k[j][i] = k[i][j]
                         changed = True
             if not changed:
                 break
-            d, _ = triangle_repair(q, d)
-    space = VSpace(q, [f"p{i}" for i in range(n)], d)
+            _relax(k, _tables(q))
+    space = VSpace(q, [f"p{i}" for i in range(n)], _entry_classes(k, value))
     if gen.force_separated:
         space, _ = separation_quotient(space)
     check = validate_vspace(space)
@@ -661,41 +690,37 @@ def definitional_set_distance(space: VSpace, smask: int, tmask: int):
     )
 
 
-def definitional_balls(space: VSpace, eps) -> tuple:
+def definitional_balls(space: VSpace, eps, within=None) -> tuple:
     """Per point i, the masks of the j with d(i,j) <= eps (forward) and
-    with d(j,i) <= eps (backward); one checked `leq` per entry."""
-    q, d, n = space.quantale, space.dmat, space.size
+    with d(j,i) <= eps (backward); one checked `leq` per entry, or its
+    verdict in `within`, a table of `_definitional_within(space)`."""
+    n = space.size
+    at = (within or _definitional_within(space))(eps)
     fwd, bwd = [0] * n, [0] * n
     for i in range(n):
         for j in range(n):
-            if q.leq(d[i][j], eps):
+            if at[i][j]:
                 fwd[i] |= 1 << j
                 bwd[j] |= 1 << i
     return tuple(fwd), tuple(bwd)
 
 
 def _definitional_within(space: VSpace):
-    """Per radius t, the per-entry verdicts `d(i,j) <= t`, read lazily.
+    """Per radius t, the rows of per-entry verdicts `d(i,j) <= t`.
 
-    Each verdict is one checked `leq`, made on its first read and kept, so
-    within one call the flips and balls below compare each entry with each
-    radius at most once, and never compare one they do not read.
+    The rows of a radius are built on its first request, one checked `leq`
+    per entry, and kept, so the flips and balls below compare each entry
+    with each radius once.  The definitions below take one such table as
+    `within`, to share it between calls on one space.
     """
-    q, d, n = space.quantale, space.dmat, space.size
+    q, d = space.quantale, space.dmat
     memo = {}
 
     def within(t):
-        cells = memo.get(t)
-        if cells is None:
-            cells = memo[t] = [[None] * n for _ in range(n)]
-
-        def at(i, j):
-            v = cells[i][j]
-            if v is None:
-                v = cells[i][j] = q.leq(d[i][j], t)
-            return v
-
-        return at
+        rows = memo.get(t)
+        if rows is None:
+            rows = memo[t] = [[q.leq(e, t) for e in row] for row in d]
+        return rows
 
     return within
 
@@ -705,31 +730,29 @@ def _definitional_flip(space: VSpace, within, delta, eps):
     near, close = within(delta), within(eps)
     for i in range(space.size):
         for j in range(space.size):
-            if near(j, i) and not close(i, j):
+            if near[j][i] and not close[i][j]:
                 return (space.points[i], space.points[j])
     return None
 
 
-def definitional_entourage_core(space: VSpace, forward: bool) -> tuple:
+def definitional_entourage_core(space: VSpace, forward: bool, within=None) -> tuple:
     """Boolean rows: (i, j) related iff the distance is <= every test value."""
-    q = space.quantale
     n = space.size
+    within = within or _definitional_within(space)
+    tables = [within(eps) for eps in space.test_values]
     return tuple(
         tuple(
-            all(
-                q.leq(space.dmat[i][j] if forward else space.dmat[j][i], eps)
-                for eps in space.test_values
-            )
+            all(at[i][j] if forward else at[j][i] for at in tables)
             for j in range(n)
         )
         for i in range(n)
     )
 
 
-def definitional_uva(space: VSpace) -> Verdict:
+def definitional_uva(space: VSpace, within=None) -> Verdict:
     """`has_uniformly_vanishing_asymmetry` on the per-entry flip."""
     q, tv = space.quantale, space.test_values
-    within = _definitional_within(space)
+    within = within or _definitional_within(space)
     for eps in tv:
         if all(_definitional_flip(space, within, delta, eps) is not None for delta in tv):
             pair = _definitional_flip(space, within, tv[0], eps)
@@ -753,9 +776,9 @@ def _definitional_balls_at(space: VSpace, i: int, within):
             at = within(eps)
             fwd = bwd = 0
             for j in range(space.size):
-                if at(i, j):
+                if at[i][j]:
                     fwd |= 1 << j
-                if at(j, i):
+                if at[j][i]:
                     bwd |= 1 << j
             pair = memo[eps] = (fwd, bwd)
         return pair
@@ -769,10 +792,10 @@ def _definitional_pointwise_ok(balls, delta, eps) -> bool:
     return not bwd_d & ~fwd_e and not fwd_d & ~bwd_e
 
 
-def definitional_va(space: VSpace) -> Verdict:
+def definitional_va(space: VSpace, within=None) -> Verdict:
     """`has_vanishing_asymmetry` on per-entry balls."""
     q, tv = space.quantale, space.test_values
-    within = _definitional_within(space)
+    within = within or _definitional_within(space)
     for i in range(space.size):
         balls = _definitional_balls_at(space, i, within)
         for eps in tv:
@@ -781,12 +804,12 @@ def definitional_va(space: VSpace) -> Verdict:
     return Verdict(True)
 
 
-def definitional_symmetry_moduli(space: VSpace, point=None) -> dict:
+def definitional_symmetry_moduli(space: VSpace, point=None, within=None) -> dict:
     """`symmetry_modulus` (uniform, or pointwise at `point`) per entry, for
     every test value eps, as a dict eps -> delta; one verdict table serves
     every eps."""
     q = space.quantale
-    within = _definitional_within(space)
+    within = within or _definitional_within(space)
     if point is not None:
         balls = _definitional_balls_at(space, space.index(point), within)
 
@@ -1112,7 +1135,8 @@ class _Ctx:
 
     Memoised once per instance: the Cauchy, round, roundified and minimal
     verdicts per core, the loop point filters, the filter space, the
-    separation quotients, the completion of each space asked for
+    separation quotients (the instance's with its projection, `quotient`),
+    the completion of each space asked for
     (`completion_of`: the instance's space, its separation quotient and
     the sibling's, so the functoriality and universal-property checks do
     not complete them again), the combined test values per (source,
@@ -1196,8 +1220,13 @@ class _Ctx:
         return self._memo(("completion", space), lambda: complete(space))
 
     @property
+    def quotient(self) -> tuple:
+        """`separation_quotient(space)`: the quotient and the projection."""
+        return self._memo(("quotient",), lambda: separation_quotient(self.space))
+
+    @property
     def separated(self):
-        return self._memo(("separated",), lambda: separation_quotient(self.space)[0])
+        return self.quotient[0]
 
     @property
     def sep_sibling(self):
@@ -1646,7 +1675,7 @@ def _check_separated_va_discrete(ctx: _Ctx):
 
 
 def _check_quotient_separated_isometric(ctx: _Ctx):
-    quotient, projection = separation_quotient(ctx.space)
+    quotient, projection = ctx.quotient
     if not classify(quotient)["separated"]:
         return {"check": "not separated"}
     for x in ctx.space.points:

@@ -236,9 +236,24 @@ def _entry_classes(rows, parse=None) -> _EntryClasses:
     class of 1, nor 1.0 that of 1; `parse`, when given, turns each distinct
     entry into its value.  An unhashable entry gets a class of its own and
     is left for `parse` or the element check to refuse.
+
+    Each row is first looked up whole, at C level, in a memo of the `str`
+    entries already numbered; no other built-in type equals a `str`, and a
+    `str` subclass equal to one is the same literal.  A row with an entry
+    not found there (a new literal, another type, an unhashable entry) is
+    numbered one entry at a time.  The lookup assigns no class and parses
+    nothing, so the numbering and the order of parse errors do not change.
     """
-    memo, values, classes = {}, [], []
+    memo, texts, values, classes = {}, {}, [], []
+    known = texts.__getitem__
     for row in rows:
+        if not isinstance(row, (list, tuple)):
+            row = list(row)  # a row the lookup misses is read again
+        try:
+            classes.append(list(map(known, row)))
+            continue
+        except (KeyError, TypeError):
+            pass
         out = []
         for e in row:
             key = (type(e), e)
@@ -251,6 +266,8 @@ def _entry_classes(rows, parse=None) -> _EntryClasses:
                 values.append(e if parse is None else parse(e))
                 if key is not None:
                     memo[key] = c
+                    if key[0] is str:
+                        texts[e] = c
             out.append(c)
         classes.append(out)
     return _EntryClasses(values, classes)
@@ -275,7 +292,7 @@ class _RankForm:
         self.values = tuple(sorted(set(checked), key=quantale.sort_key))
         rank_of = {v: r for r, v in enumerate(self.values)}
         renumber = [rank_of[v] for v in checked]
-        self.rank = tuple([tuple([renumber[c] for c in row]) for row in entries.classes])
+        self.rank = tuple([tuple(map(renumber.__getitem__, row)) for row in entries.classes])
         self.fwd = _masks_by_rank(self.rank)
         self.bwd = _masks_by_rank(zip(*self.rank))
         self.keys = quantale._order_keys(self.values)

@@ -68,6 +68,74 @@ class TestGenerator:
             assert validate_vspace(space).ok
             assert space.quantale == BUILTIN_QUANTALES["Q3"]
 
+    def test_key_space_matches_value_route(self):
+        # the generator repairs and zero-symmetrises on keys; the same draws
+        # repaired on values by the checked loop give the same spaces
+        configs = [
+            {},
+            {"force_uva": True},
+            {"force_separated": True},
+            {"force_symmetric": True},
+            {"force_uva": True, "force_separated": True},
+            {"force_uva": True, "max_points": 7},
+            {"quantale": BUILTIN_QUANTALES["Q3"]},
+            {"quantale": BUILTIN_QUANTALES["Q3"], "force_uva": True},
+        ]
+        seeds = relaxed = 0
+        for t, config in enumerate(configs):
+            gen = InstanceGenerator(seed=700 + t, **config)
+            for child in gen.child_seeds(45):
+                want, again = _generate_by_values(gen, child)
+                got = gen.space_from_seed(child)
+                assert (got.points, got.dmat) == (want.points, want.dmat), (config, child)
+                seeds += 1
+                relaxed += again
+        assert seeds >= 300 and relaxed >= 30, (seeds, relaxed)
+
+
+def _generate_by_values(gen, child):
+    """The instance generator's space for `child`, built on values: each
+    repair by the checked loop `definitional_triangle_repair`, and zeros
+    tested against the quantale's bottom.  Also whether a repair after a
+    zero-symmetrisation lowered an entry."""
+    import random
+
+    from qc import classify, separation_quotient
+    from qc.verify import _draw_value, definitional_triangle_repair
+
+    rng = random.Random(child)
+    q = gen.quantale
+    n = rng.randint(min(gen.min_points, gen.max_points), gen.max_points)
+    d = [[_draw_value(gen, rng) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        d[i][i] = q.bottom
+    if gen.force_symmetric:
+        for i in range(n):
+            for j in range(i):
+                d[i][j] = d[j][i]
+    d, _ = definitional_triangle_repair(q, d)
+    again = False
+    if gen.force_uva:
+        for _ in range(n * n + 1):
+            changed = False
+            for i in range(n):
+                for j in range(n):
+                    if d[i][j] == q.bottom and d[j][i] != q.bottom:
+                        d[j][i] = q.bottom
+                        changed = True
+            if not changed:
+                break
+            before = [list(row) for row in d]
+            d, _ = definitional_triangle_repair(q, d)
+            again = again or d != before
+    space = VSpace(q, [f"p{i}" for i in range(n)], d)
+    if gen.force_separated:
+        space, _ = separation_quotient(space)
+    assert validate_vspace(space).ok
+    if gen.force_symmetric:
+        assert classify(space)["symmetric"]
+    return space, again
+
 
 class TestTriangleRepair:
     def test_never_increases_and_bounded(self):

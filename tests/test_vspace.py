@@ -449,6 +449,7 @@ class TestCompiledKernels:
         from qc import quasi_uniformity_of
         from qc.errors import InvariantError
         from qc.verify import (
+            _definitional_within,
             _uc_violation,
             definitional_balls,
             definitional_entourage_core,
@@ -466,16 +467,19 @@ class TestCompiledKernels:
         for t in range(1000):
             q = quantales[t % len(quantales)]
             space = _raw_space(rng, q, rng.randint(1, 7))
+            # one table of per-entry verdicts d(i,j) <= r per radius r serves every
+            # definition below on this space
+            within = _definitional_within(space)
             want = definitional_validate_vspace(space)
             assert validate_vspace(space).failures == want.failures, space.dmat
             invalid += "triangle" in want.failed_checks()
             off_diagonal += "zero-diagonal" in want.failed_checks()
-            assert has_vanishing_asymmetry(space) == definitional_va(space)
-            assert has_uniformly_vanishing_asymmetry(space) == definitional_uva(space)
+            assert has_vanishing_asymmetry(space) == definitional_va(space, within)
+            assert has_uniformly_vanishing_asymmetry(space) == definitional_uva(space, within)
             if t % 2 == 0:  # 100 spaces per quantale
                 _assert_zero_forms_match_loops(aux, space, _raw_space(aux, q, aux.randint(1, 4)))
             for forward, side in ((True, "forward"), (False, "backward")):
-                core = definitional_entourage_core(space, forward)
+                core = definitional_entourage_core(space, forward, within)
                 if all(core[i][i] for i in range(space.size)):
                     assert quasi_uniformity_of(space, side).core == core
                 else:
@@ -492,18 +496,19 @@ class TestCompiledKernels:
                     ) == definitional_set_distance(space, sm, tm), (space.dmat, sm, tm)
             for eps in space.test_values + (q.bottom, q.top):
                 assert (space._balls(eps, True), space._balls(eps, False)) == (
-                    definitional_balls(space, eps)
+                    definitional_balls(space, eps, within)
                 )
             fidx = [rng.randrange(space.size) for _ in space.points]
             p = rng.choice(space.points)
-            uniform_moduli = definitional_symmetry_moduli(space)
-            pointwise_moduli = definitional_symmetry_moduli(space, p)
+            uniform_moduli = definitional_symmetry_moduli(space, within=within)
+            pointwise_moduli = definitional_symmetry_moduli(space, p, within)
             for eps in space.test_values:
                 assert space._strict_balls(eps) == tuple(
                     sum(1 << j for j, e in enumerate(row) if q.well_above(eps, e))
                     for row in space.dmat
                 )
                 delta = rng.choice(space.test_values)
+                near, close = within(delta), within(eps)
                 assert _uc_violation(
                     fidx, space, space._balls(delta, True), space._balls(eps, True)
                 ) == next(
@@ -511,8 +516,7 @@ class TestCompiledKernels:
                         (space.points[i], space.points[j])
                         for i in range(space.size)
                         for j in range(space.size)
-                        if q.leq(space.dmat[i][j], delta)
-                        and not q.leq(space.dmat[fidx[i]][fidx[j]], eps)
+                        if near[i][j] and not close[fidx[i]][fidx[j]]
                     ),
                     None,
                 )
@@ -809,3 +813,131 @@ class TestBuildPath:
                 assert getattr(parsed._ranks, field) == getattr(built._ranks, field), field
             assert parsed.dmat == space.dmat
             assert serialize.space_to_payload(parsed) == serialize.space_to_payload(space)
+
+    def test_entry_classes_match_typed_loop(self):
+        # the whole-row lookup of str entries against the per-entry loop it
+        # falls back on: the same classes and values, the same entries parsed
+        # in the same order, the same parse error, and iterator rows read once
+        import random
+
+        from qc.vspace import _entry_classes
+
+        texts = ["0", "1", "1/2", "2/4", "inf", "0.5", "1.0", "True", "x"]
+        others = [0, 1, True, False, 1.0, 0.5, float("nan"), Fraction(1, 2), Fraction(1),
+                  INF, None, (1,), [1], {"a": 1}]
+        rng = random.Random(20261020)
+        whole = partial = raised = 0
+        for _ in range(400):
+            n = rng.randint(0, 7)
+            pool = texts[: rng.randint(1, len(texts))]
+            rows, seen = [], set()
+            for _ in range(n):
+                row = [rng.choice(pool) for _ in range(n)]
+                if n and rng.random() < 0.35:
+                    row[rng.randrange(n)] = rng.choice(others + texts)
+                known = [type(e) is str and e in seen for e in row]
+                whole += all(known)
+                partial += any(known) and not all(known)
+                seen.update(e for e in row if type(e) is str)
+                rows.append(row)
+            shapes = [rng.choice((list, tuple, iter, "generator")) for _ in rows]
+
+            def feed():
+                for shape, row in zip(shapes, rows):
+                    yield (e for e in row) if shape == "generator" else shape(row)
+
+            def run(build, refuse):
+                log = []
+
+                def parse(e):
+                    log.append(e)
+                    if refuse and type(e) is str and e == "x":
+                        raise StructureError(f"bad literal {e!r} after {len(log)}")
+                    return ("value", len(log))
+
+                try:
+                    got = build(feed(), parse)
+                except StructureError as exc:
+                    got = str(exc)
+                return got, log
+
+            refuse = rng.random() < 0.5
+            got, log = run(_entry_classes, refuse)
+            want, want_log = run(_typed_entry_classes, refuse)
+            assert got == want and len(log) == len(want_log), rows
+            assert all(a is b for a, b in zip(log, want_log)), rows
+            raised += isinstance(got, str)
+            got, want = _entry_classes(feed()), _typed_entry_classes(feed())
+            assert got.classes == want.classes, rows
+            assert len(got.values) == len(want.values)
+            assert all(a is b for a, b in zip(got.values, want.values)), rows
+        assert whole > 300 and partial > 300 and raised > 20, (whole, partial, raised)
+
+    def test_literal_fast_path_matches_fraction(self):
+        # "n" and "p/q" are read as ints; every grammar-valid literal reads
+        # as Fraction(text) does, and "1/0" fails with its message
+        import random
+
+        from qc.quantale import _literal_digit_limit
+
+        rng = random.Random(20261021)
+
+        def digits(k):
+            return "".join(rng.choice("0123456789") for _ in range(k))
+
+        literals = ["0", "00", "007", "1/1", "0/5", "00/01", "10/4", "1/0", "007/000",
+                    "1.5", ".5", "5.", "2e3", "1E-2", "-0", "-0/3", "-3", "-1/2", "-1.5"]
+        for _ in range(300):
+            literals.append(digits(rng.randint(1, 30)))
+            literals.append(f"{digits(rng.randint(1, 30))}/{digits(rng.randint(1, 3))}")
+        zero_den = 0
+        for text in literals:
+            try:
+                want = Fraction(text)
+            except ZeroDivisionError as exc:
+                zero_den += 1
+                with pytest.raises(StructureError) as info:
+                    E.parse(text)
+                assert str(info.value) == f"bad rational literal {text!r}: {exc}"
+                continue
+            if want < 0:
+                with pytest.raises(StructureError, match="negative"):
+                    E.parse(text)
+                continue
+            got = E.parse(text)
+            assert type(got) is Fraction and got == want, text
+        assert zero_den >= 5, zero_den
+        # over the digit limit, and digits or signs outside the grammar
+        limit = _literal_digit_limit()
+        if limit:
+            assert E.parse("9" * limit) == Fraction("9" * limit)
+            for text in ("1" * (limit + 1), "1/" + "1" * (limit + 1), "0" * (limit + 1)):
+                with pytest.raises(StructureError, match="too large"):
+                    E.parse(text)
+        for text in ("١", "١/٢", "1/٢", "²", "1_0", " 1", "+1", "1/+2", "1/-2", "1/2/3", "/2"):
+            with pytest.raises(StructureError, match="bad rational literal"):
+                E.parse(text)
+
+
+def _typed_entry_classes(rows, parse=None):
+    """`_entry_classes` by the per-entry loop alone: entries told apart by
+    type and value, numbered in order of first occurrence."""
+    from qc.vspace import _EntryClasses
+
+    memo, values, classes = {}, [], []
+    for row in rows:
+        out = []
+        for e in row:
+            key = (type(e), e)
+            try:
+                c = memo.get(key)
+            except TypeError:
+                c = key = None
+            if c is None:
+                c = len(values)
+                values.append(e if parse is None else parse(e))
+                if key is not None:
+                    memo[key] = c
+            out.append(c)
+        classes.append(out)
+    return _EntryClasses(values, classes)

@@ -145,13 +145,6 @@ MUTANTS = (
         (BUILD,),
     ),
     Mutant(
-        "core-row-bits-not-reversed",
-        "structures.py",
-        'f"{r:0{n}b}"[::-1]',
-        'f"{r:0{n}b}"',
-        (KERNELS,),
-    ),
-    Mutant(
         "generator-uva-skips-re-relaxation",
         "verify.py",
         "            _relax(k, _tables(q))\n",

@@ -108,8 +108,7 @@ def quasi_uniformity_of(space: VSpace, side: str = "forward") -> QuasiUniformity
     zeros = _zero_masks(space, side)
     n = space.size
     rows = zeros if space.test_values else [space.full_mask] * n
-    # bit j of r is character n - 1 - j of its n-digit binary form
-    expanded = {r: tuple(map("1".__eq__, f"{r:0{n}b}"[::-1])) for r in set(rows)}
+    expanded = {r: tuple([bool(r >> j & 1) for j in range(n)]) for r in set(rows)}
     if any(not r >> i & 1 for i, r in enumerate(rows)):
         raise InvariantError("entourage core is not reflexive")
     return QuasiUniformity(space.points, tuple([expanded[r] for r in rows]))

@@ -690,37 +690,41 @@ def definitional_set_distance(space: VSpace, smask: int, tmask: int):
     )
 
 
-def definitional_balls(space: VSpace, eps, within=None) -> tuple:
+def definitional_balls(space: VSpace, eps) -> tuple:
     """Per point i, the masks of the j with d(i,j) <= eps (forward) and
-    with d(j,i) <= eps (backward); one checked `leq` per entry, or its
-    verdict in `within`, a table of `_definitional_within(space)`."""
-    n = space.size
-    at = (within or _definitional_within(space))(eps)
+    with d(j,i) <= eps (backward); one checked `leq` per entry."""
+    q, d, n = space.quantale, space.dmat, space.size
     fwd, bwd = [0] * n, [0] * n
     for i in range(n):
         for j in range(n):
-            if at[i][j]:
+            if q.leq(d[i][j], eps):
                 fwd[i] |= 1 << j
                 bwd[j] |= 1 << i
     return tuple(fwd), tuple(bwd)
 
 
 def _definitional_within(space: VSpace):
-    """Per radius t, the rows of per-entry verdicts `d(i,j) <= t`.
+    """Per radius t, the per-entry verdicts `d(i,j) <= t`, read lazily.
 
-    The rows of a radius are built on its first request, one checked `leq`
-    per entry, and kept, so the flips and balls below compare each entry
-    with each radius once.  The definitions below take one such table as
-    `within`, to share it between calls on one space.
+    Each verdict is one checked `leq`, made on its first read and kept, so
+    within one call the flips and balls below compare each entry with each
+    radius at most once, and never compare one they do not read.
     """
-    q, d = space.quantale, space.dmat
+    q, d, n = space.quantale, space.dmat, space.size
     memo = {}
 
     def within(t):
-        rows = memo.get(t)
-        if rows is None:
-            rows = memo[t] = [[q.leq(e, t) for e in row] for row in d]
-        return rows
+        cells = memo.get(t)
+        if cells is None:
+            cells = memo[t] = [[None] * n for _ in range(n)]
+
+        def at(i, j):
+            v = cells[i][j]
+            if v is None:
+                v = cells[i][j] = q.leq(d[i][j], t)
+            return v
+
+        return at
 
     return within
 
@@ -730,29 +734,31 @@ def _definitional_flip(space: VSpace, within, delta, eps):
     near, close = within(delta), within(eps)
     for i in range(space.size):
         for j in range(space.size):
-            if near[j][i] and not close[i][j]:
+            if near(j, i) and not close(i, j):
                 return (space.points[i], space.points[j])
     return None
 
 
-def definitional_entourage_core(space: VSpace, forward: bool, within=None) -> tuple:
+def definitional_entourage_core(space: VSpace, forward: bool) -> tuple:
     """Boolean rows: (i, j) related iff the distance is <= every test value."""
+    q = space.quantale
     n = space.size
-    within = within or _definitional_within(space)
-    tables = [within(eps) for eps in space.test_values]
     return tuple(
         tuple(
-            all(at[i][j] if forward else at[j][i] for at in tables)
+            all(
+                q.leq(space.dmat[i][j] if forward else space.dmat[j][i], eps)
+                for eps in space.test_values
+            )
             for j in range(n)
         )
         for i in range(n)
     )
 
 
-def definitional_uva(space: VSpace, within=None) -> Verdict:
+def definitional_uva(space: VSpace) -> Verdict:
     """`has_uniformly_vanishing_asymmetry` on the per-entry flip."""
     q, tv = space.quantale, space.test_values
-    within = within or _definitional_within(space)
+    within = _definitional_within(space)
     for eps in tv:
         if all(_definitional_flip(space, within, delta, eps) is not None for delta in tv):
             pair = _definitional_flip(space, within, tv[0], eps)
@@ -776,9 +782,9 @@ def _definitional_balls_at(space: VSpace, i: int, within):
             at = within(eps)
             fwd = bwd = 0
             for j in range(space.size):
-                if at[i][j]:
+                if at(i, j):
                     fwd |= 1 << j
-                if at[j][i]:
+                if at(j, i):
                     bwd |= 1 << j
             pair = memo[eps] = (fwd, bwd)
         return pair
@@ -792,10 +798,10 @@ def _definitional_pointwise_ok(balls, delta, eps) -> bool:
     return not bwd_d & ~fwd_e and not fwd_d & ~bwd_e
 
 
-def definitional_va(space: VSpace, within=None) -> Verdict:
+def definitional_va(space: VSpace) -> Verdict:
     """`has_vanishing_asymmetry` on per-entry balls."""
     q, tv = space.quantale, space.test_values
-    within = within or _definitional_within(space)
+    within = _definitional_within(space)
     for i in range(space.size):
         balls = _definitional_balls_at(space, i, within)
         for eps in tv:
@@ -804,12 +810,12 @@ def definitional_va(space: VSpace, within=None) -> Verdict:
     return Verdict(True)
 
 
-def definitional_symmetry_moduli(space: VSpace, point=None, within=None) -> dict:
+def definitional_symmetry_moduli(space: VSpace, point=None) -> dict:
     """`symmetry_modulus` (uniform, or pointwise at `point`) per entry, for
     every test value eps, as a dict eps -> delta; one verdict table serves
     every eps."""
     q = space.quantale
-    within = within or _definitional_within(space)
+    within = _definitional_within(space)
     if point is not None:
         balls = _definitional_balls_at(space, space.index(point), within)
 

@@ -292,7 +292,7 @@ class _RankForm:
         self.values = tuple(sorted(set(checked), key=quantale.sort_key))
         rank_of = {v: r for r, v in enumerate(self.values)}
         renumber = [rank_of[v] for v in checked]
-        self.rank = tuple([tuple(map(renumber.__getitem__, row)) for row in entries.classes])
+        self.rank = tuple([tuple([renumber[c] for c in row]) for row in entries.classes])
         self.fwd = _masks_by_rank(self.rank)
         self.bwd = _masks_by_rank(zip(*self.rank))
         self.keys = quantale._order_keys(self.values)

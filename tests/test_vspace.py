@@ -449,7 +449,6 @@ class TestCompiledKernels:
         from qc import quasi_uniformity_of
         from qc.errors import InvariantError
         from qc.verify import (
-            _definitional_within,
             _uc_violation,
             definitional_balls,
             definitional_entourage_core,
@@ -467,19 +466,16 @@ class TestCompiledKernels:
         for t in range(1000):
             q = quantales[t % len(quantales)]
             space = _raw_space(rng, q, rng.randint(1, 7))
-            # one table of per-entry verdicts d(i,j) <= r per radius r serves every
-            # definition below on this space
-            within = _definitional_within(space)
             want = definitional_validate_vspace(space)
             assert validate_vspace(space).failures == want.failures, space.dmat
             invalid += "triangle" in want.failed_checks()
             off_diagonal += "zero-diagonal" in want.failed_checks()
-            assert has_vanishing_asymmetry(space) == definitional_va(space, within)
-            assert has_uniformly_vanishing_asymmetry(space) == definitional_uva(space, within)
+            assert has_vanishing_asymmetry(space) == definitional_va(space)
+            assert has_uniformly_vanishing_asymmetry(space) == definitional_uva(space)
             if t % 2 == 0:  # 100 spaces per quantale
                 _assert_zero_forms_match_loops(aux, space, _raw_space(aux, q, aux.randint(1, 4)))
             for forward, side in ((True, "forward"), (False, "backward")):
-                core = definitional_entourage_core(space, forward, within)
+                core = definitional_entourage_core(space, forward)
                 if all(core[i][i] for i in range(space.size)):
                     assert quasi_uniformity_of(space, side).core == core
                 else:
@@ -496,19 +492,18 @@ class TestCompiledKernels:
                     ) == definitional_set_distance(space, sm, tm), (space.dmat, sm, tm)
             for eps in space.test_values + (q.bottom, q.top):
                 assert (space._balls(eps, True), space._balls(eps, False)) == (
-                    definitional_balls(space, eps, within)
+                    definitional_balls(space, eps)
                 )
             fidx = [rng.randrange(space.size) for _ in space.points]
             p = rng.choice(space.points)
-            uniform_moduli = definitional_symmetry_moduli(space, within=within)
-            pointwise_moduli = definitional_symmetry_moduli(space, p, within)
+            uniform_moduli = definitional_symmetry_moduli(space)
+            pointwise_moduli = definitional_symmetry_moduli(space, p)
             for eps in space.test_values:
                 assert space._strict_balls(eps) == tuple(
                     sum(1 << j for j, e in enumerate(row) if q.well_above(eps, e))
                     for row in space.dmat
                 )
                 delta = rng.choice(space.test_values)
-                near, close = within(delta), within(eps)
                 assert _uc_violation(
                     fidx, space, space._balls(delta, True), space._balls(eps, True)
                 ) == next(
@@ -516,7 +511,8 @@ class TestCompiledKernels:
                         (space.points[i], space.points[j])
                         for i in range(space.size)
                         for j in range(space.size)
-                        if near[i][j] and not close[fidx[i]][fidx[j]]
+                        if q.leq(space.dmat[i][j], delta)
+                        and not q.leq(space.dmat[fidx[i]][fidx[j]], eps)
                     ),
                     None,
                 )

@@ -35,6 +35,7 @@ UC_MEMO = "tests/test_verify.py::TestUcMemo"
 GENERATOR = "tests/test_verify.py::TestGenerator::test_key_space_matches_value_route"
 CATEGORY = "tests/test_verify.py::TestCategoryLaws"
 BUILDER = "tests/test_completion.py::TestFilterSpaceBuilder"
+SHARPNESS = "tests/test_verify.py::TestUvaSharpness"
 
 
 class Mutant(NamedTuple):
@@ -240,6 +241,27 @@ MUTANTS = (
         "                if not is_cauchy(intersect(f, g)):\n"
         "                    return {\"cores\": (f.core, g.core)}\n",
         ("tests/test_verify.py::TestTheoremSuite::test_zero_distance_check_catches_non_cauchy_union",),
+    ),
+    Mutant(
+        "roundify-witness-core-a",
+        "verify.py",
+        "    _, b = _non_uva_pair(ctx)\n",
+        "    b, _ = _non_uva_pair(ctx)\n",
+        (SHARPNESS,),
+    ),
+    Mutant(
+        "isometry-witness-compares-d-a-b",
+        "verify.py",
+        "== space.dmat[b][a]:",
+        "== space.dmat[a][b]:",
+        (SHARPNESS,),
+    ),
+    Mutant(
+        "minimal-closed-form-drops-larger-zero-mask-test",
+        "filters.py",
+        "    if above:\n",
+        "    if False:\n",
+        ("tests/test_filters.py::TestMinimalCauchy",),
     ),
     Mutant(
         "uc-over-images-at-delta",

@@ -88,8 +88,6 @@ _VERIFY_NAMES = frozenset(
     {
         "CauchyFilterSpace",
         "InstanceGenerator",
-        "SEARCH_TARGETS",
-        "SearchResult",
         "VerificationReport",
         "cauchy_filter_space",
         "check_category_laws",
@@ -100,7 +98,6 @@ _VERIFY_NAMES = frozenset(
         "oracle_filters",
         "oracle_gate",
         "run_theorem_suite",
-        "search_counterexamples",
         "triangle_repair",
         "zero_distance_intersection_cauchy",
     }

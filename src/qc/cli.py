@@ -19,14 +19,7 @@ from .errors import DomainMismatchError, PreconditionError, StructureError
 from .filters import Filter, roundify
 from .quantale import validate_value_quantale
 from .structures import quasi_uniformity_of, topology_of
-from .verify import (
-    InstanceGenerator,
-    SEARCH_TARGETS,
-    check_category_laws,
-    oracle_gate,
-    run_theorem_suite,
-    search_counterexamples,
-)
+from .verify import InstanceGenerator, check_category_laws, oracle_gate, run_theorem_suite
 from .vspace import (
     classify,
     has_uniformly_vanishing_asymmetry,
@@ -246,11 +239,12 @@ def _cmd_verify(args, out: _Out) -> int:
     sections = _suite_sections(args)
     chosen = list(sections) if args.suite == "all" else [args.suite]
     payload_sections = []
-    timed = []
+    timed: dict[str, float] = {}
     failed = 0
     for name in chosen:
         reports = sections[name]()
-        timed.extend(reports)
+        for r in reports:
+            timed[r.id] = timed.get(r.id, 0.0) + r.runtime
         section_payload = {"section": name, "reports": [r.payload() for r in reports]}
         payload_sections.append(section_payload)
         for r in reports:
@@ -278,27 +272,11 @@ def _cmd_verify(args, out: _Out) -> int:
         },
     )
     if args.timings:
-        # runtimes stay out of the report, which must be deterministic
-        for r in sorted(timed, key=lambda r: r.runtime, reverse=True):
-            print(f"{r.id} {r.runtime:.4f}", file=sys.stderr)
+        # runtimes stay out of the report, which must be deterministic; a
+        # check that runs in several sections is timed over all of them
+        for rid, seconds in sorted(timed.items(), key=lambda kv: kv[1], reverse=True):
+            print(f"{rid} {seconds:.4f}", file=sys.stderr)
     return EXIT_OK if not failed else EXIT_MATH
-
-
-def _cmd_search(args, out: _Out) -> int:
-    gen = InstanceGenerator(seed=args.seed)
-    result = search_counterexamples(args.target, gen, args.budget)
-    for finding in result.findings:
-        out.text(
-            f"finding (seed {finding['seed']}): "
-            f"{json.dumps(_jsonable(finding['shrunk_witness']), sort_keys=True)} "
-            f"on {finding['shrunk']['points']}"
-        )
-    out.text(
-        f"search {args.target}: examined {result.examined}, "
-        f"found {len(result.findings)}"
-    )
-    out.finish("report", {"command": "search", **_jsonable(result.payload())})
-    return EXIT_OK
 
 
 def _bounded_int(minimum: int, maximum: int | None = None):
@@ -364,14 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     # generated instances feed 2^n oracles in the theorem suite
     p.add_argument("--max-points", type=_bounded_int(1, 5), default=5)
     p.add_argument("--timings", action="store_true",
-                   help="print each check's runtime in seconds to stderr, slowest first")
+                   help="print each check's runtime in seconds, summed over the "
+                   "sections, to stderr, slowest first")
     p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("search", parents=[common])
-    p.add_argument("--target", required=True, choices=SEARCH_TARGETS)
-    p.add_argument("--budget", type=_bounded_int(0), required=True)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(fn=_cmd_search)
     return parser
 
 

@@ -20,7 +20,6 @@ from .vspace import (
     _as_index_map,
     _set_distance_masks,
     _zero_masks,
-    has_uniformly_vanishing_asymmetry,
     is_uniformly_continuous,
 )
 
@@ -146,46 +145,30 @@ def roundify(f: Filter) -> Filter:
     return Filter(space, m)
 
 
-def is_minimal_cauchy(f: Filter, method: str = "definitional") -> Verdict:
+def is_minimal_cauchy(f: Filter) -> Verdict:
     """No strictly smaller proper Cauchy filter exists.
 
-    `definitional` enumerates every proper subfilter (cores are the strict
-    supersets of the core); `characterization` uses Cauchy-and-round, which
-    is only equivalent under uniformly vanishing asymmetry and is refused
-    elsewhere.
+    A core is Cauchy iff a zero neighbourhood covers it, and every subset
+    of a Cauchy core is Cauchy.  So a Cauchy core is minimal iff no zero
+    neighbourhood strictly contains it, which makes it a maximal zero
+    neighbourhood.  With no positive test values every filter is Cauchy,
+    and only the core X is minimal.  The witness is the zero neighbourhood
+    of largest mask strictly above the core: the first Cauchy core that
+    the superset enumeration `qc.verify.definitional_is_minimal_cauchy`
+    finds.
     """
     if not f.proper:
         raise PreconditionError("minimality is asked of proper filters only")
-    space = f.space
-    if method == "characterization":
-        uva = has_uniformly_vanishing_asymmetry(space)
-        if not uva:
-            raise PreconditionError(
-                "the Cauchy-and-round characterization needs uniformly "
-                f"vanishing asymmetry; it fails at epsilon {uva.witness}"
-            )
-        cau = is_cauchy(f)
-        if not cau:
-            return Verdict(False, {"reason": "not cauchy", **(cau.witness or {})})
-        rnd = is_round(f)
-        if not rnd:
-            return Verdict(False, {"reason": "not round"})
-        return Verdict(True)
-    if method != "definitional":
-        raise ValueError(f"unknown method {method!r}")
     cau = is_cauchy(f)
     if not cau:
         return Verdict(False, {"reason": "not cauchy", **(cau.witness or {})})
-    rest = space.full_mask & ~f.core_mask
-    extra = rest
-    while extra:
-        bigger = f.core_mask | extra
-        if is_cauchy(Filter(space, bigger)):
-            return Verdict(
-                False,
-                {"reason": "proper cauchy subfilter", "core": space.names_of(bigger)},
-            )
-        extra = (extra - 1) & rest
+    space, core = f.space, f.core_mask
+    zeros = space.zero_fwd if space.test_values else (space.full_mask,)
+    above = [z for z in zeros if z | core == z != core]
+    if above:
+        return Verdict(
+            False, {"reason": "proper cauchy subfilter", "core": space.names_of(max(above))}
+        )
     return Verdict(True)
 
 

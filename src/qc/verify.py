@@ -12,7 +12,9 @@ Five layers of defence:
   are in turn the oracles for the zero-mask closed forms of the library;
 * the definitional enumerations over all 2^n filter cores (the space of
   every proper Cauchy filter, Cauchy completeness, Cauchy intersections of
-  zero-distance filters) are oracles for the closed forms the library uses;
+  zero-distance filters, and `definitional_is_minimal_cauchy`, which tries
+  every core above a filter's) are oracles for the closed forms the
+  library uses;
 * the per-entry definitions of the triangle law, balls, the uniform flip,
   the entourage core and set distances (and VA, UVA and symmetry moduli on
   top of them) are oracles for the rank-compiled kernels of `qc.vspace`,
@@ -52,7 +54,6 @@ from .filters import (
     image_filter,
     intersect,
     is_cauchy,
-    is_minimal_cauchy,
     is_round,
     point_filter,
     roundify,
@@ -581,6 +582,28 @@ def is_cauchy_complete(space: VSpace) -> Verdict:
     _refuse_large(space)
     core = _divergent_cauchy_core(space, lambda m: is_cauchy(Filter(space, m)))
     return Verdict(True) if core is None else Verdict(False, {"core": core})
+
+
+def definitional_is_minimal_cauchy(f: Filter) -> Verdict:
+    """`is_minimal_cauchy` by enumerating every proper subfilter: the
+    cores strictly above the filter's, largest mask first."""
+    if not f.proper:
+        raise PreconditionError("minimality is asked of proper filters only")
+    space = f.space
+    cau = is_cauchy(f)
+    if not cau:
+        return Verdict(False, {"reason": "not cauchy", **(cau.witness or {})})
+    rest = space.full_mask & ~f.core_mask
+    extra = rest
+    while extra:
+        bigger = f.core_mask | extra
+        if is_cauchy(Filter(space, bigger)):
+            return Verdict(
+                False,
+                {"reason": "proper cauchy subfilter", "core": space.names_of(bigger)},
+            )
+        extra = (extra - 1) & rest
+    return Verdict(True)
 
 
 def _zero_distance_failure(tilde: CauchyFilterSpace):
@@ -1140,14 +1163,14 @@ class _Ctx:
     """Per-instance cache shared by the theorem checks and category laws.
 
     Memoised once per instance: the Cauchy, round, roundified and minimal
-    verdicts per core, the loop point filters, the filter space, the
-    separation quotients (the instance's with its projection, `quotient`),
-    the completion of each space asked for
-    (`completion_of`: the instance's space, its separation quotient and
-    the sibling's, so the functoriality and universal-property checks do
-    not complete them again), the combined test values per (source,
-    target) pair, and, per pair, whether each index map is uniformly
-    continuous (by the test-value loop `_uc_over`).  A check's
+    verdicts per core (minimality by `definitional_is_minimal_cauchy`), the
+    loop point filters, the filter space, the separation quotients (the
+    instance's with its projection, `quotient`), the completion of each
+    space asked for (`completion_of`: the instance's space, its separation
+    quotient and the sibling's, so the functoriality and universal-property
+    checks do not complete them again), the combined test values per
+    (source, target) pair, and, per pair, whether each index map is
+    uniformly continuous (by the test-value loop `_uc_over`).  A check's
     runtime includes filling any memo it is the first to ask for, so
     runtimes move between checks when the order or the set of checks
     changes; verdicts and witnesses do not.
@@ -1199,7 +1222,7 @@ class _Ctx:
     def minimal(self, mask: int) -> bool:
         table = self._memo(("minimal",), lambda: {})
         if mask not in table:
-            table[mask] = bool(is_minimal_cauchy(Filter(self.space, mask)))
+            table[mask] = bool(definitional_is_minimal_cauchy(Filter(self.space, mask)))
         return table[mask]
 
     def point_filters(self, fwd: bool = True):
@@ -1285,14 +1308,65 @@ def _check_roundify_preserves_cauchy(ctx: _Ctx):
     return None
 
 
-def _check_roundify_round(ctx: _Ctx):
-    for m in ctx.cores:
-        if not ctx.round_(ctx.roundified(m)):
-            return {"core": ctx.space.names_of(m)}
+def _zero_asymmetry(space: VSpace):
+    """The first pair (a, b) of indices, in row-major order of `zero_fwd`,
+    with d(a, b) = 0 != d(b, a); None when there is none.  On a finite
+    space that is exactly when UVA holds
+    (`structures.finite_model_collapse_zero_pattern`)."""
+    fwd = space.zero_fwd
+    return next(
+        ((a, b) for a in range(space.size) for b in range(space.size)
+         if fwd[a] >> b & 1 and not fwd[b] >> a & 1),
+        None,
+    )
+
+
+def _non_uva_pair(ctx: _Ctx):
+    pair = _zero_asymmetry(ctx.space)
+    if pair is None:
+        raise InvariantError("no UVA, yet every zero distance is symmetric")
+    return pair
+
+
+def _check_roundify_round_iff_uva(ctx: _Ctx):
+    """With positive test values, every roundification is round iff UVA.
+
+    Under UVA the zero distance is symmetric, so with the triangle law it
+    is an equivalence and the zero neighbourhoods are its classes.  A
+    roundified core is a union of classes, and a class that contains a
+    non-empty union of classes is that union, so no zero neighbourhood
+    strictly contains it: it is round.  Without UVA take the first pair
+    with d(a, b) = 0 != d(b, a).  The roundification of {b} has core
+    z(b), the points at distance 0 from b.  For y in z(b),
+    d(a, y) <= d(a, b) + d(b, y) = 0, so z(b) lies in z(a); a is in z(a)
+    but not in z(b).  So z(a) strictly contains z(b), and the
+    roundification of {b} is not round.
+    """
+    space = ctx.space
+    if ctx.uva:
+        for m in ctx.cores:
+            if not ctx.round_(ctx.roundified(m)):
+                return {"core": space.names_of(m)}
+        return None
+    _, b = _non_uva_pair(ctx)
+    if is_round(roundify(Filter(space, 1 << b))):
+        return {"core": space.names_of(1 << b)}
     return None
 
 
 def _check_minimal_iff(ctx: _Ctx):
+    """With positive test values, a proper filter is minimal Cauchy iff it
+    is Cauchy and round; no UVA is needed.
+
+    A core is Cauchy iff some zero neighbourhood covers it, every subset of
+    a Cauchy core is Cauchy, and a core is round iff no zero neighbourhood
+    strictly contains it.  A Cauchy core with a zero neighbourhood strictly
+    above has that neighbourhood as a proper Cauchy subfilter.  A Cauchy
+    core with none strictly above is minimal: a Cauchy core strictly above
+    it would lie in a zero neighbourhood, strictly above it too.  Without
+    positive test values every filter is Cauchy and none is round, while X
+    is minimal, hence the gate.
+    """
     for m in ctx.cores:
         if ctx.minimal(m) != (ctx.cauchy(m) and ctx.round_(m)):
             return {"core": ctx.space.names_of(m)}
@@ -1483,13 +1557,29 @@ def _check_completion_isometric_to_quotient(ctx: _Ctx):
     return None
 
 
-def _check_embedding_isometry(ctx: _Ctx):
+def _check_embedding_isometry_iff_uva(ctx: _Ctx):
+    """The point-filter embedding is an isometry iff UVA.
+
+    Under UVA the point-filter cores are the zero classes, and the filter
+    distance, the meet of d over the two cores, is d(x, y): every pair of
+    the classes of x and y is at distance d(x, y) by the triangle law.
+    Without UVA take the first pair with d(a, b) = 0 != d(b, a).  The point
+    b lies in its own point-filter core and, as d(a, b) = 0, in that of a,
+    so the filter distance from b to a is at most d(b, b) = 0, not d(b, a).
+    With no positive test values every distance is 0, which is UVA.
+    """
     space = ctx.space
-    pfs = ctx.point_filters(True)
-    for i in range(space.size):
-        for j in range(space.size):
-            if filter_distance(pfs[i], pfs[j]) != space.dmat[i][j]:
-                return {"pair": (space.points[i], space.points[j])}
+    if ctx.uva:
+        pfs = ctx.point_filters(True)
+        for i in range(space.size):
+            for j in range(space.size):
+                if filter_distance(pfs[i], pfs[j]) != space.dmat[i][j]:
+                    return {"pair": (space.points[i], space.points[j])}
+        return None
+    a, b = _non_uva_pair(ctx)
+    pa, pb = space.points[a], space.points[b]
+    if filter_distance(point_filter(space, pb), point_filter(space, pa)) == space.dmat[b][a]:
+        return {"pair": (pb, pa)}
     return None
 
 
@@ -1721,8 +1811,8 @@ class TheoremCheck:
 THEOREM_CHECKS = (
     TheoremCheck("filters.cauchy_round_implies_minimal", _check_cauchy_round_implies_minimal),
     TheoremCheck("filters.roundify_preserves_cauchy", _check_roundify_preserves_cauchy),
-    TheoremCheck("filters.roundify_round_under_uva", _check_roundify_round, ("uva", "positives")),
-    TheoremCheck("filters.minimal_iff_cauchy_round_under_uva", _check_minimal_iff, ("uva", "positives")),
+    TheoremCheck("filters.roundify_round_iff_uva", _check_roundify_round_iff_uva, ("positives",)),
+    TheoremCheck("filters.minimal_iff_cauchy_round", _check_minimal_iff, ("positives",)),
     TheoremCheck("filters.point_filters_coincide_under_va", _check_point_filters_coincide, ("va",)),
     TheoremCheck("filters.cauchy_iff_op_cauchy_under_uva", _check_cauchy_iff_op, ("uva",)),
     TheoremCheck("filters.roundify_idempotent", _check_roundify_idempotent, ("uva",)),
@@ -1734,7 +1824,7 @@ THEOREM_CHECKS = (
     TheoremCheck("completion.cauchy_space_is_uva_vspace", _check_tilde_is_uva_vspace, ("uva",)),
     TheoremCheck("completion.quotient_inherits_asymmetry", _check_quotient_inherits),
     TheoremCheck("completion.minimal_space_isometric_to_quotient", _check_completion_isometric_to_quotient, ("uva",)),
-    TheoremCheck("completion.embedding_isometry", _check_embedding_isometry, ("uva",)),
+    TheoremCheck("completion.embedding_isometry_iff_uva", _check_embedding_isometry_iff_uva),
     TheoremCheck("completion.embedding_dense", _check_embedding_dense, ("uva",)),
     TheoremCheck("completion.completion_is_cauchy_complete", _check_completion_complete, ("uva",)),
     TheoremCheck("completion.completion_separated_uva", _check_completion_separated_uva, ("uva",)),
@@ -1780,9 +1870,9 @@ def run_theorem_suite(generator: InstanceGenerator, count: int,
     """Run every theorem check over `count` generated instances.
 
     The oracle gate runs first and the suite refuses to start on any gate
-    failure.  Returns the gate reports followed by one aggregated report
-    per theorem; failures carry the child seed, the serialized instance,
-    and the witness, enough to replay standalone.
+    failure; its reports are `oracle_gate()`'s, not repeated here.  Returns
+    one aggregated report per theorem; failures carry the child seed, the
+    serialized instance, and the witness, enough to replay standalone.
     """
     gate = oracle_gate()
     if any(r.failures for r in gate):
@@ -1811,7 +1901,7 @@ def run_theorem_suite(generator: InstanceGenerator, count: int,
                 report.failures += (
                     {"seed": ctx.seed, "instance": payload, "witness": witness},
                 )
-    return gate + [tallies[c.id] for c in checks]
+    return [tallies[c.id] for c in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -1908,153 +1998,3 @@ def check_category_laws(generator: InstanceGenerator, count: int) -> list[Verifi
                     {"seed": ctx.seed, "instance": payload, "witness": witness},
                 )
     return [tallies[law] for law in CATEGORY_LAWS]
-
-
-# ---------------------------------------------------------------------------
-# counterexample search
-
-
-SEARCH_TARGETS = (
-    "roundify-round-without-UVA",
-    "minimal-iff-without-UVA",
-    "embedding-isometry-without-UVA",
-)
-
-
-def _violation(space: VSpace, target: str):
-    if target == "roundify-round-without-UVA":
-        for m in range(1, space.full_mask + 1):
-            if not is_round(roundify(Filter(space, m))):
-                return {"core": space.names_of(m)}
-        return None
-    if target == "minimal-iff-without-UVA":
-        for m in range(1, space.full_mask + 1):
-            f = Filter(space, m)
-            definitional = bool(is_minimal_cauchy(f))
-            characterized = bool(is_cauchy(f)) and bool(is_round(f))
-            if definitional != characterized:
-                return {
-                    "core": space.names_of(m),
-                    "definitional": definitional,
-                    "cauchy_and_round": characterized,
-                }
-        return None
-    if target == "embedding-isometry-without-UVA":
-        pfs = [point_filter(space, p) for p in space.points]
-        for i in range(space.size):
-            for j in range(space.size):
-                got = filter_distance(pfs[i], pfs[j])
-                if got != space.dmat[i][j]:
-                    return {
-                        "pair": (space.points[i], space.points[j]),
-                        "filter_distance": space.quantale.format(got),
-                        "distance": space.quantale.format(space.dmat[i][j]),
-                    }
-        return None
-    raise PreconditionError(f"unknown target {target!r}; known: {SEARCH_TARGETS}")
-
-
-def _drop_point(space: VSpace, idx: int) -> VSpace:
-    keep = [i for i in range(space.size) if i != idx]
-    return VSpace(
-        space.quantale,
-        [space.points[i] for i in keep],
-        [[space.dmat[i][j] for j in keep] for i in keep],
-    )
-
-
-def _shrink(space: VSpace, target: str) -> VSpace:
-    """Greedy minimisation: drop points, then coarsen entries downward."""
-    q = space.quantale
-    if q.is_finite:
-        canon = [q.bottom, q.top]
-    else:
-        canon = [Fraction(0), Fraction(1), INF]
-
-    def still_fails(candidate: VSpace) -> bool:
-        return (
-            validate_vspace(candidate).ok
-            and not has_uniformly_vanishing_asymmetry(candidate)
-            and _violation(candidate, target) is not None
-        )
-
-    current = space
-    progress = True
-    while progress:
-        progress = False
-        for i in range(current.size):
-            if current.size <= 1:
-                break
-            cand = _drop_point(current, i)
-            if still_fails(cand):
-                current = cand
-                progress = True
-                break
-        if progress:
-            continue
-        rank = {v: r for r, v in enumerate(canon)}
-        for i in range(current.size):
-            for j in range(current.size):
-                if i == j:
-                    continue
-                e = current.dmat[i][j]
-                e_rank = rank.get(e, len(canon))
-                for value in canon[: min(e_rank, len(canon))]:
-                    rows = [list(r) for r in current.dmat]
-                    rows[i][j] = value
-                    cand = VSpace(q, current.points, rows)
-                    if still_fails(cand):
-                        current = cand
-                        progress = True
-                        break
-                if progress:
-                    break
-            if progress:
-                break
-    return current
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    target: str
-    examined: int
-    findings: tuple
-
-    def payload(self) -> dict:
-        return {
-            "target": self.target,
-            "examined": self.examined,
-            "findings": list(self.findings),
-        }
-
-
-def search_counterexamples(target: str, generator: InstanceGenerator,
-                           budget: int) -> SearchResult:
-    """Mine non-UVA instances for failures of a UVA-hypothesis conclusion.
-
-    Findings are reports with replay seeds and greedily shrunk witnesses,
-    never assertions that a counterexample must exist; zero budget yields
-    zero findings.
-    """
-    if target not in SEARCH_TARGETS:
-        raise PreconditionError(f"unknown target {target!r}; known: {SEARCH_TARGETS}")
-    findings = []
-    examined = 0
-    for child, space in generator.instances(budget):
-        examined += 1
-        if has_uniformly_vanishing_asymmetry(space):
-            continue
-        witness = _violation(space, target)
-        if witness is None:
-            continue
-        shrunk = _shrink(space, target)
-        findings.append(
-            {
-                "seed": child,
-                "witness": witness,
-                "instance": serialize.space_to_payload(space),
-                "shrunk": serialize.space_to_payload(shrunk),
-                "shrunk_witness": _violation(shrunk, target),
-            }
-        )
-    return SearchResult(target=target, examined=examined, findings=tuple(findings))

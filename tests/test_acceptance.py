@@ -147,13 +147,13 @@ def test_criterion_4_epsilon_reduction():
 THEOREM_IDS = (
     "filters.cauchy_round_implies_minimal",
     "filters.roundify_preserves_cauchy",
-    "filters.roundify_round_under_uva",
-    "filters.minimal_iff_cauchy_round_under_uva",
+    "filters.roundify_round_iff_uva",
+    "filters.minimal_iff_cauchy_round",
     "filters.point_filters_coincide_under_va",
     "filters.cauchy_iff_op_cauchy_under_uva",
     "completion.cauchy_space_is_uva_vspace",
     "completion.minimal_space_isometric_to_quotient",
-    "completion.embedding_isometry",
+    "completion.embedding_isometry_iff_uva",
     "completion.embedding_dense",
     "completion.completion_is_cauchy_complete",
     "completion.completion_separated_uva",

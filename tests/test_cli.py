@@ -324,7 +324,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "21c6ad7fc2bd21c86e42f5c3f62ae1c75fcda93ba6f6355321657f93691a0439"
+            "5fdb5aa7ede3d53a538ce24a4205e20ae9c5ece4279e71d04f8133d728c3de28"
         )
 
     def test_space_reports_pinned(self, capsys, tmp_path, x2a, x2n, x2s, x3z, xq1):
@@ -352,6 +352,24 @@ class TestVerifyCommand:
         assert sorted(name for name, _ in lines) == sorted(ids)
         seconds = [float(s) for _, s in lines]
         assert seconds == sorted(seconds, reverse=True)
+
+    def test_timings_name_each_check_once(self, capsys):
+        # the oracle gate is reported by its own section only, and a check
+        # run in several sections is one line timed over all of them
+        args = ["--format", "structured", "verify", "--suite", "all",
+                "--seed", "3", "--instances", "2", "--max-points", "3"]
+        code, out, err = run(capsys, *args, "--timings")
+        assert code == 0
+        sections = json.loads(out)["payload"]["sections"]
+        ids = {r["id"] for sec in sections for r in sec["reports"]}
+        names = [line.split(" ")[0] for line in err.splitlines()]
+        assert len(names) == len(set(names))
+        assert set(names) == ids
+        gate = [r["id"] for sec in sections for r in sec["reports"]
+                if r["id"].startswith("oracle.")]
+        assert gate and len(gate) == len(set(gate))
+        assert {sec["section"] for sec in sections if any(
+            r["id"].startswith("oracle.") for r in sec["reports"])} == {"oracles"}
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -391,24 +409,6 @@ class TestUnwritableOutput:
         assert where == "directory" or not target.parent.exists()
 
 
-class TestSearchCommand:
-    def test_search_reports_findings(self, capsys):
-        code, out, _ = run(
-            capsys, "search", "--target", "roundify-round-without-UVA",
-            "--budget", "10", "--seed", "3",
-        )
-        assert code == 0
-        assert "examined 10" in out
-
-    def test_zero_budget(self, capsys):
-        code, out, _ = run(
-            capsys, "search", "--target", "minimal-iff-without-UVA",
-            "--budget", "0", "--seed", "3",
-        )
-        assert code == 0
-        assert "found 0" in out
-
-
 class TestUsage:
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["classify", "--bogus", "x"]) == 2
@@ -422,8 +422,7 @@ class TestUsage:
             (["verify", "--max-points", "0"], "argument --max-points: must be at least 1, got 0"),
             (["verify", "--instances", "-3"], "argument --instances: must be at least 1, got -3"),
             (["verify", "--instances", "many"], "argument --instances: invalid int value: 'many'"),
-            (["search", "--target", "minimal-iff-without-UVA", "--budget", "-2"],
-             "argument --budget: must be at least 0, got -2"),
+            (["verify", "--seed", "4.5"], "argument --seed: invalid int value: '4.5'"),
             (["verify", "--max-points", "9"], "argument --max-points: must be at most 5, got 9"),
         ],
     )

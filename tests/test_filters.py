@@ -229,13 +229,35 @@ class TestMinimalCauchy:
         for space in (x2a, x3z):
             for mask in range(1, space.full_mask + 1):
                 f = Filter(space, mask)
-                assert is_minimal_cauchy(f).ok == is_minimal_cauchy(
-                    f, "characterization"
-                ).ok
+                assert is_minimal_cauchy(f).ok == (is_cauchy(f).ok and is_round(f).ok)
 
-    def test_characterization_refused_without_uva(self, x2n):
-        with pytest.raises(PreconditionError):
-            is_minimal_cauchy(principal_filter(x2n, ["a"]), "characterization")
+    def test_characterization_holds_without_uva(self, x2n):
+        # minimal Cauchy is Cauchy and round with positive test values,
+        # with or without uniformly vanishing asymmetry
+        cores = {}
+        for mask in range(1, x2n.full_mask + 1):
+            f = Filter(x2n, mask)
+            cores[f.core] = is_minimal_cauchy(f).ok
+            assert cores[f.core] == (is_cauchy(f).ok and is_round(f).ok)
+        assert cores == {("a",): False, ("b",): False, ("a", "b"): True}
+
+    def test_closed_form_matches_enumeration(self, x2n, xq1):
+        # xq1 has no test values: every filter is Cauchy, none is round, and
+        # only the core X is minimal
+        from qc.verify import _oracle_battery, definitional_is_minimal_cauchy
+
+        assert is_minimal_cauchy(Filter(xq1, xq1.full_mask)).ok
+        spaces = [s for n in (1, 2, 3) for s in _oracle_battery(n)] + [x2n, xq1]
+        outcomes = set()
+        for space in spaces:
+            for mask in range(1, space.full_mask + 1):
+                f = Filter(space, mask)
+                closed = is_minimal_cauchy(f)
+                assert closed == definitional_is_minimal_cauchy(f), (space, mask)
+                outcomes.add((closed.ok, (closed.witness or {}).get("reason")))
+        assert outcomes == {
+            (True, None), (False, "not cauchy"), (False, "proper cauchy subfilter")
+        }
 
 
 class TestConverges:

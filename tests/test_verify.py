@@ -6,21 +6,25 @@ from qc import (
     BUILTIN_QUANTALES,
     EXT_RATIONAL,
     INF,
+    Filter,
     InstanceGenerator,
     PreconditionError,
     VSpace,
     check_category_laws,
     enumerate_filter_families,
+    filter_distance,
     has_uniformly_vanishing_asymmetry,
+    is_round,
     oracle_collapsed_formulas,
     oracle_epsilon_reduction,
     oracle_filters,
+    point_filter,
+    roundify,
     run_theorem_suite,
-    search_counterexamples,
     triangle_repair,
     validate_vspace,
 )
-from qc.verify import _dense_values, _violation
+from qc.verify import _dense_values, _zero_asymmetry
 
 E = EXT_RATIONAL
 
@@ -268,7 +272,7 @@ class TestTheoremSuite:
         assert all(r.ok for r in reports), [r.id for r in reports if not r.ok]
         ran = {r.id for r in reports if r.instances}
         assert "completion.universal_property" in ran
-        assert "filters.minimal_iff_cauchy_round_under_uva" in ran
+        assert "filters.minimal_iff_cauchy_round" in ran
 
     def test_unconstrained_run_passes(self):
         reports = run_theorem_suite(InstanceGenerator(seed=14), 12)
@@ -289,7 +293,7 @@ class TestTheoremSuite:
         assert by_id["degenerate.completion_single_point"].instances == 8
         assert by_id["degenerate.uva_everywhere"].instances == 8
         # roundness lemmas need a positive cone and must not run over Q1
-        assert by_id["filters.roundify_round_under_uva"].instances == 0
+        assert by_id["filters.roundify_round_iff_uva"].instances == 0
 
     def test_closed_form_checks_run_ungated(self, pinched):
         # the closed form and Cauchy completeness hold on every finite space,
@@ -399,61 +403,53 @@ class TestCategoryLaws:
         assert all(r.instances == 5 for r in reports)
 
 
-class TestCounterexampleSearch:
-    def test_zero_budget(self):
-        result = search_counterexamples(
-            "roundify-round-without-UVA", InstanceGenerator(seed=23), 0
-        )
-        assert result.examined == 0 and result.findings == ()
+class TestUvaSharpness:
+    CHECKS = (
+        "filters.roundify_round_iff_uva",
+        "filters.minimal_iff_cauchy_round",
+        "completion.embedding_isometry_iff_uva",
+    )
 
-    def test_roundify_round_finding_on_known_space(self, x2n):
-        witness = _violation(x2n, "roundify-round-without-UVA")
-        assert witness == {"core": ("b",)}
+    def test_roundify_witness_on_x2n(self, x2n):
+        # d(a, b) = 0 != d(b, a): the roundification of {b} is not round
+        a, b = _zero_asymmetry(x2n)
+        assert (x2n.points[a], x2n.points[b]) == ("a", "b")
+        f = Filter(x2n, 1 << b)
+        assert f.core == ("b",)
+        assert not is_round(roundify(f))
 
-    def test_embedding_isometry_finding_on_known_space(self, x2n):
-        witness = _violation(x2n, "embedding-isometry-without-UVA")
-        assert witness is not None
-        assert witness["pair"] == ("b", "a")
-        assert witness["filter_distance"] == "0"
-        assert witness["distance"] == "1"
+    def test_isometry_witness_on_x2n(self, x2n):
+        a, b = _zero_asymmetry(x2n)
+        pa, pb = x2n.points[a], x2n.points[b]
+        assert (pb, pa) == ("b", "a")
+        assert filter_distance(point_filter(x2n, pb), point_filter(x2n, pa)) == 0
+        assert x2n.d(pb, pa) == 1
 
-    def test_search_produces_shrunk_findings(self):
-        result = search_counterexamples(
-            "roundify-round-without-UVA", InstanceGenerator(seed=24), 40
-        )
-        assert result.findings
-        for finding in result.findings:
-            assert finding["shrunk_witness"] is not None
-            assert len(finding["shrunk"]["points"]) <= len(
-                finding["instance"]["points"]
-            )
-            # findings replay: the recorded seed regenerates the instance
-            gen = InstanceGenerator(seed=24)
-            replayed = gen.space_from_seed(finding["seed"])
-            from qc import serialize
+    def test_no_witness_under_uva(self, x2a, x3z, xq1):
+        for space in (x2a, x3z, xq1):
+            assert _zero_asymmetry(space) is None
+        gen = InstanceGenerator(seed=26)
+        for _, space in gen.instances(40):
+            uva = has_uniformly_vanishing_asymmetry(space).ok
+            assert (_zero_asymmetry(space) is None) == uva
 
-            assert serialize.space_to_payload(replayed) == finding["instance"]
-            break
+    def test_checks_pass_on_non_uva_instances(self):
+        from qc.verify import THEOREM_CHECKS, _Ctx
 
-    def test_minimal_iff_search(self):
-        result = search_counterexamples(
-            "minimal-iff-without-UVA", InstanceGenerator(seed=25), 40
-        )
-        # findings are reports, not guarantees; when present they must replay
-        for finding in result.findings:
-            assert finding["witness"] is not None
-
-    def test_unknown_target(self):
-        with pytest.raises(PreconditionError):
-            search_counterexamples("nonsense", InstanceGenerator(seed=1), 1)
-
-    def test_uva_instances_never_counted_as_findings(self):
-        result = search_counterexamples(
-            "roundify-round-without-UVA",
-            InstanceGenerator(seed=26, force_uva=True),
-            20,
-        )
-        assert result.findings == ()
+        checks = tuple(c for c in THEOREM_CHECKS if c.id in self.CHECKS)
+        assert [c.id for c in checks] == list(self.CHECKS)
+        gen = InstanceGenerator(seed=25)
+        count, non_uva = 40, 0
+        for child in gen.child_seeds(count):
+            ctx = _Ctx(gen, child)
+            if not ctx.uva:
+                non_uva += 1
+                for check in checks:
+                    assert check.fn(ctx) is None, (check.id, child)
+        assert 0 < non_uva < count
+        # the checks run on every instance, UVA or not
+        for report in run_theorem_suite(gen, count, checks=checks):
+            assert report.instances == report.passes == count, report.id
 
 
 class TestCrossSpaceReduction:

@@ -36,6 +36,8 @@ GENERATOR = "tests/test_verify.py::TestGenerator::test_key_space_matches_value_r
 CATEGORY = "tests/test_verify.py::TestCategoryLaws"
 BUILDER = "tests/test_completion.py::TestFilterSpaceBuilder"
 SHARPNESS = "tests/test_verify.py::TestUvaSharpness"
+TRIANGLE = "tests/test_vspace.py::TestTriangleKernels"
+SUITE = "tests/test_verify.py::TestTheoremSuite::test_uva_run_passes"
 
 
 class Mutant(NamedTuple):
@@ -104,11 +106,32 @@ MUTANTS = (
         (TWINS,),
     ),
     Mutant(
-        "keyed-early-break-one-key-too-soon",
+        "packed-broadcast-not-strict",
         "vspace.py",
-        "if s >= top_i:",
-        "if s + 1 >= top_i:",
-        (KERNELS,),
+        'steps = [(key + 1).to_bytes(width, "little") * n for key in keys]',
+        'steps = [key.to_bytes(width, "little") * n for key in keys]',
+        (TRIANGLE,),
+    ),
+    Mutant(
+        "packed-lane-one-bit-short",
+        "vspace.py",
+        "width = (2 * max(keys) + 1).bit_length() // 8 + 1",
+        "width = ((2 * max(keys) + 1).bit_length() + 7) // 8",
+        (TRIANGLE,),
+    ),
+    Mutant(
+        "capped-chain-test-skips-addition-table",
+        "quantale.py",
+        "tuple(keys) if is_chain and capped else None",
+        "tuple(keys) if is_chain else None",
+        (TRIANGLE,),
+    ),
+    Mutant(
+        "packed-unpacking-drops-last-lane",
+        "vspace.py",
+        "enumerate(flags[t * n:(t + 1) * n])",
+        "enumerate(flags[t * n:(t + 1) * n - 1])",
+        (TRIANGLE,),
     ),
     Mutant(
         "entry-classes-memo-keyed-on-value-alone",
@@ -144,6 +167,13 @@ MUTANTS = (
         "value = Fraction(int(num), int(den))",
         "value = Fraction(int(num))",
         (BUILD,),
+    ),
+    Mutant(
+        "relax-keyed-off-by-one",
+        "verify.py",
+        "                        cand = a + b\n",
+        "                        cand = a + b + 1\n",
+        (GENERATOR,),
     ),
     Mutant(
         "generator-uva-skips-re-relaxation",
@@ -241,6 +271,13 @@ MUTANTS = (
         "                if not is_cauchy(intersect(f, g)):\n"
         "                    return {\"cores\": (f.core, g.core)}\n",
         ("tests/test_verify.py::TestTheoremSuite::test_zero_distance_check_catches_non_cauchy_union",),
+    ),
+    Mutant(
+        "theorem-check-always-fails",
+        "verify.py",
+        "return None if verdict else verdict.witness",
+        "return {\"complete\": bool(verdict)}",
+        (SUITE,),
     ),
     Mutant(
         "roundify-witness-core-a",

@@ -11,17 +11,23 @@ meaningful relative to their owning quantale; every public operation
 normalises and checks its element arguments.  Private rank kernels work on
 a compiled space's distinct values, which were checked when the space was
 built, so they make no check per value.  `_meet_ranks` is the meet behind
-set and filter distances.  The order test behind balls and the triangle
-check depends on the family.  On a finite quantale `_below_mask` reads the
-order table, and no chain is assumed.  On the extended-rational chain
-`_order_keys` gives each value an exact key, value * L with L the lcm of
-the denominators, as a plain int; INF, always the last value, gets a top
-sentinel above every sum of two finite keys.  Order tests and sums then run
-on ints: `_count_below` for balls, and in `qc.vspace` the triangle check
-and in `qc.verify` `triangle_repair`.  When L would pass `_KEY_SCALE_BITS`
-bits (many coprime denominators), the keys are the Fractions themselves,
-with a Fraction sentinel: the code that reads them is the same, and only
-the size of the keys is bounded.
+set and filter distances.  `_order_keys` gives each value an exact key
+where the quantale has them, with x <= a + b iff key(x) <= key(a) +
+key(b).  On the extended-rational chain a key is value * L with L the lcm
+of the denominators, as a plain int; INF, always the last value, gets a
+top sentinel above every sum of two finite keys.  When L would pass
+`_KEY_SCALE_BITS` bits (many coprime denominators), the keys are the
+Fractions themselves, with a Fraction sentinel, so the size of the keys
+is bounded.  A finite quantale has keys when its tables make it a capped
+chain: a chain whose sum is the element at position min(key(a) + key(b),
+key(top)), its key being its position.  It decides this once, when it is
+built; no key exceeds the top's, so the sum of two keys needs no cap.
+Order tests and sums then run on keys: `_count_below` for balls, in
+`qc.vspace` the packed-lane triangle check on int keys, and in
+`qc.verify` `triangle_repair` on the extended rationals.  `_below_mask`
+is the order test of the class triangle kernel in `qc.vspace`, and of
+balls on tables without keys: the order table of a finite quantale, or a
+bisection on the extended-rational chain.
 
 The well-above relation on finite tables is computed by the closed form
 
@@ -104,13 +110,16 @@ _KEY_SCALE_BITS = 128
 
 
 class _OrderKeys(NamedTuple):
-    """Exact keys for the values of a compiled space on the extended-rational chain.
+    """Exact order keys for the values of a compiled space on a chain.
 
-    `keys[u]` is `values[u] * scale` as an int, or `values[u]` itself when
-    `scale` is None (the Fraction fallback).  When INF occurs it is the last
-    value, and its key is a top sentinel above the sum of any two finite
-    keys.  `finite` counts the finite values.  Keys are ascending, and the sum
-    of two finite keys is the key of the sum of their values.
+    On the extended rationals `keys[u]` is `values[u] * scale` as an int, or
+    `values[u]` itself when `scale` is None (the Fraction fallback).  When
+    INF occurs it is the last value, and its key is a top sentinel above
+    the sum of any two finite keys.  `finite` counts the finite values.  On
+    a capped chain `keys[u]` is the position of `values[u]`, `scale` is 1
+    and `finite` counts every value.  Keys are ascending, x <= a + b iff
+    key(x) <= key(a) + key(b), and `scale` is None exactly when the keys
+    are Fractions.
     """
 
     keys: tuple
@@ -123,8 +132,8 @@ class ValueQuantale:
 
     Subclasses provide: check, leq, add, meet, join, well_above, subtract,
     nth_fraction, interpolate, sort_key, format, parse, bottom, top, and
-    the rank kernels _meet_ranks and either _below_mask (finite tables) or
-    _order_keys with _count_below (the extended-rational chain).
+    the rank kernels _meet_ranks, _below_mask, and _order_keys with
+    _count_below where the quantale has order keys.
     """
 
     is_finite: bool = False
@@ -135,7 +144,7 @@ class ValueQuantale:
         raise NotImplementedError
 
     def _order_keys(self, values) -> _OrderKeys | None:
-        """Exact keys for `values` on a chain; None where no chain is assumed.
+        """Exact keys for `values`; None where the quantale has no keys.
 
         `values` must be distinct normalised elements in `sort_key` order,
         such as a space's compiled values.  Nothing is checked.
@@ -235,6 +244,16 @@ class ExtendedRationalQuantale(ValueQuantale):
             element = element.numerator * okeys.scale // element.denominator
         # a finite element never reaches the sentinel, however large it is
         return bisect_right(okeys.keys, element, 0, okeys.finite)
+
+    def _below_mask(self, values, element) -> int:
+        """Bit u set iff values[u] <= element, found by bisection.
+
+        `values` is as for `_order_keys`, or a subsequence of such values,
+        so those below `element` are a prefix.  Only `element` is checked:
+        this is the order test of the class triangle kernel, which runs
+        when the keys are Fractions (past the key budget).
+        """
+        return (1 << bisect_right(values, self.check(element))) - 1
 
     def _meet_ranks(self, values, ranks: int):
         # a chain sorted ascending: the meet is the value at the lowest rank
@@ -546,6 +565,18 @@ class FiniteQuantale(ValueQuantale):
         self.positives = tuple(
             sorted((e for e in range(n) if self._wa[e][bottom]), key=self.sort_key)
         )
+        # order keys on a capped chain: each element's position, with a + b
+        # the element at position min(key(a) + key(b), key(top)); since no
+        # key passes the top's, x <= a + b iff key(x) <= key(a) + key(b)
+        chain = sorted(range(n), key=self._rank.__getitem__)
+        keys = [0] * n
+        for pos, e in enumerate(chain):
+            keys[e] = pos
+        is_chain = all(leq_t[a][b] for a, b in zip(chain, chain[1:]))
+        capped = all(
+            add_t[a][b] == chain[min(keys[a] + keys[b], n - 1)] for a in range(n) for b in range(n)
+        )
+        self._chain_keys = tuple(keys) if is_chain and capped else None
         self._hash = hash((names, leq_t, add_t))
 
     @property
@@ -592,6 +623,17 @@ class FiniteQuantale(ValueQuantale):
             if leq[v][col]:
                 m |= 1 << u
         return m
+
+    def _order_keys(self, values) -> _OrderKeys | None:
+        # positions on a capped chain (see __init__); no chain is assumed otherwise
+        keys = self._chain_keys
+        if keys is None:
+            return None
+        return _OrderKeys(tuple([keys[v] for v in values]), 1, len(values))
+
+    def _count_below(self, okeys: _OrderKeys, element) -> int:
+        """Number of the keyed values <= element on a capped chain; a prefix."""
+        return bisect_right(okeys.keys, self._chain_keys[self.check(element)])
 
     def _meet_ranks(self, values, ranks: int):
         # no chain is assumed: fold the meet table over the set ranks

@@ -85,6 +85,10 @@ def topology_of(space: VSpace, side: str = "forward") -> FiniteTopology:
     return FiniteTopology(space.points, opens)
 
 
+# the bits of each byte, lowest first, as bools: a core row is read a byte at a time
+_BYTE_ROWS = tuple(tuple([bool(b >> j & 1) for j in range(8)]) for b in range(256))
+
+
 @dataclass(frozen=True)
 class QuasiUniformity:
     """Principal entourage filter, stored by its core relation."""
@@ -102,13 +106,16 @@ def quasi_uniformity_of(space: VSpace, side: str = "forward") -> QuasiUniformity
 
     That is the zero relation, the entourage of the least test value, or
     every pair when there are no test values.  Each distinct zero mask is
-    expanded into a row once, and points with equal masks (twins among
-    them) share it.
+    expanded into a row once, a byte at a time through `_BYTE_ROWS`, and
+    points with equal masks (twins among them) share it.
     """
     zeros = _zero_masks(space, side)
     n = space.size
     rows = zeros if space.test_values else [space.full_mask] * n
-    expanded = {r: tuple([bool(r >> j & 1) for j in range(n)]) for r in set(rows)}
+    width, row_of_byte = (n + 7) // 8, _BYTE_ROWS.__getitem__
+    expanded = {
+        r: sum(map(row_of_byte, r.to_bytes(width, "little")), ())[:n] for r in set(rows)
+    }
     if any(not r >> i & 1 for i, r in enumerate(rows)):
         raise InvariantError("entourage core is not reflexive")
     return QuasiUniformity(space.points, tuple([expanded[r] for r in rows]))

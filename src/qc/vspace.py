@@ -45,16 +45,26 @@ filters is classed by those rank masks, with one meet per class
 (`qc.completion._filters_to_space`), and handed to `VSpace` as
 `_EntryClasses`, so its entries are never hashed one by one.
 
-On the extended rationals the rank form also holds one exact key per
-value (`ExtendedRationalQuantale._order_keys`): value * L as an int, with
-L the lcm of the denominators and a top sentinel for INF, or, when L would
-pass the quantale's bit budget, the Fractions themselves with a Fraction
-sentinel.  Two kernels run on the keys.  A ball bisects them at
-floor(eps * L).  The triangle check in `validate_vspace` forms each sum of
-two values as the sum of their keys and finds the values of a row not
-below it by bisecting the row's keys.  On finite quantales the triangle
-check runs over value classes with the table addition and order, and no
-chain is assumed.
+The rank form also holds one exact order key per value where the quantale
+has them (`ValueQuantale._order_keys`).  On the extended rationals a key
+is value * L as an int, with L the lcm of the denominators and a top
+sentinel for INF, or, when L would pass the quantale's bit budget, the
+Fraction itself with a Fraction sentinel.  On a finite quantale whose
+tables make it a capped chain (such as Q2, Q3 and chain4) the key is the
+element's position in the chain; the quantale decides this once, from
+its order and addition tables.  Other finite tables have no keys, and no
+chain is assumed.  Either way x <= a + b iff key(x) <= key(a) + key(b).
+A ball bisects the keys at the radius's key (floor(eps * L) on the
+extended rationals).
+
+The triangle check in `validate_vspace` has two kernels.  With int keys
+it packs each row of keys into one int, a lane per point with a guard bit
+above each lane, and tests a row against every other row with one
+subtraction (`_packed_triangle_violations`).  Every other input (Fraction
+keys past the budget, and tables that are not capped chains, such as
+`pinched`) goes through the class kernel, which takes each sum of two
+values once with the quantale addition and reads the points not below it
+from the values of a row (`_table_triangle_violations`).
 
 The triangle check works once per twin class.  Twins are points with an
 equal row and an equal column of ranks, found by exact equality (their
@@ -68,7 +78,6 @@ the entourage core and set distances are kept in `qc.verify` as oracles.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -280,8 +289,8 @@ class _RankForm:
     entry is its index there, and `rank[i][j]` is the rank of d(i,j).
     `fwd[i]` maps each rank occurring in row i to the mask of the j with
     d(i,j) of that rank; `bwd[i]` does the same for column i.  `keys` holds
-    the quantale's exact order keys of the values on the extended-rational
-    chain, and is None on finite quantales.
+    the quantale's exact order keys of the values, and is None where the
+    quantale has none (finite tables that are not capped chains).
     """
 
     __slots__ = ("values", "rank", "fwd", "bwd", "keys")
@@ -374,18 +383,18 @@ def validate_vspace(space: VSpace) -> ValidationReport:
     """
     q = space.quantale
     values, rank = space._ranks.values, space._ranks.rank
+    # 0 sorts first, so a diagonal entry is 0 iff its rank is 0 and values[0] is 0
+    zero = 0 if values and values[0] == q.bottom else -1
     failures = []
-    for i in range(space.size):
-        if values[rank[i][i]] != q.bottom:
+    for i, row in enumerate(rank):
+        if row[i] != zero:
             failures.append(
                 CheckFailure(
                     "zero-diagonal",
-                    {"point": space.points[i], "value": q.format(values[rank[i][i]])},
+                    {"point": space.points[i], "value": q.format(values[row[i]])},
                 )
             )
-    for i, row in enumerate(_triangle_violations(space)):
-        if not any(row):
-            continue
+    for i, row in _triangle_violations(space):
         for j, bad in enumerate(row):
             while bad:
                 low = bad & -bad
@@ -425,95 +434,102 @@ def _twins(form: _RankForm) -> dict[int, list[int]]:
     return classes
 
 
-def _triangle_violations(space: VSpace) -> list[list[int]]:
-    """Per pair (i, j), the mask of the k with d(i,k) not <= d(i,j) + d(j,k).
+def _triangle_violations(space: VSpace) -> list[tuple[int, list[int]]]:
+    """Per point i with a violation, in ascending order, the row of masks
+    whose entry j holds the k with d(i,k) not <= d(i,j) + d(j,k).
 
     The kernels visit the twin representatives of i and j only, with k
     over every point.  A twin i' of i has the row of i, so its violations
     are those of i; a twin j' of j has d(i,j') = d(i,j) by the equal
     columns and d(j',k) = d(j,k) by the equal rows, so the mask of (i, j')
-    is that of (i, j).  The full matrix is filled in from the
-    representatives, and twins share their rows of it.
+    is that of (i, j).  The rows are filled in from the representatives,
+    and twins share them.  Int order keys take the packed-lane kernel;
+    every other input, Fraction keys and tables that are not capped
+    chains, the class kernel.
     """
     form = space._ranks
     twins = _twins(form)
-    if form.keys is None:
-        found = _table_triangle_violations(space, twins)
+    if form.keys is not None and form.keys.scale is not None:
+        found = _packed_triangle_violations(space, twins)
     else:
-        found = _keyed_triangle_violations(space, twins)
-    out = [None] * space.size
+        found = _table_triangle_violations(space, twins)
+    rows = {}
     for i, members in twins.items():
-        row = [0] * space.size
-        for j, ks in found[i].items():
-            for t in twins[j]:
-                row[t] = ks
-        for t in members:
-            out[t] = row
-    return out
+        if found[i]:
+            row = [0] * space.size
+            for j, ks in found[i].items():
+                for t in twins[j]:
+                    row[t] = ks
+            for t in members:
+                rows[t] = row
+    return sorted(rows.items())
 
 
-def _keyed_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[int, int]]:
-    """The triangle check on the exact order keys of the extended rationals.
+def _packed_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[int, int]]:
+    """The triangle check on int order keys, one lane per point.
 
-    Row i's classes sorted by key give, per position, the union of the
-    masks from there on; the points of row i not below a sum s are that
-    union at the position `bisect_right` finds for s.  For a pair (i, j)
-    the violations are the union over the classes of row j, taken in
-    ascending key order, of their points not below key[d(i,j)] + key[b];
-    once a sum reaches row i's largest key no later class can violate.
-    Only twin representatives i and j are visited (`_triangle_violations`);
-    the result maps each representative i to its representatives j with a
-    violation, and to their masks.
+    A row of keys is packed into one int, key[d(i,k)] in lane k.  A lane is
+    a whole number of bytes: value bits below a guard bit, enough of them
+    that 2 * K + 1 fits, for K the largest key.  With G the guard bits and
+    ONES the lowest bit of each lane, lane k of
+
+        ((P_i | G) - (P_j + (key[d(i,j)] + 1) * ONES)) & G
+
+    is set iff key[d(i,k)] >= key[d(i,j)] + key[d(j,k)] + 1, that is, iff
+    d(i,k) is not below d(i,j) + d(j,k) (`ValueQuantale._order_keys`):
+    each lane's difference is non-negative and below twice the guard, so
+    no lane borrows from the next.  The rows P_j of the twin
+    representatives j (`_triangle_violations`) are laid side by side in
+    one int, so one subtraction tests a representative i against all of
+    them; lanes are unpacked only when the result is not zero.  The result
+    maps each representative i to its representatives j with a violation,
+    and to their masks.
     """
+    if not twins:
+        return {}
     form = space._ranks
-    keys = form.keys.keys
-    reps = sum(1 << i for i in twins)
-    # per representative: its keys ascending, the suffix unions of their
-    # masks, and its (key, mask) classes
-    local = {}
-    for i in twins:
-        row = form.fwd[i]
-        ranks = sorted(row)
-        suffix = [0] * (len(ranks) + 1)
-        for t in range(len(ranks) - 1, -1, -1):
-            suffix[t] = suffix[t + 1] | row[ranks[t]]
-        local[i] = ([keys[u] for u in ranks], suffix, [(keys[u], row[u]) for u in ranks])
+    keys, rank = form.keys.keys, form.rank
+    n, reps = space.size, list(twins)
+    width = (2 * max(keys) + 1).bit_length() // 8 + 1  # bytes per lane
+    flag = 1 << 8 * width - 1  # the guard bit of a lane
+    lanes = [key.to_bytes(width, "little") for key in keys]
+    guarded = [(key | flag).to_bytes(width, "little") for key in keys]
+    steps = [(key + 1).to_bytes(width, "little") * n for key in keys]
+    size = n * width * len(reps)  # bytes of the rows side by side
+    guard = int.from_bytes(flag.to_bytes(width, "little") * (n * len(reps)), "little")
+    others = b"".join([b"".join(map(lanes.__getitem__, rank[j])) for j in reps])
+    others = int.from_bytes(others, "little")
     out = {}
-    for i in twins:
-        keys_i, above_i, _ = local[i]
-        top_i = keys_i[-1]
+    for i in reps:
+        row = rank[i]
+        top = int.from_bytes(b"".join(map(guarded.__getitem__, row)) * len(reps), "little")
+        step = b"".join(map(steps.__getitem__, map(row.__getitem__, reps)))
+        bad = (top - (others + int.from_bytes(step, "little"))) & guard
         bad_i = out[i] = {}
-        for a, pairs in form.fwd[i].items():
-            key_a = keys[a]
-            pairs &= reps
-            while pairs:
-                low = pairs & -pairs
-                j = low.bit_length() - 1
-                pairs ^= low
-                ks = 0
-                for key_b, mask_j in local[j][2]:
-                    s = key_a + key_b
-                    if s >= top_i:
-                        break
-                    ks |= mask_j & above_i[bisect_right(keys_i, s)]
+        if bad:
+            flags = bad.to_bytes(size, "little")[width - 1::width]
+            for t, j in enumerate(reps):
+                ks = sum([1 << k for k, f in enumerate(flags[t * n:(t + 1) * n]) if f])
                 if ks:
                     bad_i[j] = ks
     return out
 
 
 def _table_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[int, int]]:
-    """The triangle check over value classes on a finite quantale's tables.
+    """The triangle check over value classes, with the quantale's own sum.
 
     No chain is assumed.  The points k with d(i,k) not below a value s are
     the union of the classes of row i whose value is not below s, found by
-    the quantale's order table on the distinct values of row i.  For a pair
+    the quantale's `_below_mask` on the distinct values of row i: the order
+    table of a finite quantale, or a bisection on the extended-rational
+    chain (the route of Fraction keys).  For a pair
     (i, j) with d(i,j) = values[a], the violations are the union over the
     classes b of row j of the points of class b that are not below
     values[a] + values[b], a sum taken once per (a, b) with the exact
     quantale addition.  The pairs are visited one value a at a time, so the
     table of sums never holds more than one row.  Only twin representatives
     i and j are visited, and the result has the shape of
-    `_keyed_triangle_violations`.
+    `_packed_triangle_violations`.
     """
     q = space.quantale
     form = space._ranks

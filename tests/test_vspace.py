@@ -736,6 +736,182 @@ class TestTwinClasses:
         )
 
 
+def _lane_space(q, far, src):
+    """A space whose only triangle failures sit in the lane of one point.
+
+    Base point 0 is at distance `far` from base point 1 and every other
+    base distance off the diagonal is 1, so the failures are the (i, j, k)
+    with i a copy of 1 and k the copy of 0; `src` maps each point to its
+    base point, and points with one base point are twins.
+    """
+    base = [[q.bottom if a == b else 1 for b in range(4)] for a in range(4)]
+    base[1][0] = far
+    return VSpace(q, [f"p{x}" for x in range(len(src))], [[base[a][b] for b in src] for a in src])
+
+
+class TestTriangleKernels:
+    # validate_vspace against the triple loop on every route into the two
+    # triangle kernels, with the kernel that ran asserted, so that a
+    # routing error fails as well as a wrong answer
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        import qc.vspace as V
+
+        ran = []
+        for kernel in ("packed", "table"):
+            name = f"_{kernel}_triangle_violations"
+
+            def spy(space, twins, run=getattr(V, name), kernel=kernel):
+                ran.append(kernel)
+                return run(space, twins)
+
+            monkeypatch.setattr(V, name, spy)
+        return ran
+
+    @staticmethod
+    def _agrees(ran, space, kernel):
+        from qc.verify import definitional_validate_vspace
+
+        ran.clear()
+        got = validate_vspace(space).failures
+        assert got == definitional_validate_vspace(space).failures, space.dmat
+        assert ran == [kernel], (space.quantale.label, ran)
+        return got
+
+    def test_int_keys_with_inf(self, ran):
+        import random
+
+        rng = random.Random(20261019)
+        invalid = 0
+        # the second pool puts 2 * K + 1 at exactly 8 bits (K = 81, the INF
+        # sentinel over 40), where a lane one bit short borrows
+        pools = (
+            [Fraction(0), INF, Fraction(1, 2), Fraction(1), Fraction(5, 3), Fraction(3)],
+            [Fraction(0), INF, Fraction(1), Fraction(2), Fraction(40)],
+        )
+        for t in range(120):
+            pool = pools[t % 2]
+            n = rng.randint(1, 7)
+            d = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                d[i][i] = Fraction(0)
+            space = VSpace(E, [f"p{i}" for i in range(n)], d)
+            assert space._ranks.keys.scale is not None
+            invalid += bool(self._agrees(ran, space, "packed"))
+        assert invalid > 60, invalid
+        wide = VSpace(E, ["a", "b"], [[0, 40], [INF, 0]])
+        assert (2 * max(wide._ranks.keys.keys) + 1).bit_length() == 8
+
+    def test_capped_chains(self, ran, Q3, chain4):
+        import random
+
+        from qc.quantale import BUILTIN_QUANTALES
+
+        rng = random.Random(11)
+        for q in (BUILTIN_QUANTALES["Q2"], Q3, chain4):
+            assert q._chain_keys == tuple(range(q.size))
+            for _ in range(30):
+                self._agrees(ran, _raw_space(rng, q, rng.randint(1, 7)), "packed")
+
+    def test_capped_chain_listed_out_of_order(self, ran, chain4):
+        # chain4's tables with the elements listed as inf, 1, 0, 2: the keys
+        # come from the order and addition tables, not from the listing
+        import random
+
+        from qc.serialize import parse_quantale
+        from qc.verify import definitional_balls
+
+        order = [3, 1, 0, 2]  # new index -> chain4 element
+        new = {e: x for x, e in enumerate(order)}
+        q = parse_quantale({
+            "kind": "finite",
+            "elements": [chain4.names[e] for e in order],
+            "leq": [[chain4.leq(a, b) for b in order] for a in order],
+            "add": [[new[chain4.add(a, b)] for b in order] for a in order],
+        })
+        assert q._chain_keys == (3, 1, 0, 2)
+        rng = random.Random(5)
+        for _ in range(40):
+            space = _raw_space(rng, q, rng.randint(1, 6))
+            self._agrees(ran, space, "packed")
+            for eps in q.elements():
+                assert (space._balls(eps, True), space._balls(eps, False)) == (
+                    definitional_balls(space, eps)
+                )
+
+    def test_tables_that_are_not_capped_chains(self, ran, pinched):
+        # a chain whose addition is max is no capped chain, and pinched is
+        # no chain: both take the class kernel
+        import random
+
+        chain_max = FiniteQuantale(
+            ["0", "1", "2"],
+            [[a <= b for b in range(3)] for a in range(3)],
+            [[max(a, b) for b in range(3)] for a in range(3)],
+        )
+        assert chain_max._chain_keys is None and pinched._chain_keys is None
+        rng = random.Random(12)
+        invalid = 0
+        for q in (chain_max, pinched):
+            for _ in range(30):
+                invalid += bool(self._agrees(ran, _raw_space(rng, q, rng.randint(1, 6)), "table"))
+        assert invalid > 20, invalid
+
+    def test_fraction_keys_take_the_class_kernel(self, ran):
+        import random
+
+        rng = random.Random(13)
+        primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121]
+        pool = [Fraction(0), INF] + [Fraction(rng.randint(1, 4 * p), p) for p in primes]
+        invalid = 0
+        for _ in range(25):
+            n = rng.randint(4, 6)
+            d = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+            for (i, j), v in zip(rng.sample(cells, 8), pool[2:]):
+                d[i][j] = v  # every denominator occurs: L passes the budget
+            for i in range(n):
+                d[i][i] = Fraction(0)
+            space = VSpace(E, [f"p{i}" for i in range(n)], d)
+            assert space._ranks.keys.scale is None
+            invalid += bool(self._agrees(ran, space, "table"))
+        assert invalid > 10, invalid
+
+    def test_planted_twins(self, ran, Q3, chain4, pinched):
+        import random
+
+        rng = random.Random(14)
+        for t in range(80):
+            q = (E, Q3, chain4, pinched)[t % 4]
+            d, _ = _planted_twins(rng, q)
+            space = VSpace(q, [f"p{i}" for i in range(len(d))], d)
+            self._agrees(ran, space, "table" if q is pinched else "packed")
+
+    @pytest.mark.parametrize("qname", ["ext_rational", "chain4"])
+    def test_violations_in_the_first_and_last_lane(self, ran, qname):
+        from qc.quantale import BUILTIN_QUANTALES
+        from qc.vspace import _twins
+
+        q = BUILTIN_QUANTALES[qname]
+        far = q.top if q.is_finite else 3
+        for src, lane in (([0, 1, 1, 2, 2, 3], 0), ([1, 1, 2, 3, 3, 0], 5)):
+            space = _lane_space(q, far, src)
+            assert len(_twins(space._ranks)) == 4
+            got = self._agrees(ran, space, "packed")
+            assert got and {f.witness["triple"][2] for f in got} == {f"p{lane}"}
+
+    @pytest.mark.parametrize("qname", ["ext_rational", "Q3", "pinched"])
+    def test_zero_and_one_point(self, ran, qname, pinched):
+        from qc.quantale import BUILTIN_QUANTALES
+
+        q = pinched if qname == "pinched" else BUILTIN_QUANTALES[qname]
+        kernel = "table" if q is pinched else "packed"
+        self._agrees(ran, VSpace(q, [], []), kernel)
+        self._agrees(ran, VSpace(q, ["p"], [[q.bottom]]), kernel)
+        got = self._agrees(ran, VSpace(q, ["p"], [[q.top]]), kernel)
+        assert [f.check for f in got] == ["zero-diagonal"]
+
+
 def _literal(rng, q, e):
     """One of the literals that parse to element e."""
     if q.is_finite:

@@ -38,6 +38,9 @@ BUILDER = "tests/test_completion.py::TestFilterSpaceBuilder"
 SHARPNESS = "tests/test_verify.py::TestUvaSharpness"
 TRIANGLE = "tests/test_vspace.py::TestTriangleKernels"
 SUITE = "tests/test_verify.py::TestTheoremSuite::test_uva_run_passes"
+# theorem checks run against a planted fault in the library result they check
+EXTENSION = "tests/test_verify.py::TestTheoremSuite::test_universal_property_check_catches_wrong_extension"
+VA_AGREE = "tests/test_verify.py::TestTheoremSuite::test_va_check_catches_disagreeing_topology_condition"
 
 
 class Mutant(NamedTuple):
@@ -292,6 +295,27 @@ MUTANTS = (
         "== space.dmat[b][a]:",
         "== space.dmat[a][b]:",
         (SHARPNESS,),
+    ),
+    Mutant(
+        "embedding-entry-compared-with-d-y-x",
+        "verify.py",
+        "if cd[at[i]][at[j]] != space.dmat[i][j]:",
+        "if cd[at[i]][at[j]] != space.dmat[j][i]:",
+        (SUITE,),
+    ),
+    Mutant(
+        "extension-oracle-accepts-any-candidates",
+        "verify.py",
+        "if extensions != [result.mapping]:",
+        "if not extensions:",
+        (EXTENSION,),
+    ),
+    Mutant(
+        "va-conditions-skip-topology",
+        "verify.py",
+        "for name, v in conditions.items()}",
+        'for name, v in conditions.items() if name != "topologies_equal"}',
+        (VA_AGREE,),
     ),
     Mutant(
         "minimal-closed-form-drops-larger-zero-mask-test",

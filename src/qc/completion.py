@@ -11,23 +11,25 @@ each pair of filters is classed by the mask of the base ranks met between
 their cores, an int (`qc.vspace._set_distance_ranks`, the kernel behind
 `filter_distance`), and the meet is taken once per class.
 
-The definitional enumerations over all 2^n cores (the space of every
-proper Cauchy filter, Cauchy completeness, Cauchy intersections of
-zero-distance filters) live in `qc.verify`.  There they serve as oracles:
-theorem checks compare the closed form with them and re-check that
-roundification maps the separation quotient of the Cauchy filter space
-isometrically onto the completion.
+This module only constructs.  The definitional enumerations over all 2^n
+cores (the space of every proper Cauchy filter, Cauchy completeness,
+Cauchy intersections of zero-distance filters) and over all maps (the
+uniqueness of extensions) live in `qc.verify`.  There they serve as
+oracles, and its theorem checks prove what the paper states about the
+construction on generated instances: the embedding is an isometry
+(`completion.embedding_isometry_iff_uva`), uniformly continuous maps
+extend uniquely (`completion.universal_property`), and roundification
+maps the separation quotient of the Cauchy filter space isometrically
+onto the completion (`completion.minimal_space_isometric_to_quotient`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import InvariantError, PreconditionError
 from .filters import (
     Filter,
-    filter_distance,
     image_filter,
     converges,
     point_filter,
@@ -108,9 +110,10 @@ def complete(space: VSpace) -> CompletionSpace:
 
     Refuses bases without uniformly vanishing asymmetry, quoting the
     witness.  The point filters are located among the minimal filters to
-    produce the embedding, which is checked to be isometric.  That the
+    produce the embedding.  That the embedding is isometric and that the
     result is the separation quotient of the Cauchy filter space under
-    roundification is the theorem check
+    roundification are the theorem checks
+    `completion.embedding_isometry_iff_uva` and
     `completion.minimal_space_isometric_to_quotient` in `qc.verify`.
     """
     uva = has_uniformly_vanishing_asymmetry(space)
@@ -129,54 +132,30 @@ def complete(space: VSpace) -> CompletionSpace:
                 f"point filter of {p!r} is not minimal Cauchy on a UVA base"
             )
         embedding[p] = idx
-    comp = CompletionSpace(
+    return CompletionSpace(
         base=space,
         space=_filters_to_space(space, filters),
         filters=filters,
         embedding=embedding,
     )
-    _check_embedding_isometry(space, comp)
-    return comp
-
-
-def _check_embedding_isometry(space: VSpace, comp: CompletionSpace) -> None:
-    for x in space.points:
-        for y in space.points:
-            dxy = space.d(x, y)
-            dio = comp.space.dmat[comp.embedding[x]][comp.embedding[y]]
-            if dxy != dio:
-                raise InvariantError(
-                    f"embedding is not isometric at ({x!r},{y!r})"
-                )
 
 
 def canonical_embedding(space: VSpace) -> dict:
-    """Point filters as completion points; checked minimal and isometric."""
-    uva = has_uniformly_vanishing_asymmetry(space)
-    if not uva:
-        raise PreconditionError(
-            f"the canonical embedding needs uniformly vanishing asymmetry; "
-            f"fails at {uva.witness}"
-        )
-    minimal = {f.core_mask for f in minimal_cauchy_filters(space)}
-    out = {p: point_filter(space, p) for p in space.points}
-    for p, f in out.items():
-        if f.core_mask not in minimal:
-            raise InvariantError(f"point filter of {p!r} is not minimal Cauchy")
-    for x in space.points:
-        for y in space.points:
-            if filter_distance(out[x], out[y]) != space.d(x, y):
-                raise InvariantError(
-                    f"canonical embedding is not isometric at ({x!r},{y!r})"
-                )
-    return out
+    """Each point's point filter, the minimal Cauchy filter `complete`
+    embeds it as; refuses bases without uniformly vanishing asymmetry."""
+    comp = complete(space)
+    return {p: comp.filters[comp.embedding[p]] for p in space.points}
 
 
 @dataclass(frozen=True)
 class ExtensionResult:
+    """The completion of the source and the extended map, keyed by the
+    completion's point names.  That it restricts to the map, is uniformly
+    continuous and is the only such map is the theorem check
+    `completion.universal_property` in `qc.verify`."""
+
     completion: CompletionSpace
     mapping: dict
-    uniqueness_checked: bool
 
 
 def extend_to_completion(fmap: dict, source: VSpace, target: VSpace) -> ExtensionResult:
@@ -185,9 +164,7 @@ def extend_to_completion(fmap: dict, source: VSpace, target: VSpace) -> Extensio
     Requires: source separated with uniformly vanishing asymmetry, target
     separated with uniformly vanishing asymmetry, and the map uniformly
     continuous.  The extension sends a minimal Cauchy filter to the unique
-    limit of the roundified image filter.  When both the
-    completion and the target have at most four points, uniqueness of the
-    extension is confirmed by enumerating every map.
+    limit of the roundified image filter.
     """
     failed = []
     if not classify(source)["separated"]:
@@ -216,33 +193,7 @@ def extend_to_completion(fmap: dict, source: VSpace, target: VSpace) -> Extensio
                 f"expected a unique limit for the image of {f!r}, got {limits}"
             )
         mapping[filter_point_name(f)] = limits[0]
-
-    for x in source.points:
-        via = mapping[filter_point_name(comp.filters[comp.embedding[x]])]
-        if via != fmap[x]:
-            raise InvariantError(f"extension does not restrict to the map at {x!r}")
-    uc = is_uniformly_continuous(mapping, comp.space, target)
-    if not uc:
-        raise InvariantError(f"extension is not uniformly continuous: {uc.witness}")
-
-    uniqueness_checked = False
-    if len(comp.filters) <= 4 and target.size <= 4:
-        matches = []
-        for values in product(target.points, repeat=len(comp.filters)):
-            cand = dict(zip(comp.space.points, values))
-            if not is_uniformly_continuous(cand, comp.space, target):
-                continue
-            if all(
-                cand[filter_point_name(comp.filters[comp.embedding[x]])] == fmap[x]
-                for x in source.points
-            ):
-                matches.append(cand)
-        if len(matches) != 1 or matches[0] != mapping:
-            raise InvariantError(
-                f"extension is not unique: found {len(matches)} candidates"
-            )
-        uniqueness_checked = True
-    return ExtensionResult(comp, mapping, uniqueness_checked)
+    return ExtensionResult(comp, mapping)
 
 
 def induced_completion_map(fmap: dict, source_comp: CompletionSpace,

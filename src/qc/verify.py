@@ -39,6 +39,7 @@ from itertools import product
 
 from . import serialize
 from .completion import (
+    CompletionSpace,
     _filters_to_space,
     complete,
     extend_to_completion,
@@ -631,6 +632,23 @@ def zero_distance_intersection_cauchy(space: VSpace) -> Verdict:
     """Zero-distance proper Cauchy filters have Cauchy intersections."""
     witness = _zero_distance_failure(cauchy_filter_space(space))
     return Verdict(witness is None, witness)
+
+
+def definitional_extensions(fmap: dict, comp: CompletionSpace, target: VSpace) -> list[dict]:
+    """Every map from the completion `comp` into `target` that restricts to
+    `fmap` through the canonical embedding and is uniformly continuous, by
+    enumerating all maps; uniform continuity is decided by the test-value
+    loop.  By the universal property the list is exactly the extension
+    `extend_to_completion` builds."""
+    space = comp.space
+    tv = combined_test_values(space, target)
+    index = {p: i for i, p in enumerate(target.points)}
+    fixed = [(comp.embedding[x], index[y]) for x, y in fmap.items()]
+    return [
+        {space.points[i]: target.points[v] for i, v in enumerate(fidx)}
+        for fidx in product(range(target.size), repeat=space.size)
+        if all(fidx[i] == v for i, v in fixed) and _uc_over(fidx, space, target, tv, tv)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1562,7 +1580,9 @@ def _check_embedding_isometry_iff_uva(ctx: _Ctx):
 
     Under UVA the point-filter cores are the zero classes, and the filter
     distance, the meet of d over the two cores, is d(x, y): every pair of
-    the classes of x and y is at distance d(x, y) by the triangle law.
+    the classes of x and y is at distance d(x, y) by the triangle law.  The
+    completion built by `complete` must hold the same distance between the
+    embedded points.
     Without UVA take the first pair with d(a, b) = 0 != d(b, a).  The point
     b lies in its own point-filter core and, as d(a, b) = 0, in that of a,
     so the filter distance from b to a is at most d(b, b) = 0, not d(b, a).
@@ -1571,10 +1591,15 @@ def _check_embedding_isometry_iff_uva(ctx: _Ctx):
     space = ctx.space
     if ctx.uva:
         pfs = ctx.point_filters(True)
+        comp = ctx.completion
+        cd, at = comp.space.dmat, [comp.embedding[p] for p in space.points]
         for i in range(space.size):
             for j in range(space.size):
                 if filter_distance(pfs[i], pfs[j]) != space.dmat[i][j]:
                     return {"pair": (space.points[i], space.points[j])}
+                if cd[at[i]][at[j]] != space.dmat[i][j]:
+                    return {"check": "completion distance",
+                            "pair": (space.points[i], space.points[j])}
         return None
     a, b = _non_uva_pair(ctx)
     pa, pb = space.points[a], space.points[b]
@@ -1653,13 +1678,19 @@ def _check_universal_property(ctx: _Ctx):
     rng = ctx.check_rng("universal")
     fmap = maps[rng.randrange(len(maps))]
     result = extend_to_completion(fmap, x, target)
-    if not result.uniqueness_checked:
-        return {"check": "uniqueness enumeration skipped"}
+    extensions = definitional_extensions(fmap, result.completion, target)
+    if extensions != [result.mapping]:
+        return {"check": "extension is not the one uniformly continuous extension",
+                "extensions": len(extensions)}
     return None
 
 
 def _check_va_conditions(ctx: _Ctx):
-    va_equivalence_report(ctx.space)
+    """The three conditions of the library's VA report agree."""
+    conditions = va_equivalence_report(ctx.space).conditions
+    votes = {name: bool(v) for name, v in conditions.items()}
+    if len(set(votes.values())) != 1:
+        return votes
     return None
 
 

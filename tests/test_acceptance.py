@@ -28,7 +28,7 @@ from qc import (
     validate_value_quantale,
 )
 from qc.cli import main
-from qc.verify import PREDICATE_IDS
+from qc.verify import PREDICATE_IDS, definitional_extensions
 
 from helpers import subset_well_above
 
@@ -201,7 +201,11 @@ def test_criterion_6_universal_property():
                     candidates.append(fmap)
             fmap = candidates[rng.randrange(len(candidates))]
             result = extend_to_completion(fmap, source, target)
-            assert result.uniqueness_checked
+            # the one uniformly continuous map restricting to fmap, found by
+            # enumerating every map from the completion into the target
+            assert definitional_extensions(fmap, result.completion, target) == [
+                result.mapping
+            ]
             comp = result.completion
             for p in source.points:
                 name = filter_point_name(comp.filters[comp.embedding[p]])

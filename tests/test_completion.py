@@ -28,6 +28,7 @@ from qc import (
     validate_vspace,
     zero_distance_intersection_cauchy,
 )
+from qc.verify import definitional_extensions
 from helpers import ball_raw, leq_ext
 
 E = EXT_RATIONAL
@@ -181,6 +182,16 @@ class TestCanonicalEmbedding:
         with pytest.raises(PreconditionError):
             canonical_embedding(x2n)
 
+    def test_is_the_completion_embedding(self, x2a, x3z):
+        spaces = [x2a, x3z]
+        spaces += [s for _, s in InstanceGenerator(seed=31, force_uva=True).instances(40)]
+        assert 0 < sum(not classify(s)["separated"] for s in spaces) < len(spaces)
+        for space in spaces:
+            comp = complete(space)
+            emb = canonical_embedding(space)
+            assert emb == {p: comp.filters[comp.embedding[p]] for p in space.points}
+            assert all(f == point_filter(space, p) for p, f in emb.items())
+
 
 class TestCauchyComplete:
     def test_x2a(self, x2a):
@@ -299,16 +310,20 @@ class TestExtension:
             p: filter_point_name(comp.filters[comp.embedding[p]]) for p in x2a.points
         }
         result = extend_to_completion(fmap, x2a, comp.space)
-        assert result.uniqueness_checked
         # uniqueness forces the identity on the completion
         assert result.mapping == {p: p for p in comp.space.points}
+        assert definitional_extensions(fmap, result.completion, comp.space) == [
+            result.mapping
+        ]
 
     def test_projection_extension(self, x3z):
         target = complete(x3z).space
         source, projection = separation_quotient(x3z)
         fmap = {"a": "{a,b}", "c": "{c}"}
         result = extend_to_completion(fmap, source, target)
-        assert result.uniqueness_checked
+        assert definitional_extensions(fmap, result.completion, target) == [
+            result.mapping
+        ]
         for p in source.points:
             assert result.mapping[
                 filter_point_name(result.completion.filters[result.completion.embedding[p]])

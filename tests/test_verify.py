@@ -341,6 +341,76 @@ class TestTheoremSuite:
         witness = report.failures[0]["witness"]
         assert witness["check"] == "quotient and completion distances differ"
 
+    def _planted_failures(self, check_id, gen, count):
+        import qc.verify as verify
+
+        check = next(c for c in verify.THEOREM_CHECKS if c.id == check_id)
+        report = run_theorem_suite(gen, count, checks=(check,))[-1]
+        assert report.instances > 0
+        return report
+
+    def test_embedding_check_catches_wrong_completion_distances(self, monkeypatch):
+        from dataclasses import replace
+
+        import qc.verify as verify
+
+        real = verify.complete
+        monkeypatch.setattr(
+            verify, "complete", lambda s: replace(real(s), space=real(s).space.dual())
+        )
+        report = self._planted_failures(
+            "completion.embedding_isometry_iff_uva", InstanceGenerator(seed=13, force_uva=True), 12
+        )
+        assert report.failures
+        assert report.failures[0]["witness"]["check"] == "completion distance"
+
+    def test_universal_property_check_catches_wrong_extension(self, monkeypatch):
+        # one completion point is sent elsewhere whenever the target allows it
+        from dataclasses import replace
+
+        import qc.verify as verify
+
+        real = verify.extend_to_completion
+
+        def moved(fmap, source, target):
+            result = real(fmap, source, target)
+            first = next(iter(result.mapping))
+            other = next((t for t in target.points if t != result.mapping[first]), None)
+            if other is None:
+                return result
+            return replace(result, mapping={**result.mapping, first: other})
+
+        monkeypatch.setattr(verify, "extend_to_completion", moved)
+        report = self._planted_failures(
+            "completion.universal_property", InstanceGenerator(seed=13, force_uva=True), 12
+        )
+        assert report.failures
+        assert report.failures[0]["witness"]["extensions"] == 1
+
+    def test_va_check_catches_disagreeing_topology_condition(self, monkeypatch):
+        from dataclasses import replace
+
+        import qc.verify as verify
+        from qc import Verdict
+
+        real = verify.va_equivalence_report
+
+        def flipped(space):
+            report = real(space)
+            equal = report.conditions["topologies_equal"]
+            conditions = {**report.conditions, "topologies_equal": Verdict(not equal)}
+            return replace(report, conditions=conditions)
+
+        monkeypatch.setattr(verify, "va_equivalence_report", flipped)
+        report = self._planted_failures(
+            "structures.va_conditions_agree", InstanceGenerator(seed=14), 8
+        )
+        assert len(report.failures) == report.instances == 8
+        assert all(
+            f["witness"]["topologies_equal"] != f["witness"]["pointwise_modulus"]
+            for f in report.failures
+        )
+
     def test_zero_distance_check_catches_non_cauchy_union(self, monkeypatch):
         # two zero-distance clusters; the union core {c, d} is declared not
         # Cauchy, so the first zero-distance pair meeting there is reported

@@ -33,13 +33,14 @@ TWINS = "tests/test_vspace.py::TestTwinClasses"
 BUILD = "tests/test_vspace.py::TestBuildPath"
 UC_MEMO = "tests/test_verify.py::TestUcMemo"
 GENERATOR = "tests/test_verify.py::TestGenerator::test_key_space_matches_value_route"
-CATEGORY = "tests/test_verify.py::TestCategoryLaws"
+MORPHISMS = "tests/test_verify.py::TestFilterMorphismChecks"
 BUILDER = "tests/test_completion.py::TestFilterSpaceBuilder"
 SHARPNESS = "tests/test_verify.py::TestUvaSharpness"
 TRIANGLE = "tests/test_vspace.py::TestTriangleKernels"
 SUITE = "tests/test_verify.py::TestTheoremSuite::test_uva_run_passes"
+EXTENSION = "tests/test_completion.py::TestExtension"
 # theorem checks run against a planted fault in the library result they check
-EXTENSION = "tests/test_verify.py::TestTheoremSuite::test_universal_property_check_catches_wrong_extension"
+DENSE = "tests/test_verify.py::TestTheoremSuite::test_embedding_check_catches_a_missed_point"
 VA_AGREE = "tests/test_verify.py::TestTheoremSuite::test_va_check_catches_disagreeing_topology_condition"
 
 
@@ -260,7 +261,7 @@ MUTANTS = (
         "verify.py",
         'table = self._memo(("uc", source, target), lambda: {})',
         'table = self._memo(("uc",), lambda: {})',
-        (UC_MEMO, CATEGORY),
+        (UC_MEMO,),
     ),
     Mutant(
         "zero-distance-union-marked-unchecked",
@@ -304,11 +305,25 @@ MUTANTS = (
         (SUITE,),
     ),
     Mutant(
-        "extension-oracle-accepts-any-candidates",
+        "embedding-onto-skips-last-point",
         "verify.py",
-        "if extensions != [result.mapping]:",
-        "if not extensions:",
+        "for gi in range(len(comp.filters)):",
+        "for gi in range(len(comp.filters) - 1):",
+        (DENSE,),
+    ),
+    Mutant(
+        "extension-preimage-of-next-point",
+        "completion.py",
+        "preimage.setdefault(completion.embedding[x], x)",
+        "preimage.setdefault((completion.embedding[x] + 1) % completion.space.size, x)",
         (EXTENSION,),
+    ),
+    Mutant(
+        "filter-morphism-containment-flipped",
+        "filters.py",
+        "if (image.core_mask | g.core_mask) != g.core_mask:",
+        "if (image.core_mask | g.core_mask) != image.core_mask:",
+        (MORPHISMS,),
     ),
     Mutant(
         "va-conditions-skip-topology",

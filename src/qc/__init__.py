@@ -90,7 +90,6 @@ _VERIFY_NAMES = frozenset(
         "InstanceGenerator",
         "VerificationReport",
         "cauchy_filter_space",
-        "check_category_laws",
         "enumerate_filter_families",
         "is_cauchy_complete",
         "oracle_collapsed_formulas",

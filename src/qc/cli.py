@@ -19,7 +19,7 @@ from .errors import DomainMismatchError, PreconditionError, StructureError
 from .filters import Filter, roundify
 from .quantale import validate_value_quantale
 from .structures import quasi_uniformity_of, topology_of
-from .verify import InstanceGenerator, check_category_laws, oracle_gate, run_theorem_suite
+from .verify import InstanceGenerator, oracle_gate, run_theorem_suite
 from .vspace import (
     classify,
     has_uniformly_vanishing_asymmetry,
@@ -231,7 +231,6 @@ def _suite_sections(args):
         "theorems": lambda: run_theorem_suite(ext, n) + run_theorem_suite(q3, max(1, n // 2)),
         "structures": lambda: run_theorem_suite(free, n),
         "degenerate": lambda: run_theorem_suite(q1, max(1, n // 4)),
-        "category": lambda: check_category_laws(InstanceGenerator(seed=seed + 4), min(n, 50)),
     }
 
 
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("--suite", default="all",
-                   choices=("all", "oracles", "theorems", "structures", "degenerate", "category"))
+                   choices=("all", "oracles", "theorems", "structures", "degenerate"))
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--instances", type=_bounded_int(1), default=25)
     # generated instances feed 2^n oracles in the theorem suite

@@ -4,7 +4,9 @@
 they are the filters whose cores are the maximal point-filter cores (the
 proof sketch is in its docstring).  `complete` equips them with the filter
 distance, and the canonical embedding sends a point to its point filter.
-The same argument shows that every finite space is Cauchy complete.
+The same argument shows that every finite space is Cauchy complete.  On a
+finite UVA space the embedding is onto, so `extend_to_completion` extends a
+map in closed form, through the inverse of the embedding.
 
 A space of filters is built straight into rank form (`_filters_to_space`):
 each pair of filters is classed by the mask of the base ranks met between
@@ -13,14 +15,15 @@ their cores, an int (`qc.vspace._set_distance_ranks`, the kernel behind
 
 This module only constructs.  The definitional enumerations over all 2^n
 cores (the space of every proper Cauchy filter, Cauchy completeness,
-Cauchy intersections of zero-distance filters) and over all maps (the
-uniqueness of extensions) live in `qc.verify`.  There they serve as
-oracles, and its theorem checks prove what the paper states about the
-construction on generated instances: the embedding is an isometry
-(`completion.embedding_isometry_iff_uva`), uniformly continuous maps
-extend uniquely (`completion.universal_property`), and roundification
-maps the separation quotient of the Cauchy filter space isometrically
-onto the completion (`completion.minimal_space_isometric_to_quotient`).
+Cauchy intersections of zero-distance filters) and the extension by limits
+of image filters live in `qc.verify`.  There they serve as oracles, and
+its theorem checks prove what the paper states about the construction on
+generated instances: the embedding is an isometry
+(`completion.embedding_isometry_iff_uva`) and onto
+(`completion.embedding_dense`), uniformly continuous maps extend uniquely
+(`completion.universal_property`), and roundification maps the separation
+quotient of the Cauchy filter space isometrically onto the completion
+(`completion.minimal_space_isometric_to_quotient`).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .errors import InvariantError, PreconditionError
 from .filters import (
     Filter,
     image_filter,
-    converges,
     point_filter,
     roundify,
 )
@@ -149,51 +151,48 @@ def canonical_embedding(space: VSpace) -> dict:
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """The completion of the source and the extended map, keyed by the
-    completion's point names.  That it restricts to the map, is uniformly
-    continuous and is the only such map is the theorem check
-    `completion.universal_property` in `qc.verify`."""
+    """The completion the map was extended over, and the extended map,
+    keyed by the completion's point names.  That it restricts to the map,
+    is uniformly continuous and equals the extension by limits of image
+    filters is the theorem check `completion.universal_property` in
+    `qc.verify`."""
 
     completion: CompletionSpace
     mapping: dict
 
 
-def extend_to_completion(fmap: dict, source: VSpace, target: VSpace) -> ExtensionResult:
-    """Extend a uniformly continuous map through the canonical embedding.
+def extend_to_completion(fmap: dict, completion: CompletionSpace,
+                         target: VSpace) -> ExtensionResult:
+    """Extend a uniformly continuous map from `completion.base` along the
+    canonical embedding ι, in closed form: f ∘ ι⁻¹.
 
-    Requires: source separated with uniformly vanishing asymmetry, target
-    separated with uniformly vanishing asymmetry, and the map uniformly
-    continuous.  The extension sends a minimal Cauchy filter to the unique
-    limit of the roundified image filter.
+    Requires: the target separated with uniformly vanishing asymmetry (it
+    is Cauchy complete, as every finite space is), and the map uniformly
+    continuous.  The source has UVA, since it has a completion; it need not
+    be separated.  ι is onto (`completion.embedding_dense`), so each
+    completion point is read as ι of its first preimage in carrier order.
+    The choice of preimage does not matter: points with one image under ι
+    have one point-filter core, so they are at zero distance both ways; a
+    uniformly continuous map keeps zero distances zero (`qc.vspace.
+    is_uniformly_continuous`), so their images are at zero distance both
+    ways too, and in a separated target they are equal.  A map that splits
+    a zero-distance class is therefore not uniformly continuous and is
+    refused with the rest.
     """
     failed = []
-    if not classify(source)["separated"]:
-        failed.append("source is not separated")
-    if not has_uniformly_vanishing_asymmetry(source):
-        failed.append("source lacks uniformly vanishing asymmetry")
     if not classify(target)["separated"]:
         failed.append("target is not separated")
     if not has_uniformly_vanishing_asymmetry(target):
         failed.append("target lacks uniformly vanishing asymmetry")
-    # the target must also be Cauchy complete; every finite space is (each
-    # Cauchy filter converges to the centre of the ball holding its core,
-    # see minimal_cauchy_filters), so there is nothing to test
-    if not is_uniformly_continuous(fmap, source, target):
+    if not is_uniformly_continuous(fmap, completion.base, target):
         failed.append("map is not uniformly continuous")
     if failed:
         raise PreconditionError("; ".join(failed))
-
-    comp = complete(source)
-    mapping = {}
-    for f in comp.filters:
-        rounded = roundify(image_filter(fmap, f, target))
-        limits = [y for y in target.points if converges(rounded, y)]
-        if len(limits) != 1:
-            raise InvariantError(
-                f"expected a unique limit for the image of {f!r}, got {limits}"
-            )
-        mapping[filter_point_name(f)] = limits[0]
-    return ExtensionResult(comp, mapping)
+    preimage = {}
+    for x in completion.base.points:
+        preimage.setdefault(completion.embedding[x], x)
+    mapping = {p: fmap[preimage[i]] for i, p in enumerate(completion.space.points)}
+    return ExtensionResult(completion, mapping)
 
 
 def induced_completion_map(fmap: dict, source_comp: CompletionSpace,

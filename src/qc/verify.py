@@ -13,8 +13,9 @@ Five layers of defence:
 * the definitional enumerations over all 2^n filter cores (the space of
   every proper Cauchy filter, Cauchy completeness, Cauchy intersections of
   zero-distance filters, and `definitional_is_minimal_cauchy`, which tries
-  every core above a filter's) are oracles for the closed forms the
-  library uses;
+  every core above a filter's) and the extension of a map by limits of
+  image filters (`definitional_extension`) are oracles for the closed
+  forms the library uses;
 * the per-entry definitions of the triangle law, balls, the uniform flip,
   the entourage core and set distances (and VA, UVA and symmetry moduli on
   top of them) are oracles for the rank-compiled kernels of `qc.vspace`,
@@ -55,6 +56,7 @@ from .filters import (
     image_filter,
     intersect,
     is_cauchy,
+    is_filter_morphism,
     is_round,
     point_filter,
     roundify,
@@ -634,21 +636,21 @@ def zero_distance_intersection_cauchy(space: VSpace) -> Verdict:
     return Verdict(witness is None, witness)
 
 
-def definitional_extensions(fmap: dict, comp: CompletionSpace, target: VSpace) -> list[dict]:
-    """Every map from the completion `comp` into `target` that restricts to
-    `fmap` through the canonical embedding and is uniformly continuous, by
-    enumerating all maps; uniform continuity is decided by the test-value
-    loop.  By the universal property the list is exactly the extension
+def definitional_extension(fmap: dict, comp: CompletionSpace, target: VSpace) -> dict:
+    """The extension of `fmap` to the completion `comp` by the paper's
+    construction: each minimal Cauchy filter goes to the unique limit of
+    its roundified image filter.  The oracle for the closed form
     `extend_to_completion` builds."""
-    space = comp.space
-    tv = combined_test_values(space, target)
-    index = {p: i for i, p in enumerate(target.points)}
-    fixed = [(comp.embedding[x], index[y]) for x, y in fmap.items()]
-    return [
-        {space.points[i]: target.points[v] for i, v in enumerate(fidx)}
-        for fidx in product(range(target.size), repeat=space.size)
-        if all(fidx[i] == v for i, v in fixed) and _uc_over(fidx, space, target, tv, tv)
-    ]
+    mapping = {}
+    for f in comp.filters:
+        rounded = roundify(image_filter(fmap, f, target))
+        limits = [y for y in target.points if converges(rounded, y)]
+        if len(limits) != 1:
+            raise InvariantError(
+                f"expected a unique limit for the image of {f!r}, got {limits}"
+            )
+        mapping[filter_point_name(f)] = limits[0]
+    return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -1178,20 +1180,20 @@ def oracle_gate() -> list[VerificationReport]:
 
 
 class _Ctx:
-    """Per-instance cache shared by the theorem checks and category laws.
+    """Per-instance cache shared by the theorem checks.
 
     Memoised once per instance: the Cauchy, round, roundified and minimal
     verdicts per core (minimality by `definitional_is_minimal_cauchy`), the
     loop point filters, the filter space, the separation quotients (the
     instance's with its projection, `quotient`), the completion of each
     space asked for (`completion_of`: the instance's space, its separation
-    quotient and the sibling's, so the functoriality and universal-property
-    checks do not complete them again), the combined test values per
-    (source, target) pair, and, per pair, whether each index map is
-    uniformly continuous (by the test-value loop `_uc_over`).  A check's
-    runtime includes filling any memo it is the first to ask for, so
-    runtimes move between checks when the order or the set of checks
-    changes; verdicts and witnesses do not.
+    quotient and the sibling's, so the embedding, functoriality and
+    universal-property checks do not complete them again), the combined
+    test values per (source, target) pair, and, per pair, whether each
+    index map is uniformly continuous (by the test-value loop `_uc_over`).
+    A check's runtime includes filling any memo it is the first to ask
+    for, so runtimes move between checks when the order or the set of
+    checks changes; verdicts and witnesses do not.
     """
 
     def __init__(self, gen: InstanceGenerator, child_seed: int):
@@ -1499,6 +1501,41 @@ def _check_roundify_adjunction(ctx: _Ctx):
     return None
 
 
+def _check_identity_morphism(ctx: _Ctx):
+    """The identity map is a filter morphism from each filter to itself."""
+    x = ctx.space
+    ident = {p: p for p in x.points}
+    for m in range(x.full_mask + 1):
+        f = Filter(x, m)
+        if not is_filter_morphism(ident, f, f):
+            return {"core": x.names_of(m)}
+    return None
+
+
+def _check_morphism_composition(ctx: _Ctx):
+    """Filter morphisms compose: ten random maps x -> y -> x, each target
+    core drawn above the image of the source core, so the premise holds
+    whenever both maps are uniformly continuous."""
+    x, y = ctx.space, ctx.sibling
+    rng = ctx.check_rng("composition")
+    for _ in range(10):
+        fidx = [rng.randrange(y.size) for _ in range(x.size)]
+        gidx = [rng.randrange(x.size) for _ in range(y.size)]
+        fm = rng.getrandbits(x.size)
+        gm = _image_mask(fidx, fm, x) | rng.getrandbits(y.size)
+        hm = _image_mask(gidx, gm, y) | rng.getrandbits(x.size)
+        fmap = {p: y.points[v] for p, v in zip(x.points, fidx)}
+        gmap = {q: x.points[v] for q, v in zip(y.points, gidx)}
+        f, g, h = Filter(x, fm), Filter(y, gm), Filter(x, hm)
+        if (
+            is_filter_morphism(fmap, f, g)
+            and is_filter_morphism(gmap, g, h)
+            and not is_filter_morphism({p: gmap[fmap[p]] for p in x.points}, f, h)
+        ):
+            return {"f": fmap, "g": gmap, "cores": (f.core, g.core, h.core)}
+    return None
+
+
 def _check_tilde_is_uva_vspace(ctx: _Ctx):
     tilde = ctx.tilde
     rep = validate_vspace(tilde.space)
@@ -1609,18 +1646,25 @@ def _check_embedding_isometry_iff_uva(ctx: _Ctx):
 
 
 def _check_embedding_dense(ctx: _Ctx):
+    """The canonical embedding is dense, which on a finite completion means
+    onto, so this checks that every completion point is the image of a
+    point.
+
+    Denseness asks, for each completion point g and each eps above 0, for a
+    point x with d(g, ι(x)) <= eps.  Balls grow with eps, so it suffices to
+    ask at the completion's least test value, whose balls are its zero
+    neighbourhoods (`qc.vspace`): some x with d(g, ι(x)) = 0.  The
+    completion is separated and UVA (`completion.completion_separated_uva`),
+    so its zero distance is symmetric and then means equality: g = ι(x).
+    With no positive test values the quantifier is vacuous, and the
+    completion of a non-empty space is the single filter {X}, which is the
+    image of every point.
+    """
     comp = ctx.completion
-    q = comp.space.quantale
+    hit = set(comp.embedding.values())
     for gi in range(len(comp.filters)):
-        for eps in comp.space.test_values:
-            if not any(
-                q.leq(comp.space.dmat[gi][comp.embedding[x]], eps)
-                for x in comp.base.points
-            ):
-                return {
-                    "filter": comp.filters[gi].core,
-                    "epsilon": q.format(eps),
-                }
+        if gi not in hit:
+            return {"filter": comp.filters[gi].core}
     return None
 
 
@@ -1672,16 +1716,33 @@ def _check_completion_functorial(ctx: _Ctx):
 
 
 def _check_universal_property(ctx: _Ctx):
-    x = ctx.separated
+    """A uniformly continuous map into a separated, complete UVA target
+    extends along the embedding: the extension restricts to the map, is
+    uniformly continuous by the test-value loop, and equals the extension
+    by limits of image filters (`definitional_extension`).  It is the only
+    extension, because the embedding is onto (`completion.embedding_dense`).
+
+    The source is the instance's own space, separated or not.  Every
+    uniformly continuous map into a separated target is constant on
+    zero-distance classes (`extend_to_completion`), so it is g ∘ π for the
+    projection π onto the separation quotient and a uniformly continuous g
+    on the quotient; g is drawn from the quotient's maps.
+    """
+    quotient, projection = ctx.quotient
     target = ctx.completion_of(ctx.sep_sibling).space
-    maps = ctx.uc_maps(x, target)
-    rng = ctx.check_rng("universal")
-    fmap = maps[rng.randrange(len(maps))]
-    result = extend_to_completion(fmap, x, target)
-    extensions = definitional_extensions(fmap, result.completion, target)
-    if extensions != [result.mapping]:
-        return {"check": "extension is not the one uniformly continuous extension",
-                "extensions": len(extensions)}
+    maps = ctx.uc_maps(quotient, target)
+    g = maps[ctx.check_rng("universal").randrange(len(maps))]
+    fmap = {p: g[projection[p]] for p in ctx.space.points}
+    comp = ctx.completion
+    mapping = extend_to_completion(fmap, comp, target).mapping
+    points = comp.space.points
+    for p in ctx.space.points:
+        if mapping[points[comp.embedding[p]]] != fmap[p]:
+            return {"check": "extension does not restrict to the map", "point": p}
+    if not ctx.uc(tuple(target.index(mapping[p]) for p in points), comp.space, target):
+        return {"check": "extension is not uniformly continuous"}
+    if mapping != definitional_extension(fmap, comp, target):
+        return {"check": "extension differs from the limit construction"}
     return None
 
 
@@ -1850,6 +1911,8 @@ THEOREM_CHECKS = (
     TheoremCheck("filters.ball_set_distance_bounds", _check_ball_distance_bounds),
     TheoremCheck("filters.roundify_functorial", _check_roundify_functorial, ("uva", "pair<=3")),
     TheoremCheck("filters.roundify_adjunction", _check_roundify_adjunction, ("uva", "pair<=3")),
+    TheoremCheck("filters.identity_morphism", _check_identity_morphism),
+    TheoremCheck("filters.morphism_composition", _check_morphism_composition),
     TheoremCheck("completion.minimal_filters_closed_form", _check_minimal_filters_closed_form),
     TheoremCheck("completion.finite_spaces_cauchy_complete", _check_finite_cauchy_complete),
     TheoremCheck("completion.cauchy_space_is_uva_vspace", _check_tilde_is_uva_vspace, ("uva",)),
@@ -1862,7 +1925,7 @@ THEOREM_CHECKS = (
     TheoremCheck("completion.zero_distance_intersection_cauchy", _check_zero_distance_intersection, ("uva",)),
     TheoremCheck("completion.idempotent_up_to_isometry", _check_completion_idempotent, ("uva",)),
     TheoremCheck("completion.functorial_on_maps", _check_completion_functorial, ("uva", "sep_pair<=4")),
-    TheoremCheck("completion.universal_property", _check_universal_property, ("uva", "sep_pair<=4")),
+    TheoremCheck("completion.universal_property", _check_universal_property, ("uva",)),
     TheoremCheck("structures.va_conditions_agree", _check_va_conditions),
     TheoremCheck("structures.uva_conditions_agree", _check_uva_conditions),
     TheoremCheck("structures.uva_implies_va", _check_uva_implies_va),
@@ -1933,99 +1996,3 @@ def run_theorem_suite(generator: InstanceGenerator, count: int,
                     {"seed": ctx.seed, "instance": payload, "witness": witness},
                 )
     return [tallies[c.id] for c in checks]
-
-
-# ---------------------------------------------------------------------------
-# category laws
-
-
-def _category_instance_failures(ctx: _Ctx, law: str, rng: random.Random):
-    x, y = ctx.space, ctx.sibling
-    if law == "identity_morphism":
-        ident = tuple(range(x.size))
-        uc_id = ctx.uc(ident, x, x)
-        for fm in range(x.full_mask + 1):
-            if not _morphism_ok(uc_id, ident, fm, fm, x):
-                return {"core": x.names_of(fm)}
-        return None
-    maps = list(product(range(y.size), repeat=x.size))
-    if law == "powerset_left_adjoint":
-        for fidx in maps:
-            uc = ctx.uc(fidx, x, y)
-            for gm in range(y.full_mask + 1):
-                if _morphism_ok(uc, fidx, 0, gm, x) != uc:
-                    return {"map": list(fidx), "target_core": y.names_of(gm)}
-        return None
-    if law == "carrier_right_adjoint":
-        for gidx in product(range(x.size), repeat=y.size):
-            uc = ctx.uc(gidx, y, x)
-            for gm in range(y.full_mask + 1):
-                if _morphism_ok(uc, gidx, gm, x.full_mask, y) != uc:
-                    return {"map": list(gidx), "source_core": y.names_of(gm)}
-        return None
-    if law == "roundify_functorial":
-        return _check_roundify_functorial(ctx)
-    if law == "roundify_adjunction":
-        return _check_roundify_adjunction(ctx)
-    if law == "composition":
-        for _ in range(10):
-            fidx = maps[rng.randrange(len(maps))]
-            gidx = tuple(rng.randrange(x.size) for _ in range(y.size))
-            uc_f = ctx.uc(fidx, x, y)
-            uc_g = ctx.uc(gidx, y, x)
-            gf = tuple(gidx[fidx[i]] for i in range(x.size))
-            uc_gf = ctx.uc(gf, x, x)
-            fm = rng.randrange(x.full_mask + 1)
-            gm = rng.randrange(y.full_mask + 1)
-            hm = rng.randrange(x.full_mask + 1)
-            if (
-                _morphism_ok(uc_f, fidx, fm, gm, x)
-                and _morphism_ok(uc_g, gidx, gm, hm, y)
-                and not _morphism_ok(uc_gf, gf, fm, hm, x)
-            ):
-                return {"f": list(fidx), "g": list(gidx)}
-        return None
-    raise PreconditionError(f"unknown law {law!r}")
-
-
-CATEGORY_LAWS = (
-    "identity_morphism",
-    "powerset_left_adjoint",
-    "carrier_right_adjoint",
-    "roundify_functorial",
-    "roundify_adjunction",
-    "composition",
-)
-
-
-def check_category_laws(generator: InstanceGenerator, count: int) -> list[VerificationReport]:
-    """Adjunction and functor laws on fully enumerable carriers (<= 3)."""
-    gen = replace(
-        generator,
-        max_points=min(generator.max_points, 3),
-        min_points=min(generator.min_points, 3),
-        force_uva=True,
-    )
-    tallies = {law: VerificationReport(id=f"category.{law}") for law in CATEGORY_LAWS}
-    for child in gen.child_seeds(count):
-        ctx = _Ctx(gen, child)
-        payload = None
-        for law in CATEGORY_LAWS:
-            report = tallies[law]
-            report.instances += 1
-            start = time.monotonic()
-            rng = ctx.check_rng(f"category:{law}")
-            try:
-                witness = _category_instance_failures(ctx, law, rng)
-            except QcError as exc:
-                witness = {"error": str(exc)}
-            report.runtime += time.monotonic() - start
-            if witness is None:
-                report.passes += 1
-            else:
-                if payload is None:
-                    payload = serialize.space_to_payload(ctx.space)
-                report.failures += (
-                    {"seed": ctx.seed, "instance": payload, "witness": witness},
-                )
-    return [tallies[law] for law in CATEGORY_LAWS]

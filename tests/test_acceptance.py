@@ -17,10 +17,8 @@ from qc import (
     FiniteQuantale,
     InstanceGenerator,
     capped_chain,
-    check_category_laws,
     complete,
     extend_to_completion,
-    filter_point_name,
     has_uniformly_vanishing_asymmetry,
     oracle_epsilon_reduction,
     oracle_filters,
@@ -28,7 +26,7 @@ from qc import (
     validate_value_quantale,
 )
 from qc.cli import main
-from qc.verify import PREDICATE_IDS, definitional_extensions
+from qc.verify import PREDICATE_IDS, THEOREM_CHECKS, definitional_extension
 
 from helpers import subset_well_above
 
@@ -178,38 +176,41 @@ def test_criterion_5_theorem_suite():
 
 def test_criterion_6_universal_property():
     with criterion(6, "universal property with enumerated uniqueness on 50 pairs"):
-        src_gen = InstanceGenerator(
-            seed=77, force_uva=True, force_separated=True, max_points=4
-        )
+        # the sources are not quotiented: 42 of the 50 are not separated
+        src_gen = InstanceGenerator(seed=77, force_uva=True, max_points=4)
         tgt_gen = InstanceGenerator(
             seed=78, force_uva=True, force_separated=True, max_points=4
         )
         import random
         from itertools import product
 
-        from qc import is_uniformly_continuous
+        from qc import classify, is_uniformly_continuous
+
+        def uc_maps(source, target):
+            for values in product(target.points, repeat=source.size):
+                fmap = dict(zip(source.points, values))
+                if is_uniformly_continuous(fmap, source, target):
+                    yield fmap
 
         pairs = list(zip(src_gen.instances(50), tgt_gen.instances(50)))
         for (child, source), (_, target_base) in pairs:
             target = complete(target_base).space
             assert target.size <= 4
             rng = random.Random(child)
-            candidates = []
-            for values in product(target.points, repeat=source.size):
-                fmap = dict(zip(source.points, values))
-                if is_uniformly_continuous(fmap, source, target):
-                    candidates.append(fmap)
+            candidates = list(uc_maps(source, target))
             fmap = candidates[rng.randrange(len(candidates))]
-            result = extend_to_completion(fmap, source, target)
+            comp = complete(source)
+            result = extend_to_completion(fmap, comp, target)
+            assert result.mapping == definitional_extension(fmap, comp, target)
             # the one uniformly continuous map restricting to fmap, found by
             # enumerating every map from the completion into the target
-            assert definitional_extensions(fmap, result.completion, target) == [
-                result.mapping
+            restricting = [
+                ext for ext in uc_maps(comp.space, target)
+                if all(ext[comp.space.points[comp.embedding[p]]] == fmap[p]
+                       for p in source.points)
             ]
-            comp = result.completion
-            for p in source.points:
-                name = filter_point_name(comp.filters[comp.embedding[p]])
-                assert result.mapping[name] == fmap[p]
+            assert restricting == [result.mapping]
+        assert sum(classify(source)["separated"] for (_, source), _ in pairs) == 8
 
 
 EQUIVALENCE_IDS = (
@@ -232,8 +233,12 @@ def test_criterion_7_equivalence_lists():
 
 
 def test_criterion_8_category_laws():
-    with criterion(8, "category laws on enumerable carriers over 50 seeds"):
-        reports = check_category_laws(InstanceGenerator(seed=20240810), 50)
+    with criterion(8, "filter-morphism identity and composition laws over 50 seeds"):
+        ids = ("filters.identity_morphism", "filters.morphism_composition")
+        checks = tuple(c for c in THEOREM_CHECKS if c.id in ids)
+        gen = InstanceGenerator(seed=20240810, max_points=3)
+        reports = run_theorem_suite(gen, 50, checks=checks)
+        assert [r.id for r in reports] == list(ids)
         for report in reports:
             assert report.instances == 50
             assert not report.failures, (report.id, report.failures[:1])

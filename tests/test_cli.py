@@ -324,7 +324,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "5fdb5aa7ede3d53a538ce24a4205e20ae9c5ece4279e71d04f8133d728c3de28"
+            "28da289b475402b54773f14a16118b9f4b4cf84672d855dbb551a774c61faaf8"
         )
 
     def test_space_reports_pinned(self, capsys, tmp_path, x2a, x2n, x2s, x3z, xq1):
@@ -341,7 +341,7 @@ class TestVerifyCommand:
         )
 
     def test_timings_leave_report_unchanged(self, capsys):
-        args = ["--format", "structured", "verify", "--suite", "category",
+        args = ["--format", "structured", "verify", "--suite", "degenerate",
                 "--seed", "3", "--instances", "3"]
         code1, plain, err1 = run(capsys, *args)
         code2, timed, err2 = run(capsys, *args, "--timings")
@@ -381,7 +381,7 @@ class TestVerifyCommand:
             str(target),
             "verify",
             "--suite",
-            "category",
+            "degenerate",
             "--seed",
             "3",
             "--instances",
@@ -430,6 +430,12 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "error: " + message in err
+
+    def test_category_suite_is_gone(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "category")
+        assert code == 2 and out == ""
+        assert "error: argument --suite: invalid choice: 'category'" in err
+        assert "Traceback" not in err
 
 
 class TestFlagPositions:

@@ -22,13 +22,14 @@ from qc import (
     is_cauchy,
     is_cauchy_complete,
     is_minimal_cauchy,
+    is_uniformly_continuous,
     minimal_cauchy_filters,
     point_filter,
     separation_quotient,
     validate_vspace,
     zero_distance_intersection_cauchy,
 )
-from qc.verify import definitional_extensions
+from qc.verify import definitional_extension
 from helpers import ball_raw, leq_ext
 
 E = EXT_RATIONAL
@@ -309,40 +310,86 @@ class TestExtension:
         fmap = {
             p: filter_point_name(comp.filters[comp.embedding[p]]) for p in x2a.points
         }
-        result = extend_to_completion(fmap, x2a, comp.space)
-        # uniqueness forces the identity on the completion
+        result = extend_to_completion(fmap, comp, comp.space)
+        # the embedding is onto, so the extension is the identity
+        assert result.completion is comp
         assert result.mapping == {p: p for p in comp.space.points}
-        assert definitional_extensions(fmap, result.completion, comp.space) == [
-            result.mapping
-        ]
+        assert definitional_extension(fmap, comp, comp.space) == result.mapping
 
     def test_projection_extension(self, x3z):
-        target = complete(x3z).space
-        source, projection = separation_quotient(x3z)
-        fmap = {"a": "{a,b}", "c": "{c}"}
-        result = extend_to_completion(fmap, source, target)
-        assert definitional_extensions(fmap, result.completion, target) == [
-            result.mapping
-        ]
-        for p in source.points:
-            assert result.mapping[
-                filter_point_name(result.completion.filters[result.completion.embedding[p]])
-            ] == fmap[p]
+        # a non-separated source: a and b are one class, sent to one point
+        comp = complete(x3z)
+        fmap = {"a": "{a,b}", "b": "{a,b}", "c": "{c}"}
+        result = extend_to_completion(fmap, comp, comp.space)
+        assert result.mapping == {"{a,b}": "{a,b}", "{c}": "{c}"}
+        assert definitional_extension(fmap, comp, comp.space) == result.mapping
+        for p in x3z.points:
+            assert result.mapping[comp.space.points[comp.embedding[p]]] == fmap[p]
 
     def test_constant_extension(self, x2a, x3z):
         target = complete(x3z).space
         fmap = {p: "{c}" for p in x2a.points}
-        result = extend_to_completion(fmap, x2a, target)
+        result = extend_to_completion(fmap, complete(x2a), target)
         assert set(result.mapping.values()) == {"{c}"}
 
-    def test_hypotheses_reported(self, x2n, x3z):
-        target = complete(x3z).space
+    def test_hypotheses_reported(self, x2s, x3z):
+        comp = complete(x3z)
+        # splits the zero-distance class {a, b} of the non-separated source
+        split = {"a": "a", "b": "b", "c": "a"}
+        assert not is_uniformly_continuous(split, x3z, x2s)
         with pytest.raises(PreconditionError) as err:
-            extend_to_completion({"a": "{c}", "b": "{c}"}, x2n, target)
-        assert "uniformly vanishing asymmetry" in str(err.value)
+            extend_to_completion(split, comp, x2s)
+        assert str(err.value) == "map is not uniformly continuous"
         with pytest.raises(PreconditionError) as err:
-            extend_to_completion({"a": "a", "b": "a", "c": "c"}, x3z, x3z)
-        assert "separated" in str(err.value)
+            extend_to_completion({"a": "a", "b": "c", "c": "c"}, comp, x3z)
+        assert str(err.value) == (
+            "target is not separated; map is not uniformly continuous"
+        )
+
+
+    def test_closed_form_matches_limit_construction(self):
+        # every uniformly continuous map between UVA battery spaces over
+        # one quantale, then five maps from each of 40 free UVA instances,
+        # 22 of them not separated; the target is always a completion
+        import random
+        from itertools import product
+
+        from qc.verify import _oracle_battery
+
+        def uc_maps(source, target):
+            for values in product(target.points, repeat=source.size):
+                fmap = dict(zip(source.points, values))
+                if is_uniformly_continuous(fmap, source, target):
+                    yield fmap
+
+        def assert_matches(fmap, comp, target):
+            closed = extend_to_completion(fmap, comp, target).mapping
+            assert closed == definitional_extension(fmap, comp, target), fmap
+
+        battery = [
+            s for n in (1, 2, 3) for s in _oracle_battery(n)
+            if has_uniformly_vanishing_asymmetry(s)
+        ]
+        checked = 0
+        for source in battery:
+            comp = complete(source)
+            for base in battery:
+                if base.quantale == source.quantale:
+                    target = complete(base).space
+                    for fmap in uc_maps(source, target):
+                        assert_matches(fmap, comp, target)
+                        checked += 1
+        rng = random.Random(44)
+        free = [s for _, s in InstanceGenerator(seed=44, max_points=4).instances(200)
+                if has_uniformly_vanishing_asymmetry(s)][:40]
+        targets = InstanceGenerator(seed=45, max_points=3, force_uva=True).instances(40)
+        for source, (_, base) in zip(free, targets):
+            comp, target = complete(source), complete(base).space
+            maps = list(uc_maps(source, target))
+            for fmap in rng.sample(maps, min(5, len(maps))):
+                assert_matches(fmap, comp, target)
+        assert checked == 703 and len(free) == 40
+        assert sum(not classify(s)["separated"] for s in free) == 22
 
 
 class TestFunctorial:

@@ -10,7 +10,6 @@ from qc import (
     InstanceGenerator,
     PreconditionError,
     VSpace,
-    check_category_laws,
     enumerate_filter_families,
     filter_distance,
     has_uniformly_vanishing_asymmetry,
@@ -372,8 +371,8 @@ class TestTheoremSuite:
 
         real = verify.extend_to_completion
 
-        def moved(fmap, source, target):
-            result = real(fmap, source, target)
+        def moved(fmap, completion, target):
+            result = real(fmap, completion, target)
             first = next(iter(result.mapping))
             other = next((t for t in target.points if t != result.mapping[first]), None)
             if other is None:
@@ -385,7 +384,37 @@ class TestTheoremSuite:
             "completion.universal_property", InstanceGenerator(seed=13, force_uva=True), 12
         )
         assert report.failures
-        assert report.failures[0]["witness"]["extensions"] == 1
+        witness = report.failures[0]["witness"]
+        assert witness["check"] == "extension does not restrict to the map"
+
+    def test_embedding_check_catches_a_missed_point(self, monkeypatch):
+        # the points embedded as the last completion point are sent to the
+        # first, so the embedding misses the last point of every completion
+        # with two or more
+        from dataclasses import replace
+
+        import qc.verify as verify
+        from qc import serialize
+
+        real = verify.complete
+
+        def missing_last(space):
+            comp = real(space)
+            last = len(comp.filters) - 1
+            if last < 1:
+                return comp
+            return replace(comp, embedding={
+                p: 0 if i == last else i for p, i in comp.embedding.items()
+            })
+
+        monkeypatch.setattr(verify, "complete", missing_last)
+        report = self._planted_failures(
+            "completion.embedding_dense", InstanceGenerator(seed=13, force_uva=True), 12
+        )
+        assert 0 < len(report.failures) < report.instances
+        for record in report.failures:
+            space = serialize.parse_space(record["instance"])
+            assert record["witness"] == {"filter": real(space).filters[-1].core}
 
     def test_va_check_catches_disagreeing_topology_condition(self, monkeypatch):
         from dataclasses import replace
@@ -454,23 +483,51 @@ class TestTheoremSuite:
         assert a == b
 
 
-class TestCategoryLaws:
-    def test_laws_hold(self):
-        reports = check_category_laws(InstanceGenerator(seed=21), 15)
-        assert all(r.ok for r in reports), [r.id for r in reports if not r.ok]
-        assert {r.id for r in reports} == {
-            "category.identity_morphism",
-            "category.powerset_left_adjoint",
-            "category.carrier_right_adjoint",
-            "category.roundify_functorial",
-            "category.roundify_adjunction",
-            "category.composition",
-        }
+class TestFilterMorphismChecks:
+    CHECKS = ("filters.identity_morphism", "filters.morphism_composition")
 
-    def test_carriers_capped_at_three(self):
+    def _run(self, gen, count):
+        import qc.verify as verify
+
+        checks = tuple(c for c in verify.THEOREM_CHECKS if c.id in self.CHECKS)
+        return run_theorem_suite(gen, count, checks=checks)
+
+    def test_checks_hold(self):
+        reports = self._run(InstanceGenerator(seed=21), 15)
+        assert [r.id for r in reports] == list(self.CHECKS)
+        assert all(r.ok and r.instances == 15 for r in reports)
+
+    def test_run_on_every_instance(self):
+        # ungated: five-point carriers and spaces without UVA included
         gen = InstanceGenerator(seed=22, max_points=5)
-        reports = check_category_laws(gen, 5)
-        assert all(r.instances == 5 for r in reports)
+        reports = self._run(gen, 5)
+        assert all(r.ok and r.instances == 5 for r in reports)
+        spaces = [s for _, s in gen.instances(5)]
+        assert max(s.size for s in spaces) == 5
+        assert not all(has_uniformly_vanishing_asymmetry(s) for s in spaces)
+
+    def test_morphism_loop_matches_library(self):
+        # `_morphism_ok` over the memoised verdict, as the adjunction check
+        # reads it, against `is_filter_morphism` on every map of each
+        # battery space into itself and every pair of cores
+        from itertools import product
+
+        from qc import is_filter_morphism
+        from qc.verify import _Ctx, _morphism_ok, _oracle_battery
+
+        ctx = _Ctx(InstanceGenerator(seed=41), 0)
+        verdicts = set()
+        for x in (s for n in (1, 2, 3) for s in _oracle_battery(n)):
+            for fidx in product(range(x.size), repeat=x.size):
+                fmap = {p: x.points[v] for p, v in zip(x.points, fidx)}
+                uc = ctx.uc(fidx, x, x)
+                for fm in range(x.full_mask + 1):
+                    for gm in range(x.full_mask + 1):
+                        lib = is_filter_morphism(fmap, Filter(x, fm), Filter(x, gm))
+                        loop = _morphism_ok(uc, fidx, fm, gm, x)
+                        assert bool(lib) == loop, (x, fidx, fm, gm)
+                        verdicts.add((uc, loop))
+        assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 class TestUvaSharpness:
@@ -626,9 +683,14 @@ class TestNonChainSuite:
         reports = run_theorem_suite(gen, 10)
         assert all(r.ok for r in reports), [r.id for r in reports if not r.ok]
 
-    def test_category_laws_over_pinched_diamond(self, pinched):
-        reports = check_category_laws(InstanceGenerator(seed=608, quantale=pinched), 6)
-        assert all(r.ok for r in reports)
+    def test_filter_morphism_checks_over_pinched_diamond(self, pinched):
+        import qc.verify as verify
+
+        checks = tuple(c for c in verify.THEOREM_CHECKS
+                       if c.id in TestFilterMorphismChecks.CHECKS)
+        reports = run_theorem_suite(InstanceGenerator(seed=608, quantale=pinched), 6,
+                                    checks=checks)
+        assert all(r.ok and r.instances == 6 for r in reports)
 
 
 class TestLazyImport:

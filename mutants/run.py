@@ -222,6 +222,13 @@ MUTANTS = (
         ("tests/test_quantale.py::TestMeetJoin",),
     ),
     Mutant(
+        "distributivity-skips-pairs-with-last-element",
+        "quantale.py",
+        "for j in range(i + 1, n)]",
+        "for j in range(i + 1, n - 1)]",
+        ("tests/test_quantale.py::TestValidateQuantale::test_distributivity_failure_reported",),
+    ),
+    Mutant(
         "completion-distances-transposed",
         "completion.py",
         "_set_distance_ranks(base, f.core_mask, g.core_mask)",

@@ -16,14 +16,8 @@ from .quantale import (
     INF,
     ExtendedRationalQuantale,
     FiniteQuantale,
-    IdentityMorphism,
-    QuantaleMorphism,
-    StepMorphism,
-    TableMorphism,
     ValueQuantale,
     capped_chain,
-    definitional_well_above,
-    validate_quantale_morphism,
     validate_value_quantale,
 )
 from .reporting import CheckFailure, ValidationReport, Verdict
@@ -36,7 +30,6 @@ from .vspace import (
     has_uniformly_vanishing_asymmetry,
     has_vanishing_asymmetry,
     is_uniformly_continuous,
-    pushforward,
     separation_quotient,
     set_distance,
     symmetry_modulus,

@@ -41,7 +41,6 @@ corpus of small lattices before anything downstream relies on it.
 
 from __future__ import annotations
 
-import random
 import re
 import sys
 from bisect import bisect_right
@@ -50,7 +49,7 @@ from functools import reduce
 from math import lcm
 from typing import NamedTuple
 
-from .errors import DomainMismatchError, InvariantError, PreconditionError, StructureError
+from .errors import DomainMismatchError, StructureError
 from .reporting import CheckFailure, ValidationReport
 
 
@@ -130,10 +129,10 @@ class _OrderKeys(NamedTuple):
 class ValueQuantale:
     """Interface shared by the quantale families.
 
-    Subclasses provide: check, leq, add, meet, join, well_above, subtract,
-    nth_fraction, interpolate, sort_key, format, parse, bottom, top, and
-    the rank kernels _meet_ranks, _below_mask, and _order_keys with
-    _count_below where the quantale has order keys.
+    Subclasses provide: check, leq, add, meet, join, well_above, sort_key,
+    format, parse, bottom, top, and the rank kernels _meet_ranks,
+    _below_mask, and _order_keys with _count_below where the quantale has
+    order keys.
     """
 
     is_finite: bool = False
@@ -272,37 +271,6 @@ class ExtendedRationalQuantale(ValueQuantale):
         if isinstance(b, _Infinity):
             return False
         return a > b
-
-    def subtract(self, a, b):
-        """Left adjoint of addition: meet{c : a <= b + c}."""
-        a, b = self.check(a), self.check(b)
-        if self.leq(a, b):
-            return _ZERO
-        if isinstance(a, _Infinity):
-            return INF
-        return a - b
-
-    def nth_fraction(self, eps, n):
-        """A canonical delta well above 0 with n-fold sum below eps."""
-        eps = self.check(eps)
-        if not isinstance(n, int) or n < 1:
-            raise PreconditionError(f"n must be a positive integer, got {n!r}")
-        if not self.well_above(eps, self.bottom):
-            raise PreconditionError(f"{self.format(eps)} is not well above 0")
-        if isinstance(eps, _Infinity):
-            return Fraction(1)
-        return eps / n
-
-    def interpolate(self, x, z):
-        """A canonical y with x strictly between: x well-below y well-below z."""
-        x, z = self.check(x), self.check(z)
-        if not self.well_above(z, x):
-            raise PreconditionError(
-                f"{self.format(z)} is not well above {self.format(x)}"
-            )
-        if isinstance(z, _Infinity):
-            return x + 1
-        return (x + z) / 2
 
     def sort_key(self, element):
         element = self.check(element)
@@ -648,45 +616,6 @@ class FiniteQuantale(ValueQuantale):
     def well_above(self, a, b):
         return self._wa[self.check(a)][self.check(b)]
 
-    def subtract(self, a, b):
-        a, b = self.check(a), self.check(b)
-        cs = [c for c in range(len(self.names)) if self._leq[a][self._add[b][c]]]
-        return self.meet(cs)
-
-    def _nfold(self, e, n):
-        acc = self._bottom
-        for _ in range(n):
-            acc = self._add[acc][e]
-        return acc
-
-    def nth_fraction(self, eps, n):
-        """Largest positive delta (canonical tie-break) with n-fold sum <= eps."""
-        eps = self.check(eps)
-        if not isinstance(n, int) or n < 1:
-            raise PreconditionError(f"n must be a positive integer, got {n!r}")
-        if not self._wa[eps][self._bottom]:
-            raise PreconditionError(f"{self.names[eps]} is not well above 0")
-        for delta in sorted(self.positives, key=self.sort_key, reverse=True):
-            if self._leq[self._nfold(delta, n)][eps]:
-                return delta
-        raise InvariantError(
-            "no n-th fraction exists; the tables do not form a value quantale"
-        )
-
-    def interpolate(self, x, z):
-        """First element in listed order strictly between x and z."""
-        x, z = self.check(x), self.check(z)
-        if not self._wa[z][x]:
-            raise PreconditionError(
-                f"{self.names[z]} is not well above {self.names[x]}"
-            )
-        for y in range(len(self.names)):
-            if self._wa[y][x] and self._wa[z][y]:
-                return y
-        raise InvariantError(
-            "no interpolant exists; the tables do not form a value quantale"
-        )
-
     def sort_key(self, element):
         element = self.check(element)
         return (self._rank[element], element)
@@ -741,168 +670,6 @@ BUILTIN_QUANTALES = {
 
 
 # ---------------------------------------------------------------------------
-# morphisms
-
-
-class QuantaleMorphism:
-    """Monotone map preserving 0 and subadditive over sums."""
-
-    source: ValueQuantale
-    target: ValueQuantale
-
-    def __call__(self, element):
-        raise NotImplementedError
-
-
-class IdentityMorphism(QuantaleMorphism):
-    def __init__(self, quantale: ValueQuantale):
-        self.source = quantale
-        self.target = quantale
-
-    def __call__(self, element):
-        return self.source.check(element)
-
-    def __repr__(self):
-        return f"<IdentityMorphism on {self.source.label}>"
-
-
-class TableMorphism(QuantaleMorphism):
-    """Total mapping out of a finite quantale, given element by element."""
-
-    def __init__(self, source: FiniteQuantale, target: ValueQuantale, table):
-        if not isinstance(source, FiniteQuantale):
-            raise StructureError("TableMorphism requires a finite source quantale")
-        table = tuple(table)
-        if len(table) != source.size:
-            raise StructureError(
-                f"partial mapping: expected {source.size} values, got {len(table)}"
-            )
-        self.source = source
-        self.target = target
-        self.table = tuple(target.check(v) for v in table)
-
-    def __call__(self, element):
-        return self.table[self.source.check(element)]
-
-    def __repr__(self):
-        return f"<TableMorphism {self.source.label} -> {self.target.label}>"
-
-
-class StepMorphism(QuantaleMorphism):
-    """Threshold step map out of the extended rationals.
-
-    `thresholds` are strictly increasing positive finite rationals t1<...<tk
-    splitting the source into cells {0}, (0,t1], ..., (t_{k-1},t_k],
-    (t_k,inf]; `values` gives the image of each cell, so len(values) must be
-    len(thresholds)+2.  This family covers every piecewise-constant change
-    of base used here; arbitrary rational-source mappings stay out of scope.
-    """
-
-    def __init__(self, target: ValueQuantale, thresholds, values,
-                 source: ExtendedRationalQuantale = EXT_RATIONAL):
-        if not isinstance(source, ExtendedRationalQuantale):
-            raise StructureError("StepMorphism requires the extended-rational source")
-        self.source = source
-        self.target = target
-        ts = []
-        for t in thresholds:
-            t = source.check(t)
-            if isinstance(t, _Infinity) or t <= 0:
-                raise StructureError("thresholds must be positive finite rationals")
-            ts.append(t)
-        if any(a >= b for a, b in zip(ts, ts[1:])):
-            raise StructureError("thresholds must be strictly increasing")
-        values = tuple(values)
-        if len(values) != len(ts) + 2:
-            raise StructureError(
-                f"need {len(ts) + 2} cell values for {len(ts)} thresholds, "
-                f"got {len(values)}"
-            )
-        self.thresholds = tuple(ts)
-        self.values = tuple(target.check(v) for v in values)
-
-    def __call__(self, element):
-        x = self.source.check(element)
-        if not isinstance(x, _Infinity) and x == 0:
-            return self.values[0]
-        for i, t in enumerate(self.thresholds):
-            if not isinstance(x, _Infinity) and x <= t:
-                return self.values[i + 1]
-        return self.values[-1]
-
-    def cell_representatives(self):
-        """Right endpoint of every cell; suprema are attained there."""
-        return (self.source.bottom,) + self.thresholds + (INF,)
-
-    def __repr__(self):
-        return f"<StepMorphism -> {self.target.label} at {self.thresholds}>"
-
-
-def validate_quantale_morphism(morphism: QuantaleMorphism, samples: int = 200,
-                               seed: int = 7) -> ValidationReport:
-    """Check monotonicity, zero preservation, and subadditivity.
-
-    Finite sources are checked exhaustively.  Step morphisms are checked on
-    the right endpoints of their threshold cells, where cell suprema are
-    attained, so the subadditivity check is exact for this family; random
-    rational samples are added on top.
-    """
-    failures = []
-    src, tgt = morphism.source, morphism.target
-
-    def record(check, witness):
-        # keep the first witness per failed check
-        if all(f.check != check for f in failures):
-            failures.append(CheckFailure(check, witness))
-
-    def check_pair(a, b):
-        fa, fb = morphism(a), morphism(b)
-        if src.leq(a, b) and not tgt.leq(fa, fb):
-            record("monotone", {"pair": (src.format(a), src.format(b))})
-            return
-        fs = morphism(src.add(a, b))
-        bound = tgt.add(fa, fb)
-        if not tgt.leq(fs, bound):
-            record("subadditive", {"pair": (src.format(a), src.format(b))})
-
-    if isinstance(morphism, IdentityMorphism):
-        return ValidationReport("quantale-morphism", ())
-
-    if isinstance(morphism, TableMorphism):
-        if morphism(src.bottom) != tgt.bottom:
-            record("maps-zero-to-zero", {"image": tgt.format(morphism(src.bottom))})
-        for a in src.elements():
-            for b in src.elements():
-                check_pair(a, b)
-        return ValidationReport("quantale-morphism", tuple(failures))
-
-    if isinstance(morphism, StepMorphism):
-        if morphism(src.bottom) != tgt.bottom:
-            record("maps-zero-to-zero", {"image": tgt.format(morphism(src.bottom))})
-        reps = morphism.cell_representatives()
-        for a in reps:
-            for b in reps:
-                check_pair(a, b)
-        rng = random.Random(seed)
-        finite = [t for t in morphism.thresholds] or [Fraction(1)]
-        hi = max(finite) * 2 + 1
-        pool = [Fraction(0), INF] + finite
-        for _ in range(samples):
-            draw = []
-            for _ in range(2):
-                if rng.random() < 0.2:
-                    draw.append(pool[rng.randrange(len(pool))])
-                else:
-                    den = rng.randint(1, 6)
-                    num = rng.randint(0, int(hi * den))
-                    draw.append(Fraction(num, den))
-            check_pair(draw[0], draw[1])
-        return ValidationReport("quantale-morphism", tuple(failures))
-
-    raise StructureError(f"unknown morphism kind: {morphism!r}")
-
-
-# ---------------------------------------------------------------------------
 # value quantale validation
 
 
@@ -912,14 +679,22 @@ AXIOM_DISTRIB = "x+⋀S = ⋀(x+S)"
 AXIOM_POSITIVE_MEET = "a∧b ≻ 0"
 
 
-def validate_value_quantale(names, leq, add, subset_limit: int = 12) -> ValidationReport:
+def validate_value_quantale(names, leq, add) -> ValidationReport:
     """Exhaustively check the value-quantale axioms on candidate tables.
 
     Malformed tables raise StructureError; mathematical defects (order not
     a complete lattice, addition laws, the four axioms) are reported as
-    failures with one witness each.  Meet-distributivity is checked over
-    every subset when the carrier has at most `subset_limit` elements and
-    over the (equivalent) empty and binary cases beyond that.
+    failures with one witness each.
+
+    Meet-distributivity x+⋀S = ⋀(x+S) is checked on the empty meet and on
+    every pair, which decides it for every subset of a finite lattice, by
+    induction on |S|: for S = {s} ∪ R with s not in R,
+
+        x+⋀S = x+(s∧⋀R) = (x+s)∧(x+⋀R) = (x+s)∧⋀(x+R) = ⋀(x+S),
+
+    the second step by the pair case for s and the element ⋀R (trivial
+    when they are equal), the third by the hypothesis on R (the empty case
+    when R is empty).  Singletons hold trivially and are skipped.
     """
     names, leq_t, add_t = _normalise_tables(names, leq, add)
     n = len(names)
@@ -974,13 +749,9 @@ def validate_value_quantale(names, leq, add, subset_limit: int = 12) -> Validati
                             {"x": fmt(x), "y": fmt(y), "a": fmt(a)},
                         )
 
-    if n <= subset_limit:
-        subsets = range(1 << n)
-    else:
-        subsets = [0] + [(1 << i) | (1 << j) for i in range(n) for j in range(i, n)]
+    subsets = [()] + [(i, j) for i in range(n) for j in range(i + 1, n)]
     for x in range(n):
-        for smask in subsets:
-            members = [s for s in range(n) if smask >> s & 1]
+        for members in subsets:
             lhs = add_t[x][q.meet(members)]
             rhs = q.meet(add_t[x][s] for s in members)
             if lhs != rhs:
@@ -1017,18 +788,3 @@ def _fmt_witness(names, value):
         return tuple(_fmt_witness(names, v) for v in value)
     return value
 
-
-def definitional_well_above(quantale: FiniteQuantale, a, b) -> bool:
-    """Subset-quantified well-above; exponential, used as an oracle.
-
-    a is well above b when every subset S (including the empty one) whose
-    meet is dominated by b contains a member below a.
-    """
-    a, b = quantale.check(a), quantale.check(b)
-    n = quantale.size
-    for smask in range(1 << n):
-        members = [s for s in range(n) if smask >> s & 1]
-        if quantale.leq(quantale.meet(members), b):
-            if not any(quantale.leq(s, a) for s in members):
-                return False
-    return True

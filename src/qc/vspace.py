@@ -84,7 +84,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DomainMismatchError, InvariantError, PreconditionError, StructureError
-from .quantale import INF, ValueQuantale, QuantaleMorphism, _Infinity, validate_quantale_morphism
+from .quantale import INF, ValueQuantale, _Infinity
 from .reporting import CheckFailure, ValidationReport, Verdict
 
 
@@ -781,26 +781,3 @@ def is_uniformly_continuous(fmap: dict, source: VSpace, target: VSpace) -> Verdi
                 near ^= low
     return Verdict(True)
 
-
-def pushforward(morphism: QuantaleMorphism, space: VSpace) -> VSpace:
-    """Apply a quantale morphism entrywise; the result is re-validated."""
-    report = validate_quantale_morphism(morphism)
-    if not report.ok:
-        raise PreconditionError(
-            f"morphism is invalid: {', '.join(report.failed_checks())}"
-        )
-    if morphism.source != space.quantale:
-        raise DomainMismatchError("space is not over the morphism's source quantale")
-    form = space._ranks
-    # images of equal values are equal: map each distinct value once
-    out = VSpace(
-        morphism.target,
-        space.points,
-        _EntryClasses([morphism(v) for v in form.values], form.rank),
-    )
-    check = validate_vspace(out)
-    if not check.ok:
-        raise InvariantError(
-            f"pushforward broke the space laws: {check.failures[0]}"
-        )
-    return out

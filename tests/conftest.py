@@ -39,6 +39,21 @@ def diamond_tables():
     return names, leq, join
 
 
+@pytest.fixture(scope="session")
+def saturated_diamond_tables():
+    """Lattice 0 < a, b < T with a, b incomparable; any two nonzero sum to T.
+
+    Meet-distributivity fails at x = a, S = {a, b}: a + (a∧b) = a + 0 = a,
+    while (a+a)∧(a+b) = T.  b is listed last, so a check that skips the
+    pairs holding the last element misses the failure.
+    """
+    names = ["0", "a", "T", "b"]
+    less = {(0, 1), (0, 2), (0, 3), (1, 2), (3, 2)}
+    leq = [[i == j or (i, j) in less for j in range(4)] for i in range(4)]
+    add = [[j if i == 0 else (i if j == 0 else 2) for j in range(4)] for i in range(4)]
+    return names, leq, add
+
+
 @pytest.fixture
 def x2a():
     return VSpace(EXT_RATIONAL, ["a", "b"], [[0, 1], [2, 0]])

@@ -6,7 +6,6 @@ so a test can compare a fast library answer against a first-principles
 computation.
 """
 
-from fractions import Fraction
 from itertools import product
 
 from qc import INF
@@ -70,20 +69,28 @@ def subset_well_above(leq, add, a, b) -> bool:
     return True
 
 
+def saturating_add(leq):
+    """pinched's addition on any lattice: 0 is the unit, other sums are the top."""
+    n = len(leq)
+    bot = next(b for b in range(n) if all(leq[b]))
+    top = next(t for t in range(n) if all(row[t] for row in leq))
+    return [[j if i == bot else i if j == bot else top for j in range(n)] for i in range(n)]
+
+
+def subset_distributive(leq, add) -> bool:
+    """Definitional meet-distributivity: x+meet(S) = meet(x+S) on all 2^n S."""
+    n = len(leq)
+    top = next(t for t in range(n) if all(leq[x][t] for x in range(n)))
+    for smask in range(1 << n):
+        members = [s for s in range(n) if smask >> s & 1]
+        m = finite_meet(leq, members, top)
+        for x in range(n):
+            if add[x][m] != finite_meet(leq, [add[x][s] for s in members], top):
+                return False
+    return True
+
+
 def all_maps(src_points, tgt_points):
     for values in product(tgt_points, repeat=len(src_points)):
         yield dict(zip(src_points, values))
 
-
-def grid_subtract_oracle(a, b, max_den=24, cap=1000):
-    """Least c on a rational grid with a <= b + c, refined near the answer."""
-    best = None
-    for den in range(1, max_den + 1):
-        for num in range(0, cap * den + 1):
-            c = Fraction(num, den)
-            s = INF if isinstance(b, type(INF)) else b + c
-            if leq_ext(a, s):
-                if best is None or c < best:
-                    best = c
-                break
-    return best

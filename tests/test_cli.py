@@ -119,6 +119,18 @@ class TestValidate:
         assert lines[-1] == "quantale: invalid"
         assert "witness" in lines[0]
 
+    def test_distributivity_failure_exits_one(self, capsys, tmp_path, saturated_diamond_tables):
+        path = write_quantale_tables(tmp_path, "saturated.json", *saturated_diamond_tables)
+        code, out, _ = run(capsys, "validate-quantale", path)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == (
+            'failed axiom x+⋀S = ⋀(x+S) witness: '
+            '{"S": ["a", "b"], "lhs": "a", "rhs": "T", "x": "a"}'
+        )
+        assert lines[1].startswith("failed axiom a∧b ≻ 0 witness: ")
+        assert lines[-1] == "quantale: invalid"
+
     def test_space_over_diamond_tables_exits_two(self, capsys, tmp_path, diamond_tables):
         names, leq, join = diamond_tables
         quantale = serialize.quantale_to_payload(FiniteQuantale(names, leq, join))

@@ -8,18 +8,12 @@ from qc import (
     INF,
     DomainMismatchError,
     FiniteQuantale,
-    IdentityMorphism,
-    PreconditionError,
-    StepMorphism,
     StructureError,
-    TableMorphism,
     capped_chain,
-    definitional_well_above,
-    validate_quantale_morphism,
     validate_value_quantale,
 )
 
-from helpers import grid_subtract_oracle, subset_well_above
+from helpers import saturating_add, subset_distributive, subset_well_above
 
 E = EXT_RATIONAL
 
@@ -115,105 +109,6 @@ class TestWellAbove:
                 assert q.well_above(a, b) == subset_well_above(leq, join, a, b)
 
 
-class TestSubtract:
-    def test_truncation(self):
-        assert E.subtract(Fraction(3), Fraction(5)) == 0
-
-    def test_grid_oracle(self):
-        expected = grid_subtract_oracle(Fraction(5), Fraction(3))
-        assert expected == Fraction(2)
-        assert E.subtract(Fraction(5), Fraction(3)) == Fraction(2)
-
-    def test_finite_table(self, Q3):
-        inf = Q3.parse("inf")
-        one = Q3.parse("1")
-        # exhaustive: 1+1 = inf in this chain, so {c : inf <= 1+c} = {1, inf}
-        # and the adjoint is their meet, 1 (the adjunction law forces it:
-        # were it inf, inf-1 <= 1 would fail while inf <= 1+1 holds)
-        cs = [c for c in Q3.elements() if Q3.leq(inf, Q3.add(one, c))]
-        assert cs == [one, inf]
-        assert Q3.subtract(inf, one) == one
-
-    @pytest.mark.parametrize("name", ["Q1", "Q2", "Q3", "chain4"])
-    def test_adjunction_exhaustive(self, name):
-        q = BUILTIN_QUANTALES[name]
-        for a in q.elements():
-            for b in q.elements():
-                for c in q.elements():
-                    assert q.leq(q.subtract(a, b), c) == q.leq(a, q.add(b, c))
-
-    def test_iterated_subtraction_law(self, chain4):
-        q = chain4
-        for a in q.elements():
-            for b in q.elements():
-                for c in q.elements():
-                    assert q.subtract(q.subtract(a, b), c) == q.subtract(a, q.add(b, c))
-        for a in [Fraction(7), Fraction(5, 2), INF]:
-            for b in [Fraction(1), Fraction(3)]:
-                for c in [Fraction(1, 2), INF]:
-                    assert E.subtract(E.subtract(a, b), c) == E.subtract(a, E.add(b, c))
-
-
-class TestNthFraction:
-    def test_halving(self):
-        assert E.nth_fraction(Fraction(1), 2) == Fraction(1, 2)
-
-    def test_q3_exhaustive(self, Q3):
-        # only 0 satisfies d+d <= 1 among the positives
-        working = [
-            d
-            for d in Q3.positives
-            if Q3.leq(Q3.add(d, d), Q3.parse("1"))
-        ]
-        assert working == [0]
-        assert Q3.nth_fraction(Q3.parse("1"), 2) == 0
-
-    def test_infinity_canonical(self):
-        assert E.nth_fraction(INF, 3) == Fraction(1)
-
-    def test_requires_positive(self):
-        with pytest.raises(PreconditionError):
-            E.nth_fraction(Fraction(0), 2)
-
-    def test_nfold_bound_holds(self, chain4):
-        q = chain4
-        for eps in q.positives:
-            for n in (1, 2, 3, 5):
-                delta = q.nth_fraction(eps, n)
-                acc = q.bottom
-                for _ in range(n):
-                    acc = q.add(acc, delta)
-                assert q.leq(acc, eps)
-                assert q.well_above(delta, q.bottom)
-
-
-class TestInterpolate:
-    def test_midpoint(self):
-        assert E.interpolate(Fraction(0), Fraction(1)) == Fraction(1, 2)
-        got = E.interpolate(Fraction(0), Fraction(1))
-        assert E.well_above(got, Fraction(0)) and E.well_above(Fraction(1), got)
-
-    def test_infinity_convention(self):
-        got = E.interpolate(Fraction(2), INF)
-        assert got == Fraction(3)
-        assert E.well_above(got, Fraction(2)) and E.well_above(INF, got)
-
-    def test_q3_first_in_element_order(self, Q3):
-        inf = Q3.parse("inf")
-        # exhaustive table: candidates strictly between 0 and inf
-        candidates = [
-            y
-            for y in Q3.elements()
-            if Q3.well_above(y, 0) and Q3.well_above(inf, y)
-        ]
-        assert candidates == [0, 1]
-        assert Q3.interpolate(0, inf) == 0
-
-    def test_requires_strict(self):
-        with pytest.raises(PreconditionError):
-            E.interpolate(Fraction(1), Fraction(1))
-
-
 class TestValidateQuantale:
     def test_q3_valid(self, Q3):
         assert validate_value_quantale(Q3.names, Q3._leq, Q3._add).ok
@@ -251,45 +146,32 @@ class TestValidateQuantale:
         )
         assert report.failed_checks() == ("complete-lattice",)
 
+    def test_distributivity_failure_reported(self, saturated_diamond_tables):
+        report = validate_value_quantale(*saturated_diamond_tables)
+        assert report.failed_checks() == ("x+⋀S = ⋀(x+S)", "a∧b ≻ 0")
+        assert report.failures[0].witness == {"x": "a", "S": ("a", "b"), "lhs": "a", "rhs": "T"}
+        assert report.failures[1].witness == {"a": "a", "b": "b"}
 
-class TestMorphisms:
-    def test_identity_valid(self, Q3):
-        assert validate_quantale_morphism(IdentityMorphism(Q3)).ok
-        assert validate_quantale_morphism(IdentityMorphism(E)).ok
+    def test_distributivity_matches_subset_oracle(
+        self, Q1, Q3, chain4, pinched, diamond_tables, saturated_diamond_tables
+    ):
+        # the empty-and-pairs check against every subset, on the named tables
+        # and on every lattice of at most 5 elements under pinched's
+        # saturating addition, where distributivity both holds and fails
+        from test_acceptance import lattice_corpus
 
-    def test_threshold_map_valid(self, Q3):
-        alpha = StepMorphism(Q3, [Fraction(1)], [0, 1, 2])
-        # case analysis over the three cells of each argument
-        assert alpha(Fraction(0)) == 0
-        assert alpha(Fraction(1, 2)) == 1
-        assert alpha(Fraction(1)) == 1
-        assert alpha(Fraction(3, 2)) == 2
-        assert alpha(INF) == 2
-        assert validate_quantale_morphism(alpha).ok
-
-    def test_swap_invalid(self, Q3):
-        swap = TableMorphism(Q3, Q3, [2, 1, 0])
-        report = validate_quantale_morphism(swap)
-        assert not report.ok
-        assert set(report.failed_checks()) == {"maps-zero-to-zero", "monotone"}
-
-    def test_partial_table_is_structural(self, Q3):
-        with pytest.raises(StructureError):
-            TableMorphism(Q3, Q3, [0, 1])
-
-    def test_subadditivity_checked(self, Q3):
-        # 0 -> 0, 1 -> inf, inf -> 1 is monotone-breaking and subadd-breaking
-        bad = TableMorphism(Q3, Q3, [0, 2, 1])
-        report = validate_quantale_morphism(bad)
-        assert not report.ok
-
-    def test_step_morphism_shape_errors(self, Q3):
-        with pytest.raises(StructureError):
-            StepMorphism(Q3, [Fraction(1)], [0, 1])
-        with pytest.raises(StructureError):
-            StepMorphism(Q3, [Fraction(2), Fraction(1)], [0, 1, 2, 2])
-        with pytest.raises(StructureError):
-            StepMorphism(Q3, [INF], [0, 1, 2])
+        named = (Q1, BUILTIN_QUANTALES["Q2"], Q3, chain4, pinched)
+        tables = [(q.names, q._leq, q._add) for q in named]
+        tables += [diamond_tables, saturated_diamond_tables]
+        for leq in lattice_corpus():
+            tables.append(([f"e{i}" for i in range(len(leq))], leq, saturating_add(leq)))
+        verdicts = []
+        for names, leq, add in tables:
+            report = validate_value_quantale(names, leq, add)
+            holds = "x+⋀S = ⋀(x+S)" not in report.failed_checks()
+            assert holds == subset_distributive(leq, add), (names, leq, add)
+            verdicts.append(holds)
+        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 5, verdicts
 
 
 class TestElementHandling:
@@ -354,36 +236,6 @@ class TestDerivedLaws:
             capped_chain(0)
 
 
-class TestStepMorphismExactness:
-    def test_subadditivity_violation_caught_at_endpoints(self, Q3):
-        # alpha(1)+alpha(1) = 2 < 3 = alpha(2): the right-endpoint analysis
-        # must catch the failure without relying on sampling
-        bad = StepMorphism(
-            EXT_RATIONAL, [Fraction(1)], [Fraction(0), Fraction(1), Fraction(3)]
-        )
-        report = validate_quantale_morphism(bad, samples=0)
-        assert report.failed_checks() == ("subadditive",)
-
-    def test_valid_step_map_survives_heavy_sampling(self):
-        # cell values grow slowly enough that sums of cells stay subadditive
-        alpha = StepMorphism(
-            EXT_RATIONAL,
-            [Fraction(1), Fraction(2)],
-            [Fraction(0), Fraction(1), Fraction(2), Fraction(3)],
-        )
-        assert validate_quantale_morphism(alpha, samples=2000, seed=3).ok
-
-    def test_jump_to_top_needs_truncating_target(self, Q3):
-        # the same shape that is valid into the chain (1+1 saturates there)
-        # fails into the rationals, where 1+1 = 2 stays below the top
-        into_chain = StepMorphism(Q3, [Fraction(1)], [0, 1, 2])
-        assert validate_quantale_morphism(into_chain).ok
-        into_rationals = StepMorphism(
-            EXT_RATIONAL, [Fraction(1)], [Fraction(0), Fraction(1), INF]
-        )
-        assert not validate_quantale_morphism(into_rationals, samples=0).ok
-
-
 class TestNonChainQuantale:
     def test_pinched_diamond_is_a_value_quantale(self, pinched):
         report = validate_value_quantale(pinched.names, pinched._leq, pinched._add)
@@ -399,13 +251,6 @@ class TestNonChainQuantale:
     def test_every_element_positive(self, pinched):
         # the meet of all nonzero elements is e, so even 0 is well above 0
         assert pinched.positives == tuple(sorted(pinched.elements(), key=pinched.sort_key))
-
-    def test_subtraction_adjunction(self, pinched):
-        q = pinched
-        for a in q.elements():
-            for b in q.elements():
-                for c in q.elements():
-                    assert q.leq(q.subtract(a, b), c) == q.leq(a, q.add(b, c))
 
     def test_incomparable_meet_is_pinch(self, pinched):
         a, b = pinched.parse("a"), pinched.parse("b")

@@ -7,9 +7,7 @@ from qc import (
     INF,
     DomainMismatchError,
     FiniteQuantale,
-    IdentityMorphism,
     PreconditionError,
-    StepMorphism,
     StructureError,
     VSpace,
     ball,
@@ -19,7 +17,6 @@ from qc import (
     has_uniformly_vanishing_asymmetry,
     has_vanishing_asymmetry,
     is_uniformly_continuous,
-    pushforward,
     separation_quotient,
     set_distance,
     symmetry_modulus,
@@ -27,7 +24,7 @@ from qc import (
     Verdict,
 )
 
-from helpers import ball_raw, triangle_holds
+from helpers import ball_raw, saturating_add, triangle_holds
 
 E = EXT_RATIONAL
 
@@ -323,35 +320,6 @@ class TestUniformContinuity:
             is_uniformly_continuous({"a": "a"}, x2a, x2a)
 
 
-class TestPushforward:
-    def test_identity(self, x2a):
-        assert pushforward(IdentityMorphism(E), x2a) == x2a
-
-    def test_threshold_map(self, x2a, Q3):
-        alpha = StepMorphism(Q3, [Fraction(1)], [0, 1, 2])
-        image = pushforward(alpha, x2a)
-        assert image.quantale == Q3
-        assert image.d("a", "b") == Q3.parse("1")
-        assert image.d("b", "a") == Q3.parse("inf")
-        assert validate_vspace(image).ok
-
-    def test_preserves_symmetry(self, x2s, Q3):
-        alpha = StepMorphism(Q3, [Fraction(1)], [0, 1, 2])
-        assert classify(pushforward(alpha, x2s))["symmetric"]
-
-    def test_invalid_morphism_refused(self, x2a, Q3):
-        space = VSpace(Q3, ["a", "b"], [[0, 1], [1, 0]])
-        from qc import TableMorphism
-
-        bad = TableMorphism(Q3, Q3, [2, 1, 0])
-        with pytest.raises(PreconditionError):
-            pushforward(bad, space)
-
-    def test_wrong_source_quantale(self, x2a, Q3):
-        with pytest.raises(DomainMismatchError):
-            pushforward(IdentityMorphism(Q3), x2a)
-
-
 class TestEmptySpace:
     def test_empty_is_legal(self):
         empty = VSpace(E, [], [])
@@ -534,12 +502,8 @@ class TestCompiledKernels:
 
         accepted = 0
         for leq in lattice_corpus():
-            size = len(leq)
-            bot = next(b for b in range(size) if all(leq[b]))
-            top = next(t for t in range(size) if all(row[t] for row in leq))
-            add = [[j if i == bot else i if j == bot else top for j in range(size)]
-                   for i in range(size)]
-            names = [f"e{i}" for i in range(size)]
+            add = saturating_add(leq)
+            names = [f"e{i}" for i in range(len(leq))]
             if not validate_value_quantale(names, leq, add).ok:
                 continue
             accepted += 1

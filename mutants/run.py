@@ -30,6 +30,9 @@ KERNELS = "tests/test_vspace.py::TestCompiledKernels::test_match_definitions"
 # the qc verify theorem checks that compare the closed forms with their loops
 GATE = "tests/test_acceptance.py::test_criterion_7_equivalence_lists"
 TWINS = "tests/test_vspace.py::TestTwinClasses"
+ZERO_MASKS = "tests/test_vspace.py::TestRankMatrixForms::test_zero_masks_match_entries"
+SYMMETRY = "tests/test_vspace.py::TestRankMatrixForms::test_symmetry_matches_entries"
+LEAST_TEST_VALUE = "tests/test_vspace.py::TestRankMatrixForms::test_least_test_value_matches_combined"
 BUILD = "tests/test_vspace.py::TestBuildPath"
 UC_MEMO = "tests/test_verify.py::TestUcMemo"
 GENERATOR = "tests/test_verify.py::TestGenerator::test_key_space_matches_value_route"
@@ -98,9 +101,30 @@ MUTANTS = (
     Mutant(
         "twins-keyed-on-rows-alone",
         "vspace.py",
-        "zip(map(id, form.fwd), map(id, form.bwd))",
-        "zip(map(id, form.fwd), map(id, form.fwd))",
+        "zip(form.rank, form.transpose)",
+        "zip(form.rank, form.rank)",
         (TWINS,),
+    ),
+    Mutant(
+        "zero-mask-lanes-reversed",
+        "vspace.py",
+        "int(bytes(row[::-1]).translate(_RANK_ZERO_DIGITS), 2)",
+        "int(bytes(row).translate(_RANK_ZERO_DIGITS), 2)",
+        (ZERO_MASKS,),
+    ),
+    Mutant(
+        "zero-mask-table-marks-rank-one",
+        "vspace.py",
+        '_RANK_ZERO_DIGITS = b"1" + b"0" * 255',
+        '_RANK_ZERO_DIGITS = b"11" + b"0" * 254',
+        (ZERO_MASKS,),
+    ),
+    Mutant(
+        "symmetry-compares-rank-with-itself",
+        "vspace.py",
+        "symmetric = form.rank == form.transpose",
+        "symmetric = form.rank == form.rank",
+        (SYMMETRY,),
     ),
     Mutant(
         "twin-columns-not-expanded",
@@ -250,6 +274,13 @@ MUTANTS = (
         ("tests/test_vspace.py::TestDual",),
     ),
     Mutant(
+        "dual-mask-dicts-not-crossed",
+        "vspace.py",
+        "op._fwd, op._bwd = self._bwd, self._fwd",
+        "op._fwd, op._bwd = self._fwd, self._bwd",
+        ("tests/test_vspace.py::TestRankMatrixForms::test_dual_shares_mask_dicts",),
+    ),
+    Mutant(
         "strict-balls-cache-ignores-radius",
         "vspace.py",
         'key = ("strict", eps)',
@@ -259,9 +290,16 @@ MUTANTS = (
     Mutant(
         "uc-witness-source-test-values",
         "vspace.py",
-        "eps = combined_test_values(source, target)[0]",
+        "eps = _least_test_value(source, target)",
         "eps = source.test_values[0]",
         (KERNELS,),
+    ),
+    Mutant(
+        "least-test-value-counts-spaces-without-positives",
+        "vspace.py",
+        "halves = [s.test_values[0] for s in spaces if len(s.test_values) > 2]",
+        "halves = [s.test_values[0] for s in spaces]",
+        (LEAST_TEST_VALUE,),
     ),
     Mutant(
         "uc-memo-ignores-direction",

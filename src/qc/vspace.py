@@ -21,21 +21,29 @@ largest delta, not a monotone quantifier) and the strict-ball topology
 keep their loops.
 
 A space is stored in rank form, built at construction: its distinct
-distance values in `sort_key` order, the rank of each entry among them,
-and per point and per value the bitmask of the points at that forward
-(backward) distance.  Points with equal rows of ranks share one forward
-mask dict, and points with equal columns one backward dict.  Construction
-checks each distinct entry once, after telling entries apart by type and
-value (`_entry_classes`); reading a space file parses each distinct
-literal once the same way, and entries that denote one element share a
-value.  `dmat` is a read-only view of the matrix built on first use.
+distance values in `sort_key` order and the rank of each entry among
+them.  Per point and per value the bitmask of the points at that forward
+(backward) distance is built on first read, by balls, strict balls, set
+distances and the class triangle kernel; points with equal rows of ranks
+then share one forward mask dict, and points with equal columns one
+backward dict.  The zero masks, the symmetry test and the twin classes
+read the ranks and their transpose, so validating and classifying a space
+with int order keys builds no mask dict.  Construction checks each
+distinct entry once, after telling entries apart by type and value
+(`_entry_classes`); reading a space file parses each distinct literal
+once the same way, and entries that denote one element share a value.
+`dmat` is a read-only view of the matrix built on first use.
 Every order-only predicate reads the rank form: a ball of radius eps is
 the union of the masks whose value is <= eps, so the order is consulted
 once per (space, eps) over the distinct values instead of once per entry.
-Balls, zero neighbourhoods, the symmetry and separation tests and the
-uniform flip behind symmetry moduli are mask operations.  Strict balls
-share the ball cache.  `dual()` is built once and linked back, so it is an
-involution on objects: `space.dual().dual() is space`.  A set distance
+A zero mask gathers the lanes of rank 0 (0 sorts first), with at most 256
+values in one C-level pass per row (`_RankForm.zero_masks`).  Balls, zero
+neighbourhoods, the separation test and the uniform flip behind symmetry
+moduli are mask operations; the symmetry test compares the ranks with
+their transpose.  Strict balls share the ball cache.  `dual()` is built
+once from the transposed ranks, with no value checked again, and linked
+back, so it is an involution on objects: `space.dual().dual() is space`;
+its forward mask dicts are this space's backward ones.  A set distance
 collects the ranks of the values met between the two masks as a mask
 (`_set_distance_ranks`) and takes their meet in one private quantale
 kernel, `ValueQuantale._meet_ranks` (the lowest rank on the
@@ -67,13 +75,14 @@ values once with the quantale addition and reads the points not below it
 from the values of a row (`_table_triangle_violations`).
 
 The triangle check works once per twin class.  Twins are points with an
-equal row and an equal column of ranks, found by exact equality (their
-shared mask dicts), never by zero distance, so the check assumes nothing
-of the law it checks.  On a valid space the points at mutual distance 0
-are twins, so a space of c clusters costs the check about c * c pairs
-(i, j) instead of n * n; twins of i share i's violations, and twins of j
-get j's.  The per-entry definitions of the triangle law, balls, the flip,
-the entourage core and set distances are kept in `qc.verify` as oracles.
+equal row and an equal column of ranks, found by exact equality (keyed
+on the pair of rank tuples), never by zero distance, so the check
+assumes nothing of the law it checks.  On a valid space the points at
+mutual distance 0 are twins, so a space of c clusters costs the check
+about c * c pairs (i, j) instead of n * n; twins of i share i's
+violations, and twins of j get j's.  The per-entry definitions of the
+triangle law, balls, the flip, the entourage core and set distances are
+kept in `qc.verify` as oracles.
 """
 
 from __future__ import annotations
@@ -109,9 +118,12 @@ class VSpace:
         classes = distances.classes
         if len(classes) != n or any(len(row) != n for row in classes):
             raise StructureError(f"distance matrix must be {n}x{n}")
+        self._adopt(quantale, points, _RankForm(quantale, distances))
+
+    def _adopt(self, quantale: ValueQuantale, points: tuple, form: "_RankForm") -> None:
         self.quantale = quantale
         self.points = points
-        self._ranks = _RankForm(quantale, distances)
+        self._ranks = form
         self._pindex = {p: i for i, p in enumerate(points)}
         self._ball_cache: dict = {}
         self._dual = None
@@ -182,24 +194,26 @@ class VSpace:
     @cached_property
     def zero_fwd(self) -> tuple[int, ...]:
         """Per point, the mask of points at outgoing distance 0."""
-        return self._ranks.masks_at(self.quantale.bottom, True)
+        return self._ranks.zero_masks(self.quantale.bottom, True)
 
     @cached_property
     def zero_bwd(self) -> tuple[int, ...]:
-        return self._ranks.masks_at(self.quantale.bottom, False)
+        return self._ranks.zero_masks(self.quantale.bottom, False)
 
     @cached_property
     def test_values(self) -> tuple:
         return combined_test_values(self)
 
     def dual(self) -> "VSpace":
-        """The transposed space, built once; the dual of the dual is `self`."""
+        """The transposed space, built once; the dual of the dual is `self`.
+
+        Its rank form is this one's transposed (`_RankForm.transposed`): no
+        value is checked again and nothing is renumbered.
+        """
         op = self._dual
         if op is None:
-            form = self._ranks
-            op = self._dual = VSpace(
-                self.quantale, self.points, _EntryClasses(form.values, tuple(zip(*form.rank)))
-            )
+            op = self._dual = VSpace.__new__(VSpace)
+            op._adopt(self.quantale, self.points, self._ranks.transposed())
             op._dual = self
         return op
 
@@ -287,13 +301,20 @@ class _RankForm:
 
     `values` holds the distinct entries in `sort_key` order; the rank of an
     entry is its index there, and `rank[i][j]` is the rank of d(i,j).
-    `fwd[i]` maps each rank occurring in row i to the mask of the j with
-    d(i,j) of that rank; `bwd[i]` does the same for column i.  `keys` holds
+    `transpose` is `rank` transposed, built on first read.  `keys` holds
     the quantale's exact order keys of the values, and is None where the
     quantale has none (finite tables that are not capped chains).
+
+    `fwd[i]` maps each rank occurring in row i to the mask of the j with
+    d(i,j) of that rank; `bwd[i]` does the same for column i.  Each is
+    built the first time it is read, by balls, strict balls, set distances
+    and the class triangle kernel; twins, symmetry and the zero masks read
+    `rank` and `transpose` instead.  A form and its transposed
+    (`transposed`) share these dicts crosswise, so the `fwd` of one is the
+    `bwd` of the other, built at most once between them.
     """
 
-    __slots__ = ("values", "rank", "fwd", "bwd", "keys")
+    __slots__ = ("values", "rank", "keys", "_transpose", "_fwd", "_bwd", "_mirror")
 
     def __init__(self, quantale: ValueQuantale, entries: _EntryClasses):
         # one check per distinct entry; entries denoting one element merge
@@ -302,25 +323,64 @@ class _RankForm:
         rank_of = {v: r for r, v in enumerate(self.values)}
         renumber = [rank_of[v] for v in checked]
         self.rank = tuple([tuple([renumber[c] for c in row]) for row in entries.classes])
-        self.fwd = _masks_by_rank(self.rank)
-        self.bwd = _masks_by_rank(zip(*self.rank))
         self.keys = quantale._order_keys(self.values)
+        self._transpose = self._fwd = self._bwd = self._mirror = None
 
-    def masks_at(self, value, forward: bool) -> tuple[int, ...]:
-        """Per point, the mask of entries equal to `value`."""
-        rows = self.fwd if forward else self.bwd
-        try:
-            u = self.values.index(value)
-        except ValueError:
+    def transposed(self) -> "_RankForm":
+        """The form of the transposed matrix, over the same values and keys."""
+        op = _RankForm.__new__(_RankForm)
+        op.values, op.keys = self.values, self.keys
+        op.rank, op._transpose = self.transpose, self.rank
+        op._fwd, op._bwd = self._bwd, self._fwd
+        op._mirror, self._mirror = self, op
+        return op
+
+    @property
+    def transpose(self) -> tuple[tuple[int, ...], ...]:
+        if self._transpose is None:
+            self._transpose = tuple(zip(*self.rank))
+        return self._transpose
+
+    @property
+    def fwd(self) -> tuple[dict, ...]:
+        if self._fwd is None:
+            self._fwd = _masks_by_rank(self.rank)
+            if self._mirror is not None:
+                self._mirror._bwd = self._fwd
+        return self._fwd
+
+    @property
+    def bwd(self) -> tuple[dict, ...]:
+        if self._bwd is None:
+            self._bwd = _masks_by_rank(self.transpose)
+            if self._mirror is not None:
+                self._mirror._fwd = self._bwd
+        return self._bwd
+
+    def zero_masks(self, bottom, forward: bool) -> tuple[int, ...]:
+        """Per row (forward) or column, the mask of the entries equal to `bottom`.
+
+        The bottom sorts first, so those are the lanes of rank 0.  With at
+        most 256 values a row of ranks is a byte string: reversed, so that
+        lane j lands on bit j, each rank-0 byte is translated to the digit
+        1 and every other to 0, and the digits are read as one binary int.
+        """
+        rows = self.rank if forward else self.transpose
+        if not self.values or self.values[0] != bottom:
             return (0,) * len(rows)
-        return tuple([row.get(u, 0) for row in rows])
+        if len(self.values) <= 256:
+            return tuple([int(bytes(row[::-1]).translate(_RANK_ZERO_DIGITS), 2) for row in rows])
+        return tuple([sum([1 << j for j, r in enumerate(row) if not r]) for row in rows])
+
+
+# per byte of rank: the binary digit of "rank 0"
+_RANK_ZERO_DIGITS = b"1" + b"0" * 255
 
 
 def _masks_by_rank(rows) -> tuple[dict, ...]:
     """Per row of ranks, the mask of the positions holding each rank.
 
-    Equal rows share one dict, built once; the dicts are read-only, so two
-    points share theirs exactly when their rows of ranks are equal.
+    Equal rows share one dict, built once; the dicts are read-only.
     """
     memo, out = {}, []
     for row in rows:
@@ -422,14 +482,13 @@ def validate_vspace(space: VSpace) -> ValidationReport:
 def _twins(form: _RankForm) -> dict[int, list[int]]:
     """Each twin class, as its first point mapped to its members in order.
 
-    Twins are points with an equal rank row and an equal rank column, that
-    is, whose `fwd` dicts and whose `bwd` dicts are shared
-    (`_masks_by_rank`).  They are told apart by exact equality, never by
-    zero distance, so the triangle check assumes nothing of the law it
-    checks.
+    Twins are points with an equal rank row and an equal rank column: they
+    are keyed on the pair (row of `rank`, row of `transpose`).  They are
+    told apart by exact equality, never by zero distance, so the triangle
+    check assumes nothing of the law it checks.
     """
     first, classes = {}, {}
-    for i, key in enumerate(zip(map(id, form.fwd), map(id, form.bwd))):
+    for i, key in enumerate(zip(form.rank, form.transpose)):
         classes.setdefault(first.setdefault(key, i), []).append(i)
     return classes
 
@@ -624,7 +683,7 @@ def _set_distance_ranks(space: VSpace, smask: int, tmask: int) -> int:
 def classify(space: VSpace) -> dict:
     """Symmetry and separation of the distance matrix."""
     form = space._ranks
-    symmetric = form.fwd == form.bwd
+    symmetric = form.rank == form.transpose
     separated = all(
         not f & b & ~(1 << i)
         for i, (f, b) in enumerate(zip(space.zero_fwd, space.zero_bwd))
@@ -766,7 +825,7 @@ def is_uniformly_continuous(fmap: dict, source: VSpace, target: VSpace) -> Verdi
         raise DomainMismatchError("uniform continuity needs a shared quantale")
     fidx = _as_index_map(fmap, source, target)
     # over one quantale the test values of one space are empty iff those of
-    # any spaces are; the combined ones are built for a witness only
+    # any spaces are
     if source.test_values:
         images = target.zero_fwd
         for i, near in enumerate(source.zero_fwd):
@@ -776,8 +835,23 @@ def is_uniformly_continuous(fmap: dict, source: VSpace, target: VSpace) -> Verdi
                 j = low.bit_length() - 1
                 if not within >> fidx[j] & 1:
                     pair = (source.points[i], source.points[j])
-                    eps = combined_test_values(source, target)[0]
+                    eps = _least_test_value(source, target)
                     return Verdict(False, {"epsilon": target.quantale.format(eps), "pair": pair})
                 near ^= low
     return Verdict(True)
+
+
+def _least_test_value(*spaces: VSpace):
+    """`combined_test_values(*spaces)[0]`, read from each space's cached test values.
+
+    On a finite quantale every space's test values are the quantale's
+    positives.  On the extended rationals the least is half the least
+    finite positive distance of all the spaces: the least first test value
+    of the spaces with a finite positive distance (those whose test values
+    hold more than that half and INF), and 1 when none has one.
+    """
+    if spaces[0].quantale.is_finite:
+        return spaces[0].test_values[0]
+    halves = [s.test_values[0] for s in spaces if len(s.test_values) > 2]
+    return min(halves, default=Fraction(1))
 

@@ -700,6 +700,128 @@ class TestTwinClasses:
         )
 
 
+def _zero_entries(space, forward):
+    """Per point, the mask of the entries of its row (column) equal to 0."""
+    bottom, n = space.quantale.bottom, space.size
+    d = space.dmat if forward else [list(col) for col in zip(*space.dmat)]
+    return tuple(sum(1 << j for j in range(n) if d[i][j] == bottom) for i in range(n))
+
+
+def _many_values_space(rng, n):
+    """An extended-rational matrix on n points with about n * n distinct
+    values, a zero diagonal and some zeros off it."""
+    d = [[Fraction(rng.randint(1, 10**6), rng.randint(1, 50)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        d[i][i] = Fraction(0)
+        d[i][rng.randrange(n)] = Fraction(0)
+        d[rng.randrange(n)][i] = Fraction(0)
+    return VSpace(E, [f"p{i}" for i in range(n)], d)
+
+
+class TestRankMatrixForms:
+    # zero masks, symmetry and twins are read off the rank matrix and its
+    # transpose; the per-value mask dicts are built only for balls, strict
+    # balls, set distances and the class triangle kernel
+    def test_zero_masks_match_entries(self, Q1, Q3, chain4, pinched):
+        import random
+
+        rng = random.Random(20261101)
+        quantales = (E, Q1, Q3, chain4, pinched)
+        spaces = [_raw_space(rng, quantales[t % 5], rng.randint(0, 9)) for t in range(400)]
+        spaces += [_many_values_space(rng, n) for n in (18, 20, 24, 32)]
+        # no entry equal to 0: the zero masks are empty
+        spaces += [VSpace(q, ["a", "b"], [[1, 1], [1, 1]]) for q in (E, Q3, chain4, pinched)]
+        many = 0
+        for space in spaces:
+            many += len(space._ranks.values) > 256
+            for forward in (True, False):
+                got = space.zero_fwd if forward else space.zero_bwd
+                assert got == _zero_entries(space, forward), (space.dmat, forward)
+                assert got == space._ranks.zero_masks(space.quantale.bottom, forward)
+            assert space.dual().zero_fwd == space.zero_bwd
+            assert space.dual().zero_bwd == space.zero_fwd
+        assert many == 4
+        assert any(s.quantale is pinched and any(s.zero_fwd) for s in spaces)
+        assert any(s.quantale is Q1 and s.size >= 2 for s in spaces)
+
+    def test_symmetry_matches_entries(self, Q3, chain4, pinched):
+        import random
+
+        rng = random.Random(20261102)
+        quantales = (E, Q3, chain4, pinched)
+        symmetric = 0
+        for t in range(400):
+            q = quantales[t % 4]
+            space = _raw_space(rng, q, rng.randint(0, 5))
+            if t % 2:  # mirror the upper triangle
+                d = [list(row) for row in space.dmat]
+                for i in range(space.size):
+                    for j in range(i):
+                        d[i][j] = d[j][i]
+                space = VSpace(q, space.points, d)
+            want = all(row == col for row, col in zip(space.dmat, zip(*space.dmat)))
+            symmetric += want
+            assert classify(space)["symmetric"] == want, space.dmat
+        assert 150 < symmetric < 300, symmetric
+
+    def test_classify_ops_build_no_mask_dict(self, chain4):
+        # validate, classify, (U)VA and both quasi-uniformities on spaces
+        # with int order keys read the rank matrix alone
+        from qc import quasi_uniformity_of, serialize
+        from qc.verify import triangle_repair
+
+        h = Fraction(1, 2)
+        clusters = [0, 0, 0, 1, 1, 2, 2, 2]
+        skeleton = {E: [[0, h, 3], [1, 0, INF], [h, 2, 0]], chain4: [[0, 1, 3], [2, 0, 3], [1, 1, 0]]}
+        for q, base in skeleton.items():
+            d = [[base[a][b] for b in clusters] for a in clusters]
+            d[0][3] = q.bottom  # one way: not UVA
+            d = triangle_repair(q, d)[0]
+            payload = serialize.space_to_payload(VSpace(q, [f"p{i}" for i in range(8)], d))
+            space = serialize.parse_space(payload)
+            form = space._ranks
+            assert form.keys.scale is not None
+            assert validate_vspace(space).ok
+            assert classify(space) == {"symmetric": False, "separated": False}
+            assert not has_vanishing_asymmetry(space) and not has_uniformly_vanishing_asymmetry(space)
+            quasi_uniformity_of(space, "forward")
+            quasi_uniformity_of(space, "backward")
+            assert form._fwd is None and form._bwd is None
+            space._balls(q.bottom, True)
+            assert form._fwd is not None and form._bwd is None
+
+    def test_dual_shares_mask_dicts(self, x2a, x3z):
+        form = x2a._ranks
+        op = x2a.dual()._ranks
+        assert op.values is form.values and op.keys is form.keys
+        assert op.rank == tuple(zip(*form.rank)) and op.transpose is form.rank
+        assert op._fwd is op._bwd is form._fwd is form._bwd is None
+        assert op.fwd is form.bwd and op._bwd is None
+        assert form.fwd is op.bwd
+        # a dual taken after the dicts were built starts with them
+        bwd = x3z._ranks.bwd
+        assert x3z.dual()._ranks._fwd is bwd and x3z.dual()._ranks._bwd is None
+
+    def test_least_test_value_matches_combined(self, Q3):
+        from qc.verify import _oracle_battery
+        from qc.vspace import _least_test_value
+
+        far = VSpace(E, ["a", "b"], [[0, 4], [INF, 0]])  # its least test value is 2, above 1
+        spaces = [s for n in (1, 2, 3) for s in _oracle_battery(n)] + [far]
+        spaces += [VSpace(Q3, ["a"], [[0]]), VSpace(E, [], [])]
+        pairs = 0
+        for s in spaces:
+            for t in spaces:
+                if s.quantale != t.quantale or not s.test_values:
+                    continue
+                pairs += 1
+                assert _least_test_value(s, t) == combined_test_values(s, t)[0], (s.dmat, t.dmat)
+        zero = VSpace(E, ["a", "b"], [[0, 0], [0, 0]])  # no finite positive distance
+        assert _least_test_value(far, zero) == _least_test_value(zero, far) == 2
+        assert _least_test_value(zero, zero) == 1
+        assert pairs > 300, pairs
+
+
 def _lane_space(q, far, src):
     """A space whose only triangle failures sit in the lane of one point.
 

@@ -45,6 +45,8 @@ EXTENSION = "tests/test_completion.py::TestExtension"
 # theorem checks run against a planted fault in the library result they check
 DENSE = "tests/test_verify.py::TestTheoremSuite::test_embedding_check_catches_a_missed_point"
 VA_AGREE = "tests/test_verify.py::TestTheoremSuite::test_va_check_catches_disagreeing_topology_condition"
+FILTER_RANGE = "tests/test_records.py::TestFilterRange"
+CARRIER = "tests/test_vspace.py::TestCarrierAttributes"
 
 
 class Mutant(NamedTuple):
@@ -391,6 +393,20 @@ MUTANTS = (
         "_uc_violation(fidx, source, balls, target._balls(delta, True)) is None\n"
         "            for delta, balls in zip(delta_values, near)\n",
         (UC_MEMO,),
+    ),
+    Mutant(
+        "filter-core-mask-range-one-short",
+        "filters.py",
+        "if not 0 <= core_mask <= space.full_mask:",
+        "if not 0 <= core_mask < space.full_mask:",
+        (FILTER_RANGE,),
+    ),
+    Mutant(
+        "full-mask-attribute-off-by-one",
+        "vspace.py",
+        "self.full_mask = (1 << self.size) - 1",
+        "self.full_mask = 1 << self.size",
+        (CARRIER,),
     ),
 )
 

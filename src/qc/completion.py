@@ -28,7 +28,7 @@ quotient of the Cauchy filter space isometrically onto the completion
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantError, PreconditionError
 from .filters import (
@@ -97,8 +97,7 @@ def minimal_cauchy_filters(space: VSpace) -> tuple[Filter, ...]:
     )
 
 
-@dataclass(frozen=True)
-class CompletionSpace:
+class CompletionSpace(NamedTuple):
     """Minimal Cauchy filters with the filter distance plus embedding data."""
 
     base: VSpace
@@ -149,8 +148,7 @@ def canonical_embedding(space: VSpace) -> dict:
     return {p: comp.filters[comp.embedding[p]] for p in space.points}
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     """The completion the map was extended over, and the extended map,
     keyed by the completion's point names.  That it restricts to the map,
     is uniformly continuous and equals the extension by limits of image

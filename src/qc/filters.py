@@ -11,7 +11,7 @@ the fast paths here are trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainMismatchError, PreconditionError, StructureError
 from .reporting import Verdict
@@ -24,16 +24,25 @@ from .vspace import (
 )
 
 
-@dataclass(frozen=True)
-class Filter:
-    """All supersets of `core`; proper exactly when the core is non-empty."""
-
+class _FilterFields(NamedTuple):
     space: VSpace
     core_mask: int
 
-    def __post_init__(self):
-        if not 0 <= self.core_mask <= self.space.full_mask:
-            raise StructureError(f"core mask {self.core_mask} out of range")
+
+class Filter(_FilterFields):
+    """All supersets of `core`; proper exactly when the core is non-empty."""
+
+    __slots__ = ()
+
+    def __new__(cls, space: VSpace, core_mask: int):
+        if not 0 <= core_mask <= space.full_mask:
+            raise StructureError(f"core mask {core_mask} out of range")
+        return tuple.__new__(cls, (space, core_mask))
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: keep the range check there too
+        return cls(*iterable)
 
     @property
     def core(self) -> tuple[str, ...]:

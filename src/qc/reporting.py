@@ -1,12 +1,16 @@
-"""Small result types shared by validators and predicates."""
+"""Small result types shared by validators and predicates.
+
+Records are `typing.NamedTuple`s, here and across `qc`: immutable, cheap
+to build, and loaded without `dataclasses` (whose import pulls in
+`inspect` and `ast`, a cost every fresh `qc` process would pay).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Boolean outcome carrying a witness for diagnosability.
 
     Predicates return a Verdict instead of a bare bool so that a negative
@@ -21,14 +25,12 @@ class Verdict:
         return self.ok
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(NamedTuple):
     check: str
     witness: dict
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of a structural or axiomatic validation run."""
 
     subject: str

@@ -2,7 +2,8 @@
 
 Envelope: {"schema": "qc/1", "kind": ..., "payload": ...}.  Quantales are
 either the name of a built-in ("ext_rational", "Q1", "Q2", "Q3", "chain4")
-or a finite table object, which must pass `validate_value_quantale`;
+or a finite table object, which must pass `validate_value_quantale` (a
+table equal to a built-in's passes without the check);
 elements serialize as element names for finite quantales and as "p/q",
 "n", or "inf" for the extended rationals.  Every emitted object re-parses
 to an equal value.
@@ -11,7 +12,7 @@ to an equal value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .completion import CompletionSpace, filter_point_name
 from .errors import StructureError
@@ -82,6 +83,9 @@ def quantale_to_payload(q: ValueQuantale):
     raise StructureError(f"cannot serialize quantale {q!r}")
 
 
+_BUILTIN_TABLES = frozenset(q for q in BUILTIN_QUANTALES.values() if q.is_finite)
+
+
 def parse_quantale(payload) -> ValueQuantale:
     if isinstance(payload, str):
         if payload in BUILTIN_QUANTALES:
@@ -99,7 +103,10 @@ def parse_quantale(payload) -> ValueQuantale:
             if field not in payload:
                 raise StructureError(f"finite quantale payload is missing {field!r}")
         q = FiniteQuantale(payload["elements"], payload["leq"], payload["add"])
-        # the zero-mask forms of the quantified predicates rest on the axioms
+        # the zero-mask forms of the quantified predicates rest on the axioms;
+        # `space_to_payload` writes a built-in as its tables, which hold them
+        if q in _BUILTIN_TABLES:
+            return q
         report = validate_value_quantale(q.names, q._leq, q._add)
         if not report.ok:
             first = report.failures[0]
@@ -165,8 +172,7 @@ def parse_filter(payload) -> Filter:
 # --- completions ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompletionDoc:
+class CompletionDoc(NamedTuple):
     """Serializable view of a completion: the filter space, the cores of
     its points, and the base-point embedding."""
 

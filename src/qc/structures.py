@@ -10,7 +10,7 @@ asymmetry are evaluated condition by condition and must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantError
 from .reporting import Verdict
@@ -24,8 +24,7 @@ from .vspace import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(NamedTuple):
     points: tuple[str, ...]
     opens: frozenset  # masks
 
@@ -89,8 +88,7 @@ def topology_of(space: VSpace, side: str = "forward") -> FiniteTopology:
 _BYTE_ROWS = tuple(tuple([bool(b >> j & 1) for j in range(8)]) for b in range(256))
 
 
-@dataclass(frozen=True)
-class QuasiUniformity:
+class QuasiUniformity(NamedTuple):
     """Principal entourage filter, stored by its core relation."""
 
     points: tuple[str, ...]
@@ -156,8 +154,7 @@ def topology_of_relation(points, core) -> FiniteTopology:
     return FiniteTopology(tuple(points), frozenset(opens))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Per-condition verdicts of one of the three-way equivalence lists."""
 
     kind: str

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from . import serialize
 from .completion import (
@@ -86,15 +86,19 @@ from .vspace import (
 )
 
 
-@dataclass
 class VerificationReport:
-    """Aggregated outcome of one check across many instances."""
+    """Aggregated outcome of one check across many instances; the suite
+    counts into it as it runs."""
 
-    id: str
-    instances: int = 0
-    passes: int = 0
-    failures: tuple = ()
-    runtime: float = 0.0
+    __slots__ = ("id", "instances", "passes", "failures", "runtime")
+
+    def __init__(self, id: str, instances: int = 0, passes: int = 0,
+                 failures: tuple = (), runtime: float = 0.0):
+        self.id = id
+        self.instances = instances
+        self.passes = passes
+        self.failures = failures
+        self.runtime = runtime
 
     @property
     def ok(self) -> bool:
@@ -115,8 +119,7 @@ class VerificationReport:
 # instance generation
 
 
-@dataclass(frozen=True)
-class InstanceGenerator:
+class InstanceGenerator(NamedTuple):
     """Seeded stream of valid spaces over one quantale.
 
     Identical parameters reproduce identical streams.  Raw random entries
@@ -543,8 +546,7 @@ def _refuse_large(space: VSpace) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CauchyFilterSpace:
+class CauchyFilterSpace(NamedTuple):
     """Every proper Cauchy filter with the filter distance."""
 
     base: VSpace
@@ -1200,7 +1202,7 @@ class _Ctx:
         self.seed = child_seed
         rng = random.Random(child_seed)
         self.space = _generate_space(gen, rng)
-        sibling_gen = replace(gen, force_uva=True, force_separated=False)
+        sibling_gen = gen._replace(force_uva=True, force_separated=False)
         self.sibling = _generate_space(sibling_gen, rng, max_points=4)
         self.uva = has_uniformly_vanishing_asymmetry(self.space)
         self.va = has_vanishing_asymmetry(self.space)
@@ -1893,8 +1895,7 @@ def _check_degenerate_single_point(ctx: _Ctx):
     return None
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     id: str
     fn: object
     gates: tuple = ()

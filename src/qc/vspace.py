@@ -123,18 +123,13 @@ class VSpace:
     def _adopt(self, quantale: ValueQuantale, points: tuple, form: "_RankForm") -> None:
         self.quantale = quantale
         self.points = points
+        # read on every mask operation: plain attributes, not properties
+        self.size = len(points)
+        self.full_mask = (1 << self.size) - 1
         self._ranks = form
         self._pindex = {p: i for i, p in enumerate(points)}
         self._ball_cache: dict = {}
         self._dual = None
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
 
     def index(self, point) -> int:
         try:

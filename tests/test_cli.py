@@ -142,6 +142,16 @@ class TestValidate:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "failed axiom a∧b ≻ 0" in err
 
+    def test_space_over_saturated_diamond_exits_two(self, capsys, tmp_path,
+                                                    saturated_diamond_tables):
+        quantale = serialize.quantale_to_payload(FiniteQuantale(*saturated_diamond_tables))
+        doc = {"quantale": quantale, "points": ["x", "y"], "d": [["0", "a"], ["b", "0"]]}
+        path = tmp_path / "saturated-space.json"
+        path.write_text(serialize.dumps_canonical(serialize.envelope("space", doc)))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: tables are not a value quantale: failed axiom x+⋀S")
+
     def test_chain_valid(self, capsys, tmp_path, Q3):
         path = write_quantale_tables(tmp_path, "q3.json", Q3.names, Q3._leq, Q3._add)
         code, out, _ = run(capsys, "validate-quantale", path)

@@ -42,6 +42,27 @@ class TestQuantaleFormat:
         with pytest.raises(StructureError, match="failed axiom a∧b ≻ 0"):
             serialize.parse_quantale(payload)
 
+    def test_builtin_tables_are_not_validated_again(self, monkeypatch, pinched):
+        calls = []
+        real = serialize.validate_value_quantale
+        monkeypatch.setattr(
+            serialize, "validate_value_quantale", lambda *a: calls.append(a) or real(*a)
+        )
+        for q in BUILTIN_QUANTALES.values():
+            if q.is_finite:
+                parsed = serialize.parse_quantale(serialize.quantale_to_payload(q))
+                # the table's own quantale, labelled as read, not the built-in
+                assert parsed == q and parsed is not q
+                assert parsed.label == "finite[" + ",".join(q.names) + "]"
+        assert calls == []
+        assert serialize.parse_quantale(serialize.quantale_to_payload(pinched)) == pinched
+        assert len(calls) == 1
+
+    def test_saturated_diamond_is_refused(self, saturated_diamond_tables):
+        payload = serialize.quantale_to_payload(FiniteQuantale(*saturated_diamond_tables))
+        with pytest.raises(StructureError, match=r"failed axiom x\+⋀S = ⋀\(x\+S\)"):
+            serialize.parse_quantale(payload)
+
     def test_unknown_name(self):
         with pytest.raises(StructureError):
             serialize.parse_quantale("Q99")

@@ -324,13 +324,11 @@ class TestTheoremSuite:
         assert report.failures
 
     def test_quotient_check_catches_wrong_distances(self, monkeypatch):
-        from dataclasses import replace
-
         import qc.verify as verify
 
         real = verify.complete
         monkeypatch.setattr(
-            verify, "complete", lambda s: replace(real(s), space=real(s).space.dual())
+            verify, "complete", lambda s: real(s)._replace(space=real(s).space.dual())
         )
         check = next(c for c in verify.THEOREM_CHECKS
                      if c.id == "completion.minimal_space_isometric_to_quotient")
@@ -349,13 +347,11 @@ class TestTheoremSuite:
         return report
 
     def test_embedding_check_catches_wrong_completion_distances(self, monkeypatch):
-        from dataclasses import replace
-
         import qc.verify as verify
 
         real = verify.complete
         monkeypatch.setattr(
-            verify, "complete", lambda s: replace(real(s), space=real(s).space.dual())
+            verify, "complete", lambda s: real(s)._replace(space=real(s).space.dual())
         )
         report = self._planted_failures(
             "completion.embedding_isometry_iff_uva", InstanceGenerator(seed=13, force_uva=True), 12
@@ -365,8 +361,6 @@ class TestTheoremSuite:
 
     def test_universal_property_check_catches_wrong_extension(self, monkeypatch):
         # one completion point is sent elsewhere whenever the target allows it
-        from dataclasses import replace
-
         import qc.verify as verify
 
         real = verify.extend_to_completion
@@ -377,7 +371,7 @@ class TestTheoremSuite:
             other = next((t for t in target.points if t != result.mapping[first]), None)
             if other is None:
                 return result
-            return replace(result, mapping={**result.mapping, first: other})
+            return result._replace(mapping={**result.mapping, first: other})
 
         monkeypatch.setattr(verify, "extend_to_completion", moved)
         report = self._planted_failures(
@@ -391,8 +385,6 @@ class TestTheoremSuite:
         # the points embedded as the last completion point are sent to the
         # first, so the embedding misses the last point of every completion
         # with two or more
-        from dataclasses import replace
-
         import qc.verify as verify
         from qc import serialize
 
@@ -403,7 +395,7 @@ class TestTheoremSuite:
             last = len(comp.filters) - 1
             if last < 1:
                 return comp
-            return replace(comp, embedding={
+            return comp._replace(embedding={
                 p: 0 if i == last else i for p, i in comp.embedding.items()
             })
 
@@ -417,8 +409,6 @@ class TestTheoremSuite:
             assert record["witness"] == {"filter": real(space).filters[-1].core}
 
     def test_va_check_catches_disagreeing_topology_condition(self, monkeypatch):
-        from dataclasses import replace
-
         import qc.verify as verify
         from qc import Verdict
 
@@ -428,7 +418,7 @@ class TestTheoremSuite:
             report = real(space)
             equal = report.conditions["topologies_equal"]
             conditions = {**report.conditions, "topologies_equal": Verdict(not equal)}
-            return replace(report, conditions=conditions)
+            return report._replace(conditions=conditions)
 
         monkeypatch.setattr(verify, "va_equivalence_report", flipped)
         report = self._planted_failures(
@@ -715,3 +705,23 @@ class TestLazyImport:
         assert proc.returncode == 0, proc.stderr
         with pytest.raises(AttributeError, match="no_such_name"):
             qc.no_such_name
+
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # records are named tuples: `dataclasses` would pull in `inspect`
+        # and `ast` on every process start
+        import os
+        import subprocess
+        import sys
+
+        import qc
+
+        script = (
+            "import sys\n"
+            "import qc, qc.cli, qc.verify\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(qc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -72,6 +72,18 @@ class TestDual:
         assert x2a.dual() is x2a.dual()
 
 
+class TestCarrierAttributes:
+    def test_size_and_full_mask_follow_the_points(self, x3z):
+        from qc import complete
+
+        spaces = [VSpace(E, [f"p{i}" for i in range(n)], [[0] * n for _ in range(n)])
+                  for n in range(5)]
+        spaces += [x3z.dual(), separation_quotient(x3z)[0], complete(x3z).space]
+        for space in spaces:
+            assert space.size == len(space.points)
+            assert space.full_mask == (1 << len(space.points)) - 1
+
+
 class TestBalls:
     def test_forward(self, x2a):
         assert ball(x2a, "a", Fraction(1)) == frozenset({"a", "b"})

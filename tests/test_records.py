@@ -1,8 +1,7 @@
-"""The records of `qc`: immutable named tuples, with the checks and the
-truthiness their dataclass forms had."""
+"""The records of `qc` are immutable named tuples: their checks,
+truthiness and generator streams, and that none reaches an output."""
 
 import hashlib
-import json
 
 import pytest
 
@@ -120,7 +119,7 @@ class TestTruthiness:
 
 class TestGeneratorReplace:
     # the first four sibling spaces of each generator, as dumped by
-    # `serialize.dumps_canonical` before the records were named tuples
+    # `serialize.dumps_canonical`, pinned when the records were dataclasses
     PINNED = (
         (InstanceGenerator(seed=42),
          [1612804596903181184, 2281845767306575217, 3761874727305115637, 3048177228795838303],
@@ -149,9 +148,9 @@ class TestGeneratorReplace:
 
 
 class TestNoRecordInOutput:
-    """A record is now a tuple, so `json.dumps`, `cli._jsonable` and
-    `isinstance(..., tuple)` would write one as a list where they used to
-    raise or write its `str()`.  No witness or report carries one."""
+    """Records are tuples, so `json.dumps`, `cli._jsonable` and
+    `isinstance(..., tuple)` would write one as a list instead of refusing
+    it or writing its `str()`.  No witness or report carries one."""
 
     def test_witnesses_hold_plain_values(self, diamond_tables, saturated_diamond_tables):
         witnesses = []
@@ -188,4 +187,3 @@ class TestNoRecordInOutput:
         failures = [rec for r in reports for rec in r.failures]
         assert failures
         assert not any(_contains_record(r.payload()) for r in reports)
-        json.dumps([r.payload() for r in reports])

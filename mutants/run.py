@@ -34,6 +34,7 @@ ZERO_MASKS = "tests/test_vspace.py::TestRankMatrixForms::test_zero_masks_match_e
 SYMMETRY = "tests/test_vspace.py::TestRankMatrixForms::test_symmetry_matches_entries"
 LEAST_TEST_VALUE = "tests/test_vspace.py::TestRankMatrixForms::test_least_test_value_matches_combined"
 BUILD = "tests/test_vspace.py::TestBuildPath"
+ONE_PASS = "tests/test_vspace.py::TestOnePassBuild"
 UC_MEMO = "tests/test_verify.py::TestUcMemo"
 GENERATOR = "tests/test_verify.py::TestGenerator::test_key_space_matches_value_route"
 MORPHISMS = "tests/test_verify.py::TestFilterMorphismChecks"
@@ -47,6 +48,7 @@ DENSE = "tests/test_verify.py::TestTheoremSuite::test_embedding_check_catches_a_
 VA_AGREE = "tests/test_verify.py::TestTheoremSuite::test_va_check_catches_disagreeing_topology_condition"
 FILTER_RANGE = "tests/test_records.py::TestFilterRange"
 CARRIER = "tests/test_vspace.py::TestCarrierAttributes"
+HELD_MEMORY = "tests/test_completion.py::TestRepeatedCompletions"
 
 
 class Mutant(NamedTuple):
@@ -152,8 +154,8 @@ MUTANTS = (
     Mutant(
         "capped-chain-test-skips-addition-table",
         "quantale.py",
-        "tuple(keys) if is_chain and capped else None",
-        "tuple(keys) if is_chain else None",
+        "self._position if is_chain and capped else None",
+        "self._position if is_chain else None",
         (TRIANGLE,),
     ),
     Mutant(
@@ -214,10 +216,24 @@ MUTANTS = (
     ),
     Mutant(
         "rank-form-no-merge-of-equal-values",
-        "vspace.py",
-        "tuple(sorted(set(checked), key=quantale.sort_key))",
-        "tuple(sorted(checked, key=quantale.sort_key))",
-        (BUILD,),
+        "quantale.py",
+        "order = sorted(set(ints))",
+        "order = sorted(ints)",
+        (BUILD, ONE_PASS),
+    ),
+    Mutant(
+        "key-budget-one-bit-short",
+        "quantale.py",
+        "if scale.bit_length() > _KEY_SCALE_BITS:",
+        "if scale.bit_length() >= _KEY_SCALE_BITS:",
+        (ONE_PASS,),
+    ),
+    Mutant(
+        "fraction-sentinel-max-plus-one",
+        "quantale.py",
+        "keys.append(2 * keys[-1] + 1)",
+        "keys.append(keys[-1] + 1)",
+        (ONE_PASS,),
     ),
     Mutant(
         "count-below-unbounded",
@@ -229,9 +245,9 @@ MUTANTS = (
     Mutant(
         "inf-sentinel-max-plus-one",
         "quantale.py",
-        "keys.append(2 * keys[-1] + 1 if keys else 1)",
-        "keys.append(keys[-1] + 1 if keys else 1)",
-        (KERNELS,),
+        "order[-1] = 2 * order[finite - 1] + 1 if finite else 1",
+        "order[-1] = order[finite - 1] + 1 if finite else 1",
+        (KERNELS, ONE_PASS),
     ),
     Mutant(
         "meet-ranks-highest-on-chain",
@@ -400,6 +416,20 @@ MUTANTS = (
         "if not 0 <= core_mask <= space.full_mask:",
         "if not 0 <= core_mask < space.full_mask:",
         (FILTER_RANGE,),
+    ),
+    Mutant(
+        "points-tuple-from-generator",
+        "vspace.py",
+        "points = tuple([str(p) for p in points])",
+        "points = tuple(str(p) for p in points)",
+        (HELD_MEMORY,),
+    ),
+    Mutant(
+        "transpose-tuple-from-zip",
+        "vspace.py",
+        "self._transpose = tuple(list(zip(*self.rank)))",
+        "self._transpose = tuple(zip(*self.rank))",
+        (HELD_MEMORY,),
     ),
     Mutant(
         "full-mask-attribute-off-by-one",

@@ -74,15 +74,12 @@ def _verdict_lines(out: _Out, name: str, ok: bool, witness) -> None:
 
 def _cmd_validate_quantale(args, out: _Out) -> int:
     payload = _read_payload(args.file, "quantale")
-    if isinstance(payload, str) or payload.get("kind") != "finite":
+    if not isinstance(payload, dict) or payload.get("kind") != "finite":
         serialize.parse_quantale(payload)
         out.text("quantale: valid (built-in or symbolic family)")
         out.finish("report", {"command": "validate-quantale", "valid": True, "failures": []})
         return EXIT_OK
-    for field in ("elements", "leq", "add"):
-        if field not in payload:
-            raise StructureError(f"finite quantale payload is missing {field!r}")
-    report = validate_value_quantale(payload["elements"], payload["leq"], payload["add"])
+    report = validate_value_quantale(*serialize._finite_tables(payload))
     for f in report.failures:
         out.text(f"failed axiom {f.check} witness: {json.dumps(f.witness, sort_keys=True, default=str)}")
     out.text(f"quantale: {'valid' if report.ok else 'invalid'}")

@@ -90,11 +90,12 @@ def minimal_cauchy_filters(space: VSpace) -> tuple[Filter, ...]:
     and the single filter {X} results; an empty carrier has none.
     """
     cores = {point_filter(space, p).core_mask for p in space.points}
-    return tuple(
+    # from a list, as in `VSpace.__init__`: tuple() over a generator resizes
+    return tuple([
         Filter(space, m)
         for m in sorted(cores)
         if not any(m != c and m | c == c for c in cores)
-    )
+    ])
 
 
 class CompletionSpace(NamedTuple):

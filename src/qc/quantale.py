@@ -11,17 +11,22 @@ meaningful relative to their owning quantale; every public operation
 normalises and checks its element arguments.  Private rank kernels work on
 a compiled space's distinct values, which were checked when the space was
 built, so they make no check per value.  `_meet_ranks` is the meet behind
-set and filter distances.  `_order_keys` gives each value an exact key
-where the quantale has them, with x <= a + b iff key(x) <= key(a) +
-key(b).  On the extended-rational chain a key is value * L with L the lcm
-of the denominators, as a plain int; INF, always the last value, gets a
-top sentinel above every sum of two finite keys.  When L would pass
-`_KEY_SCALE_BITS` bits (many coprime denominators), the keys are the
-Fractions themselves, with a Fraction sentinel, so the size of the keys
-is bounded.  A finite quantale has keys when its tables make it a capped
-chain: a chain whose sum is the element at position min(key(a) + key(b),
-key(top)), its key being its position.  It decides this once, when it is
-built; no key exceeds the top's, so the sum of two keys needs no cap.
+set and filter distances.  `_rank_values` compiles a space's checked
+entries in one pass: their distinct values in `sort_key` order, the rank
+of each entry, and an exact key per value where the quantale has them,
+with x <= a + b iff key(x) <= key(a) + key(b).  On the extended-rational
+chain a key is value * L with L the lcm of the denominators, as a plain
+int, taken per entry before anything is sorted: the int keys order and
+identify the values, so equal elements merge on their keys and no
+Fraction is hashed or compared.  INF, always the last value, gets a top
+sentinel above every sum of two finite keys.  When L would pass
+`_KEY_SCALE_BITS` bits (many coprime denominators), the values are sorted
+as Fractions and the keys are the Fractions themselves, with a Fraction
+sentinel, so the size of the keys is bounded.  A finite quantale has keys
+when its tables make it a capped chain: a chain whose sum is the element
+at position min(key(a) + key(b), key(top)), its key being its position.
+It decides this once, when it is built; no key exceeds the top's, so the
+sum of two keys needs no cap.
 Order tests and sums then run on keys: `_count_below` for balls, in
 `qc.vspace` the packed-lane triangle check on int keys, and in
 `qc.verify` `triangle_repair` on the extended rationals.  `_below_mask`
@@ -111,6 +116,8 @@ _KEY_SCALE_BITS = 128
 class _OrderKeys(NamedTuple):
     """Exact order keys for the values of a compiled space on a chain.
 
+    Built with the values by `ValueQuantale._rank_values`.
+
     On the extended rationals `keys[u]` is `values[u] * scale` as an int, or
     `values[u]` itself when `scale` is None (the Fraction fallback).  When
     INF occurs it is the last value, and its key is a top sentinel above
@@ -126,13 +133,22 @@ class _OrderKeys(NamedTuple):
     finite: int
 
 
+def _rank_by(checked, key) -> tuple[tuple, list[int]]:
+    """The distinct elements of `checked` sorted by `key`, and each entry's index there."""
+    values = tuple(sorted(set(checked), key=key))
+    rank_of = {v: r for r, v in enumerate(values)}
+    return values, [rank_of[v] for v in checked]
+
+
 class ValueQuantale:
     """Interface shared by the quantale families.
 
     Subclasses provide: check, leq, add, meet, join, well_above, sort_key,
-    format, parse, bottom, top, and the rank kernels _meet_ranks,
-    _below_mask, and _order_keys with _count_below where the quantale has
-    order keys.
+    format, parse, bottom, top, and the rank kernels _rank_values,
+    _meet_ranks, _below_mask, and _count_below where the quantale has
+    order keys.  `_rank_values` is the one pass that compiles a space:
+    it sorts and merges the checked entries and gives the values their
+    order keys together, on int keys wherever the quantale has them.
     """
 
     is_finite: bool = False
@@ -142,19 +158,23 @@ class ValueQuantale:
         """Normalise an element, raising DomainMismatchError if foreign."""
         raise NotImplementedError
 
-    def _order_keys(self, values) -> _OrderKeys | None:
-        """Exact keys for `values`; None where the quantale has no keys.
+    def _rank_values(self, checked) -> tuple[tuple, list[int], _OrderKeys | None]:
+        """Compile checked entries: `(values, renumber, keys)`.
 
-        `values` must be distinct normalised elements in `sort_key` order,
-        such as a space's compiled values.  Nothing is checked.
+        `checked` holds normalised elements, such as the distinct entries
+        of a matrix, each checked once; two of them may denote the same
+        element.  `values` is the tuple of the distinct elements in
+        `sort_key` order, `renumber[c]` the index of `checked[c]` in it,
+        and `keys` the values' exact order keys, or None where the
+        quantale has none.  Nothing is checked.
         """
-        return None
+        raise NotImplementedError
 
     def _meet_ranks(self, values, ranks: int):
         """Meet of the values[u] with bit u set in `ranks`; top when none is.
 
-        `values` is as for `_order_keys`.  Nothing is checked: this is the
-        internal kernel behind set and filter distances.
+        `values` is as returned by `_rank_values`.  Nothing is checked: this
+        is the internal kernel behind set and filter distances.
         """
         raise NotImplementedError
 
@@ -219,16 +239,35 @@ class ExtendedRationalQuantale(ValueQuantale):
             return INF
         return a + b
 
-    def _order_keys(self, values) -> _OrderKeys:
-        finite = len(values) - (bool(values) and isinstance(values[-1], _Infinity))
-        scale = lcm(*[v.denominator for v in values[:finite]])
-        if scale.bit_length() <= _KEY_SCALE_BITS:
-            keys = [v.numerator * (scale // v.denominator) for v in values[:finite]]
-        else:
-            scale, keys = None, list(values[:finite])
+    def _rank_values(self, checked):
+        # each entry gets its int key value * L first; the keys order and
+        # identify the values, so the sort and the merge of equal elements
+        # ("1/2" and "0.5") run on ints.  INF is keyed -1 until its sentinel
+        # is known: 2 * the largest finite key + 1, or 1 when it stands alone
+        scale = lcm(*{v.denominator for v in checked if v is not INF})
+        if scale.bit_length() > _KEY_SCALE_BITS:
+            return self._rank_fractions(checked)
+        ints = [-1 if v is INF else v.numerator * (scale // v.denominator) for v in checked]
+        order = sorted(set(ints))
+        if order and order[0] < 0:
+            order.append(order.pop(0))
+        rank_of = {k: r for r, k in enumerate(order)}
+        # the first entry of each key stands for its value, as set() keeps it
+        first = dict(zip(reversed(ints), reversed(checked)))
+        values = tuple([first[k] for k in order])
+        finite = len(order) - (bool(order) and order[-1] < 0)
+        if finite < len(order):
+            order[-1] = 2 * order[finite - 1] + 1 if finite else 1
+        return values, [rank_of[k] for k in ints], _OrderKeys(tuple(order), scale, finite)
+
+    def _rank_fractions(self, checked):
+        """`_rank_values` past the key budget: the Fractions are the keys."""
+        values, renumber = _rank_by(checked, self.sort_key)
+        finite = len(values) - (bool(values) and values[-1] is INF)
+        keys = list(values[:finite])
         if finite < len(values):
-            keys.append(2 * keys[-1] + 1 if keys else 1)
-        return _OrderKeys(tuple(keys), scale, finite)
+            keys.append(2 * keys[-1] + 1)  # finite values exist: L is past the budget
+        return values, renumber, _OrderKeys(tuple(keys), None, finite)
 
     def _count_below(self, okeys: _OrderKeys, element) -> int:
         """Number of the keyed values <= element; they are a prefix.
@@ -247,10 +286,10 @@ class ExtendedRationalQuantale(ValueQuantale):
     def _below_mask(self, values, element) -> int:
         """Bit u set iff values[u] <= element, found by bisection.
 
-        `values` is as for `_order_keys`, or a subsequence of such values,
-        so those below `element` are a prefix.  Only `element` is checked:
-        this is the order test of the class triangle kernel, which runs
-        when the keys are Fractions (past the key budget).
+        `values` is as returned by `_rank_values`, or a subsequence of such
+        values, so those below `element` are a prefix.  Only `element` is
+        checked: this is the order test of the class triangle kernel, which
+        runs when the keys are Fractions (past the key budget).
         """
         return (1 << bisect_right(values, self.check(element))) - 1
 
@@ -526,15 +565,17 @@ class FiniteQuantale(ValueQuantale):
         # order keys on a capped chain: each element's position, with a + b
         # the element at position min(key(a) + key(b), key(top)); since no
         # key passes the top's, x <= a + b iff key(x) <= key(a) + key(b)
+        # (the positions in `sort_key` order, which `_rank_values` sorts on)
         chain = sorted(range(n), key=self._rank.__getitem__)
         keys = [0] * n
         for pos, e in enumerate(chain):
             keys[e] = pos
+        self._position = tuple(keys)
         is_chain = all(leq_t[a][b] for a, b in zip(chain, chain[1:]))
         capped = all(
             add_t[a][b] == chain[min(keys[a] + keys[b], n - 1)] for a in range(n) for b in range(n)
         )
-        self._chain_keys = tuple(keys) if is_chain and capped else None
+        self._chain_keys = self._position if is_chain and capped else None
         self._hash = hash((names, leq_t, add_t))
 
     @property
@@ -570,9 +611,9 @@ class FiniteQuantale(ValueQuantale):
     def _below_mask(self, values, element) -> int:
         """Bit u set iff values[u] <= element, read from the order table.
 
-        `values` is as for `_order_keys`, or a subsequence of such values.
-        Only `element` is checked: this is the internal kernel behind balls
-        and the triangle check.
+        `values` is as returned by `_rank_values`, or a subsequence of such
+        values.  Only `element` is checked: this is the internal kernel
+        behind balls and the triangle check.
         """
         col = self.check(element)
         leq = self._leq
@@ -582,12 +623,13 @@ class FiniteQuantale(ValueQuantale):
                 m |= 1 << u
         return m
 
-    def _order_keys(self, values) -> _OrderKeys | None:
+    def _rank_values(self, checked):
+        values, renumber = _rank_by(checked, self._position.__getitem__)
         # positions on a capped chain (see __init__); no chain is assumed otherwise
         keys = self._chain_keys
-        if keys is None:
-            return None
-        return _OrderKeys(tuple([keys[v] for v in values]), 1, len(values))
+        if keys is not None:
+            keys = _OrderKeys(tuple([keys[v] for v in values]), 1, len(values))
+        return values, renumber, keys
 
     def _count_below(self, okeys: _OrderKeys, element) -> int:
         """Number of the keyed values <= element on a capped chain; a prefix."""

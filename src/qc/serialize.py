@@ -86,6 +86,27 @@ def quantale_to_payload(q: ValueQuantale):
 _BUILTIN_TABLES = frozenset(q for q in BUILTIN_QUANTALES.values() if q.is_finite)
 
 
+def _finite_tables(payload) -> tuple[list, list, list]:
+    """The element names and the order and addition tables of a finite payload.
+
+    Only their JSON shapes are checked here: names a list of strings, each
+    table a list of rows, each a list.  The table sizes and entries are
+    checked where the tables are read.
+    """
+    for field in ("elements", "leq", "add"):
+        if field not in payload:
+            raise StructureError(f"finite quantale payload is missing {field!r}")
+    names, leq, add = payload["elements"], payload["leq"], payload["add"]
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise StructureError("finite quantale elements must be a list of strings")
+    for field, table in (("leq", leq), ("add", add)):
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise StructureError(
+                f"finite quantale {field} table must be a list of rows, each a list"
+            )
+    return names, leq, add
+
+
 def parse_quantale(payload) -> ValueQuantale:
     if isinstance(payload, str):
         if payload in BUILTIN_QUANTALES:
@@ -99,10 +120,7 @@ def parse_quantale(payload) -> ValueQuantale:
     if kind == "ext_rational":
         return EXT_RATIONAL
     if kind == "finite":
-        for field in ("elements", "leq", "add"):
-            if field not in payload:
-                raise StructureError(f"finite quantale payload is missing {field!r}")
-        q = FiniteQuantale(payload["elements"], payload["leq"], payload["add"])
+        q = FiniteQuantale(*_finite_tables(payload))
         # the zero-mask forms of the quantified predicates rest on the axioms;
         # `space_to_payload` writes a built-in as its tables, which hold them
         if q in _BUILTIN_TABLES:

@@ -35,7 +35,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple
 
 from . import serialize
@@ -197,10 +197,11 @@ def _repair_keys(quantale: ValueQuantale, dmat):
     d = [[quantale.check(e) for e in row] for row in dmat]
     if quantale.is_finite:
         return d, _same, _relax(d, _tables(quantale))
-    finite = sorted({e for row in d for e in row if e is not INF})
-    okeys = quantale._order_keys(finite)
-    key = dict(zip(finite, okeys.keys))
-    k = [[key.get(e) for e in row] for row in d]
+    # the keys of the rank form's kernel, with None for INF's rank
+    _, renumber, okeys = quantale._rank_values([e for row in d for e in row])
+    keys = okeys.keys[: okeys.finite] + (None,)
+    flat = iter([keys[r] for r in renumber])
+    k = [list(islice(flat, len(row))) for row in d]
     rounds = _relax(k, None)
     scale = okeys.scale
 

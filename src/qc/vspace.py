@@ -20,13 +20,14 @@ entourage core are oracles in `qc.verify`.  `symmetry_modulus` (the
 largest delta, not a monotone quantifier) and the strict-ball topology
 keep their loops.
 
-A space is stored in rank form, built at construction: its distinct
-distance values in `sort_key` order and the rank of each entry among
-them.  Per point and per value the bitmask of the points at that forward
-(backward) distance is built on first read, by balls, strict balls, set
-distances and the class triangle kernel; points with equal rows of ranks
-then share one forward mask dict, and points with equal columns one
-backward dict.  The zero masks, the symmetry test and the twin classes
+A space is stored in rank form, built at construction in one pass of the
+quantale's kernel `ValueQuantale._rank_values`: its distinct distance
+values in `sort_key` order, the rank of each entry among them, and the
+values' order keys.  Per point and per value the bitmask of the points
+at that forward (backward) distance is built on first read, by balls,
+strict balls, set distances and the class triangle kernel; points with
+equal rows of ranks then share one forward mask dict, and points with
+equal columns one backward dict.  The zero masks, the symmetry test and the twin classes
 read the ranks and their transpose, so validating and classifying a space
 with int order keys builds no mask dict.  Construction checks each
 distinct entry once, after telling entries apart by type and value
@@ -54,10 +55,12 @@ filters is classed by those rank masks, with one meet per class
 `_EntryClasses`, so its entries are never hashed one by one.
 
 The rank form also holds one exact order key per value where the quantale
-has them (`ValueQuantale._order_keys`).  On the extended rationals a key
-is value * L as an int, with L the lcm of the denominators and a top
-sentinel for INF, or, when L would pass the quantale's bit budget, the
-Fraction itself with a Fraction sentinel.  On a finite quantale whose
+has them.  On the extended rationals a key is value * L as an int, with L
+the lcm of the denominators and a top sentinel for INF; the kernel keys
+each checked entry first and sorts and merges the int keys, so building
+such a space hashes, compares and sorts no Fraction.  When L would pass
+the quantale's bit budget, the Fractions are sorted as before and are
+their own keys, with a Fraction sentinel.  On a finite quantale whose
 tables make it a capped chain (such as Q2, Q3 and chain4) the key is the
 element's position in the chain; the quantale decides this once, from
 its order and addition tables.  Other finite tables have no keys, and no
@@ -111,7 +114,10 @@ class VSpace:
             raise StructureError(f"not a quantale: {quantale!r}")
         if not isinstance(distances, _EntryClasses):
             distances = _entry_classes(distances)
-        points = tuple(str(p) for p in points)
+        # a list, not a generator: tuple() over a generator starts at a guessed
+        # size and resizes, so in a long run the tuples it frees pile up on
+        # CPython's per-size free lists (up to 2000 of each size)
+        points = tuple([str(p) for p in points])
         if len(set(points)) != len(points) or any(not p for p in points):
             raise StructureError("point names must be unique and non-empty")
         n = len(points)
@@ -154,7 +160,7 @@ class VSpace:
         return m
 
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
+        return tuple([p for i, p in enumerate(self.points) if mask >> i & 1])
 
     def _balls(self, eps, forward: bool) -> tuple[int, ...]:
         """Per point, the mask of the ball of radius eps around it."""
@@ -298,7 +304,10 @@ class _RankForm:
     entry is its index there, and `rank[i][j]` is the rank of d(i,j).
     `transpose` is `rank` transposed, built on first read.  `keys` holds
     the quantale's exact order keys of the values, and is None where the
-    quantale has none (finite tables that are not capped chains).
+    quantale has none (finite tables that are not capped chains).  All
+    three come from one pass of `ValueQuantale._rank_values` over the
+    checked entries: on int-keyed spaces the values are sorted and merged
+    on their int keys, and no Fraction is hashed or compared.
 
     `fwd[i]` maps each rank occurring in row i to the mask of the j with
     d(i,j) of that rank; `bwd[i]` does the same for column i.  Each is
@@ -312,13 +321,11 @@ class _RankForm:
     __slots__ = ("values", "rank", "keys", "_transpose", "_fwd", "_bwd", "_mirror")
 
     def __init__(self, quantale: ValueQuantale, entries: _EntryClasses):
-        # one check per distinct entry; entries denoting one element merge
+        # one check per distinct entry, then one pass of the quantale's kernel
+        # sorts the values, merges entries denoting one element and keys them
         checked = [quantale.check(v) for v in entries.values]
-        self.values = tuple(sorted(set(checked), key=quantale.sort_key))
-        rank_of = {v: r for r, v in enumerate(self.values)}
-        renumber = [rank_of[v] for v in checked]
+        self.values, renumber, self.keys = quantale._rank_values(checked)
         self.rank = tuple([tuple([renumber[c] for c in row]) for row in entries.classes])
-        self.keys = quantale._order_keys(self.values)
         self._transpose = self._fwd = self._bwd = self._mirror = None
 
     def transposed(self) -> "_RankForm":
@@ -333,7 +340,8 @@ class _RankForm:
     @property
     def transpose(self) -> tuple[tuple[int, ...], ...]:
         if self._transpose is None:
-            self._transpose = tuple(zip(*self.rank))
+            # through a list: zip gives tuple() no length to start from
+            self._transpose = tuple(list(zip(*self.rank)))
         return self._transpose
 
     @property
@@ -530,7 +538,7 @@ def _packed_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[in
         ((P_i | G) - (P_j + (key[d(i,j)] + 1) * ONES)) & G
 
     is set iff key[d(i,k)] >= key[d(i,j)] + key[d(j,k)] + 1, that is, iff
-    d(i,k) is not below d(i,j) + d(j,k) (`ValueQuantale._order_keys`):
+    d(i,k) is not below d(i,j) + d(j,k) (`ValueQuantale._rank_values`):
     each lane's difference is non-negative and below twice the guard, so
     no lane borrows from the next.  The rows P_j of the twin
     representatives j (`_triangle_violations`) are laid side by side in

@@ -7,6 +7,7 @@ computation.
 """
 
 from itertools import product
+from math import lcm
 
 from qc import INF
 
@@ -94,3 +95,31 @@ def all_maps(src_points, tgt_points):
     for values in product(tgt_points, repeat=len(src_points)):
         yield dict(zip(src_points, values))
 
+
+
+def sorted_rank_values(q, checked, budget=128):
+    """The rank form's build by sorting elements: `(values, renumber, keys)`.
+
+    The distinct checked elements sorted with `q.sort_key`, the index of
+    each entry among them, and their order keys as `(keys, scale, finite)`:
+    on the extended rationals value * L with L the lcm of the denominators
+    (the Fractions themselves, scale None, when L has more than `budget`
+    bits) and the sentinel 2 * max + 1 (1 alone) for INF; on a capped chain
+    the chain positions; None on other tables.
+    """
+    values = tuple(sorted(set(checked), key=q.sort_key))
+    rank_of = {v: r for r, v in enumerate(values)}
+    renumber = [rank_of[v] for v in checked]
+    if q.is_finite:
+        chain = q._chain_keys
+        keys = None if chain is None else (tuple(chain[v] for v in values), 1, len(values))
+        return values, renumber, keys
+    finite = len(values) - (bool(values) and values[-1] == INF)
+    scale = lcm(*[v.denominator for v in values[:finite]])
+    if scale.bit_length() <= budget:
+        ks = [v.numerator * (scale // v.denominator) for v in values[:finite]]
+    else:
+        scale, ks = None, list(values[:finite])
+    if finite < len(values):
+        ks.append(2 * ks[-1] + 1 if ks else 1)
+    return values, renumber, (tuple(ks), scale, finite)

@@ -186,6 +186,46 @@ class TestValidate:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "command", ["validate-quantale", "validate-space", "classify", "complete"]
+    )
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("leq", 1, "leq table must be a list of rows, each a list"),
+            ("leq", [1, 0, 1], "leq table must be a list of rows, each a list"),
+            ("add", 0, "add table must be a list of rows, each a list"),
+            ("add", [0, 1, 2], "add table must be a list of rows, each a list"),
+            ("elements", None, "elements must be a list of strings"),
+            ("elements", "abc", "elements must be a list of strings"),
+            ("elements", {"a": 0, "b": 1, "c": 2}, "elements must be a list of strings"),
+            ("elements", [0, 1, 2], "elements must be a list of strings"),
+        ],
+    )
+    def test_mistyped_finite_quantale_exits_two(self, capsys, tmp_path, Q3, command, field,
+                                                value, message):
+        # before, an int table died with "object of type 'int' has no len()",
+        # and a string or a dict was read as its characters or its keys
+        tables = serialize.quantale_to_payload(Q3)
+        tables[field] = value
+        if command == "validate-quantale":
+            doc = serialize.envelope("quantale", tables)
+        else:
+            doc = serialize.envelope("space", {"quantale": tables, "points": ["x"], "d": [["0"]]})
+        path = tmp_path / "mistyped.json"
+        path.write_text(serialize.dumps_canonical(doc))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: finite quantale {message}\n"
+
+    @pytest.mark.parametrize("payload", [[], 3, None])
+    def test_quantale_payload_of_another_type_exits_two(self, capsys, tmp_path, payload):
+        path = tmp_path / "mistyped.json"
+        path.write_text(serialize.dumps_canonical(serialize.envelope("quantale", payload)))
+        code, out, err = run(capsys, "validate-quantale", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: quantale payload must be a name or an object\n"
+
     def test_parse_error_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

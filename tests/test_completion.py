@@ -418,3 +418,42 @@ class TestEmptySpace:
         assert comp.filters == ()
         assert comp.space.size == 0
         assert comp.embedding == {}
+
+
+class TestRepeatedCompletions:
+    def test_hold_no_memory(self):
+        # the tuples a parse and a completion build are freed whole: none is
+        # built by resizing, which on CPython parks a tuple on the free list
+        # of its final size each time, until thousands are held
+        import gc
+        import random
+        import sys
+
+        from qc import serialize
+
+        rng = random.Random(20261019)
+        payloads = []
+        for n in (6, 7, 8, 9, 11):
+            site = [rng.randrange(3) for _ in range(n)]
+            d = [["0" if site[i] == site[j] else str(2 + abs(site[i] - site[j]))
+                  for j in range(n)] for i in range(n)]
+            payloads.append({"quantale": "ext_rational",
+                             "points": [f"p{i}" for i in range(n)], "d": d})
+
+        def run(times):
+            for _ in range(times):
+                for payload in payloads:
+                    comp = complete(serialize.parse_space(payload))
+                    [f.core for f in comp.filters]
+
+        # a full collection empties the free lists, so none may run between
+        # the two counts; nothing here makes a reference cycle
+        run(20)
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            run(300)
+            held = sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+        assert held < 300

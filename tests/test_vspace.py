@@ -1189,6 +1189,148 @@ class TestBuildPath:
                 E.parse(text)
 
 
+def _kernel_and_oracle(q, rows, parse=None):
+    """The rank form of `rows` and the sorting build's `(values, rank, keys)`."""
+    from qc.vspace import _RankForm, _entry_classes
+
+    from helpers import sorted_rank_values
+
+    entries = _entry_classes(rows, parse)
+    checked = [q.check(v) for v in entries.values]
+    values, renumber, keys = sorted_rank_values(q, checked)
+    rank = tuple(tuple(renumber[c] for c in row) for row in entries.classes)
+    return _RankForm(q, entries), (values, rank, keys)
+
+
+def _assert_same_build(form, want):
+    values, rank, keys = want
+    assert form.values == values and list(map(type, form.values)) == list(map(type, values))
+    assert form.rank == rank
+    if keys is None:
+        assert form.keys is None
+    else:
+        got = (form.keys.keys, form.keys.scale, form.keys.finite)
+        assert got == keys and list(map(type, got[0])) == list(map(type, keys[0]))
+
+
+class TestOnePassBuild:
+    # `_RankForm` takes its values, ranks and keys from one pass of
+    # `ValueQuantale._rank_values`, on int keys wherever the quantale has
+    # them; `helpers.sorted_rank_values` is the build that sorts the checked
+    # elements with `sort_key` and keys them afterwards
+
+    def test_matches_sorting_build(self, Q1, Q3, chain4, pinched):
+        import random
+
+        from qc import BUILTIN_QUANTALES
+
+        rng = random.Random(20261019)
+        # denominators whose lcm has at most 128 bits (2**127 has exactly
+        # 128), and ones that pass the budget: 2**128 alone, 2**127 times 3,
+        # or the product of two large primes
+        inside, past = [1, 2, 2**126, 2**127], [3, 2**127, 2**128, 2**89 - 1, 2**107 - 1]
+        literals = ["0", "1/2", "2/4", "0.5", "05/10", "inf", "3", "6/2", "3.0", "1/3", "2/6"]
+        sides = fallback = 0
+        for t in range(700):
+            q = (E, E, E, Q1, BUILTIN_QUANTALES["Q2"], Q3, chain4, pinched)[t % 8]
+            n = rng.randint(0, 6)
+            parse = None
+            if q.is_finite:
+                d = [[rng.randrange(q.size) for _ in range(n)] for _ in range(n)]
+            elif t % 8 == 0:
+                parse = E.parse
+                d = [[rng.choice(literals) for _ in range(n)] for _ in range(n)]
+            else:
+                dens = {1: [1, 2, 3, 4, 6], 2: inside}.get(t // 8 % 3, past)
+                pool = [0, 2, 7, Fraction(0), Fraction(2), INF] + [
+                    Fraction(rng.randint(1, 60), rng.choice(dens)) for _ in range(4)
+                ]
+                d = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+                if dens is inside and n:
+                    d[-1][0] = Fraction(rng.randrange(1, 99, 2), 2**127)
+            form, want = _kernel_and_oracle(q, d, parse)
+            _assert_same_build(form, want)
+            if not q.is_finite and n:
+                fallback += form.keys.scale is None
+                sides += form.keys.scale is not None and form.keys.scale.bit_length() == 128
+        assert fallback > 20 and sides > 20, (fallback, sides)
+
+    @pytest.mark.parametrize(
+        "rows,values,keys",
+        [
+            ([], (), ((), 1, 0)),
+            ([[0, 0], [0, 0]], (0,), ((0,), 1, 1)),
+            ([[INF]], (INF,), ((1,), 1, 0)),
+            ([[0, INF], [INF, 0]], (0, INF), ((0, 1), 1, 1)),
+            ([[Fraction(1, 2), 3], [INF, 0]], (0, Fraction(1, 2), 3, INF), ((0, 1, 6, 13), 2, 3)),
+            # the budget's edge: L = 2**127 has 128 bits and keys as ints
+            ([[Fraction(1, 2**127), INF]], (Fraction(1, 2**127), INF), ((1, 3), 2**127, 1)),
+        ],
+    )
+    def test_small_forms(self, rows, values, keys):
+        form, want = _kernel_and_oracle(E, rows)
+        _assert_same_build(form, want)
+        assert (form.values, (form.keys.keys, form.keys.scale, form.keys.finite)) == (values, keys)
+
+    def test_past_the_budget_keeps_fractions(self):
+        # L = 2**128 has 129 bits: the values are sorted as Fractions and
+        # are their own keys, under a Fraction sentinel
+        a, b = Fraction(1, 2**128), Fraction(3, 2)
+        form, want = _kernel_and_oracle(E, [[b, a, INF], [a, 0, b]])
+        _assert_same_build(form, want)
+        assert form.keys == ((0, a, b, 2 * b + 1), None, 3)
+        assert all(type(k) is Fraction for k in form.keys.keys)
+
+    def test_equal_entries_merge_on_their_keys(self):
+        checked = [Fraction(1, 2), INF, Fraction(0), Fraction(2, 4), INF, Fraction(3), Fraction(0)]
+        values, renumber, keys = E._rank_values(checked)
+        assert values == (0, Fraction(1, 2), 3, INF)
+        assert renumber == [1, 3, 0, 1, 3, 2, 0]
+        assert keys == ((0, 1, 6, 13), 2, 3)
+
+    def test_int_keyed_build_hashes_and_compares_no_fraction(self, chain4):
+        # a profiler counts the Fraction hashes and comparisons a build makes;
+        # past the key budget it sees the sort, so a zero is not vacuous
+        import fractions
+        import random
+        import sys
+
+        from qc.vspace import _RankForm, _entry_classes
+
+        watched = {"__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "_richcmp"}
+        calls = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_name in watched:
+                if code.co_filename == fractions.__file__:
+                    calls.append(code.co_name)
+
+        def count(q, rows):
+            entries = _entry_classes(rows)
+            del calls[:]
+            old = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                form = _RankForm(q, entries)
+            finally:
+                sys.setprofile(old)
+            return form, len(calls)
+
+        rng = random.Random(20261020)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            pool = [0, 3, Fraction(0), INF] + [
+                Fraction(rng.randint(1, 90), rng.randint(1, 12)) for _ in range(5)
+            ]
+            form, made = count(E, [[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+            assert form.keys.scale is not None and made == 0
+        form, made = count(E, [[Fraction(1, 2**128), Fraction(1, 3), Fraction(1, 2**128)]])
+        assert form.keys.scale is None and made > 0
+        form, made = count(chain4, [[0, 3], [2, 0]])
+        assert made == 0
+
+
 def _typed_entry_classes(rows, parse=None):
     """`_entry_classes` by the per-entry loop alone: entries told apart by
     type and value, numbered in order of first occurrence."""

@@ -31,6 +31,8 @@ KERNELS = "tests/test_vspace.py::TestCompiledKernels::test_match_definitions"
 GATE = "tests/test_acceptance.py::test_criterion_7_equivalence_lists"
 TWINS = "tests/test_vspace.py::TestTwinClasses"
 ZERO_MASKS = "tests/test_vspace.py::TestRankMatrixForms::test_zero_masks_match_entries"
+MANY_VALUES = "tests/test_vspace.py::TestRankMatrixForms::test_masks_past_256_values_match_definitions"
+QUOTIENT = "tests/test_vspace.py::TestSeparationQuotient"
 SYMMETRY = "tests/test_vspace.py::TestRankMatrixForms::test_symmetry_matches_entries"
 LEAST_TEST_VALUE = "tests/test_vspace.py::TestRankMatrixForms::test_least_test_value_matches_combined"
 BUILD = "tests/test_vspace.py::TestBuildPath"
@@ -112,8 +114,8 @@ MUTANTS = (
     Mutant(
         "zero-mask-lanes-reversed",
         "vspace.py",
-        "int(bytes(row[::-1]).translate(_RANK_ZERO_DIGITS), 2)",
-        "int(bytes(row).translate(_RANK_ZERO_DIGITS), 2)",
+        "int(bytes(row[::-1]).translate(table), 2)",
+        "int(bytes(row).translate(table), 2)",
         (ZERO_MASKS,),
     ),
     Mutant(
@@ -122,6 +124,38 @@ MUTANTS = (
         '_RANK_ZERO_DIGITS = b"1" + b"0" * 255',
         '_RANK_ZERO_DIGITS = b"11" + b"0" * 254',
         (ZERO_MASKS,),
+    ),
+    Mutant(
+        "mask-table-not-reversed",
+        "vspace.py",
+        'f"{ranks:0256b}"[::-1].encode()',
+        'f"{ranks:0256b}".encode()',
+        (KERNELS,),
+    ),
+    Mutant(
+        "mask-fallback-selects-rank-zero",
+        "vspace.py",
+        "for j, r in enumerate(row) if ranks >> r & 1]",
+        "for j, r in enumerate(row) if not r]",
+        (MANY_VALUES,),
+    ),
+    Mutant(
+        "set-distance-reads-transposed-entry",
+        "vspace.py",
+        "        row = rank[low.bit_length() - 1]\n"
+        "        for t in targets:\n"
+        "            ranks |= 1 << row[t]\n",
+        "        s = low.bit_length() - 1\n"
+        "        for t in targets:\n"
+        "            ranks |= 1 << rank[t][s]\n",
+        (KERNELS,),
+    ),
+    Mutant(
+        "quotient-selects-transposed-entries",
+        "vspace.py",
+        "tuple([rank[r][s] for s in points]) for r in points",
+        "tuple([rank[s][r] for s in points]) for r in points",
+        (QUOTIENT,),
     ),
     Mutant(
         "symmetry-compares-rank-with-itself",
@@ -290,13 +324,6 @@ MUTANTS = (
         "op._dual = self",
         "op._dual = op",
         ("tests/test_vspace.py::TestDual",),
-    ),
-    Mutant(
-        "dual-mask-dicts-not-crossed",
-        "vspace.py",
-        "op._fwd, op._bwd = self._bwd, self._fwd",
-        "op._fwd, op._bwd = self._fwd, self._bwd",
-        ("tests/test_vspace.py::TestRankMatrixForms::test_dual_shares_mask_dicts",),
     ),
     Mutant(
         "strict-balls-cache-ignores-radius",

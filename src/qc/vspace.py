@@ -23,29 +23,24 @@ keep their loops.
 A space is stored in rank form, built at construction in one pass of the
 quantale's kernel `ValueQuantale._rank_values`: its distinct distance
 values in `sort_key` order, the rank of each entry among them, and the
-values' order keys.  Per point and per value the bitmask of the points
-at that forward (backward) distance is built on first read, by balls,
-strict balls, set distances and the class triangle kernel; points with
-equal rows of ranks then share one forward mask dict, and points with
-equal columns one backward dict.  The zero masks, the symmetry test and the twin classes
-read the ranks and their transpose, so validating and classifying a space
-with int order keys builds no mask dict.  Construction checks each
-distinct entry once, after telling entries apart by type and value
-(`_entry_classes`); reading a space file parses each distinct literal
-once the same way, and entries that denote one element share a value.
-`dmat` is a read-only view of the matrix built on first use.
-Every order-only predicate reads the rank form: a ball of radius eps is
-the union of the masks whose value is <= eps, so the order is consulted
-once per (space, eps) over the distinct values instead of once per entry.
-A zero mask gathers the lanes of rank 0 (0 sorts first), with at most 256
-values in one C-level pass per row (`_RankForm.zero_masks`).  Balls, zero
-neighbourhoods, the separation test and the uniform flip behind symmetry
-moduli are mask operations; the symmetry test compares the ranks with
-their transpose.  Strict balls share the ball cache.  `dual()` is built
-once from the transposed ranks, with no value checked again, and linked
-back, so it is an involution on objects: `space.dual().dual() is space`;
-its forward mask dicts are this space's backward ones.  A set distance
-collects the ranks of the values met between the two masks as a mask
+values' order keys.  The rank matrix is the only stored form of the
+distances.  Construction checks each distinct entry once, after telling
+entries apart by type and value (`_entry_classes`); reading a space file
+parses each distinct literal once the same way, and entries that denote
+one element share a value.  `dmat` is a read-only view of the matrix
+built on first use.  Every order-only predicate reads the rank form: the
+order is consulted once per (space, eps) over the distinct values to
+select the ranks of a ball (the values <= eps), a strict ball or a zero
+mask (rank 0, as 0 sorts first), and one kernel, `_RankForm.masks`,
+gathers per row the lanes of the selected ranks, in one C-level pass per
+row with at most 256 values.  Balls, zero neighbourhoods, the separation
+test and the uniform flip behind symmetry moduli are mask operations;
+the symmetry test and the twin classes compare ranks with their
+transpose.  Strict balls share the ball cache.  `dual()` takes the
+transposed ranks and `separation_quotient` the representatives' rows and
+columns, over the base's values and keys with no value checked again;
+the dual is built once and linked back, so `space.dual().dual() is
+space`.  A set distance collects the ranks of the cross entries as a mask
 (`_set_distance_ranks`) and takes their meet in one private quantale
 kernel, `ValueQuantale._meet_ranks` (the lowest rank on the
 extended-rational chain, a fold of the meet table on finite quantales), so
@@ -172,11 +167,7 @@ class VSpace:
                 below = q._below_mask(form.values, eps)
             else:
                 below = (1 << q._count_below(form.keys, eps)) - 1
-            rows = form.fwd if forward else form.bwd
-            # the kernels build tuples from lists: tuple() over a generator
-            # grows and then shrinks its result, which on 16-64 point spaces
-            # fragmented the heap enough to raise peak memory by about 1 MB
-            balls = self._ball_cache[key] = tuple([_union(row.items(), below) for row in rows])
+            balls = self._ball_cache[key] = form.masks(below, forward)
         return balls
 
     def _ball(self, i: int, eps, forward: bool) -> int:
@@ -189,7 +180,7 @@ class VSpace:
         if balls is None:
             form, q = self._ranks, self.quantale
             strict = sum(1 << u for u, v in enumerate(form.values) if q.well_above(eps, v))
-            balls = self._ball_cache[key] = tuple([_union(row.items(), strict) for row in form.fwd])
+            balls = self._ball_cache[key] = form.masks(strict, True)
         return balls
 
     @cached_property
@@ -309,16 +300,14 @@ class _RankForm:
     checked entries: on int-keyed spaces the values are sorted and merged
     on their int keys, and no Fraction is hashed or compared.
 
-    `fwd[i]` maps each rank occurring in row i to the mask of the j with
-    d(i,j) of that rank; `bwd[i]` does the same for column i.  Each is
-    built the first time it is read, by balls, strict balls, set distances
-    and the class triangle kernel; twins, symmetry and the zero masks read
-    `rank` and `transpose` instead.  A form and its transposed
-    (`transposed`) share these dicts crosswise, so the `fwd` of one is the
-    `bwd` of the other, built at most once between them.
+    `rank` is the only stored form of the distances: every mask is
+    gathered from it or its transpose by `masks`, given the ranks an
+    operation selects.  The forms of the dual (`transposed`) and of the
+    separation quotient (`restricted`) reuse this form's `values` and
+    `keys` objects.
     """
 
-    __slots__ = ("values", "rank", "keys", "_transpose", "_fwd", "_bwd", "_mirror")
+    __slots__ = ("values", "rank", "keys", "_transpose")
 
     def __init__(self, quantale: ValueQuantale, entries: _EntryClasses):
         # one check per distinct entry, then one pass of the quantale's kernel
@@ -326,16 +315,23 @@ class _RankForm:
         checked = [quantale.check(v) for v in entries.values]
         self.values, renumber, self.keys = quantale._rank_values(checked)
         self.rank = tuple([tuple([renumber[c] for c in row]) for row in entries.classes])
-        self._transpose = self._fwd = self._bwd = self._mirror = None
+        self._transpose = None
+
+    def _sharing(self, rank, transpose=None) -> "_RankForm":
+        """A form of `rank` over this form's values and keys, checking nothing."""
+        op = _RankForm.__new__(_RankForm)
+        op.values, op.keys, op.rank, op._transpose = self.values, self.keys, rank, transpose
+        return op
 
     def transposed(self) -> "_RankForm":
         """The form of the transposed matrix, over the same values and keys."""
-        op = _RankForm.__new__(_RankForm)
-        op.values, op.keys = self.values, self.keys
-        op.rank, op._transpose = self.transpose, self.rank
-        op._fwd, op._bwd = self._bwd, self._fwd
-        op._mirror, self._mirror = self, op
-        return op
+        return self._sharing(self.transpose, self.rank)
+
+    def restricted(self, points: list[int]) -> "_RankForm":
+        """The form of the rows and columns of `points`, over the same values
+        and keys; every value must occur among them."""
+        rank = self.rank
+        return self._sharing(tuple([tuple([rank[r][s] for s in points]) for r in points]))
 
     @property
     def transpose(self) -> tuple[tuple[int, ...], ...]:
@@ -344,36 +340,31 @@ class _RankForm:
             self._transpose = tuple(list(zip(*self.rank)))
         return self._transpose
 
-    @property
-    def fwd(self) -> tuple[dict, ...]:
-        if self._fwd is None:
-            self._fwd = _masks_by_rank(self.rank)
-            if self._mirror is not None:
-                self._mirror._bwd = self._fwd
-        return self._fwd
+    def masks(self, ranks: int, forward: bool) -> tuple[int, ...]:
+        """Per row (forward) or column, the mask of the lanes whose rank is in
+        the mask `ranks`.
 
-    @property
-    def bwd(self) -> tuple[dict, ...]:
-        if self._bwd is None:
-            self._bwd = _masks_by_rank(self.transpose)
-            if self._mirror is not None:
-                self._mirror._fwd = self._bwd
-        return self._bwd
-
-    def zero_masks(self, bottom, forward: bool) -> tuple[int, ...]:
-        """Per row (forward) or column, the mask of the entries equal to `bottom`.
-
-        The bottom sorts first, so those are the lanes of rank 0.  With at
-        most 256 values a row of ranks is a byte string: reversed, so that
-        lane j lands on bit j, each rank-0 byte is translated to the digit
-        1 and every other to 0, and the digits are read as one binary int.
+        With at most 256 values a row of ranks is a byte string: reversed, so
+        that lane j lands on bit j, each byte is translated to the digit 1
+        if its rank is selected and to 0 otherwise, and the digits are read
+        as one binary int.  Past 256 values each row is read entry by entry.
         """
         rows = self.rank if forward else self.transpose
+        # tuples are built from lists: tuple() over a generator grows and
+        # then shrinks its result, which on 16-64 point spaces fragmented
+        # the heap enough to raise peak memory by about 1 MB
+        if len(self.values) > 256:
+            return tuple([sum([1 << j for j, r in enumerate(row) if ranks >> r & 1]) for row in rows])
+        # bit u of `ranks` becomes byte u; the zero masks' table is a constant
+        table = _RANK_ZERO_DIGITS if ranks == 1 else f"{ranks:0256b}"[::-1].encode()
+        return tuple([int(bytes(row[::-1]).translate(table), 2) for row in rows])
+
+    def zero_masks(self, bottom, forward: bool) -> tuple[int, ...]:
+        """Per row (forward) or column, the mask of the entries equal to
+        `bottom`: the lanes of rank 0, since the bottom sorts first."""
         if not self.values or self.values[0] != bottom:
-            return (0,) * len(rows)
-        if len(self.values) <= 256:
-            return tuple([int(bytes(row[::-1]).translate(_RANK_ZERO_DIGITS), 2) for row in rows])
-        return tuple([sum([1 << j for j, r in enumerate(row) if not r]) for row in rows])
+            return (0,) * len(self.rank)
+        return self.masks(1, forward)
 
 
 # per byte of rank: the binary digit of "rank 0"
@@ -381,7 +372,8 @@ _RANK_ZERO_DIGITS = b"1" + b"0" * 255
 
 
 def _masks_by_rank(rows) -> tuple[dict, ...]:
-    """Per row of ranks, the mask of the positions holding each rank.
+    """Per row of ranks, the mask of the positions holding each rank: the
+    rows of the class triangle kernel.
 
     Equal rows share one dict, built once; the dicts are read-only.
     """
@@ -595,7 +587,7 @@ def _table_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[int
     """
     q = space.quantale
     form = space._ranks
-    values, rows = form.values, form.fwd
+    values, rows = form.values, _masks_by_rank(form.rank)
     reps = sum(1 << i for i in twins)
     # per representative: its distinct values ascending, their masks, and a
     # memo from a set of those values (as a mask) to the points at the others
@@ -672,14 +664,19 @@ def _set_distance_masks(space: VSpace, smask: int, tmask: int):
 
 def _set_distance_ranks(space: VSpace, smask: int, tmask: int) -> int:
     """The mask of the ranks of the values d(s,t) over the cross pairs."""
-    fwd = space._ranks.fwd
+    rank = space._ranks.rank
+    targets = []
+    while tmask:
+        low = tmask & -tmask
+        tmask ^= low
+        targets.append(low.bit_length() - 1)
     ranks = 0
     while smask:
         low = smask & -smask
         smask ^= low
-        for u, mask in fwd[low.bit_length() - 1].items():
-            if mask & tmask:
-                ranks |= 1 << u
+        row = rank[low.bit_length() - 1]
+        for t in targets:
+            ranks |= 1 << row[t]
     return ranks
 
 
@@ -718,12 +715,10 @@ def separation_quotient(space: VSpace) -> tuple[VSpace, dict]:
             "the input space violates the triangle law"
         )
     reps = sorted(set(rep))
-    # every value occurs between representatives, since each entry equals one
-    out = VSpace(
-        space.quantale,
-        [space.points[r] for r in reps],
-        _EntryClasses(form.values, [[rank[r][s] for s in reps] for r in reps]),
-    )
+    # built the way dual() is: every value occurs between representatives,
+    # since each entry equals one, so none is checked or ranked again
+    out = VSpace.__new__(VSpace)
+    out._adopt(space.quantale, tuple([space.points[r] for r in reps]), form.restricted(reps))
     projection = {space.points[i]: space.points[rep[i]] for i in range(n)}
     return out, projection
 

@@ -62,6 +62,10 @@ class TestDual:
     def test_transpose(self, x2a):
         op = x2a.dual()
         assert op.d("a", "b") == 2 and op.d("b", "a") == 1
+        # the transposed ranks, over the same values and keys objects
+        form, opf = x2a._ranks, op._ranks
+        assert opf.values is form.values and opf.keys is form.keys
+        assert opf.rank == tuple(zip(*form.rank)) and opf.transpose is form.rank
 
     def test_symmetric_fixed(self, x2s):
         assert x2s.dual() == x2s
@@ -221,7 +225,61 @@ class TestSeparationQuotient:
             assert quotient.points == tuple(space.points[r] for r in reps)
             assert quotient.dmat == tuple(tuple(d[r][s] for s in reps) for r in reps)
             assert projection == {space.points[i]: space.points[rep[i]] for i in range(n)}
+            # the rank form is the base's, selected: the same values and keys
+            # objects, equal to the form the constructor builds from entries
+            form, built = quotient._ranks, VSpace(q, quotient.points, quotient.dmat)._ranks
+            assert form.values is space._ranks.values and form.keys is space._ranks.keys
+            assert (form.values, form.rank, form.keys) == (built.values, built.rank, built.keys)
         assert refused > 20 and collapsed > 20, (refused, collapsed)
+
+    def test_checks_no_value(self, Q3, pinched):
+        # a profiler counts the `quantale.check` calls: building the quotient
+        # makes none, while building a space from the same entries does
+        import random
+        import sys
+
+        import qc.quantale
+        from qc.errors import InvariantError
+
+        calls = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_name == "check":
+                if code.co_filename == qc.quantale.__file__:
+                    calls.append(code.co_name)
+
+        def count(build):
+            del calls[:]
+            old = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                build()
+            finally:
+                sys.setprofile(old)
+            return len(calls)
+
+        rng = random.Random(20261021)
+        quantales = (E, Q3, pinched)
+        collapsed = 0
+        for t in range(90):
+            q = quantales[t % 3]
+            # copies of the points of a raw space, at distance 0 from each other
+            d = [list(row) for row in _raw_space(rng, q, rng.randint(1, 4)).dmat]
+            for i, row in enumerate(d):
+                row[i] = q.bottom
+            src = [rng.randrange(len(d)) for _ in range(rng.randint(1, 7))]
+            space = VSpace(q, [f"p{x}" for x in range(len(src))], [[d[a][b] for b in src] for a in src])
+            base = count(lambda: VSpace(q, space.points, space.dmat))
+            assert base > 0
+            try:
+                separation_quotient(space)
+            except InvariantError:
+                continue
+            quotient = []
+            assert count(lambda: quotient.append(separation_quotient(space)[0])) == 0
+            collapsed += quotient[0].size < space.size
+        assert collapsed > 40, collapsed
 
 
 class TestEpsilonTestSet:
@@ -731,9 +789,9 @@ def _many_values_space(rng, n):
 
 
 class TestRankMatrixForms:
-    # zero masks, symmetry and twins are read off the rank matrix and its
-    # transpose; the per-value mask dicts are built only for balls, strict
-    # balls, set distances and the class triangle kernel
+    # the rank matrix is a space's only stored form: zero masks, balls and
+    # strict balls are gathered from it by one kernel, `_RankForm.masks`,
+    # and symmetry, twins and set distances read it and its transpose
     def test_zero_masks_match_entries(self, Q1, Q3, chain4, pinched):
         import random
 
@@ -776,43 +834,38 @@ class TestRankMatrixForms:
             assert classify(space)["symmetric"] == want, space.dmat
         assert 150 < symmetric < 300, symmetric
 
-    def test_classify_ops_build_no_mask_dict(self, chain4):
-        # validate, classify, (U)VA and both quasi-uniformities on spaces
-        # with int order keys read the rank matrix alone
-        from qc import quasi_uniformity_of, serialize
-        from qc.verify import triangle_repair
+    def test_masks_past_256_values_match_definitions(self):
+        # the per-entry path of `_RankForm.masks`: balls on both sides, strict
+        # balls of the space and its dual, and set distances both ways
+        import random
 
-        h = Fraction(1, 2)
-        clusters = [0, 0, 0, 1, 1, 2, 2, 2]
-        skeleton = {E: [[0, h, 3], [1, 0, INF], [h, 2, 0]], chain4: [[0, 1, 3], [2, 0, 3], [1, 1, 0]]}
-        for q, base in skeleton.items():
-            d = [[base[a][b] for b in clusters] for a in clusters]
-            d[0][3] = q.bottom  # one way: not UVA
-            d = triangle_repair(q, d)[0]
-            payload = serialize.space_to_payload(VSpace(q, [f"p{i}" for i in range(8)], d))
-            space = serialize.parse_space(payload)
-            form = space._ranks
-            assert form.keys.scale is not None
-            assert validate_vspace(space).ok
-            assert classify(space) == {"symmetric": False, "separated": False}
-            assert not has_vanishing_asymmetry(space) and not has_uniformly_vanishing_asymmetry(space)
-            quasi_uniformity_of(space, "forward")
-            quasi_uniformity_of(space, "backward")
-            assert form._fwd is None and form._bwd is None
-            space._balls(q.bottom, True)
-            assert form._fwd is not None and form._bwd is None
+        from qc.verify import definitional_balls, definitional_set_distance
 
-    def test_dual_shares_mask_dicts(self, x2a, x3z):
-        form = x2a._ranks
-        op = x2a.dual()._ranks
-        assert op.values is form.values and op.keys is form.keys
-        assert op.rank == tuple(zip(*form.rank)) and op.transpose is form.rank
-        assert op._fwd is op._bwd is form._fwd is form._bwd is None
-        assert op.fwd is form.bwd and op._bwd is None
-        assert form.fwd is op.bwd
-        # a dual taken after the dicts were built starts with them
-        bwd = x3z._ranks.bwd
-        assert x3z.dual()._ranks._fwd is bwd and x3z.dual()._ranks._bwd is None
+        rng = random.Random(20261103)
+        for n in (18, 20, 24):
+            space = _many_values_space(rng, n)
+            values, d = space._ranks.values, space.dmat
+            assert len(values) > 256
+            cols = [list(col) for col in zip(*d)]
+            some = [values[k] for k in (0, 1, 2, len(values) // 3, len(values) // 2, -2, -1)]
+            radii = some + [v + Fraction(1, 7) for v in some] + [INF]
+            for eps in radii:
+                assert (space._balls(eps, True), space._balls(eps, False)) == (
+                    definitional_balls(space, eps)
+                ), eps
+                for s, rows in ((space, d), (space.dual(), cols)):
+                    assert s._strict_balls(eps) == tuple(
+                        sum(1 << j for j, e in enumerate(row) if E.well_above(eps, e))
+                        for row in rows
+                    ), eps
+            singles = [1 << i for i in range(n)]
+            masks = singles + [rng.getrandbits(n) for _ in range(60)] + [0, space.full_mask]
+            for sm in masks:
+                for tm in (rng.choice(masks), rng.choice(singles)):
+                    for a, b in ((sm, tm), (tm, sm)):
+                        assert set_distance(
+                            space, space.names_of(a), space.names_of(b)
+                        ) == definitional_set_distance(space, a, b), (a, b)
 
     def test_least_test_value_matches_combined(self, Q3):
         from qc.verify import _oracle_battery
@@ -1055,14 +1108,14 @@ class TestBuildPath:
         )
         form = space._ranks
         assert form.values == (0, Fraction(1, 2), 1)
-        assert form.fwd == ({0: 0b001, 1: 0b110}, {0: 0b010, 1: 0b101}, {0: 0b100, 2: 0b011})
+        assert form.rank == ((0, 1, 1), (1, 0, 1), (2, 2, 0))
         h = Fraction(1, 2)
         assert space == VSpace(E, ["a", "b", "c"], [[0, h, h], [h, 0, h], [1, 1, 0]])
         space = serialize.parse_space(
             {"quantale": "chain4", "points": ["a", "b"], "d": [["0", 1], ["1", 0]]}
         )
         assert space._ranks.values == (0, 1)
-        assert space._ranks.fwd == ({0: 0b01, 1: 0b10}, {1: 0b01, 0: 0b10})
+        assert space._ranks.rank == ((0, 1), (1, 0))
 
     def test_parse_and_construct_agree(self, Q1, Q3, chain4, pinched):
         import random
@@ -1079,7 +1132,7 @@ class TestBuildPath:
             parsed = serialize.parse_space(payload)
             built = VSpace(q, space.points, [list(row) for row in space.dmat])
             assert parsed == built == space and hash(parsed) == hash(built)
-            for field in ("values", "rank", "fwd", "bwd", "keys"):
+            for field in ("values", "rank", "keys"):
                 assert getattr(parsed._ranks, field) == getattr(built._ranks, field), field
             assert parsed.dmat == space.dmat
             assert serialize.space_to_payload(parsed) == serialize.space_to_payload(space)

@@ -51,6 +51,8 @@ VA_AGREE = "tests/test_verify.py::TestTheoremSuite::test_va_check_catches_disagr
 FILTER_RANGE = "tests/test_records.py::TestFilterRange"
 CARRIER = "tests/test_vspace.py::TestCarrierAttributes"
 HELD_MEMORY = "tests/test_completion.py::TestRepeatedCompletions"
+RADIUS_CACHE = "tests/test_vspace.py::TestRadiusCache"
+DEDUPE = "tests/test_verify.py::TestEpsilonOracle::test_dedupe_matches_leq_patterns"
 
 
 class Mutant(NamedTuple):
@@ -142,12 +144,8 @@ MUTANTS = (
     Mutant(
         "set-distance-reads-transposed-entry",
         "vspace.py",
-        "        row = rank[low.bit_length() - 1]\n"
-        "        for t in targets:\n"
-        "            ranks |= 1 << row[t]\n",
-        "        s = low.bit_length() - 1\n"
-        "        for t in targets:\n"
-        "            ranks |= 1 << rank[t][s]\n",
+        "rows = [form.rank[s] for s in _bits(smask)]",
+        "rows = [form.transpose[s] for s in _bits(smask)]",
         (KERNELS,),
     ),
     Mutant(
@@ -307,15 +305,15 @@ MUTANTS = (
     Mutant(
         "completion-distances-transposed",
         "completion.py",
-        "_set_distance_ranks(base, f.core_mask, g.core_mask)",
-        "_set_distance_ranks(base, g.core_mask, f.core_mask)",
+        "rank, values = base._ranks.rank, base._ranks.values",
+        "rank, values = base._ranks.transpose, base._ranks.values",
         ("tests/test_completion.py",),
     ),
     Mutant(
         "filter-space-join-not-meet",
         "completion.py",
-        "values.append(base.quantale._meet_ranks(form.values, ranks))",
-        "values.append(form.values[ranks.bit_length() - 1])",
+        "meets.append(base.quantale._meet_ranks(values, ranks))",
+        "meets.append(values[ranks.bit_length() - 1])",
         (BUILDER,),
     ),
     Mutant(
@@ -328,7 +326,7 @@ MUTANTS = (
     Mutant(
         "strict-balls-cache-ignores-radius",
         "vspace.py",
-        'key = ("strict", eps)',
+        'key = ("strict", id(eps))',
         'key = ("strict",)',
         (KERNELS,),
     ),
@@ -349,8 +347,8 @@ MUTANTS = (
     Mutant(
         "uc-memo-ignores-direction",
         "verify.py",
-        'table = self._memo(("uc", source, target), lambda: {})',
-        'table = self._memo(("uc",), lambda: {})',
+        "key = (source, target)",
+        "key = ()",
         (UC_MEMO,),
     ),
     Mutant(
@@ -457,6 +455,41 @@ MUTANTS = (
         "self._transpose = tuple(list(zip(*self.rank)))",
         "self._transpose = tuple(zip(*self.rank))",
         (HELD_MEMORY,),
+    ),
+    Mutant(
+        "ball-cache-entry-drops-radius",
+        "vspace.py",
+        "hit = self._ball_cache[key] = (eps, balls)",
+        "hit = self._ball_cache[key] = (None, balls)",
+        (RADIUS_CACHE,),
+    ),
+    Mutant(
+        "rank-form-skips-check-on-unchecked-entries",
+        "vspace.py",
+        "if not entries.checked:",
+        "if False:",
+        (BUILD,),
+    ),
+    Mutant(
+        "dedupe-lt-equals-le",
+        "verify.py",
+        "seen.setdefault((le, le - (le > 0 and form.values[le - 1] == v)), v)",
+        "seen.setdefault((le, le), v)",
+        (DEDUPE,),
+    ),
+    Mutant(
+        "preimage-table-of-next-map",
+        "verify.py",
+        "_preimages(fidx, n)",
+        "_preimages(maps[(maps.index(fidx) + 1) % len(maps)], n)",
+        ("tests/test_verify.py::TestFamilyOracle",),
+    ),
+    Mutant(
+        "filters-to-space-targets-from-source-core",
+        "completion.py",
+        "ranks = _cross_ranks(rows, targets)",
+        "ranks = _cross_ranks(rows, source)",
+        (BUILDER,),
     ),
     Mutant(
         "full-mask-attribute-off-by-one",

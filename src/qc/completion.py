@@ -10,8 +10,9 @@ map in closed form, through the inverse of the embedding.
 
 A space of filters is built straight into rank form (`_filters_to_space`):
 each pair of filters is classed by the mask of the base ranks met between
-their cores, an int (`qc.vspace._set_distance_ranks`, the kernel behind
-`filter_distance`), and the meet is taken once per class.
+their cores, an int (`qc.vspace._cross_ranks`, the kernel behind
+`filter_distance`), and the meet is taken once per class, as an element
+already checked (`_distance_classes`).
 
 This module only constructs.  The definitional enumerations over all 2^n
 cores (the space of every proper Cauchy filter, Cauchy completeness,
@@ -40,7 +41,8 @@ from .filters import (
 from .vspace import (
     VSpace,
     _EntryClasses,
-    _set_distance_ranks,
+    _bits,
+    _cross_ranks,
     classify,
     has_uniformly_vanishing_asymmetry,
     is_uniformly_continuous,
@@ -52,28 +54,35 @@ def filter_point_name(f: Filter) -> str:
 
 
 def _filters_to_space(base: VSpace, filters: list[Filter]) -> VSpace:
-    """The filters with the filter distance, built straight into rank form.
+    """The filters with the filter distance, built straight into rank form
+    from their `_distance_classes`."""
+    names = [filter_point_name(f) for f in filters]
+    return VSpace(base.quantale, names, _distance_classes(base, [f.core_mask for f in filters]))
 
-    Each pair of filters is classed by the mask of the base ranks met
-    between their cores (`_set_distance_ranks`, the kernel behind
-    `filter_distance`), and the meet is taken once per class.  A meet the
-    base does not hold (on a finite quantale that is not a chain) is
-    checked and placed by `_RankForm` like any other entry.
+
+def _distance_classes(base: VSpace, cores: list[int]) -> _EntryClasses:
+    """The set distances between the cores as entry classes, one per mask of
+    base ranks met (`_cross_ranks`), each core's points and rows listed once.
+
+    The meets are elements of the base's quantale, so they are not checked
+    again; one the base does not hold (on a finite quantale that is not a
+    chain) is placed by `_RankForm` like any other entry.
     """
-    form = base._ranks
-    memo, values, classes = {}, [], []
-    for f in filters:
+    rank, values = base._ranks.rank, base._ranks.values
+    points = [_bits(m) for m in cores]
+    memo, meets, classes = {}, [], []
+    for source in points:
+        rows = [rank[s] for s in source]
         row = []
-        for g in filters:
-            ranks = _set_distance_ranks(base, f.core_mask, g.core_mask)
+        for targets in points:
+            ranks = _cross_ranks(rows, targets)
             c = memo.get(ranks)
             if c is None:
-                c = memo[ranks] = len(values)
-                values.append(base.quantale._meet_ranks(form.values, ranks))
+                c = memo[ranks] = len(meets)
+                meets.append(base.quantale._meet_ranks(values, ranks))
             row.append(c)
         classes.append(row)
-    names = [filter_point_name(f) for f in filters]
-    return VSpace(base.quantale, names, _EntryClasses(values, classes))
+    return _EntryClasses(meets, classes, True)
 
 
 def minimal_cauchy_filters(space: VSpace) -> tuple[Filter, ...]:

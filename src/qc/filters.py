@@ -19,8 +19,8 @@ from .vspace import (
     VSpace,
     _as_index_map,
     _set_distance_masks,
+    _uc_verdict,
     _zero_masks,
-    is_uniformly_continuous,
 )
 
 
@@ -95,12 +95,16 @@ def intersect(f: Filter, g: Filter) -> Filter:
 
 def image_filter(fmap: dict, f: Filter, target: VSpace) -> Filter:
     """Push a filter along a point map: sets whose preimage is a member."""
-    fidx = _as_index_map(fmap, f.space, target)
+    return Filter(target, _image_core(_as_index_map(fmap, f.space, target), f.core_mask))
+
+
+def _image_core(fidx, core: int) -> int:
+    """The image of a core mask under an index map."""
     m = 0
-    for i in range(f.space.size):
-        if f.core_mask >> i & 1:
-            m |= 1 << fidx[i]
-    return Filter(target, m)
+    for i, j in enumerate(fidx):
+        if core >> i & 1:
+            m |= 1 << j
+    return m
 
 
 def point_filter(space: VSpace, x, side: str = "forward") -> Filter:
@@ -202,10 +206,12 @@ def is_filter_morphism(fmap: dict, f: Filter, g: Filter) -> Verdict:
     """Uniformly continuous map whose image filter refines the target filter."""
     if f.space.quantale != g.space.quantale:
         raise DomainMismatchError("filter morphisms need a shared quantale")
-    uc = is_uniformly_continuous(fmap, f.space, g.space)
+    # one index map serves the continuity test and the image
+    fidx = _as_index_map(fmap, f.space, g.space)
+    uc = _uc_verdict(fidx, f.space, g.space)
     if not uc:
         return Verdict(False, {"reason": "not uniformly continuous", **(uc.witness or {})})
-    image = image_filter(fmap, f, g.space)
+    image = Filter(g.space, _image_core(fidx, f.core_mask))
     if (image.core_mask | g.core_mask) != g.core_mask:
         return Verdict(
             False,

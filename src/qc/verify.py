@@ -35,12 +35,13 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from typing import NamedTuple
 
 from . import serialize
 from .completion import (
     CompletionSpace,
+    _distance_classes,
     _filters_to_space,
     complete,
     extend_to_completion,
@@ -51,6 +52,7 @@ from .completion import (
 from .errors import InvariantError, PreconditionError, QcError
 from .filters import (
     Filter,
+    _image_core,
     converges,
     filter_distance,
     image_filter,
@@ -73,6 +75,7 @@ from .structures import (
 from .vspace import (
     VSpace,
     _EntryClasses,
+    _bits,
     _entry_classes,
     _set_distance_masks,
     _uniform_flip_ok,
@@ -194,14 +197,18 @@ def _repair_keys(quantale: ValueQuantale, dmat):
     rationals the exact keys with None for INF.  Either way a sum of keys
     is the key of the sum, and a value is 0 iff its key is the key of 0.
     """
-    d = [[quantale.check(e) for e in row] for row in dmat]
+    # each distinct entry object is checked once: a drawn matrix repeats the
+    # shared zero and INF, and a finite quantale's small int indices
+    checked = {id(e): e for row in dmat for e in row}
+    checked = dict(zip(checked, [quantale.check(e) for e in checked.values()]))
     if quantale.is_finite:
+        d = [[checked[id(e)] for e in row] for row in dmat]
         return d, _same, _relax(d, _tables(quantale))
     # the keys of the rank form's kernel, with None for INF's rank
-    _, renumber, okeys = quantale._rank_values([e for row in d for e in row])
+    _, renumber, okeys = quantale._rank_values(list(checked.values()))
     keys = okeys.keys[: okeys.finite] + (None,)
-    flat = iter([keys[r] for r in renumber])
-    k = [list(islice(flat, len(row))) for row in d]
+    key = dict(zip(checked, [keys[r] for r in renumber]))
+    k = [[key[id(e)] for e in row] for row in dmat]
     rounds = _relax(k, None)
     scale = okeys.scale
 
@@ -356,31 +363,36 @@ def _family_generated(n: int, base) -> frozenset:
     )
 
 
-def _family_image(fidx, n_src: int, n_tgt: int, members: frozenset) -> frozenset:
-    out = set()
-    for s in range(1 << n_tgt):
+def _preimages(fidx, n: int) -> list[int]:
+    """Per subset s of the n target points, the mask of its preimage."""
+    out = []
+    for s in range(1 << n):
         pre = 0
-        for i in range(n_src):
-            if s >> fidx[i] & 1:
+        for i, j in enumerate(fidx):
+            if s >> j & 1:
                 pre |= 1 << i
-        if pre in members:
-            out.add(s)
-    return frozenset(out)
+        out.append(pre)
+    return out
+
+
+def _family_image(preimages, members: frozenset) -> frozenset:
+    """The sets whose preimage (read from `_preimages`) is a member."""
+    return frozenset([s for s, pre in enumerate(preimages) if pre in members])
 
 
 def _family_distance(q: ValueQuantale, table: _EntryClasses, m1: frozenset, m2: frozenset):
     """Join over member pairs of their set distance, read from `table`.
 
-    `table` numbers the set distances by class (`_entry_classes`), so the
-    pairs are gathered as ints; the join is idempotent, so it runs over the
-    distinct classes read.
+    `table` numbers the set distances by class (`_distance_classes`), so
+    the pairs are gathered as ints; the join is idempotent, so it runs over
+    the distinct classes read.
     """
     classes = table.classes
     return q.join([table.values[c] for c in {classes[s][t] for s in m1 for t in m2}])
 
 
-def _family_roundify(space: VSpace, members: frozenset) -> frozenset:
-    radii = [space._balls(eps, True) for eps in space.test_values]
+def _family_roundify(space: VSpace, radii, members: frozenset) -> frozenset:
+    """`radii` holds the forward balls of each test value."""
     base = []
     for s in sorted(members):
         for balls in radii:
@@ -395,8 +407,7 @@ def _family_roundify(space: VSpace, members: frozenset) -> frozenset:
     return fam
 
 
-def _family_is_round(space: VSpace, members: frozenset) -> bool:
-    radii = [space._balls(eps, True) for eps in space.test_values]
+def _family_is_round(radii, members: frozenset) -> bool:
     for fp in sorted(members):
         found = False
         for balls in radii:
@@ -449,6 +460,11 @@ def _collapsed_formula_failures(space: VSpace, pair_limit: int = 64) -> list:
     maps = [tuple(0 for _ in range(n)), tuple(range(n)),
             tuple(min(i + 1, n - 1) for i in range(n)),
             tuple(n - 1 - i for i in range(n))]
+    # built once per space: each map's preimage table and point map, and
+    # the balls of the test values
+    images = [(fidx, _preimages(fidx, n), dict(zip(space.points, [space.points[j] for j in fidx])))
+              for fidx in maps]
+    radii = [space._balls(eps, True) for eps in space.test_values]
     for c in cores:
         f = Filter(space, c)
         fam = families[c]
@@ -457,27 +473,25 @@ def _collapsed_formula_failures(space: VSpace, pair_limit: int = 64) -> list:
             if (s in fam) != f.contains(space.names_of(s)):
                 fail("membership", core=f.core, subset=space.names_of(s))
         # image
-        for fidx in maps:
-            img_fam = _family_image(fidx, n, n, fam)
-            fmap = {space.points[i]: space.points[fidx[i]] for i in range(n)}
-            img = image_filter(fmap, f, space)
-            if img_fam != families[img.core_mask]:
+        for fidx, preimages, fmap in images:
+            if _family_image(preimages, fam) != families[image_filter(fmap, f, space).core_mask]:
                 fail("image", core=f.core, map=list(fidx))
         # roundify
-        rfam = _family_roundify(space, fam)
+        rfam = _family_roundify(space, radii, fam)
         rf = roundify(f)
         if rfam != families[rf.core_mask]:
             fail("roundify", core=f.core, collapsed=rf.core)
         # round reduction (definitional quantifies over every member)
-        if _family_is_round(space, fam) != bool(is_round(f)):
+        if _family_is_round(radii, fam) != bool(is_round(f)):
             fail("round-reduction", core=f.core)
     # intersection and distance on (a sample of) filter pairs; the members
-    # of the families are subsets, so their set distances are tabled once
+    # of the families are subsets, so their set distances are tabled once,
+    # classed by the ranks met as the filter space's are
     pairs = [(a, b) for a in cores for b in cores]
     if len(pairs) > pair_limit:
         pairs = [(a, b) for a, b in pairs if bin(a).count("1") <= 2 and bin(b).count("1") <= 2]
     q = space.quantale
-    table = _entry_classes([_set_distance_masks(space, s, t) for t in cores] for s in cores)
+    table = _distance_classes(space, cores)
     for a, b in pairs:
         inter = frozenset(families[a] & families[b])
         if inter != families[a | b]:
@@ -621,15 +635,13 @@ def _zero_distance_failure(tilde: CauchyFilterSpace):
     filters = tilde.filters
     passed = set()
     for f, zeros in zip(filters, tilde.space.zero_fwd):
-        while zeros:
-            low = zeros & -zeros
-            g = filters[low.bit_length() - 1]
+        for k in _bits(zeros):
+            g = filters[k]
             union = f.core_mask | g.core_mask
             if union not in passed:
                 if not is_cauchy(intersect(f, g)):
                     return {"cores": (f.core, g.core)}
                 passed.add(union)
-            zeros ^= low
     return None
 
 
@@ -1019,27 +1031,25 @@ PREDICATE_IDS = (
 def _dense_values(space: VSpace, samples: int, seed: int) -> list:
     """Stratified positive rationals covering every threshold cell, plus inf."""
     rng = random.Random(f"qc-dense:{seed}")
-    finite = sorted(
-        {e for row in space.dmat for e in row if e != Fraction(0) and e != INF}
-    )
-    bounds = [Fraction(0)] + finite
-    cells = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        cells.append((lo, hi))
+    # the distinct values ascend: 0, when present, first and INF last
+    bounds = [Fraction(0)] + [v for v in space._ranks.values if v and v is not INF]
     last = bounds[-1]
-    cells.append((last, last + 2))
-    out = []
-    per = max(1, samples // len(cells))
-    for lo, hi in cells:
-        span = hi - lo
-        for _ in range(per):
-            den = rng.randint(1, 12) * 4
-            num = rng.randint(1, den - 1)
-            out.append(lo + span * Fraction(num, den))
-    while len(out) < samples:
+    # per cell, lo and the span hi - lo as numerators and denominators, so
+    # that lo + span * num / den is one Fraction built on ints
+    cells = [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])] + [(last, Fraction(2))]
+    cells = [(lo.numerator, lo.denominator, s.numerator, s.denominator) for lo, s in cells]
+
+    def draw(a, b, c, d):
         den = rng.randint(1, 12) * 4
         num = rng.randint(1, den - 1)
-        out.append(last + 2 * Fraction(num, den))
+        return Fraction(a * d * den + c * num * b, b * d * den)
+
+    out = []
+    per = max(1, samples // len(cells))
+    for cell in cells:
+        out += [draw(*cell) for _ in range(per)]
+    while len(out) < samples:
+        out.append(draw(*cells[-1]))
     out.append(INF)
     return out
 
@@ -1050,19 +1060,18 @@ def _dedupe_by_pattern(space: VSpace, values) -> tuple:
     Every predicate consulted here depends on a candidate value only
     through its comparisons with the distance entries, so equal patterns
     give equal inner verdicts and the quantifiers over the full sample set
-    equal the quantifiers over the representatives.
+    equal the quantifiers over the representatives.  On the extended
+    rationals the entries are a chain, so a pattern (which entries are
+    <= v, and which are >= v) is fixed by how many entries are <= v and how
+    many are < v, read from the order keys (`_count_below`).  Both counts
+    grow with v, so the patterns sort as their values do.
     """
-    q = space.quantale
-    entries = sorted(
-        {e for row in space.dmat for e in row}, key=q.sort_key
-    )
+    q, form = space.quantale, space._ranks
     seen = {}
     for v in values:
-        key = tuple(q.leq(e, v) for e in entries) + tuple(
-            q.leq(v, e) for e in entries
-        )
-        seen.setdefault(key, v)
-    return tuple(sorted(seen.values(), key=q.sort_key))
+        le = q._count_below(form.keys, v)
+        seen.setdefault((le, le - (le > 0 and form.values[le - 1] == v)), v)
+    return tuple([seen[key] for key in sorted(seen)])
 
 
 @lru_cache(maxsize=64)
@@ -1191,12 +1200,15 @@ class _Ctx:
     instance's with its projection, `quotient`), the completion of each
     space asked for (`completion_of`: the instance's space, its separation
     quotient and the sibling's, so the embedding, functoriality and
-    universal-property checks do not complete them again), the combined
-    test values per (source, target) pair, and, per pair, whether each
-    index map is uniformly continuous (by the test-value loop `_uc_over`).
-    A check's runtime includes filling any memo it is the first to ask
-    for, so runtimes move between checks when the order or the set of
-    checks changes; verdicts and witnesses do not.
+    universal-property checks do not complete them again), and, per
+    (source, target) pair, the combined test values and whether each index
+    map is uniformly continuous (by the test-value loop `_uc_over`).  The
+    per-core and per-pair verdict tables are attributes set here, read
+    without a memo call; the test values of a pair are one tuple per
+    instance, so the balls of its radii are identity hits in each space's
+    cache (`qc.vspace`).  A check's runtime includes filling any memo it is
+    the first to ask for, so runtimes move between checks when the order
+    or the set of checks changes; verdicts and witnesses do not.
     """
 
     def __init__(self, gen: InstanceGenerator, child_seed: int):
@@ -1208,6 +1220,12 @@ class _Ctx:
         self.uva = has_uniformly_vanishing_asymmetry(self.space)
         self.va = has_vanishing_asymmetry(self.space)
         self._cache: dict = {}
+        # per core: Cauchy forward and backward, round, roundified, minimal
+        self._cauchy, self._cauchy_op, self._round, self._roundified, self._minimal = (
+            {}, {}, {}, {}, {})
+        # per (source, target): the combined test values, and per index map
+        # whether it is uniformly continuous
+        self._uc: dict = {}
 
     def check_rng(self, check_id: str) -> random.Random:
         return random.Random(f"qc-check:{self.seed}:{check_id}")
@@ -1222,31 +1240,31 @@ class _Ctx:
         return range(1, self.space.full_mask + 1)
 
     def cauchy(self, mask: int, fwd: bool = True) -> bool:
-        table = self._memo(("cauchy", fwd), lambda: {})
-        if mask not in table:
-            table[mask] = (
-                _cauchy_over(Filter(self.space, mask), self.space.test_values, fwd)
-                is None
-            )
-        return table[mask]
+        table = self._cauchy if fwd else self._cauchy_op
+        verdict = table.get(mask)
+        if verdict is None:
+            f = Filter(self.space, mask)
+            verdict = table[mask] = _cauchy_over(f, self.space.test_values, fwd) is None
+        return verdict
 
     def round_(self, mask: int) -> bool:
-        table = self._memo(("round",), lambda: {})
-        if mask not in table:
-            table[mask] = bool(is_round(Filter(self.space, mask)))
-        return table[mask]
+        verdict = self._round.get(mask)
+        if verdict is None:
+            verdict = self._round[mask] = bool(is_round(Filter(self.space, mask)))
+        return verdict
 
     def roundified(self, mask: int) -> int:
-        table = self._memo(("roundify",), lambda: {})
-        if mask not in table:
-            table[mask] = roundify(Filter(self.space, mask)).core_mask
-        return table[mask]
+        core = self._roundified.get(mask)
+        if core is None:
+            core = self._roundified[mask] = roundify(Filter(self.space, mask)).core_mask
+        return core
 
     def minimal(self, mask: int) -> bool:
-        table = self._memo(("minimal",), lambda: {})
-        if mask not in table:
-            table[mask] = bool(definitional_is_minimal_cauchy(Filter(self.space, mask)))
-        return table[mask]
+        verdict = self._minimal.get(mask)
+        if verdict is None:
+            f = Filter(self.space, mask)
+            verdict = self._minimal[mask] = bool(definitional_is_minimal_cauchy(f))
+        return verdict
 
     def point_filters(self, fwd: bool = True):
         """Point filters by their test-value loop, not the library's zero masks."""
@@ -1286,24 +1304,23 @@ class _Ctx:
             ("sep_sibling",), lambda: separation_quotient(self.sibling)[0]
         )
 
-    def test_values(self, source: VSpace, target: VSpace) -> tuple:
-        return self._memo(
-            ("tv", source, target), lambda: combined_test_values(source, target)
-        )
-
     def uc(self, fidx, source: VSpace, target: VSpace) -> bool:
         """Whether the index map `fidx` is uniformly continuous from
         `source` to `target`, by the test-value loop, decided once."""
-        table = self._memo(("uc", source, target), lambda: {})
-        if fidx not in table:
-            tv = self.test_values(source, target)
-            table[fidx] = bool(_uc_over(fidx, source, target, tv, tv))
-        return table[fidx]
+        key = (source, target)
+        pair = self._uc.get(key)
+        if pair is None:
+            pair = self._uc[key] = (combined_test_values(source, target), {})
+        tv, table = pair
+        verdict = table.get(fidx)
+        if verdict is None:
+            verdict = table[fidx] = bool(_uc_over(fidx, source, target, tv, tv))
+        return verdict
 
-    def uc_maps(self, source: VSpace, target: VSpace):
+    def uc_maps(self, source: VSpace, target: VSpace) -> list[tuple]:
+        """The uniformly continuous index maps from `source` to `target`."""
         return [
-            {source.points[i]: target.points[v] for i, v in enumerate(fidx)}
-            for fidx in product(range(target.size), repeat=source.size)
+            fidx for fidx in product(range(target.size), repeat=source.size)
             if self.uc(fidx, source, target)
         ]
 
@@ -1447,16 +1464,8 @@ def _check_ball_distance_bounds(ctx: _Ctx):
     return None
 
 
-def _image_mask(fidx, fmask: int, src: VSpace) -> int:
-    img = 0
-    for i in range(src.size):
-        if fmask >> i & 1:
-            img |= 1 << fidx[i]
-    return img
-
-
-def _morphism_ok(uc: bool, fidx, fmask: int, gmask: int, src: VSpace) -> bool:
-    return uc and _image_mask(fidx, fmask, src) | gmask == gmask
+def _morphism_ok(uc: bool, fidx, fmask: int, gmask: int) -> bool:
+    return uc and _image_core(fidx, fmask) | gmask == gmask
 
 
 def _check_roundify_functorial(ctx: _Ctx):
@@ -1468,8 +1477,8 @@ def _check_roundify_functorial(ctx: _Ctx):
         for fm in range(x.full_mask + 1):
             # a morphism iff the image lies in the target core (the map is
             # uniformly continuous here), so the images are taken once
-            img = _image_mask(fidx, fm, x)
-            rimg = _image_mask(fidx, ctx.roundified(fm), x)
+            img = _image_core(fidx, fm)
+            rimg = _image_core(fidx, ctx.roundified(fm))
             for gm in range(y.full_mask + 1):
                 if img | gm == gm and rimg | ry[gm] != ry[gm]:
                     return {
@@ -1493,8 +1502,8 @@ def _check_roundify_adjunction(ctx: _Ctx):
         uc = ctx.uc(fidx, x, y)
         for fm in x_c:
             for gm in y_cr:
-                lhs = _morphism_ok(uc, fidx, ctx.roundified(fm), gm, x)
-                rhs = _morphism_ok(uc, fidx, fm, gm, x)
+                lhs = _morphism_ok(uc, fidx, ctx.roundified(fm), gm)
+                rhs = _morphism_ok(uc, fidx, fm, gm)
                 if lhs != rhs:
                     return {
                         "map": list(fidx),
@@ -1525,8 +1534,8 @@ def _check_morphism_composition(ctx: _Ctx):
         fidx = [rng.randrange(y.size) for _ in range(x.size)]
         gidx = [rng.randrange(x.size) for _ in range(y.size)]
         fm = rng.getrandbits(x.size)
-        gm = _image_mask(fidx, fm, x) | rng.getrandbits(y.size)
-        hm = _image_mask(gidx, gm, y) | rng.getrandbits(x.size)
+        gm = _image_core(fidx, fm) | rng.getrandbits(y.size)
+        hm = _image_core(gidx, gm) | rng.getrandbits(x.size)
         fmap = {p: y.points[v] for p, v in zip(x.points, fidx)}
         gmap = {q: x.points[v] for q, v in zip(y.points, gidx)}
         f, g, h = Filter(x, fm), Filter(y, gm), Filter(x, hm)
@@ -1704,7 +1713,7 @@ def _check_completion_functorial(ctx: _Ctx):
     x, y = ctx.separated, ctx.sep_sibling
     maps = ctx.uc_maps(x, y)
     rng = ctx.check_rng("functorial")
-    fmap = maps[rng.randrange(len(maps))]
+    fmap = dict(zip(x.points, [y.points[v] for v in maps[rng.randrange(len(maps))]]))
     cx, cy = ctx.completion_of(x), ctx.completion_of(y)
     induced = induced_completion_map(fmap, cx, cy)
     uc = is_uniformly_continuous(induced, cx.space, cy.space)
@@ -1734,7 +1743,8 @@ def _check_universal_property(ctx: _Ctx):
     quotient, projection = ctx.quotient
     target = ctx.completion_of(ctx.sep_sibling).space
     maps = ctx.uc_maps(quotient, target)
-    g = maps[ctx.check_rng("universal").randrange(len(maps))]
+    fidx = maps[ctx.check_rng("universal").randrange(len(maps))]
+    g = dict(zip(quotient.points, [target.points[v] for v in fidx]))
     fmap = {p: g[projection[p]] for p in ctx.space.points}
     comp = ctx.completion
     mapping = extend_to_completion(fmap, comp, target).mapping

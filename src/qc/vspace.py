@@ -29,25 +29,30 @@ entries apart by type and value (`_entry_classes`); reading a space file
 parses each distinct literal once the same way, and entries that denote
 one element share a value.  `dmat` is a read-only view of the matrix
 built on first use.  Every order-only predicate reads the rank form: the
-order is consulted once per (space, eps) over the distinct values to
-select the ranks of a ball (the values <= eps), a strict ball or a zero
+order is consulted once per (space, eps object) over the distinct values
+to select the ranks of a ball (the values <= eps), a strict ball or a zero
 mask (rank 0, as 0 sorts first), and one kernel, `_RankForm.masks`,
 gathers per row the lanes of the selected ranks, in one C-level pass per
 row with at most 256 values.  Balls, zero neighbourhoods, the separation
 test and the uniform flip behind symmetry moduli are mask operations;
 the symmetry test and the twin classes compare ranks with their
-transpose.  Strict balls share the ball cache.  `dual()` takes the
-transposed ranks and `separation_quotient` the representatives' rows and
-columns, over the base's values and keys with no value checked again;
-the dual is built once and linked back, so `space.dual().dual() is
-space`.  A set distance collects the ranks of the cross entries as a mask
-(`_set_distance_ranks`) and takes their meet in one private quantale
-kernel, `ValueQuantale._meet_ranks` (the lowest rank on the
-extended-rational chain, a fold of the meet table on finite quantales), so
-filter distances make no checked element call per value.  A space of
-filters is classed by those rank masks, with one meet per class
-(`qc.completion._filters_to_space`), and handed to `VSpace` as
-`_EntryClasses`, so its entries are never hashed one by one.
+transpose.  Balls and strict balls are cached per space on the identity
+of the radius, each entry holding its radius so that the id is not
+reused: a hit hashes no Fraction, and an equal radius that is another
+object misses and gets the same masks.  A run of fresh radius objects
+empties the cache rather than grow it.  `dual()` takes the transposed
+ranks and `separation_quotient` the representatives' rows and columns,
+over the base's values and keys with no value checked again; the dual is
+built once and linked back, so `space.dual().dual() is space`.  A set
+distance collects the ranks of the cross entries as a mask
+(`_cross_ranks`) and takes their meet in one private quantale kernel,
+`ValueQuantale._meet_ranks` (the lowest rank on the extended-rational
+chain, a fold of the meet table on finite quantales), so filter distances
+make no checked element call per value.  A space of filters is classed by
+those rank masks, with one meet per class
+(`qc.completion._distance_classes`), and handed to `VSpace` as
+`_EntryClasses` marked checked: its entries are never hashed one by one,
+and the meets, elements already, are not checked again.
 
 The rank form also holds one exact order key per value where the quantale
 has them.  On the extended rationals a key is value * L as an int, with L
@@ -158,30 +163,42 @@ class VSpace:
         return tuple([p for i, p in enumerate(self.points) if mask >> i & 1])
 
     def _balls(self, eps, forward: bool) -> tuple[int, ...]:
-        """Per point, the mask of the ball of radius eps around it."""
-        key = (forward, eps)
-        balls = self._ball_cache.get(key)
-        if balls is None:
+        """Per point, the mask of the ball of radius eps around it.
+
+        Cached on the identity of `eps`: each entry holds `eps`, so its id is
+        not reused while the entry lives, and a hit hashes no Fraction.
+        """
+        hit = self._ball_cache.get((forward, id(eps)))
+        if hit is None:
             form, q = self._ranks, self.quantale
             if form.keys is None:
                 below = q._below_mask(form.values, eps)
             else:
                 below = (1 << q._count_below(form.keys, eps)) - 1
-            balls = self._ball_cache[key] = form.masks(below, forward)
-        return balls
+            hit = self._keep((forward, id(eps)), eps, form.masks(below, forward))
+        return hit[1]
 
     def _ball(self, i: int, eps, forward: bool) -> int:
         return self._balls(eps, forward)[i]
 
     def _strict_balls(self, eps) -> tuple[int, ...]:
-        """Per point x, the mask of the y with eps well above d(x,y)."""
-        key = ("strict", eps)
-        balls = self._ball_cache.get(key)
-        if balls is None:
+        """Per point x, the mask of the y with eps well above d(x,y); cached
+        on the identity of `eps`, as `_balls` is."""
+        key = ("strict", id(eps))
+        hit = self._ball_cache.get(key)
+        if hit is None:
             form, q = self._ranks, self.quantale
             strict = sum(1 << u for u, v in enumerate(form.values) if q.well_above(eps, v))
-            balls = self._ball_cache[key] = form.masks(strict, True)
-        return balls
+            hit = self._keep(key, eps, form.masks(strict, True))
+        return hit[1]
+
+    def _keep(self, key, eps, balls) -> tuple:
+        # a run of fresh radius objects (int radii given to the public
+        # calls) empties the cache instead of growing it
+        if len(self._ball_cache) >= _RADIUS_CACHE_LIMIT:
+            self._ball_cache.clear()
+        hit = self._ball_cache[key] = (eps, balls)
+        return hit
 
     @cached_property
     def zero_fwd(self) -> tuple[int, ...]:
@@ -236,12 +253,14 @@ class _EntryClasses(NamedTuple):
 
     `classes[i][j]` indexes `values`, and every value is the class of some
     entry.  Values need not be checked elements yet, and two of them may
-    denote the same element: `_RankForm` checks each once and merges equal
-    ones.
+    denote the same element: `_RankForm` checks each once, unless `checked`
+    says they are elements of the space's quantale already, and merges
+    equal ones.
     """
 
     values: Sequence
     classes: Sequence
+    checked: bool = False
 
 
 def _entry_classes(rows, parse=None) -> _EntryClasses:
@@ -310,9 +329,12 @@ class _RankForm:
     __slots__ = ("values", "rank", "keys", "_transpose")
 
     def __init__(self, quantale: ValueQuantale, entries: _EntryClasses):
-        # one check per distinct entry, then one pass of the quantale's kernel
-        # sorts the values, merges entries denoting one element and keys them
-        checked = [quantale.check(v) for v in entries.values]
+        # one check per distinct entry not checked yet, then one pass of the
+        # quantale's kernel sorts the values, merges entries denoting one
+        # element and keys them
+        checked = entries.values
+        if not entries.checked:
+            checked = [quantale.check(v) for v in checked]
         self.values, renumber, self.keys = quantale._rank_values(checked)
         self.rank = tuple([tuple([renumber[c] for c in row]) for row in entries.classes])
         self._transpose = None
@@ -366,6 +388,9 @@ class _RankForm:
             return (0,) * len(self.rank)
         return self.masks(1, forward)
 
+
+# entries of a space's radius cache before it is emptied
+_RADIUS_CACHE_LIMIT = 1024
 
 # per byte of rank: the binary digit of "rank 0"
 _RANK_ZERO_DIGITS = b"1" + b"0" * 255
@@ -451,10 +476,7 @@ def validate_vspace(space: VSpace) -> ValidationReport:
             )
     for i, row in _triangle_violations(space):
         for j, bad in enumerate(row):
-            while bad:
-                low = bad & -bad
-                k = low.bit_length() - 1
-                bad ^= low
+            for k in _bits(bad):
                 lhs = values[rank[i][k]]
                 rhs = q.add(values[rank[i][j]], values[rank[j][k]])
                 failures.append(
@@ -659,25 +681,28 @@ def set_distance(space: VSpace, source, target):
 
 def _set_distance_masks(space: VSpace, smask: int, tmask: int):
     # the meet is idempotent, so it runs over the ranks of the values that occur
-    return space.quantale._meet_ranks(space._ranks.values, _set_distance_ranks(space, smask, tmask))
+    form = space._ranks
+    rows = [form.rank[s] for s in _bits(smask)]
+    return space.quantale._meet_ranks(form.values, _cross_ranks(rows, _bits(tmask)))
 
 
-def _set_distance_ranks(space: VSpace, smask: int, tmask: int) -> int:
-    """The mask of the ranks of the values d(s,t) over the cross pairs."""
-    rank = space._ranks.rank
-    targets = []
-    while tmask:
-        low = tmask & -tmask
-        tmask ^= low
-        targets.append(low.bit_length() - 1)
+def _cross_ranks(rows, targets) -> int:
+    """The mask of the ranks row[t], over the rows of ranks and the targets."""
     ranks = 0
-    while smask:
-        low = smask & -smask
-        smask ^= low
-        row = rank[low.bit_length() - 1]
+    for row in rows:
         for t in targets:
             ranks |= 1 << row[t]
     return ranks
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
 
 
 def classify(space: VSpace) -> dict:
@@ -821,7 +846,11 @@ def is_uniformly_continuous(fmap: dict, source: VSpace, target: VSpace) -> Verdi
     """
     if source.quantale != target.quantale:
         raise DomainMismatchError("uniform continuity needs a shared quantale")
-    fidx = _as_index_map(fmap, source, target)
+    return _uc_verdict(_as_index_map(fmap, source, target), source, target)
+
+
+def _uc_verdict(fidx, source: VSpace, target: VSpace) -> Verdict:
+    """`is_uniformly_continuous` on an index map over one quantale."""
     # over one quantale the test values of one space are empty iff those of
     # any spaces are
     if source.test_values:

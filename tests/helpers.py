@@ -123,3 +123,41 @@ def sorted_rank_values(q, checked, budget=128):
     if finite < len(values):
         ks.append(2 * ks[-1] + 1 if ks else 1)
     return values, renumber, (tuple(ks), scale, finite)
+
+
+def count_checks(build) -> int:
+    """The number of `check` calls of the quantales in `qc.quantale` that
+    `build()` makes, counted by a profiler."""
+    import sys
+
+    import qc.quantale
+
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "check" and code.co_filename == qc.quantale.__file__:
+            calls += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        build()
+    finally:
+        sys.setprofile(old)
+    return calls
+
+
+def leq_pattern_dedupe(space, values) -> tuple:
+    """One value per pattern of checked comparisons with the distinct
+    entries (e <= v and v <= e for each entry e), first come first kept,
+    in ascending order: the definition `qc.verify._dedupe_by_pattern`
+    reads from two counts on the order keys."""
+    q = space.quantale
+    entries = sorted({e for row in space.dmat for e in row}, key=q.sort_key)
+    seen = {}
+    for v in values:
+        key = tuple(q.leq(e, v) for e in entries) + tuple(q.leq(v, e) for e in entries)
+        seen.setdefault(key, v)
+    return tuple(sorted(seen.values(), key=q.sort_key))

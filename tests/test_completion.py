@@ -292,6 +292,28 @@ class TestFilterSpaceBuilder:
                 kinds[bool(has_uniformly_vanishing_asymmetry(space))] += 1
         assert min(kinds.values()) >= 30, kinds
 
+    def test_checks_no_value(self, Q3, pinched):
+        # the meets are elements of the base's quantale already: building the
+        # filter space makes no `quantale.check` call, while a space built
+        # from the same matrix checks its entries
+        import random
+
+        from helpers import count_checks
+        from qc.completion import _filters_to_space
+        from test_vspace import _raw_space
+
+        rng = random.Random(20261024)
+        built = 0
+        for t in range(60):
+            q = (E, Q3, pinched)[t % 3]
+            space = _raw_space(rng, q, rng.randint(1, 4))
+            filters = [Filter(space, m) for m in range(1, space.full_mask + 1)]
+            assert count_checks(lambda: _filters_to_space(space, filters)) == 0
+            tilde = _filters_to_space(space, filters)
+            assert count_checks(lambda: VSpace(q, tilde.points, tilde.dmat)) == len(tilde._ranks.values)
+            built += len(filters) > 1
+        assert built > 30
+
     def test_meet_outside_the_base(self, pinched):
         # a and b are incomparable; the distance from {x} to {y,z} is their
         # meet e, which no entry of the base holds

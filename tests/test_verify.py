@@ -169,6 +169,22 @@ class TestTriangleRepair:
         repaired, rounds = triangle_repair(E, x2a.dmat)
         assert [list(r) for r in x2a.dmat] == repaired
 
+    def test_checks_each_distinct_entry_once(self, Q3):
+        # one `quantale.check` per distinct entry object, however often it
+        # occurs in the matrix
+        import random
+
+        from helpers import count_checks
+
+        rng = random.Random(20261025)
+        for t in range(40):
+            q = (E, Q3)[t % 2]
+            pool = list(range(q.size)) if q.is_finite else [Fraction(0), INF, Fraction(1, 2), 3, Fraction(3)]
+            n = rng.randint(1, 6)
+            d = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            distinct = len({id(e) for row in d for e in row})
+            assert count_checks(lambda: triangle_repair(q, d)) == distinct, d
+
     def test_matches_definition(self, Q1, Q3, chain4, pinched):
         # the keyed and table loops against the checked one, on raw matrices
         # (diagonals off, INF, ints, and denominators whose lcm passes the
@@ -259,6 +275,35 @@ class TestEpsilonOracle:
         assert values[-1] == INF
         for v in values[:-1]:
             assert isinstance(v, Fraction) and v > 0
+
+    def test_dedupe_matches_leq_patterns(self):
+        # the two-count key against the pattern of checked comparisons, on
+        # the gate's spaces, 50 generated ones and one past the key budget,
+        # with samples that hit the entries exactly (equal, and as copies)
+        import random
+
+        from helpers import leq_pattern_dedupe
+        from qc.verify import _dedupe_by_pattern, _epsilon_battery
+
+        rng = random.Random(20261026)
+        big = [2**89 - 1, 2**107 - 1, 2**127 - 1]
+        wide = VSpace(E, ["a", "b", "c"], [[Fraction(i + j, big[(i + 2 * j) % 3]) for j in range(3)]
+                                          for i in range(3)])
+        assert wide._ranks.keys.scale is None
+        gen = InstanceGenerator(seed=20261026, max_points=5)
+        spaces = _epsilon_battery() + [s for _, s in gen.instances(50)] + [wide]
+        classes = exact = 0
+        for space in spaces:
+            values = list(space._ranks.values)
+            samples = _dense_values(space, 160, seed=11) + values + list(space.test_values)
+            samples += [Fraction(v.numerator, v.denominator) for v in values if v != INF]
+            rng.shuffle(samples)
+            got = _dedupe_by_pattern(space, samples)
+            assert got == leq_pattern_dedupe(space, samples), space.dmat
+            classes += len(got)
+            exact += len(set(got) & set(values))
+        # about half the classes are the entries themselves
+        assert classes > 5 * len(spaces) and exact > 2 * len(spaces), (classes, exact)
 
     def test_unknown_predicate(self, x2a):
         with pytest.raises(PreconditionError):
@@ -514,7 +559,7 @@ class TestFilterMorphismChecks:
                 for fm in range(x.full_mask + 1):
                     for gm in range(x.full_mask + 1):
                         lib = is_filter_morphism(fmap, Filter(x, fm), Filter(x, gm))
-                        loop = _morphism_ok(uc, fidx, fm, gm, x)
+                        loop = _morphism_ok(uc, fidx, fm, gm)
                         assert bool(lib) == loop, (x, fidx, fm, gm)
                         verdicts.add((uc, loop))
         assert verdicts == {(True, True), (True, False), (False, False)}

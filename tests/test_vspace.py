@@ -900,6 +900,76 @@ def _lane_space(q, far, src):
     return VSpace(q, [f"p{x}" for x in range(len(src))], [[base[a][b] for b in src] for a in src])
 
 
+class TestRadiusCache:
+    # balls and strict balls are cached on the identity of the radius, each
+    # entry holding its radius so that its id is not reused; equal radii
+    # that are distinct objects, and fresh radii that CPython places where
+    # freed ones were, must still read the per-entry definitions
+    @staticmethod
+    def _assert_balls(space, eps):
+        from qc.verify import definitional_balls
+
+        q = space.quantale
+        assert (space._balls(eps, True), space._balls(eps, False)) == (
+            definitional_balls(space, eps)
+        ), (space.dmat, eps)
+        assert space._strict_balls(eps) == tuple(
+            sum(1 << j for j, e in enumerate(row) if q.well_above(eps, e)) for row in space.dmat
+        ), (space.dmat, eps)
+
+    @staticmethod
+    def _spaces(rng, Q3, pinched):
+        spaces = [_raw_space(rng, q, rng.randint(1, 6)) for q in (E, Q3, pinched) for _ in range(20)]
+        return spaces + [_many_values_space(rng, n) for n in (18, 20)]
+
+    def test_equal_radii_of_distinct_objects(self, Q3, pinched):
+        import random
+
+        rng = random.Random(20261022)
+        for space in self._spaces(rng, Q3, pinched):
+            if space.quantale.is_finite:
+                radii = list(space.quantale.elements())
+            else:
+                values = space._ranks.values
+                some = rng.sample(values, min(6, len(values))) + [space.test_values[0]]
+                copies = [Fraction(v.numerator, v.denominator) for v in some if v != INF]
+                radii = [Fraction(1, 2), Fraction(1, 2), 1, Fraction(1), INF, type(INF)()]
+                radii += some + copies
+            for eps in radii:
+                self._assert_balls(space, eps)
+            # every radius read again, now from the cache
+            for eps in radii:
+                self._assert_balls(space, eps)
+
+    def test_fresh_radii_that_reuse_ids(self, Q3, pinched):
+        import random
+
+        # the premise: a freed Fraction's id goes to the next one allocated
+        ids = set()
+        for k in range(50):
+            eps = Fraction(k, 3)
+            ids.add(id(eps))
+            del eps
+        assert len(ids) < 50
+        rng = random.Random(20261023)
+        for space in self._spaces(rng, Q3, pinched):
+            top = int(2 * max([v for v in space._ranks.values if v != INF], default=4)) + 2
+            for _ in range(20 if space.size > 6 else 60):
+                if space.quantale.is_finite:
+                    self._assert_balls(space, rng.randrange(space.quantale.size))
+                else:
+                    self._assert_balls(space, Fraction(rng.randint(0, 4 * top), rng.randint(1, 4)))
+
+    def test_fresh_radii_do_not_grow_the_cache(self):
+        from qc.vspace import _RADIUS_CACHE_LIMIT
+
+        space = VSpace(E, ["a", "b"], [[0, 1], [2, 0]])
+        for k in range(3 * _RADIUS_CACHE_LIMIT):
+            # an int radius is checked into a fresh Fraction on every call
+            assert ball(space, "a", k % 3) == ({"a"} if k % 3 == 0 else {"a", "b"})
+        assert 0 < len(space._ball_cache) <= _RADIUS_CACHE_LIMIT
+
+
 class TestTriangleKernels:
     # validate_vspace against the triple loop on every route into the two
     # triangle kernels, with the kernel that ran asserted, so that a
@@ -1095,6 +1165,18 @@ class TestBuildPath:
         q = BUILTIN_QUANTALES[qname]
         with pytest.raises(DomainMismatchError):
             VSpace(q, ["a", "b"], [[0, 1], [later, 0]])
+
+    def test_unchecked_entries_still_refused(self, Q3, pinched):
+        # only entry classes marked checked skip the element check: a public
+        # matrix, or entry classes without the mark, with a negative, bool or
+        # out-of-range entry is refused as before
+        from qc.vspace import _EntryClasses
+
+        for q, bad in ((E, -1), (E, Fraction(-1, 2)), (E, True), (Q3, True), (Q3, -1), (pinched, 9)):
+            with pytest.raises(DomainMismatchError):
+                VSpace(q, ["a", "b"], [[q.bottom, bad], [q.bottom, q.bottom]])
+            with pytest.raises(DomainMismatchError):
+                VSpace(q, ["a", "b"], _EntryClasses([q.bottom, bad], [[0, 1], [0, 0]]))
 
     def test_equivalent_literals_share_a_value(self, chain4):
         from qc import serialize

@@ -53,6 +53,8 @@ CARRIER = "tests/test_vspace.py::TestCarrierAttributes"
 HELD_MEMORY = "tests/test_completion.py::TestRepeatedCompletions"
 RADIUS_CACHE = "tests/test_vspace.py::TestRadiusCache"
 DEDUPE = "tests/test_verify.py::TestEpsilonOracle::test_dedupe_matches_leq_patterns"
+KEY_CUT = "tests/test_vspace.py::TestStrictBallKeyCut"
+LANES = "tests/test_verify.py::TestCoreLanes"
 
 
 class Mutant(NamedTuple):
@@ -328,7 +330,35 @@ MUTANTS = (
         "vspace.py",
         'key = ("strict", id(eps))',
         'key = ("strict",)',
-        (KERNELS,),
+        (KEY_CUT,),
+    ),
+    Mutant(
+        "strict-cut-bisect-right",
+        "vspace.py",
+        "from bisect import bisect_left\n",
+        "from bisect import bisect_right as bisect_left\n",
+        (KEY_CUT,),
+    ),
+    Mutant(
+        "down-lanes-drop-empty-core",
+        "verify.py",
+        "lanes, sub = 1, mask",
+        "lanes, sub = 0, mask",
+        (LANES,),
+    ),
+    Mutant(
+        "minimal-lanes-subtract-non-strict-down-closure",
+        "verify.py",
+        "return cauchy & ~below & ~1",
+        "return cauchy & ~(below | cauchy) & ~1",
+        (LANES,),
+    ),
+    Mutant(
+        "cauchy-lanes-or-over-radii",
+        "verify.py",
+        "lanes &= covered",
+        "lanes |= covered",
+        (LANES,),
     ),
     Mutant(
         "uc-witness-source-test-values",

@@ -144,11 +144,14 @@ class ValueQuantale:
     """Interface shared by the quantale families.
 
     Subclasses provide: check, leq, add, meet, join, well_above, sort_key,
-    format, parse, bottom, top, and the rank kernels _rank_values,
-    _meet_ranks, _below_mask, and _count_below where the quantale has
-    order keys.  `_rank_values` is the one pass that compiles a space:
-    it sorts and merges the checked entries and gives the values their
-    order keys together, on int keys wherever the quantale has them.
+    format, parse, bottom, top, the unchecked join `_join` of elements
+    already checked, and the rank kernels _rank_values, _meet_ranks,
+    _below_mask, and _count_below where the quantale has order keys.
+    `_rank_values` is the one pass that compiles a space: it sorts and
+    merges the checked entries and gives the values their order keys
+    together, on int keys wherever the quantale has them.  `parse` returns
+    checked elements (`check` leaves them as they are), so a space read
+    from a file checks no value again.
     """
 
     is_finite: bool = False
@@ -301,7 +304,10 @@ class ExtendedRationalQuantale(ValueQuantale):
         return min(map(self.check, elements), default=INF)
 
     def join(self, elements):
-        return max(map(self.check, elements), default=_ZERO)
+        return self._join(map(self.check, elements))
+
+    def _join(self, checked):
+        return max(checked, default=_ZERO)
 
     def well_above(self, a, b):
         a, b = self.check(a), self.check(b)
@@ -651,9 +657,10 @@ class FiniteQuantale(ValueQuantale):
         )
 
     def join(self, elements):
-        return reduce(
-            lambda p, q: self._join_t[p][q], (self.check(e) for e in elements), self._bottom
-        )
+        return self._join(self.check(e) for e in elements)
+
+    def _join(self, checked):
+        return reduce(lambda p, q: self._join_t[p][q], checked, self._bottom)
 
     def well_above(self, a, b):
         return self._wa[self.check(a)][self.check(b)]

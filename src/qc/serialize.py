@@ -25,7 +25,7 @@ from .quantale import (
     ValueQuantale,
     validate_value_quantale,
 )
-from .vspace import VSpace, _entry_classes
+from .vspace import VSpace, _EntryClasses, _entry_classes
 
 SCHEMA = "qc/1"
 
@@ -162,9 +162,11 @@ def parse_space(payload) -> VSpace:
     rows = payload["d"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise StructureError("space distances must be a list of rows, each a list")
-    # each distinct literal is parsed once; VSpace checks each parsed value
-    # once and merges literals that denote the same element
-    return VSpace(q, points, _entry_classes(rows, q.parse))
+    # each distinct literal is parsed once, and `parse` returns what `check`
+    # would, so the values are marked checked; VSpace merges literals that
+    # denote the same element
+    entries = _entry_classes(rows, q.parse)
+    return VSpace(q, points, _EntryClasses(entries.values, entries.classes, True))
 
 
 # --- filters ----------------------------------------------------------------

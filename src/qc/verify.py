@@ -15,7 +15,10 @@ Five layers of defence:
   zero-distance filters, and `definitional_is_minimal_cauchy`, which tries
   every core above a filter's) and the extension of a map by limits of
   image filters (`definitional_extension`) are oracles for the closed
-  forms the library uses;
+  forms the library uses; the theorem suite reads the Cauchy and minimal
+  verdicts of the test-value loop for all 2^n cores at once, as lane
+  tables (one 2^n-bit int per verdict, see `_Ctx`), and the tests compare
+  those lanes with `_cauchy_over` and `definitional_is_minimal_cauchy`;
 * the per-entry definitions of the triangle law, balls, the uniform flip,
   the entourage core and set distances (and VA, UVA and symmetry moduli on
   top of them) are oracles for the rank-compiled kernels of `qc.vspace`,
@@ -385,10 +388,11 @@ def _family_distance(q: ValueQuantale, table: _EntryClasses, m1: frozenset, m2: 
 
     `table` numbers the set distances by class (`_distance_classes`), so
     the pairs are gathered as ints; the join is idempotent, so it runs over
-    the distinct classes read.
+    the distinct classes read.  The class values are meets, elements
+    already, so the join checks none of them again.
     """
     classes = table.classes
-    return q.join([table.values[c] for c in {classes[s][t] for s in m1 for t in m2}])
+    return q._join([table.values[c] for c in {classes[s][t] for s in m1 for t in m2}])
 
 
 def _family_roundify(space: VSpace, radii, members: frozenset) -> frozenset:
@@ -977,6 +981,43 @@ def _cauchy_over(f: Filter, values, fwd: bool):
     return None
 
 
+@lru_cache(maxsize=1024)
+def _down_lanes(mask: int) -> int:
+    """The lanes of every subset of `mask`: bit c is set iff c is a subset."""
+    lanes, sub = 1, mask  # lane 0: the empty core
+    while sub:
+        lanes |= 1 << sub
+        sub = (sub - 1) & mask
+    return lanes
+
+
+def _cauchy_lanes(space: VSpace, fwd: bool) -> int:
+    """`_cauchy_over` on every core at once: bit c is set iff core c passes
+    the test-value loop.  A core is covered by a ball of radius eps iff it
+    is a subset of one, so the lanes are the AND over the test values of
+    the OR over the points of the down-set lanes of their balls."""
+    lanes = (1 << (1 << space.size)) - 1
+    for eps in space.test_values:
+        covered = 0
+        for b in space._balls(eps, fwd):
+            covered |= _down_lanes(b)
+        lanes &= covered
+    return lanes
+
+
+def _minimal_lanes(space: VSpace, cauchy: int) -> int:
+    """The proper cores of the lanes `cauchy` with no Cauchy core strictly
+    above them.  Cauchy cores are a down-set, so a core has a Cauchy
+    core strictly above iff it has one with one point more: the lanes
+    one point below a Cauchy lane, one shift per point."""
+    full, every = space.full_mask, (1 << (1 << space.size)) - 1
+    below = 0
+    for x in range(space.size):
+        holding = every ^ _down_lanes(full ^ 1 << x)
+        below |= (cauchy & holding) >> (1 << x)
+    return cauchy & ~below & ~1
+
+
 def _round_over(f: Filter, values) -> bool:
     core = f.core_mask
     for eps in values:
@@ -1173,10 +1214,12 @@ def oracle_gate() -> list[VerificationReport]:
     if _GATE_CACHE is None:
         reports = [oracle_filters(n) for n in (1, 2, 3)]
         reports.append(oracle_collapsed_formulas(4))
+        # one battery for every predicate, so each space's ball cache serves all
+        battery = _epsilon_battery()
         for predicate in PREDICATE_IDS:
             agg = VerificationReport(id=f"oracle.epsilon.{predicate}")
             start = time.monotonic()
-            for space in _epsilon_battery():
+            for space in battery:
                 sub = oracle_epsilon_reduction(space, predicate, samples=160, seed=11)
                 agg.instances += sub.instances
                 agg.passes += sub.passes
@@ -1194,8 +1237,16 @@ def oracle_gate() -> list[VerificationReport]:
 class _Ctx:
     """Per-instance cache shared by the theorem checks.
 
-    Memoised once per instance: the Cauchy, round, roundified and minimal
-    verdicts per core (minimality by `definitional_is_minimal_cauchy`), the
+    Built with the instance: the Cauchy verdicts of every core on both
+    sides and the minimal ones, as lane tables (one 2^n-bit int each, bit
+    c for core c, so `cauchy` and `minimal` are bit tests).  The Cauchy
+    lanes are `_cauchy_over` on every core at once, the AND over the test
+    values of the OR over the points of the down-set lanes of their balls
+    (`_cauchy_lanes`); the minimal lanes are the proper Cauchy lanes
+    minus those one point below a Cauchy lane (`_minimal_lanes`, one shift
+    per point), which `definitional_is_minimal_cauchy` decides core by
+    core in the tests.  Memoised once per instance: the round and
+    roundified verdicts per core, which call the library they test, the
     loop point filters, the filter space, the separation quotients (the
     instance's with its projection, `quotient`), the completion of each
     space asked for (`completion_of`: the instance's space, its separation
@@ -1220,9 +1271,12 @@ class _Ctx:
         self.uva = has_uniformly_vanishing_asymmetry(self.space)
         self.va = has_vanishing_asymmetry(self.space)
         self._cache: dict = {}
-        # per core: Cauchy forward and backward, round, roundified, minimal
-        self._cauchy, self._cauchy_op, self._round, self._roundified, self._minimal = (
-            {}, {}, {}, {}, {})
+        # lane tables, bit c for core c: Cauchy forward and backward, minimal
+        self._cauchy = _cauchy_lanes(self.space, True)
+        self._cauchy_op = _cauchy_lanes(self.space, False)
+        self._minimal = _minimal_lanes(self.space, self._cauchy)
+        # per core: round, roundified
+        self._round, self._roundified = {}, {}
         # per (source, target): the combined test values, and per index map
         # whether it is uniformly continuous
         self._uc: dict = {}
@@ -1240,12 +1294,7 @@ class _Ctx:
         return range(1, self.space.full_mask + 1)
 
     def cauchy(self, mask: int, fwd: bool = True) -> bool:
-        table = self._cauchy if fwd else self._cauchy_op
-        verdict = table.get(mask)
-        if verdict is None:
-            f = Filter(self.space, mask)
-            verdict = table[mask] = _cauchy_over(f, self.space.test_values, fwd) is None
-        return verdict
+        return bool((self._cauchy if fwd else self._cauchy_op) >> mask & 1)
 
     def round_(self, mask: int) -> bool:
         verdict = self._round.get(mask)
@@ -1260,11 +1309,7 @@ class _Ctx:
         return core
 
     def minimal(self, mask: int) -> bool:
-        verdict = self._minimal.get(mask)
-        if verdict is None:
-            f = Filter(self.space, mask)
-            verdict = self._minimal[mask] = bool(definitional_is_minimal_cauchy(f))
-        return verdict
+        return bool(self._minimal >> mask & 1)
 
     def point_filters(self, fwd: bool = True):
         """Point filters by their test-value loop, not the library's zero masks."""
@@ -1972,21 +2017,28 @@ def _gates_open(ctx: _Ctx, gates) -> bool:
 
 
 def run_theorem_suite(generator: InstanceGenerator, count: int,
-                      checks=THEOREM_CHECKS) -> list[VerificationReport]:
+                      checks=THEOREM_CHECKS,
+                      timings: dict | None = None) -> list[VerificationReport]:
     """Run every theorem check over `count` generated instances.
 
     The oracle gate runs first and the suite refuses to start on any gate
     failure; its reports are `oracle_gate()`'s, not repeated here.  Returns
     one aggregated report per theorem; failures carry the child seed, the
     serialized instance, and the witness, enough to replay standalone.
+    When `timings` is given, the seconds spent building the instances
+    (`_Ctx`: generation, the (U)VA verdicts and the lane tables) are
+    added to its "generate" entry.
     """
     gate = oracle_gate()
     if any(r.failures for r in gate):
         bad = [r.id for r in gate if r.failures]
         raise InvariantError(f"oracle gate failed: {bad}; fast paths are not trusted")
     tallies = {c.id: VerificationReport(id=c.id) for c in checks}
+    generating = 0.0
     for child in generator.child_seeds(count):
+        start = time.monotonic()
         ctx = _Ctx(generator, child)
+        generating += time.monotonic() - start
         payload = None
         for check in checks:
             if not _gates_open(ctx, check.gates):
@@ -2007,4 +2059,6 @@ def run_theorem_suite(generator: InstanceGenerator, count: int,
                 report.failures += (
                     {"seed": ctx.seed, "instance": payload, "witness": witness},
                 )
+    if timings is not None:
+        timings["generate"] = timings.get("generate", 0.0) + generating
     return [tallies[c.id] for c in checks]

@@ -26,8 +26,9 @@ values in `sort_key` order, the rank of each entry among them, and the
 values' order keys.  The rank matrix is the only stored form of the
 distances.  Construction checks each distinct entry once, after telling
 entries apart by type and value (`_entry_classes`); reading a space file
-parses each distinct literal once the same way, and entries that denote
-one element share a value.  `dmat` is a read-only view of the matrix
+parses each distinct literal once the same way, checks no parsed value
+again (`parse` returns elements), and entries that denote one element
+share a value.  `dmat` is a read-only view of the matrix
 built on first use.  Every order-only predicate reads the rank form: the
 order is consulted once per (space, eps object) over the distinct values
 to select the ranks of a ball (the values <= eps), a strict ball or a zero
@@ -66,7 +67,9 @@ element's position in the chain; the quantale decides this once, from
 its order and addition tables.  Other finite tables have no keys, and no
 chain is assumed.  Either way x <= a + b iff key(x) <= key(a) + key(b).
 A ball bisects the keys at the radius's key (floor(eps * L) on the
-extended rationals).
+extended rationals).  On int-keyed extended-rational forms a strict ball
+(eps well above d, that is d < eps) is the keys below ceil(eps * L), one
+`bisect_left`; other forms ask `well_above` once per distinct value.
 
 The triangle check in `validate_vspace` has two kernels.  With int keys
 it packs each row of keys into one int, a lane per point with a guard bit
@@ -90,6 +93,7 @@ kept in `qc.verify` as oracles.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -183,12 +187,28 @@ class VSpace:
 
     def _strict_balls(self, eps) -> tuple[int, ...]:
         """Per point x, the mask of the y with eps well above d(x,y); cached
-        on the identity of `eps`, as `_balls` is."""
+        on the identity of `eps`, as `_balls` is.
+
+        On the extended rationals eps is well above v iff v < eps, so with
+        int keys the strict ranks are the finite keys below ceil(eps * L),
+        one bisection; eps = INF takes every finite key.  Finite quantales
+        and Fraction keys ask `well_above` of each distinct value.
+        """
         key = ("strict", id(eps))
         hit = self._ball_cache.get(key)
         if hit is None:
             form, q = self._ranks, self.quantale
-            strict = sum(1 << u for u, v in enumerate(form.values) if q.well_above(eps, v))
+            okeys = form.keys
+            if q.is_finite or okeys is None or okeys.scale is None:
+                strict = sum(1 << u for u, v in enumerate(form.values) if q.well_above(eps, v))
+            else:
+                e = q.check(eps)
+                cut = okeys.finite
+                if not isinstance(e, _Infinity):
+                    # key(v) < eps * L iff key(v) < ceil(eps * L): keys are ints
+                    ceil = -(-e.numerator * okeys.scale // e.denominator)
+                    cut = bisect_left(okeys.keys, ceil, 0, cut)
+                strict = (1 << cut) - 1
             hit = self._keep(key, eps, form.masks(strict, True))
         return hit[1]
 

@@ -411,13 +411,16 @@ class TestVerifyCommand:
         assert plain == timed and err1 == ""
         ids = [r["id"] for r in json.loads(timed)["payload"]["sections"][0]["reports"]]
         lines = [line.split(" ") for line in err2.splitlines()]
-        assert sorted(name for name, _ in lines) == sorted(ids)
+        # plus one line for the section's instance generation and one for the gate
+        assert sorted(name for name, _ in lines) == sorted(ids + ["generate.degenerate", "oracle_gate"])
         seconds = [float(s) for _, s in lines]
         assert seconds == sorted(seconds, reverse=True)
 
     def test_timings_name_each_check_once(self, capsys):
-        # the oracle gate is reported by its own section only, and a check
-        # run in several sections is one line timed over all of them
+        # the oracle gate's reports are listed by its own section only, and a
+        # check run in several sections is one line timed over all of them;
+        # the gate as a whole and each suite section's instance generation
+        # get one line each
         args = ["--format", "structured", "verify", "--suite", "all",
                 "--seed", "3", "--instances", "2", "--max-points", "3"]
         code, out, err = run(capsys, *args, "--timings")
@@ -426,7 +429,8 @@ class TestVerifyCommand:
         ids = {r["id"] for sec in sections for r in sec["reports"]}
         names = [line.split(" ")[0] for line in err.splitlines()]
         assert len(names) == len(set(names))
-        assert set(names) == ids
+        steps = {"oracle_gate"} | {f"generate.{sec}" for sec in ("theorems", "structures", "degenerate")}
+        assert set(names) == ids | steps
         gate = [r["id"] for sec in sections for r in sec["reports"]
                 if r["id"].startswith("oracle.")]
         assert gate and len(gate) == len(set(gate))
@@ -525,7 +529,7 @@ class TestVerifyFailurePath:
         import qc.cli as cli
 
         monkeypatch.setattr(
-            cli, "_suite_sections", lambda args: {"all_fake": lambda: [fake]}
+            cli, "_suite_sections", lambda args: {"all_fake": lambda spent: [fake]}
         )
         code, out, _ = run(capsys, "verify", "--suite", "all")
         assert code == 1

@@ -59,6 +59,16 @@ class TestMeetJoin:
                 chosen = [v for u, v in enumerate(values) if ranks >> u & 1]
                 assert q._meet_ranks(values, ranks) == q.meet(chosen), (q.label, ranks)
 
+    def test_unchecked_join_matches_checked_join(self, Q1, Q3, chain4, pinched):
+        # the oracle gate joins already-checked meets with `_join`: every
+        # subset of each quantale's elements (INF and incomparables included)
+        ext = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2), INF]
+        cases = [(E, ext)] + [(q, list(q.elements())) for q in (Q1, Q3, chain4, pinched)]
+        for q, values in cases:
+            for ranks in range(1 << len(values)):
+                chosen = [v for u, v in enumerate(values) if ranks >> u & 1]
+                assert q._join(chosen) == q.join(chosen), (q.label, ranks)
+
 
 class TestAdd:
     def test_top_absorbs(self):
@@ -175,6 +185,20 @@ class TestValidateQuantale:
 
 
 class TestElementHandling:
+    def test_parse_returns_checked_elements(self, Q1, Q3, chain4, pinched):
+        # a parsed space is not checked again, so `parse` must return what
+        # `check` returns: the same object, unchanged
+        texts = ["0", "7", "1/2", "6/4", "0010/0004", "0.25", "2.50", "1.5e2", "5E-1", "inf",
+                 0, 3, Fraction(2, 3), Fraction(0)]
+        for text in texts:
+            value = E.parse(text)
+            assert E.check(value) is value, text
+            assert isinstance(value, Fraction) or value is INF, text
+        for q in (Q1, Q3, chain4, pinched):
+            for text in list(q.names) + list(q.elements()):
+                value = q.parse(text)
+                assert q.check(value) is value and type(value) is int, (q.label, text)
+
     def test_parse_format_roundtrip(self, Q3):
         for text in ["1/2", "3", "0", "inf"]:
             assert E.format(E.parse(text)) == text

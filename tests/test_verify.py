@@ -639,6 +639,69 @@ class TestCrossSpaceReduction:
             )
 
 
+class TestCoreLanes:
+    # `_Ctx` reads the Cauchy verdicts (both sides) and the minimal ones of
+    # every core as bits of 2^n-lane ints; the per-core test-value loop
+    # `_cauchy_over` and the superset enumeration
+    # `definitional_is_minimal_cauchy` are their oracles
+    @staticmethod
+    def _spaces(Q1, Q3, pinched):
+        spaces = []
+        for q in (E, Q3, Q1, pinched):
+            for uva in (True, False):
+                gen = InstanceGenerator(seed=20261019, quantale=q, force_uva=uva, max_points=5)
+                spaces += [s for _, s in gen.instances(12)]
+        for q in (E, Q3, Q1, pinched):
+            spaces += [VSpace(q, [], []), VSpace(q, ["a"], [[q.bottom]])]
+        return spaces
+
+    def test_lanes_match_loops(self, Q1, Q3, pinched):
+        from qc.verify import (
+            _cauchy_lanes,
+            _cauchy_over,
+            _minimal_lanes,
+            definitional_is_minimal_cauchy,
+        )
+
+        seen = set()
+        for space in self._spaces(Q1, Q3, pinched):
+            tv, lanes = space.test_values, 1 << (1 << space.size)
+            fwd, bwd = _cauchy_lanes(space, True), _cauchy_lanes(space, False)
+            minimal = _minimal_lanes(space, fwd)
+            assert fwd < lanes and bwd < lanes and minimal < lanes
+            # the improper filter (the empty core) is never minimal
+            assert not minimal & 1
+            for m in range(space.full_mask + 1):
+                f = Filter(space, m)
+                for side, got in ((True, fwd), (False, bwd)):
+                    want = _cauchy_over(f, tv, side) is None
+                    assert bool(got >> m & 1) == want, (space.dmat, m, side)
+                    seen.add(("cauchy", want))
+                if m:
+                    want = bool(definitional_is_minimal_cauchy(f))
+                    assert bool(minimal >> m & 1) == want, (space.dmat, m)
+                    seen.add(("minimal", want, bool(fwd >> m & 1)))
+        # both verdicts occur, and Cauchy cores that are not minimal too
+        assert seen == {("cauchy", True), ("cauchy", False), ("minimal", True, True),
+                        ("minimal", False, True), ("minimal", False, False)}
+
+    def test_ctx_reads_its_lanes(self, Q3):
+        from qc.verify import _Ctx, _cauchy_over, definitional_is_minimal_cauchy
+
+        for q in (E, Q3):
+            gen = InstanceGenerator(seed=20261020, quantale=q, max_points=4)
+            for child in gen.child_seeds(6):
+                ctx = _Ctx(gen, child)
+                space = ctx.space
+                for m in range(space.full_mask + 1):
+                    f = Filter(space, m)
+                    for side in (True, False):
+                        want = _cauchy_over(f, space.test_values, side) is None
+                        assert ctx.cauchy(m, side) is want
+                    if m:
+                        assert ctx.minimal(m) is bool(definitional_is_minimal_cauchy(f))
+
+
 class TestUcMemo:
     def test_memo_matches_loop_and_closed_form(self, Q3, pinched):
         # every index map in all three directions, plus a target equal to

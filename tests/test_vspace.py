@@ -970,6 +970,60 @@ class TestRadiusCache:
         assert 0 < len(space._ball_cache) <= _RADIUS_CACHE_LIMIT
 
 
+class TestStrictBallKeyCut:
+    # on int-keyed extended-rational forms a strict ball is the cut of the
+    # order keys below ceil(eps * L) (`VSpace._strict_balls`); Fraction keys
+    # and finite quantales keep the `well_above` loop, the oracle of both
+    @staticmethod
+    def _assert_cut(space, radii):
+        q = space.quantale
+        for eps in radii:
+            assert space._strict_balls(eps) == tuple(
+                sum(1 << j for j, e in enumerate(row) if q.well_above(eps, e)) for row in space.dmat
+            ), (space.dmat, eps)
+
+    @staticmethod
+    def _ext_radii(space):
+        # each value (and an equal copy), a radius between each two values
+        # and above the last finite one, 0, INF, and 10**12, finite but
+        # above the INF key's sentinel
+        finite = [v for v in space._ranks.values if v is not INF]
+        radii = finite + [Fraction(v.numerator, v.denominator) for v in finite]
+        radii += [(a + b) / 2 for a, b in zip(finite, finite[1:])] + [Fraction(0), INF, Fraction(10**12)]
+        if finite:
+            radii.append(finite[-1] + Fraction(1, 3))
+        return radii
+
+    def test_int_keys_match_well_above_loop(self):
+        h = Fraction(1, 2)
+        spaces = [
+            VSpace(E, [], []),
+            VSpace(E, ["a"], [[0]]),
+            VSpace(E, ["a", "b", "c"], [[0, h, 2], [1, 0, Fraction(7, 3)], [h, 2, 0]]),
+            # INF entries: never inside a finite radius's strict ball, inside none of INF's
+            VSpace(E, ["a", "b", "c"], [[0, h, INF], [INF, 0, 1], [1, INF, 0]]),
+            VSpace(E, ["a", "b"], [[0, INF], [INF, 0]]),
+            VSpace(E, ["a", "b"], [[INF, INF], [INF, INF]]),
+        ]
+        for space in spaces:
+            assert space._ranks.keys.scale is not None
+            self._assert_cut(space, self._ext_radii(space))
+
+    def test_fraction_keys_and_finite_quantales_keep_the_loop(self, Q1, Q3, pinched):
+        big = [2**89 - 1, 2**107 - 1, 2**127 - 1]
+        wide = VSpace(E, ["a", "b", "c"], [[Fraction(i + j, big[(i + 2 * j) % 3]) if i != j else 0
+                                           for j in range(3)] for i in range(3)])
+        wide_inf = VSpace(E, ["a", "b"], [[0, Fraction(1, big[0])], [INF, Fraction(1, big[2])]])
+        for space in (wide, wide_inf):
+            assert space._ranks.keys.scale is None
+            self._assert_cut(space, self._ext_radii(space))
+        for q in (Q1, Q3, pinched):
+            n = min(3, len(q.names))
+            space = VSpace(q, [f"p{i}" for i in range(n)],
+                           [[(i + 2 * j) % len(q.names) for j in range(n)] for i in range(n)])
+            self._assert_cut(space, list(q.elements()))
+
+
 class TestTriangleKernels:
     # validate_vspace against the triple loop on every route into the two
     # triangle kernels, with the kernel that ran asserted, so that a

@@ -55,6 +55,10 @@ RADIUS_CACHE = "tests/test_vspace.py::TestRadiusCache"
 DEDUPE = "tests/test_verify.py::TestEpsilonOracle::test_dedupe_matches_leq_patterns"
 KEY_CUT = "tests/test_vspace.py::TestStrictBallKeyCut"
 LANES = "tests/test_verify.py::TestCoreLanes"
+MINIMAL = "tests/test_completion.py::TestMinimalFilters"
+POINT_CORES = "tests/test_completion.py::TestPointCores"
+LITERALS = "tests/test_cli.py::TestLiteralOutcomes"
+CHECK_FAST_PATH = "tests/test_quantale.py::TestMeetJoin::test_check_takes_exact_fractions_without_isinstance"
 
 
 class Mutant(NamedTuple):
@@ -230,8 +234,8 @@ MUTANTS = (
     Mutant(
         "literal-p-over-q-loses-denominator",
         "quantale.py",
-        "value = Fraction(int(num), int(den))",
-        "value = Fraction(int(num))",
+        "return Fraction(int(num), int(den)) if slash",
+        "return Fraction(int(num)) if slash",
         (BUILD,),
     ),
     Mutant(
@@ -527,6 +531,34 @@ MUTANTS = (
         "self.full_mask = (1 << self.size) - 1",
         "self.full_mask = 1 << self.size",
         (CARRIER,),
+    ),
+    Mutant(
+        "completion-cores-from-zero-bwd",
+        "completion.py",
+        "return space.zero_fwd if space.test_values",
+        "return space.zero_bwd if space.test_values",
+        (MINIMAL,),
+    ),
+    Mutant(
+        "completion-cores-ignore-missing-test-values",
+        "completion.py",
+        "space.zero_fwd if space.test_values else (space.full_mask,) * space.size",
+        "space.zero_fwd",
+        (POINT_CORES,),
+    ),
+    Mutant(
+        "parse-accepts-negative-decimals",
+        "quantale.py",
+        "if value < 0:",
+        "if False:",
+        (LITERALS,),
+    ),
+    Mutant(
+        "check-fast-path-skips-zero",
+        "quantale.py",
+        "if type(element) is Fraction and element.numerator >= 0:",
+        "if type(element) is Fraction and element.numerator > 0:",
+        (CHECK_FAST_PATH,),
     ),
 )
 

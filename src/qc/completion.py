@@ -2,8 +2,9 @@
 
 `minimal_cauchy_filters` finds the minimal Cauchy filters in closed form:
 they are the filters whose cores are the maximal point-filter cores (the
-proof sketch is in its docstring).  `complete` equips them with the filter
-distance, and the canonical embedding sends a point to its point filter.
+proof sketch is in its docstring), read from the zero masks the space
+stores (`_point_cores`).  `complete` equips them with the filter distance,
+and the canonical embedding sends a point to its point filter.
 The same argument shows that every finite space is Cauchy complete.  On a
 finite UVA space the embedding is onto, so `extend_to_completion` extends a
 map in closed form, through the inverse of the embedding.
@@ -32,12 +33,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InvariantError, PreconditionError
-from .filters import (
-    Filter,
-    image_filter,
-    point_filter,
-    roundify,
-)
+from .filters import Filter, image_filter, roundify
 from .vspace import (
     VSpace,
     _EntryClasses,
@@ -85,6 +81,12 @@ def _distance_classes(base: VSpace, cores: list[int]) -> _EntryClasses:
     return _EntryClasses(meets, classes, True)
 
 
+def _point_cores(space: VSpace) -> tuple[int, ...]:
+    """Per point, the core of its point filter (`point_filter`): its forward
+    zero mask, or the whole carrier when there are no test values."""
+    return space.zero_fwd if space.test_values else (space.full_mask,) * space.size
+
+
 def minimal_cauchy_filters(space: VSpace) -> tuple[Filter, ...]:
     """Proper Cauchy filters with no proper Cauchy subfilter, in closed form.
 
@@ -98,7 +100,7 @@ def minimal_cauchy_filters(space: VSpace) -> tuple[Filter, ...]:
     values every filter is Cauchy, every point core is the whole carrier,
     and the single filter {X} results; an empty carrier has none.
     """
-    cores = {point_filter(space, p).core_mask for p in space.points}
+    cores = set(_point_cores(space))
     # from a list, as in `VSpace.__init__`: tuple() over a generator resizes
     return tuple([
         Filter(space, m)
@@ -120,10 +122,10 @@ def complete(space: VSpace) -> CompletionSpace:
     """Build the space of minimal Cauchy filters over a UVA base.
 
     Refuses bases without uniformly vanishing asymmetry, quoting the
-    witness.  The point filters are located among the minimal filters to
-    produce the embedding.  That the embedding is isometric and that the
-    result is the separation quotient of the Cauchy filter space under
-    roundification are the theorem checks
+    witness.  Each point embeds as the minimal filter whose core is its
+    point core, found by a dict lookup.  That the embedding is isometric
+    and that the result is the separation quotient of the Cauchy filter
+    space under roundification are the theorem checks
     `completion.embedding_isometry_iff_uva` and
     `completion.minimal_space_isometric_to_quotient` in `qc.verify`.
     """
@@ -135,9 +137,8 @@ def complete(space: VSpace) -> CompletionSpace:
     filters = minimal_cauchy_filters(space)
     by_mask = {f.core_mask: i for i, f in enumerate(filters)}
     embedding = {}
-    for p in space.points:
-        pf = point_filter(space, p)
-        idx = by_mask.get(pf.core_mask)
+    for p, core in zip(space.points, _point_cores(space)):
+        idx = by_mask.get(core)
         if idx is None:
             raise InvariantError(
                 f"point filter of {p!r} is not minimal Cauchy on a UVA base"

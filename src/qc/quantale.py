@@ -214,6 +214,10 @@ class ExtendedRationalQuantale(ValueQuantale):
         return INF
 
     def check(self, element):
+        # the common case first, with one type test; the denominator of a
+        # Fraction is positive, so the sign is the numerator's
+        if type(element) is Fraction and element.numerator >= 0:
+            return element
         if isinstance(element, _Infinity):
             return INF
         if isinstance(element, bool):
@@ -221,8 +225,6 @@ class ExtendedRationalQuantale(ValueQuantale):
         if isinstance(element, int):
             element = Fraction(element)
         if isinstance(element, Fraction):
-            # the denominator of a Fraction is positive, so the sign is the
-            # numerator's; this skips Fraction's rich comparison
             if element.numerator < 0:
                 raise DomainMismatchError(f"negative value {element} is not in [0, inf]")
             return element
@@ -351,16 +353,13 @@ class ExtendedRationalQuantale(ValueQuantale):
                 f"bad rational literal {text!r}: expected \"p/q\", \"n\", \"inf\", "
                 f"or a decimal with an optional exponent, in ASCII digits"
             )
+        # the grammar admits ASCII digits only, so "n" and "p/q" are unsigned
+        # ints; the other forms, signed ones included, go to Fraction
+        num, slash, den = text.partition("/")
         try:
-            # the grammar admits ASCII digits only, so "n" and "p/q" are read
-            # as ints; the other forms, signed ones included, go to Fraction
-            num, slash, den = text.partition("/")
-            if not num.isdigit():
-                value = Fraction(text)
-            elif slash:
-                value = Fraction(int(num), int(den))
-            else:
-                value = Fraction(int(num))
+            if num.isdigit():
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise StructureError(f"bad rational literal {text!r}: {exc}") from None
         if value < 0:

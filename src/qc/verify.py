@@ -358,12 +358,9 @@ def _family_core(members: frozenset) -> int:
 
 def _family_generated(n: int, base) -> frozenset:
     """Least filter containing a (possibly empty) filter base."""
-    base = list(base)
-    if not base:
-        return frozenset({(1 << n) - 1})
-    return frozenset(
-        t for t in range(1 << n) if any(c & t == c for c in base)
-    )
+    # the empty base generates {X}, as the base {X} does
+    base = set(base) or {(1 << n) - 1}
+    return frozenset(t for t in range(1 << n) if any(c & t == c for c in base))
 
 
 def _preimages(fidx, n: int) -> list[int]:
@@ -464,8 +461,9 @@ def _collapsed_formula_failures(space: VSpace, pair_limit: int = 64) -> list:
     maps = [tuple(0 for _ in range(n)), tuple(range(n)),
             tuple(min(i + 1, n - 1) for i in range(n)),
             tuple(n - 1 - i for i in range(n))]
-    # built once per space: each map's preimage table and point map, and
-    # the balls of the test values
+    # built once per space: the subsets' names, each map's preimage table
+    # and point map, and the balls of the test values
+    subsets = [space.names_of(s) for s in range(1 << n)]
     images = [(fidx, _preimages(fidx, n), dict(zip(space.points, [space.points[j] for j in fidx])))
               for fidx in maps]
     radii = [space._balls(eps, True) for eps in space.test_values]
@@ -473,9 +471,9 @@ def _collapsed_formula_failures(space: VSpace, pair_limit: int = 64) -> list:
         f = Filter(space, c)
         fam = families[c]
         # membership
-        for s in range(1 << n):
-            if (s in fam) != f.contains(space.names_of(s)):
-                fail("membership", core=f.core, subset=space.names_of(s))
+        for s, names in enumerate(subsets):
+            if (s in fam) != f.contains(names):
+                fail("membership", core=f.core, subset=names)
         # image
         for fidx, preimages, fmap in images:
             if _family_image(preimages, fam) != families[image_filter(fmap, f, space).core_mask]:
@@ -1536,11 +1534,11 @@ def _check_roundify_functorial(ctx: _Ctx):
 
 def _check_roundify_adjunction(ctx: _Ctx):
     x, y = ctx.space, ctx.sibling
+    cauchy = _cauchy_lanes(y, True)
     y_cr = [
         m
         for m in range(1, y.full_mask + 1)
-        if _cauchy_over(Filter(y, m), y.test_values, True) is None
-        and _round_over(Filter(y, m), y.test_values)
+        if cauchy >> m & 1 and _round_over(Filter(y, m), y.test_values)
     ]
     x_c = [m for m in ctx.cores if ctx.cauchy(m)]
     for fidx in product(range(y.size), repeat=x.size):

@@ -194,6 +194,59 @@ class TestCanonicalEmbedding:
             assert all(f == point_filter(space, p) for p, f in emb.items())
 
 
+class TestPointCores:
+    """`complete` reads each point-filter core from the zero masks, as
+    `point_filter` does, without calling it."""
+
+    def test_embedding_is_the_point_filter(self, Q1, Q3, chain4, pinched):
+        spaces = [VSpace(E, [], [])]
+        for k, q in enumerate((E, Q1, Q3, chain4, pinched)):
+            gen = InstanceGenerator(seed=700 + k, quantale=q, min_points=1, max_points=6,
+                                    zero_weight=1, force_uva=True)
+            spaces += [s for _, s in gen.instances(40)]
+        assert any(not s.test_values for s in spaces)
+        for space in spaces:
+            comp = complete(space)
+            emb = canonical_embedding(space)
+            for p in space.points:
+                pf = point_filter(space, p)
+                assert comp.filters[comp.embedding[p]] == pf == emb[p]
+
+    def test_no_test_values_take_the_whole_carrier(self):
+        # with no test values every point core is the carrier, whatever the
+        # zero masks hold; the test values are withheld to show it
+        space = VSpace(E, ["a", "b", "c"], [[0, 1, 0], [2, 0, 3], [0, 1, 0]])
+        space.__dict__["test_values"] = ()
+        assert space.zero_fwd != (space.full_mask,) * 3
+        comp = complete(space)
+        assert [f.core_mask for f in comp.filters] == [space.full_mask]
+        assert [f.core_mask for f in minimal_cauchy_filters(space)] == [space.full_mask]
+        assert comp.embedding == {"a": 0, "b": 0, "c": 0}
+        assert all(point_filter(space, p) == comp.filters[0] for p in space.points)
+
+    def test_no_point_filter_and_one_filter_per_completion_point(self, monkeypatch, x3z):
+        import qc.completion as completion
+        import qc.filters as filters
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("point_filter called")
+
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Filter(*args)
+
+        monkeypatch.setattr(filters, "point_filter", refuse)
+        monkeypatch.setattr(completion, "point_filter", refuse, raising=False)
+        monkeypatch.setattr(completion, "Filter", counted)
+        spaces = [x3z] + [s for _, s in InstanceGenerator(seed=41, force_uva=True).instances(20)]
+        for space in spaces:
+            built.clear()
+            comp = complete(space)
+            assert len(built) == len(comp.filters)
+
+
 class TestCauchyComplete:
     def test_x2a(self, x2a):
         assert is_cauchy_complete(x2a).ok

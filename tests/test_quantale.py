@@ -44,6 +44,34 @@ class TestMeetJoin:
             with pytest.raises(DomainMismatchError):
                 E.check(bad)
 
+    def test_check_takes_exact_fractions_without_isinstance(self, monkeypatch):
+        # an exact Fraction >= 0, zero included, needs one type test only
+        import qc.quantale as quantale
+
+        def refuse(*args):
+            raise AssertionError("isinstance called on an exact Fraction")
+
+        monkeypatch.setattr(quantale, "isinstance", refuse, raising=False)
+        for value in (Fraction(0), Fraction(1, 3), Fraction(10**30, 7)):
+            assert E.check(value) is value
+
+    def test_check_keeps_its_other_paths(self):
+        class Sub(Fraction):
+            pass
+
+        for value in (Sub(1, 2), Sub(0)):
+            assert E.check(value) is value
+        for bad, message in (
+            (Fraction(-1, 2), "negative value -1/2 is not in [0, inf]"),
+            (Sub(-1, 2), "negative value -1/2 is not in [0, inf]"),
+            (True, "booleans are not extended-rational elements"),
+        ):
+            with pytest.raises(DomainMismatchError) as exc:
+                E.check(bad)
+            assert str(exc.value) == message
+        zero = E.check(0)
+        assert type(zero) is Fraction and zero == 0
+
     def test_rank_meet_matches_checked_meet(self, Q1, Q3, chain4, pinched):
         # the unchecked kernel against the public meet, on every rank set of
         # a sorted value list (all elements of the finite quantales, so the

@@ -183,10 +183,16 @@ class TestCanonicalEmbedding:
         with pytest.raises(PreconditionError):
             canonical_embedding(x2n)
 
-    def test_is_the_completion_embedding(self, x2a, x3z):
-        spaces = [x2a, x3z]
+    def test_is_the_completion_embedding(self, x2a, x3z, Q1, Q3, chain4, pinched):
+        # over each quantale (Q1 has no test values) and the empty carrier
+        spaces = [x2a, x3z, VSpace(E, [], [])]
         spaces += [s for _, s in InstanceGenerator(seed=31, force_uva=True).instances(40)]
+        for k, q in enumerate((Q1, Q3, chain4, pinched)):
+            gen = InstanceGenerator(seed=700 + k, quantale=q, min_points=1, max_points=6,
+                                    zero_weight=1, force_uva=True)
+            spaces += [s for _, s in gen.instances(40)]
         assert 0 < sum(not classify(s)["separated"] for s in spaces) < len(spaces)
+        assert any(not s.test_values for s in spaces)
         for space in spaces:
             comp = complete(space)
             emb = canonical_embedding(space)
@@ -197,20 +203,6 @@ class TestCanonicalEmbedding:
 class TestPointCores:
     """`complete` reads each point-filter core from the zero masks, as
     `point_filter` does, without calling it."""
-
-    def test_embedding_is_the_point_filter(self, Q1, Q3, chain4, pinched):
-        spaces = [VSpace(E, [], [])]
-        for k, q in enumerate((E, Q1, Q3, chain4, pinched)):
-            gen = InstanceGenerator(seed=700 + k, quantale=q, min_points=1, max_points=6,
-                                    zero_weight=1, force_uva=True)
-            spaces += [s for _, s in gen.instances(40)]
-        assert any(not s.test_values for s in spaces)
-        for space in spaces:
-            comp = complete(space)
-            emb = canonical_embedding(space)
-            for p in space.points:
-                pf = point_filter(space, p)
-                assert comp.filters[comp.embedding[p]] == pf == emb[p]
 
     def test_no_test_values_take_the_whole_carrier(self):
         # with no test values every point core is the carrier, whatever the

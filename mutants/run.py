@@ -56,9 +56,8 @@ DEDUPE = "tests/test_verify.py::TestEpsilonOracle::test_dedupe_matches_leq_patte
 KEY_CUT = "tests/test_vspace.py::TestStrictBallKeyCut"
 LANES = "tests/test_verify.py::TestCoreLanes"
 MINIMAL = "tests/test_completion.py::TestMinimalFilters"
-POINT_CORES = "tests/test_completion.py::TestPointCores"
-LITERALS = "tests/test_cli.py::TestLiteralOutcomes"
-CHECK_FAST_PATH = "tests/test_quantale.py::TestMeetJoin::test_check_takes_exact_fractions_without_isinstance"
+LITERALS = "tests/test_vspace.py::TestBuildPath::test_literal_fast_path_matches_fraction"
+CHECK = "tests/test_quantale.py::TestMeetJoin::test_check_returns_or_refuses"
 
 
 class Mutant(NamedTuple):
@@ -535,16 +534,9 @@ MUTANTS = (
     Mutant(
         "completion-cores-from-zero-bwd",
         "completion.py",
-        "return space.zero_fwd if space.test_values",
-        "return space.zero_bwd if space.test_values",
+        "cores = set(space.zero_fwd)",
+        "cores = set(space.zero_bwd)",
         (MINIMAL,),
-    ),
-    Mutant(
-        "completion-cores-ignore-missing-test-values",
-        "completion.py",
-        "space.zero_fwd if space.test_values else (space.full_mask,) * space.size",
-        "space.zero_fwd",
-        (POINT_CORES,),
     ),
     Mutant(
         "parse-accepts-negative-decimals",
@@ -554,11 +546,11 @@ MUTANTS = (
         (LITERALS,),
     ),
     Mutant(
-        "check-fast-path-skips-zero",
+        "check-refuses-zero",
         "quantale.py",
-        "if type(element) is Fraction and element.numerator >= 0:",
-        "if type(element) is Fraction and element.numerator > 0:",
-        (CHECK_FAST_PATH,),
+        "if element.numerator < 0:",
+        "if element.numerator <= 0:",
+        (CHECK,),
     ),
 )
 

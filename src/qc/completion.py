@@ -2,9 +2,9 @@
 
 `minimal_cauchy_filters` finds the minimal Cauchy filters in closed form:
 they are the filters whose cores are the maximal point-filter cores (the
-proof sketch is in its docstring), read from the zero masks the space
-stores (`_point_cores`).  `complete` equips them with the filter distance,
-and the canonical embedding sends a point to its point filter.
+proof sketch is in its docstring), which are the forward zero masks the
+space stores (`VSpace.zero_fwd`).  `complete` equips them with the filter
+distance, and the canonical embedding sends a point to its point filter.
 The same argument shows that every finite space is Cauchy complete.  On a
 finite UVA space the embedding is onto, so `extend_to_completion` extends a
 map in closed form, through the inverse of the embedding.
@@ -81,12 +81,6 @@ def _distance_classes(base: VSpace, cores: list[int]) -> _EntryClasses:
     return _EntryClasses(meets, classes, True)
 
 
-def _point_cores(space: VSpace) -> tuple[int, ...]:
-    """Per point, the core of its point filter (`point_filter`): its forward
-    zero mask, or the whole carrier when there are no test values."""
-    return space.zero_fwd if space.test_values else (space.full_mask,) * space.size
-
-
 def minimal_cauchy_filters(space: VSpace) -> tuple[Filter, ...]:
     """Proper Cauchy filters with no proper Cauchy subfilter, in closed form.
 
@@ -97,10 +91,11 @@ def minimal_cauchy_filters(space: VSpace) -> tuple[Filter, ...]:
     Cauchy iff its core lies in some B_m(x), i.e. in some point-filter core.
     A smaller filter has a larger core, so the minimal Cauchy filters are
     those whose cores are the maximal point-filter cores.  With no test
-    values every filter is Cauchy, every point core is the whole carrier,
-    and the single filter {X} results; an empty carrier has none.
+    values (a one-element quantale: every distance is 0) every filter is
+    Cauchy, every zero mask is the whole carrier, and the single filter {X}
+    results; an empty carrier has none.
     """
-    cores = set(_point_cores(space))
+    cores = set(space.zero_fwd)
     # from a list, as in `VSpace.__init__`: tuple() over a generator resizes
     return tuple([
         Filter(space, m)
@@ -123,7 +118,7 @@ def complete(space: VSpace) -> CompletionSpace:
 
     Refuses bases without uniformly vanishing asymmetry, quoting the
     witness.  Each point embeds as the minimal filter whose core is its
-    point core, found by a dict lookup.  That the embedding is isometric
+    forward zero mask, the core of its point filter, found by a dict lookup.  That the embedding is isometric
     and that the result is the separation quotient of the Cauchy filter
     space under roundification are the theorem checks
     `completion.embedding_isometry_iff_uva` and
@@ -137,7 +132,7 @@ def complete(space: VSpace) -> CompletionSpace:
     filters = minimal_cauchy_filters(space)
     by_mask = {f.core_mask: i for i, f in enumerate(filters)}
     embedding = {}
-    for p, core in zip(space.points, _point_cores(space)):
+    for p, core in zip(space.points, space.zero_fwd):
         idx = by_mask.get(core)
         if idx is None:
             raise InvariantError(

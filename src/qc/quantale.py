@@ -214,21 +214,20 @@ class ExtendedRationalQuantale(ValueQuantale):
         return INF
 
     def check(self, element):
-        # the common case first, with one type test; the denominator of a
-        # Fraction is positive, so the sign is the numerator's
-        if type(element) is Fraction and element.numerator >= 0:
-            return element
-        if isinstance(element, _Infinity):
-            return INF
-        if isinstance(element, bool):
-            raise DomainMismatchError("booleans are not extended-rational elements")
-        if isinstance(element, int):
+        # a Fraction, the common case, takes one type test
+        if not isinstance(element, Fraction):
+            if isinstance(element, _Infinity):
+                return INF
+            if isinstance(element, bool):
+                raise DomainMismatchError("booleans are not extended-rational elements")
+            if not isinstance(element, int):
+                raise DomainMismatchError(f"not an extended-rational element: {element!r}")
             element = Fraction(element)
-        if isinstance(element, Fraction):
-            if element.numerator < 0:
-                raise DomainMismatchError(f"negative value {element} is not in [0, inf]")
-            return element
-        raise DomainMismatchError(f"not an extended-rational element: {element!r}")
+        # the denominator of a Fraction is positive, so the sign is the
+        # numerator's; this skips Fraction's rich comparison
+        if element.numerator < 0:
+            raise DomainMismatchError(f"negative value {element} is not in [0, inf]")
+        return element
 
     def leq(self, a, b):
         a, b = self.check(a), self.check(b)

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -49,34 +48,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestLiteralOutcomes:
-    """What a distance literal reads as, or the error line it gets."""
-
-    @pytest.mark.parametrize("text, want", [
-        ("-0", Fraction(0)),
-        ("0/5", Fraction(0)),
-        ("1e-3", Fraction(1, 1000)),
-        ("-1/2", "error: negative rational literal '-1/2'"),
-        ("-0.5", "error: negative rational literal '-0.5'"),
-        ("1/0", "error: bad rational literal '1/0': Fraction(1, 0)"),
-        ("²", "error: bad rational literal '²': expected \"p/q\", \"n\", \"inf\", "
-              "or a decimal with an optional exponent, in ASCII digits"),
-        ("１", "error: bad rational literal '１': expected \"p/q\", \"n\", \"inf\", "
-              "or a decimal with an optional exponent, in ASCII digits"),
-    ])
-    def test_literal(self, capsys, tmp_path, text, want):
-        payload = {"quantale": "ext_rational", "points": ["a", "b"],
-                   "d": [["0", text], [text, "0"]]}
-        path = tmp_path / "literal.json"
-        path.write_text(serialize.dumps_canonical(serialize.envelope("space", payload)))
-        code, _, err = run(capsys, "classify", str(path))
-        if isinstance(want, str):
-            assert (code, err) == (2, want + "\n")
-        else:
-            value = serialize.parse_space(payload).d("a", "b")
-            assert code == 0 and type(value) is Fraction and value == want
 
 
 class TestClassify:

@@ -201,20 +201,8 @@ class TestCanonicalEmbedding:
 
 
 class TestPointCores:
-    """`complete` reads each point-filter core from the zero masks, as
-    `point_filter` does, without calling it."""
-
-    def test_no_test_values_take_the_whole_carrier(self):
-        # with no test values every point core is the carrier, whatever the
-        # zero masks hold; the test values are withheld to show it
-        space = VSpace(E, ["a", "b", "c"], [[0, 1, 0], [2, 0, 3], [0, 1, 0]])
-        space.__dict__["test_values"] = ()
-        assert space.zero_fwd != (space.full_mask,) * 3
-        comp = complete(space)
-        assert [f.core_mask for f in comp.filters] == [space.full_mask]
-        assert [f.core_mask for f in minimal_cauchy_filters(space)] == [space.full_mask]
-        assert comp.embedding == {"a": 0, "b": 0, "c": 0}
-        assert all(point_filter(space, p) == comp.filters[0] for p in space.points)
+    """`complete` reads each point-filter core from the zero masks without
+    calling `point_filter`."""
 
     def test_no_point_filter_and_one_filter_per_completion_point(self, monkeypatch, x3z):
         import qc.completion as completion

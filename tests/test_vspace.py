@@ -1345,7 +1345,8 @@ class TestBuildPath:
             return "".join(rng.choice("0123456789") for _ in range(k))
 
         literals = ["0", "00", "007", "1/1", "0/5", "00/01", "10/4", "1/0", "007/000",
-                    "1.5", ".5", "5.", "2e3", "1E-2", "-0", "-0/3", "-3", "-1/2", "-1.5"]
+                    "1.5", ".5", "5.", "2e3", "1E-2", "1e-3", "-0", "-0/3", "-3", "-1/2", "-1.5",
+                    "-0.5"]
         for _ in range(300):
             literals.append(digits(rng.randint(1, 30)))
             literals.append(f"{digits(rng.randint(1, 30))}/{digits(rng.randint(1, 3))}")
@@ -1373,7 +1374,7 @@ class TestBuildPath:
             for text in ("1" * (limit + 1), "1/" + "1" * (limit + 1), "0" * (limit + 1)):
                 with pytest.raises(StructureError, match="too large"):
                     E.parse(text)
-        for text in ("١", "١/٢", "1/٢", "²", "1_0", " 1", "+1", "1/+2", "1/-2", "1/2/3", "/2"):
+        for text in ("١", "١/٢", "1/٢", "²", "１", "1_0", " 1", "+1", "1/+2", "1/-2", "1/2/3", "/2"):
             with pytest.raises(StructureError, match="bad rational literal"):
                 E.parse(text)
 

@@ -57,7 +57,7 @@ KEY_CUT = "tests/test_vspace.py::TestStrictBallKeyCut"
 LANES = "tests/test_verify.py::TestCoreLanes"
 MINIMAL = "tests/test_completion.py::TestMinimalFilters"
 LITERALS = "tests/test_vspace.py::TestBuildPath::test_literal_fast_path_matches_fraction"
-CHECK = "tests/test_quantale.py::TestMeetJoin::test_check_returns_or_refuses"
+CHECK = "tests/test_quantale.py::TestMeetJoin::test_check_rejects_negatives_by_sign"
 
 
 class Mutant(NamedTuple):

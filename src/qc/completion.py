@@ -118,9 +118,10 @@ def complete(space: VSpace) -> CompletionSpace:
 
     Refuses bases without uniformly vanishing asymmetry, quoting the
     witness.  Each point embeds as the minimal filter whose core is its
-    forward zero mask, the core of its point filter, found by a dict lookup.  That the embedding is isometric
-    and that the result is the separation quotient of the Cauchy filter
-    space under roundification are the theorem checks
+    forward zero mask (its point filter's core), found by a dict lookup.
+    That the embedding is isometric and that the result is the separation
+    quotient of the Cauchy filter space under roundification are the
+    theorem checks
     `completion.embedding_isometry_iff_uva` and
     `completion.minimal_space_isometric_to_quotient` in `qc.verify`.
     """

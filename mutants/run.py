@@ -100,8 +100,8 @@ MUTANTS = (
     Mutant(
         "point-filter-ignores-side",
         "filters.py",
-        "zero = _zero_masks(space, side)[i]\n    return Filter(",
-        "zero = space.zero_fwd[i]\n    return Filter(",
+        "return Filter(space, _zero_masks(space, side)[i])",
+        "return Filter(space, space.zero_fwd[i])",
         (GATE,),
     ),
     Mutant(
@@ -121,8 +121,8 @@ MUTANTS = (
     Mutant(
         "zero-mask-lanes-reversed",
         "vspace.py",
-        "int(bytes(row[::-1]).translate(table), 2)",
-        "int(bytes(row).translate(table), 2)",
+        "int(row[::-1].translate(table), 2)",
+        "int(row.translate(table), 2)",
         (ZERO_MASKS,),
     ),
     Mutant(
@@ -156,8 +156,8 @@ MUTANTS = (
     Mutant(
         "quotient-selects-transposed-entries",
         "vspace.py",
-        "tuple([rank[r][s] for s in points]) for r in points",
-        "tuple([rank[s][r] for s in points]) for r in points",
+        "row_of([rank[r][s] for s in points]) for r in points",
+        "row_of([rank[s][r] for s in points]) for r in points",
         (QUOTIENT,),
     ),
     Mutant(
@@ -177,8 +177,8 @@ MUTANTS = (
     Mutant(
         "packed-broadcast-not-strict",
         "vspace.py",
-        'steps = [(key + 1).to_bytes(width, "little") * n for key in keys]',
-        'steps = [key.to_bytes(width, "little") * n for key in keys]',
+        'steps = [(key + 1).to_bytes(width, "little") * c for key in keys]',
+        'steps = [key.to_bytes(width, "little") * c for key in keys]',
         (TRIANGLE,),
     ),
     Mutant(
@@ -186,6 +186,20 @@ MUTANTS = (
         "vspace.py",
         "width = (2 * max(keys) + 1).bit_length() // 8 + 1",
         "width = ((2 * max(keys) + 1).bit_length() + 7) // 8",
+        (TRIANGLE,),
+    ),
+    Mutant(
+        "packed-k-representative-not-expanded-to-twins",
+        "vspace.py",
+        "members = [sum([1 << t for t in twins[k]]) for k in reps]",
+        "members = [1 << k for k in reps]",
+        (TRIANGLE,),
+    ),
+    Mutant(
+        "packed-lane-table-from-ranks-not-keys",
+        "vspace.py",
+        'lanes = bytes(keys).ljust(256, b"\\0")',
+        'lanes = bytes(range(len(keys))).ljust(256, b"\\0")',
         (TRIANGLE,),
     ),
     Mutant(
@@ -198,8 +212,8 @@ MUTANTS = (
     Mutant(
         "packed-unpacking-drops-last-lane",
         "vspace.py",
-        "enumerate(flags[t * n:(t + 1) * n])",
-        "enumerate(flags[t * n:(t + 1) * n - 1])",
+        "enumerate(flags[t * c:(t + 1) * c])",
+        "enumerate(flags[t * c:(t + 1) * c - 1])",
         (TRIANGLE,),
     ),
     Mutant(
@@ -483,11 +497,18 @@ MUTANTS = (
         (HELD_MEMORY,),
     ),
     Mutant(
-        "transpose-tuple-from-zip",
+        "transpose-tuple-from-generator",
         "vspace.py",
-        "self._transpose = tuple(list(zip(*self.rank)))",
-        "self._transpose = tuple(zip(*self.rank))",
+        "self._transpose = tuple([flat[j::n] for j in range(n)])",
+        "self._transpose = tuple(flat[j::n] for j in range(n))",
         (HELD_MEMORY,),
+    ),
+    Mutant(
+        "transpose-slice-stride-off-by-one",
+        "vspace.py",
+        "[flat[j::n] for j in range(n)]",
+        "[flat[j::n + 1] for j in range(n)]",
+        ("tests/test_vspace.py::TestDual",),
     ),
     Mutant(
         "ball-cache-entry-drops-radius",

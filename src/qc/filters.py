@@ -111,12 +111,13 @@ def point_filter(space: VSpace, x, side: str = "forward") -> Filter:
     """Filter generated by the balls around a point.
 
     The core is the intersection of the test-value balls, the ball of the
-    least one: the zero neighbourhood.  With no positive test values
-    (degenerate quantale) the base is empty and the least filter {X} results.
+    least one: the zero neighbourhood.  With no positive test values (a
+    one-element quantale such as Q1) the base is empty and the least filter
+    {X} results, which is the zero neighbourhood too: every distance is 0.
     """
     i = space.index(x)
-    zero = _zero_masks(space, side)[i]
-    return Filter(space, zero if space.test_values else space.full_mask)
+    space.test_values  # refuses a table with positives but without 0
+    return Filter(space, _zero_masks(space, side)[i])
 
 
 def is_cauchy(f: Filter, side: str = "forward") -> Verdict:
@@ -164,11 +165,11 @@ def is_minimal_cauchy(f: Filter) -> Verdict:
     A core is Cauchy iff a zero neighbourhood covers it, and every subset
     of a Cauchy core is Cauchy.  So a Cauchy core is minimal iff no zero
     neighbourhood strictly contains it, which makes it a maximal zero
-    neighbourhood.  With no positive test values every filter is Cauchy,
-    and only the core X is minimal.  The witness is the zero neighbourhood
-    of largest mask strictly above the core: the first Cauchy core that
-    the superset enumeration `qc.verify.definitional_is_minimal_cauchy`
-    finds.
+    neighbourhood.  With no positive test values (a one-element quantale)
+    every filter is Cauchy, and only the core X is minimal: every zero
+    neighbourhood is X.  The witness is the zero neighbourhood of largest
+    mask strictly above the core: the first Cauchy core that the superset
+    enumeration `qc.verify.definitional_is_minimal_cauchy` finds.
     """
     if not f.proper:
         raise PreconditionError("minimality is asked of proper filters only")
@@ -176,8 +177,7 @@ def is_minimal_cauchy(f: Filter) -> Verdict:
     if not cau:
         return Verdict(False, {"reason": "not cauchy", **(cau.witness or {})})
     space, core = f.space, f.core_mask
-    zeros = space.zero_fwd if space.test_values else (space.full_mask,)
-    above = [z for z in zeros if z | core == z != core]
+    above = [z for z in space.zero_fwd if z | core == z != core]
     if above:
         return Verdict(
             False, {"reason": "proper cauchy subfilter", "core": space.names_of(max(above))}

@@ -24,8 +24,11 @@ A space is stored in rank form, built at construction in one pass of the
 quantale's kernel `ValueQuantale._rank_values`: its distinct distance
 values in `sort_key` order, the rank of each entry among them, and the
 values' order keys.  The rank matrix is the only stored form of the
-distances.  Construction checks each distinct entry once, after telling
-entries apart by type and value (`_entry_classes`); reading a space file
+distances.  With at most 256 values each of its rows is a byte string,
+one byte per rank; past that a row is a tuple of ints.  Readers only
+index or iterate rows, so either type serves.  Construction checks each
+distinct entry once, after telling entries apart by type and value
+(`_entry_classes`); reading a space file
 parses each distinct literal once the same way, checks no parsed value
 again (`parse` returns elements), and entries that denote one element
 share a value.  `dmat` is a read-only view of the matrix
@@ -33,11 +36,12 @@ built on first use.  Every order-only predicate reads the rank form: the
 order is consulted once per (space, eps object) over the distinct values
 to select the ranks of a ball (the values <= eps), a strict ball or a zero
 mask (rank 0, as 0 sorts first), and one kernel, `_RankForm.masks`,
-gathers per row the lanes of the selected ranks, in one C-level pass per
-row with at most 256 values.  Balls, zero neighbourhoods, the separation
-test and the uniform flip behind symmetry moduli are mask operations;
-the symmetry test and the twin classes compare ranks with their
-transpose.  Balls and strict balls are cached per space on the identity
+gathers per row the lanes of the selected ranks, one `bytes.translate`
+per byte row.  Balls, zero neighbourhoods, the separation test and the
+uniform flip behind symmetry moduli are mask operations; the symmetry
+test and the twin classes compare rank rows with those of the
+transpose, whose byte rows are strided slices of the rows joined.  Balls
+and strict balls are cached per space on the identity
 of the radius, each entry holding its radius so that the id is not
 reused: a hit hashes no Fraction, and an equal radius that is another
 object misses and gets the same masks.  A run of fresh radius objects
@@ -72,8 +76,8 @@ extended rationals).  On int-keyed extended-rational forms a strict ball
 `bisect_left`; other forms ask `well_above` once per distinct value.
 
 The triangle check in `validate_vspace` has two kernels.  With int keys
-it packs each row of keys into one int, a lane per point with a guard bit
-above each lane, and tests a row against every other row with one
+it packs each row of keys into one int, a lane per twin class with a
+guard bit above each lane, and tests a row against every other row with one
 subtraction (`_packed_triangle_violations`).  Every other input (Fraction
 keys past the budget, and tables that are not capped chains, such as
 `pinched`) goes through the class kernel, which takes each sum of two
@@ -82,11 +86,13 @@ from the values of a row (`_table_triangle_violations`).
 
 The triangle check works once per twin class.  Twins are points with an
 equal row and an equal column of ranks, found by exact equality (keyed
-on the pair of rank tuples), never by zero distance, so the check
+on the pair of rank rows), never by zero distance, so the check
 assumes nothing of the law it checks.  On a valid space the points at
 mutual distance 0 are twins, so a space of c clusters costs the check
 about c * c pairs (i, j) instead of n * n; twins of i share i's
-violations, and twins of j get j's.  The per-entry definitions of the
+violations, and twins of j get j's.  The packed kernel reads the third
+point k over the representatives too, c lanes per row instead of n, and
+a flagged k stands for its whole class.  The per-entry definitions of the
 triangle law, balls, the flip, the entourage core and set distances are
 kept in `qc.verify` as oracles.
 """
@@ -331,8 +337,10 @@ class _RankForm:
     """A distance matrix compiled over its distinct values.
 
     `values` holds the distinct entries in `sort_key` order; the rank of an
-    entry is its index there, and `rank[i][j]` is the rank of d(i,j).
-    `transpose` is `rank` transposed, built on first read.  `keys` holds
+    entry is its index there, and `rank[i][j]` is the rank of d(i,j).  A
+    row is `bytes` with at most 256 values and a tuple past that
+    (`_row_type`).  `transpose` is `rank` transposed, built on first read,
+    with rows of the same type.  `keys` holds
     the quantale's exact order keys of the values, and is None where the
     quantale has none (finite tables that are not capped chains).  All
     three come from one pass of `ValueQuantale._rank_values` over the
@@ -356,7 +364,14 @@ class _RankForm:
         if not entries.checked:
             checked = [quantale.check(v) for v in checked]
         self.values, renumber, self.keys = quantale._rank_values(checked)
-        self.rank = tuple([tuple([renumber[c] for c in row]) for row in entries.classes])
+        rows = entries.classes
+        if len(renumber) <= 256:
+            # each class is a byte: one C-level translate per row renumbers it
+            table = bytes(renumber).ljust(256, b"\0")
+            self.rank = tuple([bytes(row).translate(table) for row in rows])
+        else:
+            row_of = _row_type(self.values)
+            self.rank = tuple([row_of([renumber[c] for c in row]) for row in rows])
         self._transpose = None
 
     def _sharing(self, rank, transpose=None) -> "_RankForm":
@@ -372,14 +387,20 @@ class _RankForm:
     def restricted(self, points: list[int]) -> "_RankForm":
         """The form of the rows and columns of `points`, over the same values
         and keys; every value must occur among them."""
-        rank = self.rank
-        return self._sharing(tuple([tuple([rank[r][s] for s in points]) for r in points]))
+        rank, row_of = self.rank, _row_type(self.values)
+        return self._sharing(tuple([row_of([rank[r][s] for s in points]) for r in points]))
 
     @property
-    def transpose(self) -> tuple[tuple[int, ...], ...]:
+    def transpose(self) -> tuple:
         if self._transpose is None:
-            # through a list: zip gives tuple() no length to start from
-            self._transpose = tuple(list(zip(*self.rank)))
+            rank = self.rank
+            if len(self.values) > 256:
+                # through a list: zip gives tuple() no length to start from
+                self._transpose = tuple(list(zip(*rank)))
+            else:
+                # column j of byte rows: every n-th byte of the rows joined
+                flat, n = b"".join(rank), len(rank)
+                self._transpose = tuple([flat[j::n] for j in range(n)])
         return self._transpose
 
     def masks(self, ranks: int, forward: bool) -> tuple[int, ...]:
@@ -399,7 +420,7 @@ class _RankForm:
             return tuple([sum([1 << j for j, r in enumerate(row) if ranks >> r & 1]) for row in rows])
         # bit u of `ranks` becomes byte u; the zero masks' table is a constant
         table = _RANK_ZERO_DIGITS if ranks == 1 else f"{ranks:0256b}"[::-1].encode()
-        return tuple([int(bytes(row[::-1]).translate(table), 2) for row in rows])
+        return tuple([int(row[::-1].translate(table), 2) for row in rows])
 
     def zero_masks(self, bottom, forward: bool) -> tuple[int, ...]:
         """Per row (forward) or column, the mask of the entries equal to
@@ -407,6 +428,12 @@ class _RankForm:
         if not self.values or self.values[0] != bottom:
             return (0,) * len(self.rank)
         return self.masks(1, forward)
+
+
+def _row_type(values) -> type:
+    """The type of a rank row over `values`: bytes, one byte per rank, while
+    every rank fits in a byte, and a tuple of ints past 256 values."""
+    return bytes if len(values) <= 256 else tuple
 
 
 # entries of a space's radius cache before it is emptied
@@ -534,11 +561,11 @@ def _triangle_violations(space: VSpace) -> list[tuple[int, list[int]]]:
     """Per point i with a violation, in ascending order, the row of masks
     whose entry j holds the k with d(i,k) not <= d(i,j) + d(j,k).
 
-    The kernels visit the twin representatives of i and j only, with k
-    over every point.  A twin i' of i has the row of i, so its violations
-    are those of i; a twin j' of j has d(i,j') = d(i,j) by the equal
-    columns and d(j',k) = d(j,k) by the equal rows, so the mask of (i, j')
-    is that of (i, j).  The rows are filled in from the representatives,
+    The kernels visit the twin representatives of i and j only, and the
+    packed kernel those of k too.  A twin i' of i has the row of i, so its
+    violations are those of i; a twin j' of j has d(i,j') = d(i,j) by the
+    equal columns and d(j',k) = d(j,k) by the equal rows, so the mask of
+    (i, j') is that of (i, j).  The rows are filled in from the representatives,
     and twins share them.  Int order keys take the packed-lane kernel;
     every other input, Fraction keys and tables that are not capped
     chains, the class kernel.
@@ -562,50 +589,66 @@ def _triangle_violations(space: VSpace) -> list[tuple[int, list[int]]]:
 
 
 def _packed_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[int, int]]:
-    """The triangle check on int order keys, one lane per point.
+    """The triangle check on int order keys, one lane per twin class.
 
-    A row of keys is packed into one int, key[d(i,k)] in lane k.  A lane is
-    a whole number of bytes: value bits below a guard bit, enough of them
-    that 2 * K + 1 fits, for K the largest key.  With G the guard bits and
-    ONES the lowest bit of each lane, lane k of
+    The kernel reads the matrix between the twin representatives alone
+    (`_triangle_violations`): a twin k' of k has the column of k, so
+    d(i,k') = d(i,k) and d(j,k') = d(j,k), and k' fails with (i, j) iff k
+    does.  A row of that matrix is packed into one int, key[d(i,k)] in the
+    lane of representative k.  A lane is a whole number of bytes: value
+    bits below a guard bit, enough of them that 2 * K + 1 fits, for K the
+    largest key.  With G the guard bits and ONES the lowest bit of each
+    lane, lane k of
 
         ((P_i | G) - (P_j + (key[d(i,j)] + 1) * ONES)) & G
 
     is set iff key[d(i,k)] >= key[d(i,j)] + key[d(j,k)] + 1, that is, iff
     d(i,k) is not below d(i,j) + d(j,k) (`ValueQuantale._rank_values`):
     each lane's difference is non-negative and below twice the guard, so
-    no lane borrows from the next.  The rows P_j of the twin
-    representatives j (`_triangle_violations`) are laid side by side in
-    one int, so one subtraction tests a representative i against all of
-    them; lanes are unpacked only when the result is not zero.  The result
-    maps each representative i to its representatives j with a violation,
-    and to their masks.
+    no lane borrows from the next.  The rows P_j of the representatives j
+    are laid side by side in one int, so one subtraction tests a
+    representative i against all of them.  One-byte lanes (2 * K + 1 below
+    128) are the byte rows of ranks translated through a table of keys;
+    wider lanes are joined entry by entry.  Lanes are unpacked only when
+    the result is not zero, each flagged representative k giving the mask
+    of its class.  The result maps each representative i to its
+    representatives j with a violation, and to their masks.
     """
     if not twins:
         return {}
     form = space._ranks
-    keys, rank = form.keys.keys, form.rank
-    n, reps = space.size, list(twins)
+    keys, reps = form.keys.keys, list(twins)
+    c = len(reps)
+    rows = form.rank if c == space.size else form.restricted(reps).rank
+    members = [sum([1 << t for t in twins[k]]) for k in reps]
     width = (2 * max(keys) + 1).bit_length() // 8 + 1  # bytes per lane
     flag = 1 << 8 * width - 1  # the guard bit of a lane
-    lanes = [key.to_bytes(width, "little") for key in keys]
-    guarded = [(key | flag).to_bytes(width, "little") for key in keys]
-    steps = [(key + 1).to_bytes(width, "little") * n for key in keys]
-    size = n * width * len(reps)  # bytes of the rows side by side
-    guard = int.from_bytes(flag.to_bytes(width, "little") * (n * len(reps)), "little")
-    others = b"".join([b"".join(map(lanes.__getitem__, rank[j])) for j in reps])
+    steps = [(key + 1).to_bytes(width, "little") * c for key in keys]
+    if width == 1:
+        # the keys and the guarded keys as translation tables of the ranks
+        lanes = bytes(keys).ljust(256, b"\0")
+        guarded = bytes([key | flag for key in keys]).ljust(256, b"\0")
+        others = b"".join(rows).translate(lanes)
+        tops = [row.translate(guarded) for row in rows]
+    else:
+        lanes = [key.to_bytes(width, "little") for key in keys]
+        guarded = [(key | flag).to_bytes(width, "little") for key in keys]
+        others = b"".join([b"".join(map(lanes.__getitem__, row)) for row in rows])
+        tops = [b"".join(map(guarded.__getitem__, row)) for row in rows]
+    size = c * c * width  # bytes of the rows side by side
+    guard = int.from_bytes(flag.to_bytes(width, "little") * (c * c), "little")
     others = int.from_bytes(others, "little")
     out = {}
-    for i in reps:
-        row = rank[i]
-        top = int.from_bytes(b"".join(map(guarded.__getitem__, row)) * len(reps), "little")
-        step = b"".join(map(steps.__getitem__, map(row.__getitem__, reps)))
-        bad = (top - (others + int.from_bytes(step, "little"))) & guard
+    for i, row, top in zip(reps, rows, tops):
+        top = int.from_bytes(top * c, "little")
+        step = int.from_bytes(b"".join(map(steps.__getitem__, row)), "little")
+        bad = (top - (others + step)) & guard
         bad_i = out[i] = {}
         if bad:
             flags = bad.to_bytes(size, "little")[width - 1::width]
             for t, j in enumerate(reps):
-                ks = sum([1 << k for k, f in enumerate(flags[t * n:(t + 1) * n]) if f])
+                # the classes are disjoint: their sum is their union
+                ks = sum([members[u] for u, f in enumerate(flags[t * c:(t + 1) * c]) if f])
                 if ks:
                     bad_i[j] = ks
     return out

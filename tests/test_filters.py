@@ -260,6 +260,31 @@ class TestMinimalCauchy:
         }
 
 
+    def test_one_element_quantale(self, Q1):
+        # Q1 has no test values, and every distance is 0: each zero
+        # neighbourhood is the carrier, so each point filter is {X} on both
+        # sides and X is the only minimal Cauchy core
+        from qc.verify import definitional_is_minimal_cauchy
+
+        for n in range(5):
+            names = [f"p{i}" for i in range(n)]
+            space = VSpace(Q1, names, [[0] * n for _ in range(n)])
+            assert not space.test_values
+            assert space.zero_fwd == space.zero_bwd == (space.full_mask,) * n
+            for p in names:
+                for side in ("forward", "backward"):
+                    assert point_filter(space, p, side).core == tuple(names)
+            for mask in range(1, space.full_mask + 1):
+                f = Filter(space, mask)
+                got = is_minimal_cauchy(f)
+                assert got == definitional_is_minimal_cauchy(f)
+                if mask == space.full_mask:
+                    assert got.ok
+                else:
+                    want = {"reason": "proper cauchy subfilter", "core": tuple(names)}
+                    assert got.witness == want
+
+
 class TestConverges:
     def test_principal_converges_to_its_point(self, x2a, x3z):
         for space in (x2a, x3z):

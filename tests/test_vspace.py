@@ -65,7 +65,8 @@ class TestDual:
         # the transposed ranks, over the same values and keys objects
         form, opf = x2a._ranks, op._ranks
         assert opf.values is form.values and opf.keys is form.keys
-        assert opf.rank == tuple(zip(*form.rank)) and opf.transpose is form.rank
+        assert tuple(map(tuple, opf.rank)) == tuple(zip(*form.rank))
+        assert opf.transpose is form.rank
 
     def test_symmetric_fixed(self, x2s):
         assert x2s.dual() == x2s
@@ -867,6 +868,42 @@ class TestRankMatrixForms:
                             space, space.names_of(a), space.names_of(b)
                         ) == definitional_set_distance(space, a, b), (a, b)
 
+    def test_rows_are_bytes_up_to_256_values(self, chain4):
+        # a rank row is a byte string while every rank fits in a byte and a
+        # tuple of ints past 256 values; the transpose, the dual and the
+        # quotient keep the type, and the entries read the same either way
+        import random
+
+        from qc import serialize
+
+        rng = random.Random(20261104)
+        n = 17  # 272 entries off the diagonal
+        for count, kind in ((256, bytes), (257, tuple)):
+            off = [Fraction(v, 3) for v in rng.sample(range(1, 10**6), count - 1)]
+            off += [rng.choice(off) for _ in range(n * (n - 1) - len(off))]
+            rng.shuffle(off)
+            d = [[Fraction(0) if i == j else off.pop() for j in range(n)] for i in range(n)]
+            space = VSpace(E, [f"p{i}" for i in range(n)], d)
+            form = space._ranks
+            assert len(form.values) == count
+            for rows in (form.rank, form.transpose, space.dual()._ranks.rank,
+                         separation_quotient(space)[0]._ranks.rank):
+                assert {type(row) for row in rows} == {kind}
+            assert tuple(map(tuple, form.transpose)) == tuple(zip(*map(tuple, form.rank)))
+            assert space.dmat == tuple(map(tuple, d))
+        # more entry classes than a byte holds, denoting two values: byte rows
+        payload = {"quantale": "ext_rational", "points": [f"p{i}" for i in range(n)],
+                   "d": [["0" if i == j else f"{i * n + j}/{i * n + j}" for j in range(n)]
+                         for i in range(n)]}
+        form = serialize.parse_space(payload)._ranks
+        assert form.values == (0, 1)
+        assert tuple(map(tuple, form.rank)) == tuple(
+            tuple(int(i != j) for j in range(n)) for i in range(n)
+        )
+        assert all(type(row) is bytes for row in form.rank)
+        assert type(VSpace(chain4, ["a"], [[0]])._ranks.rank[0]) is bytes
+        assert VSpace(E, [], [])._ranks.transpose == ()
+
     def test_least_test_value_matches_combined(self, Q3):
         from qc.verify import _oracle_battery
         from qc.vspace import _least_test_value
@@ -1186,6 +1223,77 @@ class TestTriangleKernels:
         got = self._agrees(ran, VSpace(q, ["p"], [[q.top]]), kernel)
         assert [f.check for f in got] == ["zero-diagonal"]
 
+    @pytest.mark.parametrize("case", ["byte-lanes", "wide-lanes", "chain4", "many-values"])
+    def test_clustered_twins_with_planted_violations(self, ran, case, chain4):
+        # clusters of twins at mutual distance 0: the packed kernel reads one
+        # lane per twin class and gives each flagged representative k the
+        # mask of its class, so a failure (i, j, k) with k a later twin is
+        # found only through that mask
+        import random
+
+        from qc.vspace import _twins
+
+        rng = random.Random(f"clustered-twins:{case}")
+        q = chain4 if case == "chain4" else E
+        many = case == "many-values"
+        sizes = [0, 1] + ([17, 17, 17] if many else [rng.randint(3, 7) for _ in range(14)])
+        widths, later_k = set(), 0
+        for m in sizes:
+            base = _cluster_base(rng, case, m)
+            src = [a for a in range(m) for _ in range(rng.randint(1, 3))]
+            rng.shuffle(src)
+            if m > 2:
+                # plant d(a,b) above d(a,x) + d(x,b) in the base: twins stay twins
+                a, x = rng.sample(range(m), 2)
+                b = rng.choice([y for y in src if y not in (a, x)])
+                base[a][b] = q.top
+                base[a][x] = base[x][b] = min(v for row in base for v in row if v != q.bottom)
+            d = [[base[a][b] for b in src] for a in src]
+            if len(src) > 1 and rng.random() < 0.3:  # one entry alone: a twin breaks away
+                x, z = rng.sample(range(len(src)), 2)
+                d[x][z] = q.top
+            space = VSpace(q, [f"p{i}" for i in range(len(src))], d)
+            form = space._ranks
+            classes = list(_twins(form).values())
+            assert len(classes) <= m + 2
+            got = self._agrees(ran, space, "packed")
+            later = {space.points[i] for members in classes for i in members[1:]}
+            later_k += any(f.check == "triangle" and f.witness["triple"][2] in later for f in got)
+            if m > 2:
+                widths.add((2 * max(form.keys.keys) + 1).bit_length() // 8 + 1)
+            if m == 17:
+                assert len(form.values) > 256 and all(type(row) is tuple for row in form.rank)
+        assert later_k >= (2 if many else 8), later_k
+        if case in ("byte-lanes", "chain4"):
+            assert widths == {1}
+        else:
+            assert min(widths) > 1
+
+
+def _cluster_base(rng, case, m):
+    """A valid base matrix on m points for `test_clustered_twins_with_planted_violations`.
+
+    Byte lanes: extended rationals whose largest key K keeps 2 * K + 1
+    below 128, and chain4: random entries, triangle-repaired.  Wide lanes
+    and many values: distinct entries in [lo, 2 * lo), each at most the sum
+    of any two, with keys past one byte, and on 17 points more than 256
+    values.
+    """
+    from qc import BUILTIN_QUANTALES
+    from qc.verify import triangle_repair
+
+    if case in ("wide-lanes", "many-values"):
+        lo, den = (40, 3) if case == "wide-lanes" else (10**6, 1)
+        entries = iter(rng.sample(range(lo * den, 2 * lo * den), m * m))
+        return [[Fraction(0) if a == b else Fraction(next(entries), den) for b in range(m)]
+                for a in range(m)]
+    if case == "chain4":
+        q, pool = BUILTIN_QUANTALES["chain4"], [1, 2, 3]
+    else:
+        q, pool = E, [Fraction(1, 2), Fraction(1), INF]
+    base = [[q.bottom if a == b else rng.choice(pool) for b in range(m)] for a in range(m)]
+    return triangle_repair(q, base)[0]
+
 
 def _literal(rng, q, e):
     """One of the literals that parse to element e."""
@@ -1244,14 +1352,14 @@ class TestBuildPath:
         )
         form = space._ranks
         assert form.values == (0, Fraction(1, 2), 1)
-        assert form.rank == ((0, 1, 1), (1, 0, 1), (2, 2, 0))
+        assert tuple(map(tuple, form.rank)) == ((0, 1, 1), (1, 0, 1), (2, 2, 0))
         h = Fraction(1, 2)
         assert space == VSpace(E, ["a", "b", "c"], [[0, h, h], [h, 0, h], [1, 1, 0]])
         space = serialize.parse_space(
             {"quantale": "chain4", "points": ["a", "b"], "d": [["0", 1], ["1", 0]]}
         )
         assert space._ranks.values == (0, 1)
-        assert space._ranks.rank == ((0, 1), (1, 0))
+        assert tuple(map(tuple, space._ranks.rank)) == ((0, 1), (1, 0))
 
     def test_parse_and_construct_agree(self, Q1, Q3, chain4, pinched):
         import random
@@ -1395,7 +1503,7 @@ def _kernel_and_oracle(q, rows, parse=None):
 def _assert_same_build(form, want):
     values, rank, keys = want
     assert form.values == values and list(map(type, form.values)) == list(map(type, values))
-    assert form.rank == rank
+    assert tuple(map(tuple, form.rank)) == rank
     if keys is None:
         assert form.keys is None
     else:

@@ -198,8 +198,8 @@ MUTANTS = (
     Mutant(
         "packed-lane-table-from-ranks-not-keys",
         "vspace.py",
-        'lanes = bytes(keys).ljust(256, b"\\0")',
-        'lanes = bytes(range(len(keys))).ljust(256, b"\\0")',
+        'lanes = [key.to_bytes(width, "little") for key in keys]',
+        'lanes = [key.to_bytes(width, "little") for key in range(len(keys))]',
         (TRIANGLE,),
     ),
     Mutant(

@@ -607,9 +607,7 @@ def _packed_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[in
     each lane's difference is non-negative and below twice the guard, so
     no lane borrows from the next.  The rows P_j of the representatives j
     are laid side by side in one int, so one subtraction tests a
-    representative i against all of them.  One-byte lanes (2 * K + 1 below
-    128) are the byte rows of ranks translated through a table of keys;
-    wider lanes are joined entry by entry.  Lanes are unpacked only when
+    representative i against all of them.  Lanes are unpacked only when
     the result is not zero, each flagged representative k giving the mask
     of its class.  The result maps each representative i to its
     representatives j with a violation, and to their masks.
@@ -623,24 +621,16 @@ def _packed_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[in
     members = [sum([1 << t for t in twins[k]]) for k in reps]
     width = (2 * max(keys) + 1).bit_length() // 8 + 1  # bytes per lane
     flag = 1 << 8 * width - 1  # the guard bit of a lane
+    lanes = [key.to_bytes(width, "little") for key in keys]
+    guarded = [(key | flag).to_bytes(width, "little") for key in keys]
     steps = [(key + 1).to_bytes(width, "little") * c for key in keys]
-    if width == 1:
-        # the keys and the guarded keys as translation tables of the ranks
-        lanes = bytes(keys).ljust(256, b"\0")
-        guarded = bytes([key | flag for key in keys]).ljust(256, b"\0")
-        others = b"".join(rows).translate(lanes)
-        tops = [row.translate(guarded) for row in rows]
-    else:
-        lanes = [key.to_bytes(width, "little") for key in keys]
-        guarded = [(key | flag).to_bytes(width, "little") for key in keys]
-        others = b"".join([b"".join(map(lanes.__getitem__, row)) for row in rows])
-        tops = [b"".join(map(guarded.__getitem__, row)) for row in rows]
     size = c * c * width  # bytes of the rows side by side
     guard = int.from_bytes(flag.to_bytes(width, "little") * (c * c), "little")
+    others = b"".join([b"".join(map(lanes.__getitem__, row)) for row in rows])
     others = int.from_bytes(others, "little")
     out = {}
-    for i, row, top in zip(reps, rows, tops):
-        top = int.from_bytes(top * c, "little")
+    for i, row in zip(reps, rows):
+        top = int.from_bytes(b"".join(map(guarded.__getitem__, row)) * c, "little")
         step = int.from_bytes(b"".join(map(steps.__getitem__, row)), "little")
         bad = (top - (others + step)) & guard
         bad_i = out[i] = {}

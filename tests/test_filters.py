@@ -259,7 +259,6 @@ class TestMinimalCauchy:
             (True, None), (False, "not cauchy"), (False, "proper cauchy subfilter")
         }
 
-
     def test_one_element_quantale(self, Q1):
         # Q1 has no test values, and every distance is 0: each zero
         # neighbourhood is the carrier, so each point filter is {X} on both

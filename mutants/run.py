@@ -58,6 +58,7 @@ LANES = "tests/test_verify.py::TestCoreLanes"
 MINIMAL = "tests/test_completion.py::TestMinimalFilters"
 LITERALS = "tests/test_vspace.py::TestBuildPath::test_literal_fast_path_matches_fraction"
 CHECK = "tests/test_quantale.py::TestMeetJoin::test_check_rejects_negatives_by_sign"
+TOPOLOGY = "tests/test_structures.py::TestTopologyOracles"
 
 
 class Mutant(NamedTuple):
@@ -572,6 +573,47 @@ MUTANTS = (
         "if element.numerator < 0:",
         "if element.numerator <= 0:",
         (CHECK,),
+    ),
+    Mutant(
+        "ball-neighbourhood-meets-only-balls-centred-at-the-point",
+        "structures.py",
+        "    for b in {b for eps in space.test_values for b in space._strict_balls(eps)}:\n"
+        "        covered |= b\n"
+        "        for i in _bits(b):\n"
+        "            nbs[i] &= b\n",
+        "    for eps in space.test_values:\n"
+        "        for i, b in enumerate(space._strict_balls(eps)):\n"
+        "            covered |= b\n"
+        "            nbs[i] &= b\n",
+        (TOPOLOGY,),
+    ),
+    Mutant(
+        "ball-topology-skips-cover-check",
+        "structures.py",
+        "if covered != full:",
+        "if False:",
+        (TOPOLOGY,),
+    ),
+    Mutant(
+        "relation-neighbourhood-without-transitive-closure",
+        "structures.py",
+        "[reduce(or_, [grown[j] for j in _bits(m)], m) for m in grown]",
+        "[reduce(or_, [], m) for m in grown]",
+        (TOPOLOGY,),
+    ),
+    Mutant(
+        "open-test-skips-a-point",
+        "structures.py",
+        "for i in _bits(m))",
+        "for i in _bits(m)[1:])",
+        (TOPOLOGY,),
+    ),
+    Mutant(
+        "generator-entries-not-marked-checked",
+        "verify.py",
+        "_entry_classes(k, value)._replace(checked=True)",
+        "_entry_classes(k, value)",
+        ("tests/test_verify.py::TestGenerator::test_checks_each_drawn_entry_once",),
     ),
 )
 

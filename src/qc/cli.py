@@ -39,6 +39,8 @@ def _read_payload(path: str, expected_kind: str):
             text = fh.read()
     except OSError as exc:
         raise StructureError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})")
     _, payload = serialize.loads_envelope(text, expected_kind)
     return payload
 

@@ -2,20 +2,26 @@
 
 The topology is generated by the strict balls {y : eps well-above d(x,y)}
 over the test values; the quasi-uniformity by the relations d(x,y) <= eps.
-On a finite carrier both structures are principal, so equality questions
-reduce to comparing open-set families and core relations.  The two
-three-way equivalence lists for vanishing and uniformly vanishing
-asymmetry are evaluated condition by condition and must agree.
+On a finite carrier both are principal: the topology is stored by each
+point's least open neighbourhood and the quasi-uniformity by its core
+relation, so equality questions compare one mask or row per point.  The
+closure of the ball base under union and intersection and the subset scan
+for the opens of a relation are oracles in `qc.verify`.  The two three-way
+equivalence lists for vanishing and uniformly vanishing asymmetry are
+evaluated condition by condition and must agree.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
-from .errors import InvariantError
+from .errors import InvariantError, StructureError
 from .reporting import Verdict
 from .vspace import (
     VSpace,
+    _bits,
     has_uniformly_vanishing_asymmetry,
     has_vanishing_asymmetry,
     is_uniformly_continuous,
@@ -24,64 +30,64 @@ from .vspace import (
 )
 
 
+def _index(points: tuple, name) -> int:
+    try:
+        return points.index(name)
+    except ValueError:
+        raise StructureError(f"unknown point {name!r}") from None
+
+
+def _names(points: tuple, mask: int) -> tuple[str, ...]:
+    return tuple(p for i, p in enumerate(points) if mask >> i & 1)
+
+
 class FiniteTopology(NamedTuple):
+    """A finite topology, stored by each point's least open neighbourhood.
+
+    A mask is open iff it contains the neighbourhood of each of its points.
+    """
+
     points: tuple[str, ...]
-    opens: frozenset  # masks
+    neighbourhoods: tuple[int, ...]  # masks
+
+    def _is_open_mask(self, m: int) -> bool:
+        return all(self.neighbourhoods[i] | m == m for i in _bits(m))
 
     def open_sets(self) -> tuple[tuple[str, ...], ...]:
-        """Open sets as sorted name tuples, smallest mask first."""
-        by_mask = sorted(self.opens)
-        return tuple(
-            tuple(p for i, p in enumerate(self.points) if m >> i & 1)
-            for m in by_mask
-        )
+        """Open sets as sorted name tuples, smallest mask first; one test
+        per subset, since there can be 2^n of them."""
+        masks = range(1 << len(self.points))
+        return tuple(_names(self.points, m) for m in masks if self._is_open_mask(m))
 
     def is_open(self, names) -> bool:
-        m = 0
-        index = {p: i for i, p in enumerate(self.points)}
-        for p in names:
-            m |= 1 << index[p]
-        return m in self.opens
+        return self._is_open_mask(sum({1 << _index(self.points, p) for p in names}))
 
     @property
     def is_discrete(self) -> bool:
-        return len(self.opens) == 1 << len(self.points)
-
-
-def _close_under_union_intersection(n: int, base: set) -> frozenset:
-    sets = set(base)
-    sets.add(0)
-    if n == 0:
-        return frozenset(sets)
-    changed = True
-    while changed:
-        changed = False
-        current = list(sets)
-        for i, a in enumerate(current):
-            for b in current[i:]:
-                for c in (a | b, a & b):
-                    if c not in sets:
-                        sets.add(c)
-                        changed = True
-    return frozenset(sets)
+        return all(nb == 1 << i for i, nb in enumerate(self.neighbourhoods))
 
 
 def topology_of(space: VSpace, side: str = "forward") -> FiniteTopology:
-    """Opens generated by strict balls; backward uses the dual space."""
+    """Strict-ball topology; backward uses the dual space.
+
+    A point's least open neighbourhood is the AND of the strict balls that
+    contain it, over every test value; a point in no ball would leave the
+    carrier not open.
+    """
     if not _forward(side):
         return topology_of(space.dual(), "forward")
-    if not space.size:
-        return FiniteTopology(space.points, frozenset({0}))
+    full = space.full_mask
     if not space.test_values:
         # no positive radii means no basic balls: the indiscrete topology
-        return FiniteTopology(space.points, frozenset({0, space.full_mask}))
-    base = set()
-    for eps in space.test_values:
-        base.update(space._strict_balls(eps))
-    opens = _close_under_union_intersection(space.size, base)
-    if space.full_mask not in opens:
+        return FiniteTopology(space.points, (full,) * space.size)
+    nbs, covered = [full] * space.size, 0
+    for b in {b for eps in space.test_values for b in space._strict_balls(eps)}:
+        covered |= b
+        for i in _bits(b):
+            nbs[i] &= b
+    if covered != full:
         raise InvariantError("strict balls fail to cover the carrier")
-    return FiniteTopology(space.points, opens)
+    return FiniteTopology(space.points, tuple(nbs))
 
 
 # the bits of each byte, lowest first, as bools: a core row is read a byte at a time
@@ -95,8 +101,7 @@ class QuasiUniformity(NamedTuple):
     core: tuple  # boolean matrix rows
 
     def related(self, x, y) -> bool:
-        index = {p: i for i, p in enumerate(self.points)}
-        return self.core[index[x]][index[y]]
+        return self.core[_index(self.points, x)][_index(self.points, y)]
 
 
 def quasi_uniformity_of(space: VSpace, side: str = "forward") -> QuasiUniformity:
@@ -136,22 +141,14 @@ def uniformities_equal(space: VSpace) -> Verdict:
 
 def topology_of_relation(points, core) -> FiniteTopology:
     """Standard topology of a principal quasi-uniformity: O open iff
-    every point of O has its core neighbourhood inside O."""
-    n = len(points)
-    opens = set()
-    for m in range(1 << n):
-        ok = True
-        for i in range(n):
-            if m >> i & 1:
-                for j in range(n):
-                    if core[i][j] and not m >> j & 1:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            opens.add(m)
-    return FiniteTopology(tuple(points), frozenset(opens))
+    every point of O has its core neighbourhood inside O.  A point's least
+    open neighbourhood is the point plus all it reaches along the core."""
+    grown = [sum(1 << j for j, r in enumerate(row) if r) | 1 << i for i, row in enumerate(core)]
+    nbs = None
+    while grown != nbs:
+        # each round adds the points reached so far from the points reached
+        nbs, grown = grown, [reduce(or_, [grown[j] for j in _bits(m)], m) for m in grown]
+    return FiniteTopology(tuple(points), tuple(nbs))
 
 
 class EquivalenceReport(NamedTuple):
@@ -163,13 +160,11 @@ class EquivalenceReport(NamedTuple):
 
 
 def _identity_continuous(src_top: FiniteTopology, tgt_top: FiniteTopology) -> Verdict:
-    """The identity map is continuous iff target opens are source opens."""
-    missing = sorted(tgt_top.opens - src_top.opens)
-    if missing:
-        names = tuple(
-            p for i, p in enumerate(tgt_top.points) if missing[0] >> i & 1
-        )
-        return Verdict(False, {"open_set": names})
+    """The identity map is continuous iff every target neighbourhood is
+    open in the source; the witness is the first that is not."""
+    for m in tgt_top.neighbourhoods:
+        if not src_top._is_open_mask(m):
+            return Verdict(False, {"open_set": _names(tgt_top.points, m)})
     return Verdict(True)
 
 
@@ -189,11 +184,8 @@ def va_equivalence_report(space: VSpace) -> EquivalenceReport:
         homeo = Verdict(True)
     else:
         homeo = Verdict(False, (into.witness or outof.witness))
-    equal = (
-        Verdict(True)
-        if fwd.opens == bwd.opens
-        else Verdict(False, {"difference": len(fwd.opens ^ bwd.opens)})
-    )
+    differs = [p for p, f, b in zip(space.points, fwd.neighbourhoods, bwd.neighbourhoods) if f != b]
+    equal = Verdict(False, {"point": differs[0]}) if differs else Verdict(True)
     conditions = {
         "pointwise_modulus": modulus,
         "identity_homeomorphism": homeo,

@@ -15,10 +15,14 @@ Five layers of defence:
   zero-distance filters, and `definitional_is_minimal_cauchy`, which tries
   every core above a filter's) and the extension of a map by limits of
   image filters (`definitional_extension`) are oracles for the closed
-  forms the library uses; the theorem suite reads the Cauchy and minimal
-  verdicts of the test-value loop for all 2^n cores at once, as lane
-  tables (one 2^n-bit int per verdict, see `_Ctx`), and the tests compare
-  those lanes with `_cauchy_over` and `definitional_is_minimal_cauchy`;
+  forms the library uses, as are the closure of the strict balls under
+  union and intersection (`definitional_topology`) and the scan of every
+  subset for the opens of a relation (`definitional_relation_topology`)
+  for the neighbourhood forms of `qc.structures`; the theorem suite reads
+  the Cauchy and minimal verdicts of the test-value loop for all 2^n
+  cores at once, as lane tables (one 2^n-bit int per verdict, see
+  `_Ctx`), and the tests compare those lanes with `_cauchy_over` and
+  `definitional_is_minimal_cauchy`;
 * the per-entry definitions of the triangle law, balls, the uniform flip,
   the entourage core and set distances (and VA, UVA and symmetry moduli on
   top of them) are oracles for the rank-compiled kernels of `qc.vspace`,
@@ -80,6 +84,7 @@ from .vspace import (
     _EntryClasses,
     _bits,
     _entry_classes,
+    _forward,
     _set_distance_masks,
     _uniform_flip_ok,
     classify,
@@ -139,13 +144,8 @@ class InstanceGenerator(NamedTuple):
     min_points: int = 2
     max_points: int = 5
     zero_weight: int = 3
-    inf_weight: int = 1
-    finite_weight: int = 6
-    max_numerator: int = 4
-    max_denominator: int = 3
     force_uva: bool = False
     force_separated: bool = False
-    force_symmetric: bool = False
 
     def child_seeds(self, count: int) -> list[int]:
         master = random.Random(f"qc:{self.seed}")
@@ -166,15 +166,13 @@ def _draw_value(gen: InstanceGenerator, rng: random.Random):
         n = q.size
         weights = [gen.zero_weight if e == q.bottom else 1 for e in range(n)]
         return rng.choices(range(n), weights=weights, k=1)[0]
-    total = gen.zero_weight + gen.inf_weight + gen.finite_weight
-    roll = rng.randrange(total)
+    # 0 at zero_weight, INF at 1, and n/d with n in 1..4 and d in 1..3 at 6
+    roll = rng.randrange(gen.zero_weight + 7)
     if roll < gen.zero_weight:
         return q.bottom
-    if roll < gen.zero_weight + gen.inf_weight:
+    if roll == gen.zero_weight:
         return INF
-    return Fraction(
-        rng.randint(1, gen.max_numerator), rng.randint(1, gen.max_denominator)
-    )
+    return Fraction(rng.randint(1, 4), rng.randint(1, 3))
 
 
 def triangle_repair(quantale: ValueQuantale, dmat) -> tuple[list, int]:
@@ -282,10 +280,6 @@ def _generate_space(gen: InstanceGenerator, rng: random.Random, max_points=None)
     d = [[_draw_value(gen, rng) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         d[i][i] = q.bottom
-    if gen.force_symmetric:
-        for i in range(n):
-            for j in range(i):
-                d[i][j] = d[j][i]
     # the space is repaired and made UVA on the keys of `_repair_keys`, and
     # each distinct key is turned into its value once
     k, value, _ = _repair_keys(q, d)
@@ -301,7 +295,9 @@ def _generate_space(gen: InstanceGenerator, rng: random.Random, max_points=None)
             if not changed:
                 break
             _relax(k, _tables(q))
-    space = VSpace(q, [f"p{i}" for i in range(n)], _entry_classes(k, value))
+    # the repaired values are elements already, so they are not checked again
+    entries = _entry_classes(k, value)._replace(checked=True)
+    space = VSpace(q, [f"p{i}" for i in range(n)], entries)
     if gen.force_separated:
         space, _ = separation_quotient(space)
     check = validate_vspace(space)
@@ -309,8 +305,6 @@ def _generate_space(gen: InstanceGenerator, rng: random.Random, max_points=None)
         raise InvariantError(f"generator produced an invalid space: {check.failures[0]}")
     if gen.force_uva and not has_uniformly_vanishing_asymmetry(space):
         raise InvariantError("generator failed to force uniformly vanishing asymmetry")
-    if gen.force_symmetric and not classify(space)["symmetric"]:
-        raise InvariantError("generator failed to force symmetry")
     return space
 
 
@@ -761,6 +755,49 @@ def definitional_balls(space: VSpace, eps) -> tuple:
                 fwd[i] |= 1 << j
                 bwd[j] |= 1 << i
     return tuple(fwd), tuple(bwd)
+
+
+def _close_under_union_intersection(base: set) -> frozenset:
+    sets = set(base)
+    sets.add(0)
+    changed = True
+    while changed:
+        changed = False
+        current = list(sets)
+        for i, a in enumerate(current):
+            for b in current[i:]:
+                for c in (a | b, a & b):
+                    if c not in sets:
+                        sets.add(c)
+                        changed = True
+    return frozenset(sets)
+
+
+def definitional_topology(space: VSpace, side: str = "forward") -> frozenset:
+    """The open masks of `topology_of`: the strict balls over the test
+    values closed under union and intersection, which must cover the
+    carrier; the indiscrete topology when there are no test values."""
+    if not _forward(side):
+        space = space.dual()
+    if not space.test_values:
+        return frozenset({0, space.full_mask})
+    base = set()
+    for eps in space.test_values:
+        base.update(space._strict_balls(eps))
+    opens = _close_under_union_intersection(base)
+    if space.full_mask not in opens:
+        raise InvariantError("strict balls fail to cover the carrier")
+    return opens
+
+
+def definitional_relation_topology(points, core) -> frozenset:
+    """The open masks of `topology_of_relation`, one test per subset: O is
+    open iff every point of O has its core neighbourhood inside O."""
+    n = len(points)
+    return frozenset(
+        m for m in range(1 << n)
+        if all(m >> j & 1 for i in range(n) if m >> i & 1 for j in range(n) if core[i][j])
+    )
 
 
 def _definitional_within(space: VSpace):
@@ -1891,11 +1928,11 @@ def _check_balls_closed(ctx: _Ctx):
                 "point": space.points[i],
                 "epsilon": space.quantale.format(eps),
             }
-            if space.full_mask & ~bwd_ball not in fwd_top.opens:
+            if not fwd_top._is_open_mask(space.full_mask & ~bwd_ball):
                 return {**witness, "side": "backward ball in forward topology"}
-            if space.full_mask & ~fwd_ball not in bwd_top.opens:
+            if not bwd_top._is_open_mask(space.full_mask & ~fwd_ball):
                 return {**witness, "side": "forward ball in backward topology"}
-            if ctx.va and space.full_mask & ~fwd_ball not in fwd_top.opens:
+            if ctx.va and not fwd_top._is_open_mask(space.full_mask & ~fwd_ball):
                 return {**witness, "side": "forward ball in forward topology"}
     return None
 
@@ -1906,7 +1943,7 @@ def _check_uniformity_topology(ctx: _Ctx):
         uni = quasi_uniformity_of(space, side)
         from_relation = topology_of_relation(space.points, uni.core)
         direct = topology_of(space, side)
-        if from_relation.opens != direct.opens:
+        if from_relation.neighbourhoods != direct.neighbourhoods:
             return {"side": side}
     return None
 

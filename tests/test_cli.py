@@ -233,6 +233,14 @@ class TestValidate:
         assert code == 2
         assert "line" in err
 
+    @pytest.mark.parametrize("command", ["classify", "validate-quantale"])
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path, command):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff{}")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot read {path}: not UTF-8 (invalid start byte at byte 0)\n"
+
 
 class TestHugeLiterals:
     # a literal past sys.get_int_max_str_digits() digits is refused when it

@@ -58,13 +58,6 @@ class TestGenerator:
         for _, space in gen.instances(20):
             assert classify(space)["separated"]
 
-    def test_force_symmetric(self):
-        from qc import classify
-
-        gen = InstanceGenerator(seed=5, force_symmetric=True)
-        for _, space in gen.instances(20):
-            assert classify(space)["symmetric"]
-
     def test_finite_quantale_generation(self):
         gen = InstanceGenerator(seed=5, quantale=BUILTIN_QUANTALES["Q3"])
         for _, space in gen.instances(10):
@@ -78,7 +71,6 @@ class TestGenerator:
             {},
             {"force_uva": True},
             {"force_separated": True},
-            {"force_symmetric": True},
             {"force_uva": True, "force_separated": True},
             {"force_uva": True, "max_points": 7},
             {"quantale": BUILTIN_QUANTALES["Q3"]},
@@ -95,6 +87,33 @@ class TestGenerator:
                 relaxed += again
         assert seeds >= 300 and relaxed >= 30, (seeds, relaxed)
 
+    def test_checks_each_drawn_entry_once(self):
+        # the repair checks each distinct drawn entry object; the space is
+        # built from its values, elements already, with no check of its own
+        import random
+
+        from helpers import count_checks
+
+        from qc.verify import _draw_value
+
+        configs = [
+            {},
+            {"force_uva": True},
+            {"force_separated": True},
+            {"quantale": BUILTIN_QUANTALES["Q3"], "force_uva": True},
+            {"quantale": BUILTIN_QUANTALES["Q1"]},
+        ]
+        for t, config in enumerate(configs):
+            gen = InstanceGenerator(seed=800 + t, **config)
+            for child in gen.child_seeds(20):
+                rng = random.Random(child)
+                n = rng.randint(gen.min_points, gen.max_points)
+                d = [[_draw_value(gen, rng) for _ in range(n)] for _ in range(n)]
+                for i in range(n):
+                    d[i][i] = gen.quantale.bottom
+                drawn = len({id(e) for row in d for e in row})
+                assert count_checks(lambda: gen.space_from_seed(child)) == drawn, (config, child)
+
 
 def _generate_by_values(gen, child):
     """The instance generator's space for `child`, built on values: each
@@ -103,7 +122,7 @@ def _generate_by_values(gen, child):
     zero-symmetrisation lowered an entry."""
     import random
 
-    from qc import classify, separation_quotient
+    from qc import separation_quotient
     from qc.verify import _draw_value, definitional_triangle_repair
 
     rng = random.Random(child)
@@ -112,10 +131,6 @@ def _generate_by_values(gen, child):
     d = [[_draw_value(gen, rng) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         d[i][i] = q.bottom
-    if gen.force_symmetric:
-        for i in range(n):
-            for j in range(i):
-                d[i][j] = d[j][i]
     d, _ = definitional_triangle_repair(q, d)
     again = False
     if gen.force_uva:
@@ -135,8 +150,6 @@ def _generate_by_values(gen, child):
     if gen.force_separated:
         space, _ = separation_quotient(space)
     assert validate_vspace(space).ok
-    if gen.force_symmetric:
-        assert classify(space)["symmetric"]
     return space, again
 
 

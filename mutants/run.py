@@ -53,7 +53,6 @@ CARRIER = "tests/test_vspace.py::TestCarrierAttributes"
 HELD_MEMORY = "tests/test_completion.py::TestRepeatedCompletions"
 RADIUS_CACHE = "tests/test_vspace.py::TestRadiusCache"
 DEDUPE = "tests/test_verify.py::TestEpsilonOracle::test_dedupe_matches_leq_patterns"
-KEY_CUT = "tests/test_vspace.py::TestStrictBallKeyCut"
 LANES = "tests/test_verify.py::TestCoreLanes"
 MINIMAL = "tests/test_completion.py::TestMinimalFilters"
 LITERALS = "tests/test_vspace.py::TestBuildPath::test_literal_fast_path_matches_fraction"
@@ -344,20 +343,6 @@ MUTANTS = (
         ("tests/test_vspace.py::TestDual",),
     ),
     Mutant(
-        "strict-balls-cache-ignores-radius",
-        "vspace.py",
-        'key = ("strict", id(eps))',
-        'key = ("strict",)',
-        (KEY_CUT,),
-    ),
-    Mutant(
-        "strict-cut-bisect-right",
-        "vspace.py",
-        "from bisect import bisect_left\n",
-        "from bisect import bisect_right as bisect_left\n",
-        (KEY_CUT,),
-    ),
-    Mutant(
         "down-lanes-drop-empty-core",
         "verify.py",
         "lanes, sub = 1, mask",
@@ -464,8 +449,8 @@ MUTANTS = (
     Mutant(
         "va-conditions-skip-topology",
         "verify.py",
-        "for name, v in conditions.items()}",
-        'for name, v in conditions.items() if name != "topologies_equal"}',
+        "any(closed[k] != v for k, v in oracles.items())",
+        'any(closed[k] != v for k, v in oracles.items() if k != "topologies_equal")',
         (VA_AGREE,),
     ),
     Mutant(
@@ -514,8 +499,8 @@ MUTANTS = (
     Mutant(
         "ball-cache-entry-drops-radius",
         "vspace.py",
-        "hit = self._ball_cache[key] = (eps, balls)",
-        "hit = self._ball_cache[key] = (None, balls)",
+        "hit = self._ball_cache[key] = (eps, form.masks(below, forward))",
+        "hit = self._ball_cache[key] = (None, form.masks(below, forward))",
         (RADIUS_CACHE,),
     ),
     Mutant(
@@ -575,24 +560,25 @@ MUTANTS = (
         (CHECK,),
     ),
     Mutant(
-        "ball-neighbourhood-meets-only-balls-centred-at-the-point",
+        "topology-reads-the-other-side-zero-masks",
         "structures.py",
-        "    for b in {b for eps in space.test_values for b in space._strict_balls(eps)}:\n"
-        "        covered |= b\n"
-        "        for i in _bits(b):\n"
-        "            nbs[i] &= b\n",
-        "    for eps in space.test_values:\n"
-        "        for i, b in enumerate(space._strict_balls(eps)):\n"
-        "            covered |= b\n"
-        "            nbs[i] &= b\n",
+        "nbs = _zero_masks(space, side) if space.test_values",
+        "nbs = _zero_masks(space.dual(), side) if space.test_values",
         (TOPOLOGY,),
     ),
     Mutant(
-        "ball-topology-skips-cover-check",
+        "topology-guard-skips-transitivity",
         "structures.py",
-        "if covered != full:",
-        "if False:",
+        "if not m >> i & 1 or reduce(or_, [nbs[j] for j in _bits(m)], m) != m:",
+        "if not m >> i & 1:",
         (TOPOLOGY,),
+    ),
+    Mutant(
+        "topology-skips-test-value-refusal",
+        "structures.py",
+        "nbs = _zero_masks(space, side) if space.test_values",
+        "nbs = _zero_masks(space, side) if space.size",
+        (KERNELS,),
     ),
     Mutant(
         "relation-neighbourhood-without-transitive-closure",

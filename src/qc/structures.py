@@ -4,11 +4,13 @@ The topology is generated by the strict balls {y : eps well-above d(x,y)}
 over the test values; the quasi-uniformity by the relations d(x,y) <= eps.
 On a finite carrier both are principal: the topology is stored by each
 point's least open neighbourhood and the quasi-uniformity by its core
-relation, so equality questions compare one mask or row per point.  The
-closure of the ball base under union and intersection and the subset scan
-for the opens of a relation are oracles in `qc.verify`.  The two three-way
-equivalence lists for vanishing and uniformly vanishing asymmetry are
-evaluated condition by condition and must agree.
+relation, so equality questions compare one mask or row per point.  On a
+valid space both are read off the zero masks, as the quantified
+predicates of `qc.vspace` are.  The closure of the strict-ball base under
+union and intersection and the subset scan for the opens of a relation
+are oracles in `qc.verify`.  The two three-way equivalence lists for
+vanishing and uniformly vanishing asymmetry are evaluated condition by
+condition and must agree.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .vspace import (
     has_uniformly_vanishing_asymmetry,
     has_vanishing_asymmetry,
     is_uniformly_continuous,
-    _forward,
     _zero_masks,
 )
 
@@ -68,25 +69,18 @@ class FiniteTopology(NamedTuple):
 
 
 def topology_of(space: VSpace, side: str = "forward") -> FiniteTopology:
-    """Strict-ball topology; backward uses the dual space.
+    """Strict-ball topology of a valid space, by its zero masks.
 
-    A point's least open neighbourhood is the AND of the strict balls that
-    contain it, over every test value; a point in no ball would leave the
-    carrier not open.
+    A point's least open neighbourhood is its zero mask: that is its
+    strict ball at the least test value, and the triangle law puts it
+    inside every strict ball that holds the point.  With no test values
+    there are no balls, and the topology is indiscrete.  The guard refuses
+    masks that do not come from a preorder.
     """
-    if not _forward(side):
-        return topology_of(space.dual(), "forward")
-    full = space.full_mask
-    if not space.test_values:
-        # no positive radii means no basic balls: the indiscrete topology
-        return FiniteTopology(space.points, (full,) * space.size)
-    nbs, covered = [full] * space.size, 0
-    for b in {b for eps in space.test_values for b in space._strict_balls(eps)}:
-        covered |= b
-        for i in _bits(b):
-            nbs[i] &= b
-    if covered != full:
-        raise InvariantError("strict balls fail to cover the carrier")
+    nbs = _zero_masks(space, side) if space.test_values else (space.full_mask,) * space.size
+    for i, m in enumerate(nbs):
+        if not m >> i & 1 or reduce(or_, [nbs[j] for j in _bits(m)], m) != m:
+            raise InvariantError("zero distance is not a preorder")
     return FiniteTopology(space.points, tuple(nbs))
 
 

@@ -15,14 +15,15 @@ Five layers of defence:
   zero-distance filters, and `definitional_is_minimal_cauchy`, which tries
   every core above a filter's) and the extension of a map by limits of
   image filters (`definitional_extension`) are oracles for the closed
-  forms the library uses, as are the closure of the strict balls under
-  union and intersection (`definitional_topology`) and the scan of every
-  subset for the opens of a relation (`definitional_relation_topology`)
-  for the neighbourhood forms of `qc.structures`; the theorem suite reads
-  the Cauchy and minimal verdicts of the test-value loop for all 2^n
-  cores at once, as lane tables (one 2^n-bit int per verdict, see
-  `_Ctx`), and the tests compare those lanes with `_cauchy_over` and
-  `definitional_is_minimal_cauchy`;
+  forms the library uses, as are the closure of the strict balls (one
+  `well_above` per entry) under union and intersection
+  (`definitional_topology`) and the scan of every subset for the opens of
+  a relation (`definitional_relation_topology`) for the neighbourhood
+  forms of `qc.structures`, whose topology reads the zero masks and no
+  strict ball; the theorem suite reads the Cauchy and minimal verdicts of
+  the test-value loop for all 2^n cores at once, as lane tables (one
+  2^n-bit int per verdict, see `_Ctx`), and the tests compare those lanes
+  with `_cauchy_over` and `definitional_is_minimal_cauchy`;
 * the per-entry definitions of the triangle law, balls, the uniform flip,
   the entourage core and set distances (and VA, UVA and symmetry moduli on
   top of them) are oracles for the rank-compiled kernels of `qc.vspace`,
@@ -41,8 +42,9 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import and_
 from typing import NamedTuple
 
 from . import serialize
@@ -773,21 +775,32 @@ def _close_under_union_intersection(base: set) -> frozenset:
     return frozenset(sets)
 
 
-def definitional_topology(space: VSpace, side: str = "forward") -> frozenset:
-    """The open masks of `topology_of`: the strict balls over the test
-    values closed under union and intersection, which must cover the
-    carrier; the indiscrete topology when there are no test values."""
-    if not _forward(side):
-        space = space.dual()
+def _strict_ball_bases(space: VSpace) -> tuple[set, set]:
+    """The forward and backward strict balls over the test values, from
+    one `well_above` per entry and test value."""
+    q = space.quantale
+    fwd, bwd = set(), set()
+    for eps in space.test_values:
+        strict = [[q.well_above(eps, e) for e in row] for row in space.dmat]
+        fwd.update([sum(1 << j for j, s in enumerate(row) if s) for row in strict])
+        bwd.update([sum(1 << i for i, s in enumerate(col) if s) for col in zip(*strict)])
+    return fwd, bwd
+
+
+def _ball_closure(space: VSpace, base: set) -> frozenset:
     if not space.test_values:
         return frozenset({0, space.full_mask})
-    base = set()
-    for eps in space.test_values:
-        base.update(space._strict_balls(eps))
     opens = _close_under_union_intersection(base)
     if space.full_mask not in opens:
         raise InvariantError("strict balls fail to cover the carrier")
     return opens
+
+
+def definitional_topology(space: VSpace, side: str = "forward") -> frozenset:
+    """The open masks of `topology_of`: the strict balls over the test
+    values closed under union and intersection, which must cover the
+    carrier; the indiscrete topology when there are no test values."""
+    return _ball_closure(space, _strict_ball_bases(space)[not _forward(side)])
 
 
 def definitional_relation_topology(points, core) -> frozenset:
@@ -1839,12 +1852,35 @@ def _check_universal_property(ctx: _Ctx):
     return None
 
 
+def _definitional_va_topologies(space: VSpace) -> dict:
+    """The two topology conditions of the VA report, witnesses included,
+    read off the opens of `definitional_topology` on both sides."""
+    opens = [_ball_closure(space, base) for base in _strict_ball_bases(space)]
+    # a point's least open neighbourhood: the meet of the opens holding it
+    least = [
+        [reduce(and_, [m for m in o if m >> i & 1], space.full_mask) for i in range(space.size)]
+        for o in opens
+    ]
+    stray = next((m for nbs, o in zip(least, opens[::-1]) for m in nbs if m not in o), None)
+    differs = next((p for p, f, b in zip(space.points, *least) if f != b), None)
+    homeo = Verdict(True) if stray is None else Verdict(False, {"open_set": space.names_of(stray)})
+    equal = Verdict(True) if differs is None else Verdict(False, {"point": differs})
+    return {"identity_homeomorphism": homeo, "topologies_equal": equal}
+
+
 def _check_va_conditions(ctx: _Ctx):
-    """The three conditions of the library's VA report agree."""
-    conditions = va_equivalence_report(ctx.space).conditions
-    votes = {name: bool(v) for name, v in conditions.items()}
-    if len(set(votes.values())) != 1:
-        return votes
+    """The library's VA report against the modulus loop and the opens of
+    the strict-ball closure on both sides, witnesses included."""
+    space, tv = ctx.space, ctx.space.test_values
+    report = va_equivalence_report(space)
+    oracles = {"pointwise_modulus": _has_va_over(space, tv, tv),
+               **_definitional_va_topologies(space)}
+    closed = report.conditions
+    votes = {bool(v) for v in oracles.values()}
+    if votes != {report.holds} or any(closed[k] != v for k, v in oracles.items()):
+        return {"holds": report.holds,
+                "closed": {k: bool(v) for k, v in closed.items()},
+                "oracles": {k: bool(v) for k, v in oracles.items()}}
     return None
 
 

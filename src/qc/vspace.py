@@ -17,8 +17,7 @@ but without 0 among them; with no positives (Q1) every quantifier is
 vacuous.  The test-value loops that define VA, UVA, uniform continuity,
 the point filter, the Cauchy, round and convergence tests and the
 entourage core are oracles in `qc.verify`.  `symmetry_modulus` (the
-largest delta, not a monotone quantifier) and the strict-ball topology
-keep their loops.
+largest delta, not a monotone quantifier) keeps its loop.
 
 A space is stored in rank form, built at construction in one pass of the
 quantale's kernel `ValueQuantale._rank_values`: its distinct distance
@@ -34,14 +33,14 @@ again (`parse` returns elements), and entries that denote one element
 share a value.  `dmat` is a read-only view of the matrix
 built on first use.  Every order-only predicate reads the rank form: the
 order is consulted once per (space, eps object) over the distinct values
-to select the ranks of a ball (the values <= eps), a strict ball or a zero
-mask (rank 0, as 0 sorts first), and one kernel, `_RankForm.masks`,
+to select the ranks of a ball (the values <= eps) or a zero mask (rank
+0, as 0 sorts first), and one kernel, `_RankForm.masks`,
 gathers per row the lanes of the selected ranks, one `bytes.translate`
 per byte row.  Balls, zero neighbourhoods, the separation test and the
 uniform flip behind symmetry moduli are mask operations; the symmetry
 test and the twin classes compare rank rows with those of the
 transpose, whose byte rows are strided slices of the rows joined.  Balls
-and strict balls are cached per space on the identity
+are cached per space on the identity
 of the radius, each entry holding its radius so that the id is not
 reused: a hit hashes no Fraction, and an equal radius that is another
 object misses and gets the same masks.  A run of fresh radius objects
@@ -71,9 +70,7 @@ element's position in the chain; the quantale decides this once, from
 its order and addition tables.  Other finite tables have no keys, and no
 chain is assumed.  Either way x <= a + b iff key(x) <= key(a) + key(b).
 A ball bisects the keys at the radius's key (floor(eps * L) on the
-extended rationals).  On int-keyed extended-rational forms a strict ball
-(eps well above d, that is d < eps) is the keys below ceil(eps * L), one
-`bisect_left`; other forms ask `well_above` once per distinct value.
+extended rationals).
 
 The triangle check in `validate_vspace` has two kernels.  With int keys
 it packs each row of keys into one int, a lane per twin class with a
@@ -99,7 +96,6 @@ kept in `qc.verify` as oracles.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -178,53 +174,23 @@ class VSpace:
         Cached on the identity of `eps`: each entry holds `eps`, so its id is
         not reused while the entry lives, and a hit hashes no Fraction.
         """
-        hit = self._ball_cache.get((forward, id(eps)))
+        key = (forward, id(eps))
+        hit = self._ball_cache.get(key)
         if hit is None:
             form, q = self._ranks, self.quantale
             if form.keys is None:
                 below = q._below_mask(form.values, eps)
             else:
                 below = (1 << q._count_below(form.keys, eps)) - 1
-            hit = self._keep((forward, id(eps)), eps, form.masks(below, forward))
+            # a run of fresh radius objects (int radii given to the public
+            # calls) empties the cache instead of growing it
+            if len(self._ball_cache) >= _RADIUS_CACHE_LIMIT:
+                self._ball_cache.clear()
+            hit = self._ball_cache[key] = (eps, form.masks(below, forward))
         return hit[1]
 
     def _ball(self, i: int, eps, forward: bool) -> int:
         return self._balls(eps, forward)[i]
-
-    def _strict_balls(self, eps) -> tuple[int, ...]:
-        """Per point x, the mask of the y with eps well above d(x,y); cached
-        on the identity of `eps`, as `_balls` is.
-
-        On the extended rationals eps is well above v iff v < eps, so with
-        int keys the strict ranks are the finite keys below ceil(eps * L),
-        one bisection; eps = INF takes every finite key.  Finite quantales
-        and Fraction keys ask `well_above` of each distinct value.
-        """
-        key = ("strict", id(eps))
-        hit = self._ball_cache.get(key)
-        if hit is None:
-            form, q = self._ranks, self.quantale
-            okeys = form.keys
-            if q.is_finite or okeys is None or okeys.scale is None:
-                strict = sum(1 << u for u, v in enumerate(form.values) if q.well_above(eps, v))
-            else:
-                e = q.check(eps)
-                cut = okeys.finite
-                if not isinstance(e, _Infinity):
-                    # key(v) < eps * L iff key(v) < ceil(eps * L): keys are ints
-                    ceil = -(-e.numerator * okeys.scale // e.denominator)
-                    cut = bisect_left(okeys.keys, ceil, 0, cut)
-                strict = (1 << cut) - 1
-            hit = self._keep(key, eps, form.masks(strict, True))
-        return hit[1]
-
-    def _keep(self, key, eps, balls) -> tuple:
-        # a run of fresh radius objects (int radii given to the public
-        # calls) empties the cache instead of growing it
-        if len(self._ball_cache) >= _RADIUS_CACHE_LIMIT:
-            self._ball_cache.clear()
-        hit = self._ball_cache[key] = (eps, balls)
-        return hit
 
     @cached_property
     def zero_fwd(self) -> tuple[int, ...]:

@@ -485,7 +485,7 @@ class TestCompiledKernels:
         # included, on raw (mostly invalid) matrices
         import random
 
-        from qc import quasi_uniformity_of
+        from qc import quasi_uniformity_of, topology_of
         from qc.errors import InvariantError
         from qc.verify import (
             _uc_violation,
@@ -538,10 +538,6 @@ class TestCompiledKernels:
             uniform_moduli = definitional_symmetry_moduli(space)
             pointwise_moduli = definitional_symmetry_moduli(space, p)
             for eps in space.test_values:
-                assert space._strict_balls(eps) == tuple(
-                    sum(1 << j for j, e in enumerate(row) if q.well_above(eps, e))
-                    for row in space.dmat
-                )
                 delta = rng.choice(space.test_values)
                 assert _uc_violation(
                     fidx, space, space._balls(delta, True), space._balls(eps, True)
@@ -599,6 +595,7 @@ class TestCompiledKernels:
             lambda: is_round(f),
             lambda: converges(f, "p0"),
             lambda: quasi_uniformity_of(space),
+            lambda: topology_of(space),
         ):
             with pytest.raises(PreconditionError, match="not a value quantale"):
                 call()
@@ -845,20 +842,14 @@ class TestRankMatrixForms:
         rng = random.Random(20261103)
         for n in (18, 20, 24):
             space = _many_values_space(rng, n)
-            values, d = space._ranks.values, space.dmat
+            values = space._ranks.values
             assert len(values) > 256
-            cols = [list(col) for col in zip(*d)]
             some = [values[k] for k in (0, 1, 2, len(values) // 3, len(values) // 2, -2, -1)]
             radii = some + [v + Fraction(1, 7) for v in some] + [INF]
             for eps in radii:
                 assert (space._balls(eps, True), space._balls(eps, False)) == (
                     definitional_balls(space, eps)
                 ), eps
-                for s, rows in ((space, d), (space.dual(), cols)):
-                    assert s._strict_balls(eps) == tuple(
-                        sum(1 << j for j, e in enumerate(row) if E.well_above(eps, e))
-                        for row in rows
-                    ), eps
             singles = [1 << i for i in range(n)]
             masks = singles + [rng.getrandbits(n) for _ in range(60)] + [0, space.full_mask]
             for sm in masks:
@@ -938,7 +929,7 @@ def _lane_space(q, far, src):
 
 
 class TestRadiusCache:
-    # balls and strict balls are cached on the identity of the radius, each
+    # balls are cached on the identity of the radius, each
     # entry holding its radius so that its id is not reused; equal radii
     # that are distinct objects, and fresh radii that CPython places where
     # freed ones were, must still read the per-entry definitions
@@ -946,12 +937,8 @@ class TestRadiusCache:
     def _assert_balls(space, eps):
         from qc.verify import definitional_balls
 
-        q = space.quantale
         assert (space._balls(eps, True), space._balls(eps, False)) == (
             definitional_balls(space, eps)
-        ), (space.dmat, eps)
-        assert space._strict_balls(eps) == tuple(
-            sum(1 << j for j, e in enumerate(row) if q.well_above(eps, e)) for row in space.dmat
         ), (space.dmat, eps)
 
     @staticmethod
@@ -1005,60 +992,6 @@ class TestRadiusCache:
             # an int radius is checked into a fresh Fraction on every call
             assert ball(space, "a", k % 3) == ({"a"} if k % 3 == 0 else {"a", "b"})
         assert 0 < len(space._ball_cache) <= _RADIUS_CACHE_LIMIT
-
-
-class TestStrictBallKeyCut:
-    # on int-keyed extended-rational forms a strict ball is the cut of the
-    # order keys below ceil(eps * L) (`VSpace._strict_balls`); Fraction keys
-    # and finite quantales keep the `well_above` loop, the oracle of both
-    @staticmethod
-    def _assert_cut(space, radii):
-        q = space.quantale
-        for eps in radii:
-            assert space._strict_balls(eps) == tuple(
-                sum(1 << j for j, e in enumerate(row) if q.well_above(eps, e)) for row in space.dmat
-            ), (space.dmat, eps)
-
-    @staticmethod
-    def _ext_radii(space):
-        # each value (and an equal copy), a radius between each two values
-        # and above the last finite one, 0, INF, and 10**12, finite but
-        # above the INF key's sentinel
-        finite = [v for v in space._ranks.values if v is not INF]
-        radii = finite + [Fraction(v.numerator, v.denominator) for v in finite]
-        radii += [(a + b) / 2 for a, b in zip(finite, finite[1:])] + [Fraction(0), INF, Fraction(10**12)]
-        if finite:
-            radii.append(finite[-1] + Fraction(1, 3))
-        return radii
-
-    def test_int_keys_match_well_above_loop(self):
-        h = Fraction(1, 2)
-        spaces = [
-            VSpace(E, [], []),
-            VSpace(E, ["a"], [[0]]),
-            VSpace(E, ["a", "b", "c"], [[0, h, 2], [1, 0, Fraction(7, 3)], [h, 2, 0]]),
-            # INF entries: never inside a finite radius's strict ball, inside none of INF's
-            VSpace(E, ["a", "b", "c"], [[0, h, INF], [INF, 0, 1], [1, INF, 0]]),
-            VSpace(E, ["a", "b"], [[0, INF], [INF, 0]]),
-            VSpace(E, ["a", "b"], [[INF, INF], [INF, INF]]),
-        ]
-        for space in spaces:
-            assert space._ranks.keys.scale is not None
-            self._assert_cut(space, self._ext_radii(space))
-
-    def test_fraction_keys_and_finite_quantales_keep_the_loop(self, Q1, Q3, pinched):
-        big = [2**89 - 1, 2**107 - 1, 2**127 - 1]
-        wide = VSpace(E, ["a", "b", "c"], [[Fraction(i + j, big[(i + 2 * j) % 3]) if i != j else 0
-                                           for j in range(3)] for i in range(3)])
-        wide_inf = VSpace(E, ["a", "b"], [[0, Fraction(1, big[0])], [INF, Fraction(1, big[2])]])
-        for space in (wide, wide_inf):
-            assert space._ranks.keys.scale is None
-            self._assert_cut(space, self._ext_radii(space))
-        for q in (Q1, Q3, pinched):
-            n = min(3, len(q.names))
-            space = VSpace(q, [f"p{i}" for i in range(n)],
-                           [[(i + 2 * j) % len(q.names) for j in range(n)] for i in range(n)])
-            self._assert_cut(space, list(q.elements()))
 
 
 class TestTriangleKernels:

@@ -282,6 +282,81 @@ class TestTopologyOracles:
             agreed, refused, intransitive
         )
 
+    def test_neighbourhoods_are_least_strict_balls(self, Q1, Q3, chain4, pinched):
+        # on a valid space each neighbourhood is a strict ball centred at its
+        # point and lies inside every strict ball, of any centre, that holds
+        # the point.  Strict balls are read per entry with `well_above`, on
+        # each key form of the extended rationals (int keys, Fraction keys
+        # past the int scale, INF entries, 0 and 1 points) and on generated
+        # spaces over the finite quantales
+        from qc import InstanceGenerator, validate_vspace
+
+        h = Fraction(1, 2)
+        big = [2**89 - 1, 2**107 - 1, 2**127 - 1]
+        int_keyed = [
+            VSpace(E, [], []),
+            VSpace(E, ["a"], [[0]]),
+            VSpace(E, ["a", "b", "c"], [[0, 0, 1], [h, 0, 1], [h, h, 0]]),
+            VSpace(E, ["a", "b", "c"], [[0, 0, INF], [INF, 0, INF], [INF, 1, 0]]),
+            VSpace(E, ["a", "b", "c"], [[0, h, INF], [INF, 0, INF], [INF, INF, 0]]),
+            VSpace(E, ["a", "b"], [[0, INF], [INF, 0]]),
+        ]
+        wide = [
+            VSpace(E, ["a", "b", "c"], [[1 + Fraction(i + j, big[(i + 2 * j) % 3]) if i != j else 0
+                                        for j in range(3)] for i in range(3)]),
+            VSpace(E, ["a", "b", "c"], [[0, 0, 1 + Fraction(1, big[0])],
+                                        [Fraction(1, big[2]), 0, 1 + Fraction(1, big[0])],
+                                        [INF, INF, 0]]),
+        ]
+        assert all(s._ranks.keys.scale is not None for s in int_keyed)
+        assert all(s._ranks.keys.scale is None for s in wide)
+        spaces = int_keyed + wide
+        for t, q in enumerate((Q1, Q3, chain4, pinched)):
+            spaces += [s for _, s in InstanceGenerator(seed=950 + t, quantale=q).instances(30)]
+        non_discrete = 0
+        for space in spaces:
+            assert validate_vspace(space).ok, space.dmat
+            q, n = space.quantale, space.size
+            for side in ("forward", "backward"):
+                d = space.dmat if side == "forward" else tuple(zip(*space.dmat))
+                balls = [
+                    [sum(1 << j for j, e in enumerate(row) if q.well_above(eps, e)) for row in d]
+                    for eps in space.test_values
+                ]
+                nbs = topology_of(space, side).neighbourhoods
+                for i in range(n):
+                    if not balls:
+                        assert nbs[i] == space.full_mask
+                        continue
+                    assert nbs[i] in [b[i] for b in balls], (space.dmat, side, i)
+                    for b in balls:
+                        for m in b:
+                            if m >> i & 1:
+                                assert nbs[i] & ~m == 0, (space.dmat, side, i, m)
+                    non_discrete += nbs[i] != 1 << i
+        assert non_discrete >= 50, non_discrete
+
+    def test_strict_ball_bases_of_the_dual(self, Q3, pinched):
+        # the oracle builds both sides' bases in one pass over `dmat`: the
+        # backward base is the dual's forward base and the other way round,
+        # on valid and raw matrices alike
+        import random
+
+        from qc.verify import _strict_ball_bases
+
+        rng = random.Random(20261022)
+        pools = {E: [0, Fraction(1, 3), 1, INF], Q3: [0, 1, 2], pinched: [0, 1, 2, 3, 4]}
+        asymmetric = 0
+        for t in range(150):
+            q = (E, Q3, pinched)[t % 3]
+            n = rng.randint(0, 5)
+            rows = [[rng.choice(pools[q]) for _ in range(n)] for _ in range(n)]
+            space = VSpace(q, [f"p{i}" for i in range(n)], rows)
+            fwd, bwd = _strict_ball_bases(space)
+            assert (bwd, fwd) == _strict_ball_bases(space.dual()), rows
+            asymmetric += fwd != bwd
+        assert asymmetric >= 50, asymmetric
+
     def test_relations(self):
         # neither reflexive nor transitive in general
         import random

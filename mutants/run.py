@@ -58,6 +58,9 @@ MINIMAL = "tests/test_completion.py::TestMinimalFilters"
 LITERALS = "tests/test_vspace.py::TestBuildPath::test_literal_fast_path_matches_fraction"
 CHECK = "tests/test_quantale.py::TestMeetJoin::test_check_rejects_negatives_by_sign"
 TOPOLOGY = "tests/test_structures.py::TestTopologyOracles"
+LANE_WIDTH = "tests/test_vspace.py::TestTriangleKernels::test_lane_width_at_one_byte"
+RESTRICTED = "tests/test_vspace.py::TestRankMatrixForms::test_restricted_selects_entries"
+CORE_ROWS = "tests/test_structures.py::TestQuasiUniformity::test_core_rows_shared_by_mask"
 
 
 class Mutant(NamedTuple):
@@ -156,8 +159,8 @@ MUTANTS = (
     Mutant(
         "quotient-selects-transposed-entries",
         "vspace.py",
-        "row_of([rank[r][s] for s in points]) for r in points",
-        "row_of([rank[s][r] for s in points]) for r in points",
+        "[row_of(pick(row)) for row in pick(rank)]",
+        "[row_of(pick(row)) for row in pick(tuple(zip(*rank)))]",
         (QUOTIENT,),
     ),
     Mutant(
@@ -600,6 +603,37 @@ MUTANTS = (
         "_entry_classes(k, value)._replace(checked=True)",
         "_entry_classes(k, value)",
         ("tests/test_verify.py::TestGenerator::test_checks_each_drawn_entry_once",),
+    ),
+    Mutant(
+        "one-byte-lane-guard-bit-dropped",
+        "vspace.py",
+        "guarded = bytes([key | flag for key in keys])",
+        "guarded = bytes([key for key in keys])",
+        (LANE_WIDTH,),
+    ),
+    Mutant(
+        "translate-lanes-at-two-byte-width",
+        "vspace.py",
+        "    if width == 1:\n        others, tops = _byte_lanes(",
+        "    if width <= 2:\n        others, tops = _byte_lanes(",
+        (LANE_WIDTH,),
+    ),
+    Mutant(
+        "restricted-itemgetter-drops-last-point",
+        "vspace.py",
+        "pick = itemgetter(*points)",
+        "pick = itemgetter(*points[:-1])",
+        (RESTRICTED,),
+    ),
+    Mutant(
+        "core-rows-cache-keyed-on-point",
+        "structures.py",
+        "    for r in set(rows).difference(cache):\n"
+        "        cache[r] = sum(map(row_of_byte, r.to_bytes(width, \"little\")), ())[:n]\n",
+        "    for i in set(range(n)).difference(cache):\n"
+        "        cache[i] = sum(map(row_of_byte, rows[i].to_bytes(width, \"little\")), ())[:n]\n"
+        "    rows = range(n)\n",
+        (CORE_ROWS,),
     ),
 )
 

@@ -103,19 +103,22 @@ def quasi_uniformity_of(space: VSpace, side: str = "forward") -> QuasiUniformity
 
     That is the zero relation, the entourage of the least test value, or
     every pair when there are no test values.  Each distinct zero mask is
-    expanded into a row once, a byte at a time through `_BYTE_ROWS`, and
-    points with equal masks (twins among them) share it.
+    expanded into a row once per space, a byte at a time through
+    `_BYTE_ROWS`, and kept on the space keyed by the mask, so points with
+    equal masks (twins among them) share it, and so do the two sides: on a
+    space with uniformly vanishing asymmetry the backward masks are the
+    forward ones, and the second side only looks its rows up.
     """
-    zeros = _zero_masks(space, side)
     n = space.size
-    rows = zeros if space.test_values else [space.full_mask] * n
-    width, row_of_byte = (n + 7) // 8, _BYTE_ROWS.__getitem__
-    expanded = {
-        r: sum(map(row_of_byte, r.to_bytes(width, "little")), ())[:n] for r in set(rows)
-    }
+    rows = _zero_masks(space, side) if space.test_values else [space.full_mask] * n
     if any(not r >> i & 1 for i, r in enumerate(rows)):
         raise InvariantError("entourage core is not reflexive")
-    return QuasiUniformity(space.points, tuple([expanded[r] for r in rows]))
+    cache, width, row_of_byte = space._core_rows, (n + 7) // 8, _BYTE_ROWS.__getitem__
+    for r in set(rows).difference(cache):
+        cache[r] = sum(map(row_of_byte, r.to_bytes(width, "little")), ())[:n]
+    # from a list: tuple() over a map resizes its result, and in a long run the
+    # tuples it frees raised peak memory (as in `_RankForm.masks`)
+    return QuasiUniformity(space.points, tuple([cache[r] for r in rows]))
 
 
 def uniformities_equal(space: VSpace) -> Verdict:

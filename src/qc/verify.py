@@ -777,11 +777,16 @@ def _close_under_union_intersection(base: set) -> frozenset:
 
 def _strict_ball_bases(space: VSpace) -> tuple[set, set]:
     """The forward and backward strict balls over the test values, from
-    one `well_above` per entry and test value."""
-    q = space.quantale
+    one `well_above` per distinct entry of `dmat` and test value, read
+    back per entry through the entry's index among the distinct ones."""
+    q, dmat = space.quantale, space.dmat
+    values = list(dict.fromkeys([e for row in dmat for e in row]))
+    index = {e: u for u, e in enumerate(values)}
+    cells = [[index[e] for e in row] for row in dmat]
     fwd, bwd = set(), set()
     for eps in space.test_values:
-        strict = [[q.well_above(eps, e) for e in row] for row in space.dmat]
+        above = [q.well_above(eps, e) for e in values]
+        strict = [[above[u] for u in row] for row in cells]
         fwd.update([sum(1 << j for j, s in enumerate(row) if s) for row in strict])
         bwd.update([sum(1 << i for i, s in enumerate(col) if s) for col in zip(*strict)])
     return fwd, bwd

@@ -45,8 +45,8 @@ of the radius, each entry holding its radius so that the id is not
 reused: a hit hashes no Fraction, and an equal radius that is another
 object misses and gets the same masks.  A run of fresh radius objects
 empties the cache rather than grow it.  `dual()` takes the transposed
-ranks and `separation_quotient` the representatives' rows and columns,
-over the base's values and keys with no value checked again; the dual is
+ranks and `separation_quotient` the representatives' rows and columns
+(one `itemgetter` per row), over the base's values and keys with no value checked again; the dual is
 built once and linked back, so `space.dual().dual() is space`.  A set
 distance collects the ranks of the cross entries as a mask
 (`_cross_ranks`) and takes their meet in one private quantale kernel,
@@ -75,7 +75,8 @@ extended rationals).
 The triangle check in `validate_vspace` has two kernels.  With int keys
 it packs each row of keys into one int, a lane per twin class with a
 guard bit above each lane, and tests a row against every other row with one
-subtraction (`_packed_triangle_violations`).  Every other input (Fraction
+subtraction (`_packed_triangle_violations`); one-byte lanes are built by
+`translate` through a table of keys.  Every other input (Fraction
 keys past the budget, and tables that are not capped chains, such as
 `pinched`) goes through the class kernel, which takes each sum of two
 values once with the quantale addition and reads the points not below it
@@ -99,6 +100,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DomainMismatchError, InvariantError, PreconditionError, StructureError
@@ -141,6 +143,8 @@ class VSpace:
         self._ranks = form
         self._pindex = {p: i for i, p in enumerate(points)}
         self._ball_cache: dict = {}
+        # zero mask -> its entourage core row (`structures.quasi_uniformity_of`)
+        self._core_rows: dict = {}
         self._dual = None
 
     def index(self, point) -> int:
@@ -352,9 +356,18 @@ class _RankForm:
 
     def restricted(self, points: list[int]) -> "_RankForm":
         """The form of the rows and columns of `points`, over the same values
-        and keys; every value must occur among them."""
+        and keys; every value must occur among them.
+
+        One `itemgetter(*points)` gathers the selected rows and, per row,
+        the selected entries at C level.  With fewer than two points it
+        would raise (none) or return an entry, not a tuple (one), so those
+        select entry by entry.
+        """
         rank, row_of = self.rank, _row_type(self.values)
-        return self._sharing(tuple([row_of([rank[r][s] for s in points]) for r in points]))
+        if len(points) < 2:
+            return self._sharing(tuple([row_of([rank[r][s] for s in points]) for r in points]))
+        pick = itemgetter(*points)
+        return self._sharing(tuple([row_of(pick(row)) for row in pick(rank)]))
 
     @property
     def transpose(self) -> tuple:
@@ -573,7 +586,12 @@ def _packed_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[in
     each lane's difference is non-negative and below twice the guard, so
     no lane borrows from the next.  The rows P_j of the representatives j
     are laid side by side in one int, so one subtraction tests a
-    representative i against all of them.  Lanes are unpacked only when
+    representative i against all of them.  With one-byte lanes (K <= 63)
+    the rows laid side by side are one `translate` of the joined rank rows
+    through a 256-byte table of keys, and each P_i | G one `translate` of
+    row i through the keys with the guard bit set (`_byte_lanes`); wider
+    lanes join the byte strings of each row's keys (`_joined_lanes`).
+    Lanes are unpacked only when
     the result is not zero, each flagged representative k giving the mask
     of its class.  The result maps each representative i to its
     representatives j with a violation, and to their masks.
@@ -587,16 +605,17 @@ def _packed_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[in
     members = [sum([1 << t for t in twins[k]]) for k in reps]
     width = (2 * max(keys) + 1).bit_length() // 8 + 1  # bytes per lane
     flag = 1 << 8 * width - 1  # the guard bit of a lane
-    lanes = [key.to_bytes(width, "little") for key in keys]
-    guarded = [(key | flag).to_bytes(width, "little") for key in keys]
     steps = [(key + 1).to_bytes(width, "little") * c for key in keys]
     size = c * c * width  # bytes of the rows side by side
     guard = int.from_bytes(flag.to_bytes(width, "little") * (c * c), "little")
-    others = b"".join([b"".join(map(lanes.__getitem__, row)) for row in rows])
+    if width == 1:
+        others, tops = _byte_lanes(rows, keys, flag)
+    else:
+        others, tops = _joined_lanes(rows, keys, flag, width)
     others = int.from_bytes(others, "little")
     out = {}
-    for i, row in zip(reps, rows):
-        top = int.from_bytes(b"".join(map(guarded.__getitem__, row)) * c, "little")
+    for i, row, top in zip(reps, rows, tops):
+        top = int.from_bytes(top * c, "little")
         step = int.from_bytes(b"".join(map(steps.__getitem__, row)), "little")
         bad = (top - (others + step)) & guard
         bad_i = out[i] = {}
@@ -608,6 +627,27 @@ def _packed_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[in
                 if ks:
                     bad_i[j] = ks
     return out
+
+
+def _byte_lanes(rows, keys, flag: int) -> tuple[bytes, list[bytes]]:
+    """The lanes of `_packed_triangle_violations` one byte wide: the rows
+    side by side and each row with its guard bits, one `translate` each.
+
+    One-byte lanes mean keys of at most 63, so at most 64 values: the rows
+    are bytes, and a 256-byte table maps each rank to its lane.
+    """
+    lanes = bytes(keys).ljust(256, b"\0")
+    guarded = bytes([key | flag for key in keys]).ljust(256, b"\0")
+    return b"".join(rows).translate(lanes), [row.translate(guarded) for row in rows]
+
+
+def _joined_lanes(rows, keys, flag: int, width: int) -> tuple[bytes, list[bytes]]:
+    """`_byte_lanes` for lanes of any width: each row joins the byte
+    strings of its ranks' keys."""
+    lanes = [key.to_bytes(width, "little") for key in keys]
+    guarded = [(key | flag).to_bytes(width, "little") for key in keys]
+    others = b"".join([b"".join(map(lanes.__getitem__, row)) for row in rows])
+    return others, [b"".join(map(guarded.__getitem__, row)) for row in rows]
 
 
 def _table_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[int, int]]:

@@ -79,6 +79,38 @@ class TestQuasiUniformity:
                 == quasi_uniformity_of(space, "backward").core
             )
 
+    def test_core_rows_shared_by_mask(self, chain4):
+        # the expanded rows are kept on the space, keyed by zero mask: both
+        # sides in either order, on fresh and warm spaces, must read the
+        # per-entry zero relation, and where a point's masks on the two sides
+        # agree its rows are one object
+        import random
+
+        rng = random.Random(20261023)
+        pools = {E: [0, 0, Fraction(1, 2), 1, INF], chain4: [0, 0, 1, 2, 3]}
+        differ = shared = 0
+        for t in range(200):
+            q = (E, chain4)[t % 2]
+            n = rng.randint(1, 12)
+            rows = [[rng.choice(pools[q]) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = 0
+            space = VSpace(q, [f"p{i}" for i in range(n)], rows)
+            want = {
+                "forward": tuple(tuple(e == q.bottom for e in row) for row in space.dmat),
+                "backward": tuple(tuple(e == q.bottom for e in col) for col in zip(*space.dmat)),
+            }
+            order = ("forward", "backward") if t % 4 < 2 else ("backward", "forward")
+            for side in order + order:
+                assert quasi_uniformity_of(space, side).core == want[side], (rows, side)
+            fwd, bwd = (quasi_uniformity_of(space, side).core for side in ("forward", "backward"))
+            for i, (f, b) in enumerate(zip(space.zero_fwd, space.zero_bwd)):
+                if f == b:
+                    assert fwd[i] is bwd[i]
+                    shared += 1
+            differ += space.zero_fwd != space.zero_bwd
+        assert differ > 100 and shared > 50, (differ, shared)
+
     def test_degenerate_full_relation(self, xq1):
         assert quasi_uniformity_of(xq1).core == ((True, True), (True, True))
 

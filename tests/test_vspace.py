@@ -895,6 +895,31 @@ class TestRankMatrixForms:
         assert type(VSpace(chain4, ["a"], [[0]])._ranks.rank[0]) is bytes
         assert VSpace(E, [], [])._ranks.transpose == ()
 
+    def test_restricted_selects_entries(self, chain4):
+        # `restricted` gathers with one itemgetter per row from two points
+        # on, and entry by entry below that; on byte rows and on tuple rows
+        # (past 256 values) it must select the entries of the points given
+        import random
+
+        rng = random.Random(20261105)
+        spaces = [_raw_space(rng, q, n) for q in (E, chain4) for n in (1, 2, 5, 9)]
+        spaces += [_many_values_space(rng, n) for n in (17, 18)]
+        kinds = set()
+        for space in spaces:
+            form, n = space._ranks, space.size
+            kind = type(form.rank[0])
+            kinds.add(kind)
+            last = [n - 1]
+            selections = [[], [0], last, [0, n - 1], list(range(n))]
+            selections += [sorted(rng.sample(range(n), rng.randint(0, n))) for _ in range(6)]
+            for points in selections:
+                got = form.restricted(points)
+                assert got.rank == tuple(kind([form.rank[r][s] for s in points]) for r in points), (
+                    points
+                )
+                assert got.values is form.values and got.keys is form.keys
+        assert kinds == {bytes, tuple}
+
     def test_least_test_value_matches_combined(self, Q3):
         from qc.verify import _oracle_battery
         from qc.vspace import _least_test_value
@@ -1144,6 +1169,54 @@ class TestTriangleKernels:
             assert len(_twins(space._ranks)) == 4
             got = self._agrees(ran, space, "packed")
             assert got and {f.witness["triple"][2] for f in got} == {f"p{lane}"}
+
+    @pytest.mark.parametrize("top, lanes", [(63, "byte"), (64, "joined")])
+    def test_lane_width_at_one_byte(self, ran, monkeypatch, top, lanes):
+        # the largest key 63 gives 2 * K + 1 = 127, one-byte lanes built by
+        # translate; 64 gives 129, two-byte lanes joined per key.  Integer
+        # entries have L = 1, so a key is its value; with INF, K = 63 is
+        # INF's sentinel over a largest finite key of 31
+        import random
+
+        import qc.vspace as V
+        from qc.vspace import _twins
+
+        built = []
+        for name in ("byte", "joined"):
+            def spy(*args, run=getattr(V, f"_{name}_lanes"), name=name):
+                built.append(name)
+                return run(*args)
+
+            monkeypatch.setattr(V, f"_{name}_lanes", spy)
+
+        def check(space):
+            assert max(space._ranks.keys.keys) == top
+            built.clear()
+            got = self._agrees(ran, space, "packed")
+            assert built == [lanes]
+            return got
+
+        # the failures (i, j, k) have k the copy of base point 0, whose class
+        # is the first lane, then the last
+        for src, lane in (([0, 1, 1, 2, 2, 3], 0), ([1, 1, 2, 3, 3, 0], 5)):
+            space = _lane_space(E, top, src)
+            assert len(_twins(space._ranks)) == 4
+            got = check(space)
+            assert got and {f.witness["triple"][2] for f in got} == {f"p{lane}"}
+        rng = random.Random(f"lane-width:{top}")
+        pools = [[0, 1, 2, top // 2, top]]
+        if top % 2:
+            pools.append([0, 1, top // 4, top // 2, INF])
+        invalid = 0
+        for t in range(60):
+            pool = pools[t % len(pools)]
+            n = rng.randint(2, 8)
+            d = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                d[i][i] = 0
+            d[0][n - 1], d[n - 1][0] = pool[-1], pool[-2]  # the largest key occurs
+            invalid += bool(check(VSpace(E, [f"p{i}" for i in range(n)], d)))
+        assert invalid > 20, invalid
 
     @pytest.mark.parametrize("qname", ["ext_rational", "Q3", "pinched"])
     def test_zero_and_one_point(self, ran, qname, pinched):

@@ -46,8 +46,9 @@ reused: a hit hashes no Fraction, and an equal radius that is another
 object misses and gets the same masks.  A run of fresh radius objects
 empties the cache rather than grow it.  `dual()` takes the transposed
 ranks and `separation_quotient` the representatives' rows and columns
-(one `itemgetter` per row), over the base's values and keys with no value checked again; the dual is
-built once and linked back, so `space.dual().dual() is space`.  A set
+(one `itemgetter` per row), over the base's values and keys with no
+value checked again; the dual is built once and linked back, so
+`space.dual().dual() is space`.  A set
 distance collects the ranks of the cross entries as a mask
 (`_cross_ranks`) and takes their meet in one private quantale kernel,
 `ValueQuantale._meet_ranks` (the lowest rank on the extended-rational

@@ -60,6 +60,7 @@ CHECK = "tests/test_quantale.py::TestMeetJoin::test_check_rejects_negatives_by_s
 TOPOLOGY = "tests/test_structures.py::TestTopologyOracles"
 LANE_WIDTH = "tests/test_vspace.py::TestTriangleKernels::test_lane_width_at_one_byte"
 RESTRICTED = "tests/test_vspace.py::TestRankMatrixForms::test_restricted_selects_entries"
+SHARING = "tests/test_verify.py::TestSuiteSharing"
 CORE_ROWS = "tests/test_structures.py::TestQuasiUniformity::test_core_rows_shared_by_mask"
 
 
@@ -634,6 +635,31 @@ MUTANTS = (
         "        cache[i] = sum(map(row_of_byte, rows[i].to_bytes(width, \"little\")), ())[:n]\n"
         "    rows = range(n)\n",
         (CORE_ROWS,),
+    ),
+    Mutant(
+        "suite-space-key-drops-scale",
+        "verify.py",
+        "key = (q, scale, gen.force_separated, tuple(map(tuple, k)))",
+        "key = (q, gen.force_separated, tuple(map(tuple, k)))",
+        (SHARING,),
+    ),
+    Mutant(
+        "suite-state-keyed-on-points",
+        "verify.py",
+        "        state = self.states.get(space)\n"
+        "        if state is None:\n"
+        "            state = self.states[space] = _SpaceState(space)\n",
+        "        state = self.states.get(space.points)\n"
+        "        if state is None:\n"
+        "            state = self.states[space.points] = _SpaceState(space)\n",
+        (SHARING,),
+    ),
+    Mutant(
+        "suite-uc-table-keyed-on-source-only",
+        "verify.py",
+        "key = (source, target)",
+        "key = source",
+        (UC_MEMO, SHARING),
     ),
 )
 

@@ -22,8 +22,8 @@ Five layers of defence:
   forms of `qc.structures`, whose topology reads the zero masks and no
   strict ball; the theorem suite reads the Cauchy and minimal verdicts of
   the test-value loop for all 2^n cores at once, as lane tables (one
-  2^n-bit int per verdict, see `_Ctx`), and the tests compare those lanes
-  with `_cauchy_over` and `definitional_is_minimal_cauchy`;
+  2^n-bit int per verdict, see `_SpaceState`), and the tests compare those
+  lanes with `_cauchy_over` and `definitional_is_minimal_cauchy`;
 * the per-entry definitions of the triangle law, balls, the uniform flip,
   the entourage core and set distances (and VA, UVA and symmetry moduli on
   top of them) are oracles for the rank-compiled kernels of `qc.vspace`,
@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from operator import and_
 from typing import NamedTuple
@@ -188,13 +188,14 @@ def triangle_repair(quantale: ValueQuantale, dmat) -> tuple[list, int]:
     budget; INF is None, since relaxed sums outgrow any top sentinel), and
     it returns the same matrix and the same number of rounds.
     """
-    keys, value, rounds = _repair_keys(quantale, dmat)
+    keys, scale, rounds = _repair_keys(quantale, dmat)
+    value = _key_value(scale)
     return [[value(c) for c in row] for row in keys], rounds
 
 
 def _repair_keys(quantale: ValueQuantale, dmat):
-    """`triangle_repair` on the keys: the repaired matrix of keys, the map
-    from a key to its value, and the number of rounds.
+    """`triangle_repair` on the keys: the repaired matrix of keys, the key
+    scale (see `_key_value`), and the number of rounds.
 
     The keys are table indices on a finite quantale, and on the extended
     rationals the exact keys with None for INF.  Either way a sum of keys
@@ -206,25 +207,27 @@ def _repair_keys(quantale: ValueQuantale, dmat):
     checked = dict(zip(checked, [quantale.check(e) for e in checked.values()]))
     if quantale.is_finite:
         d = [[checked[id(e)] for e in row] for row in dmat]
-        return d, _same, _relax(d, _tables(quantale))
+        return d, None, _relax(d, _tables(quantale))
     # the keys of the rank form's kernel, with None for INF's rank
     _, renumber, okeys = quantale._rank_values(list(checked.values()))
     keys = okeys.keys[: okeys.finite] + (None,)
     key = dict(zip(checked, [keys[r] for r in renumber]))
     k = [[key[id(e)] for e in row] for row in dmat]
-    rounds = _relax(k, None)
-    scale = okeys.scale
+    return k, okeys.scale, _relax(k, None)
+
+
+def _key_value(scale):
+    """The map from a key to its value: a finite quantale's table indices
+    and the extended rationals' keys past the key budget (the Fractions
+    themselves) are their values, with scale None; other keys are value *
+    scale.  None, the key of INF, never occurs on a finite quantale."""
 
     def value(c):
         if c is None:
             return INF
         return c if scale is None else Fraction(c, scale)
 
-    return k, value, rounds
-
-
-def _same(c):
-    return c
+    return value
 
 
 def _tables(quantale: ValueQuantale):
@@ -274,7 +277,14 @@ def _relax(d, tables) -> int:
     return rounds
 
 
-def _generate_space(gen: InstanceGenerator, rng: random.Random, max_points=None) -> VSpace:
+def _generate_space(gen: InstanceGenerator, rng: random.Random, max_points=None,
+                    built: dict | None = None) -> VSpace:
+    """The next space of `gen`'s stream, drawn from `rng`.
+
+    With a table `built` (`_keyed_space`), a repaired key matrix met before
+    returns the space built for it then; every draw is still made, so the
+    stream does not move.
+    """
     q = gen.quantale
     hi = gen.max_points if max_points is None else min(gen.max_points, max_points)
     lo = min(gen.min_points, hi)
@@ -284,7 +294,7 @@ def _generate_space(gen: InstanceGenerator, rng: random.Random, max_points=None)
         d[i][i] = q.bottom
     # the space is repaired and made UVA on the keys of `_repair_keys`, and
     # each distinct key is turned into its value once
-    k, value, _ = _repair_keys(q, d)
+    k, scale, _ = _repair_keys(q, d)
     if gen.force_uva:
         zero = q.bottom if q.is_finite else 0
         for _ in range(n * n + 1):
@@ -297,16 +307,39 @@ def _generate_space(gen: InstanceGenerator, rng: random.Random, max_points=None)
             if not changed:
                 break
             _relax(k, _tables(q))
-    # the repaired values are elements already, so they are not checked again
-    entries = _entry_classes(k, value)._replace(checked=True)
-    space = VSpace(q, [f"p{i}" for i in range(n)], entries)
-    if gen.force_separated:
-        space, _ = separation_quotient(space)
-    check = validate_vspace(space)
-    if not check.ok:
-        raise InvariantError(f"generator produced an invalid space: {check.failures[0]}")
-    if gen.force_uva and not has_uniformly_vanishing_asymmetry(space):
-        raise InvariantError("generator failed to force uniformly vanishing asymmetry")
+    return _keyed_space(gen, k, scale, {} if built is None else built)
+
+
+def _keyed_space(gen: InstanceGenerator, k, scale, built: dict) -> VSpace:
+    """The space of the repaired key matrix `k` at key scale `scale`, built
+    and checked once per table `built`.
+
+    The table's key is the quantale, the scale, `force_separated` and the
+    key matrix, which together fix the space: on the extended rationals a
+    key is value * scale, so one key matrix at two scales is two spaces.
+    A hit returns the stored space without building or checking it again:
+    the guards are functions of the key and passed for it.  The UVA guard
+    ran only if a generator that forces UVA built the entry, so a hit from
+    such a generator runs it on an entry built without it, once.
+    """
+    q = gen.quantale
+    key = (q, scale, gen.force_separated, tuple(map(tuple, k)))
+    space, guarded = built.get(key, (None, False))
+    if space is None:
+        # the repaired values are elements already, so they are not checked again
+        value = _key_value(scale)
+        entries = _entry_classes(k, value)._replace(checked=True)
+        space = VSpace(q, [f"p{i}" for i in range(len(k))], entries)
+        if gen.force_separated:
+            space, _ = separation_quotient(space)
+        check = validate_vspace(space)
+        if not check.ok:
+            raise InvariantError(f"generator produced an invalid space: {check.failures[0]}")
+    if gen.force_uva and not guarded:
+        if not has_uniformly_vanishing_asymmetry(space):
+            raise InvariantError("generator failed to force uniformly vanishing asymmetry")
+        guarded = True
+    built[key] = (space, guarded)
     return space
 
 
@@ -444,7 +477,11 @@ def _oracle_battery(n: int) -> list[VSpace]:
     return spaces
 
 
-def _collapsed_formula_failures(space: VSpace, pair_limit: int = 64) -> list:
+# filter pairs compared in full; past it, pairs of cores of at most two points
+_PAIR_LIMIT = 64
+
+
+def _collapsed_formula_failures(space: VSpace) -> list:
     """Compare every collapsed core formula with the family-level definition."""
     n = space.size
     failures = []
@@ -486,7 +523,7 @@ def _collapsed_formula_failures(space: VSpace, pair_limit: int = 64) -> list:
     # of the families are subsets, so their set distances are tabled once,
     # classed by the ranks met as the filter space's are
     pairs = [(a, b) for a in cores for b in cores]
-    if len(pairs) > pair_limit:
+    if len(pairs) > _PAIR_LIMIT:
         pairs = [(a, b) for a, b in pairs if bin(a).count("1") <= 2 and bin(b).count("1") <= 2]
     q = space.quantale
     table = _distance_classes(space, cores)
@@ -500,7 +537,7 @@ def _collapsed_formula_failures(space: VSpace, pair_limit: int = 64) -> list:
     return failures
 
 
-def oracle_filters(n: int, spaces=None) -> VerificationReport:
+def oracle_filters(n: int) -> VerificationReport:
     """Principality of all families plus the collapsed-formula battery."""
     start = time.monotonic()
     report = VerificationReport(id=f"oracle.filters.n{n}")
@@ -515,7 +552,7 @@ def oracle_filters(n: int, spaces=None) -> VerificationReport:
             failures.append({"check": "principality", "core": core})
     if not failures:
         report.passes += 1
-    for space in spaces if spaces is not None else _oracle_battery(n):
+    for space in _oracle_battery(n):
         report.instances += 1
         fs = _collapsed_formula_failures(space)
         if fs:
@@ -1287,60 +1324,176 @@ def oracle_gate() -> list[VerificationReport]:
 # theorem suite
 
 
-class _Ctx:
-    """Per-instance cache shared by the theorem checks.
+class _SpaceState:
+    """What the theorem checks derive from one space alone.
 
-    Built with the instance: the Cauchy verdicts of every core on both
-    sides and the minimal ones, as lane tables (one 2^n-bit int each, bit
-    c for core c, so `cauchy` and `minimal` are bit tests).  The Cauchy
-    lanes are `_cauchy_over` on every core at once, the AND over the test
-    values of the OR over the points of the down-set lanes of their balls
-    (`_cauchy_lanes`); the minimal lanes are the proper Cauchy lanes
-    minus those one point below a Cauchy lane (`_minimal_lanes`, one shift
-    per point), which `definitional_is_minimal_cauchy` decides core by
-    core in the tests.  Memoised once per instance: the round and
-    roundified verdicts per core, which call the library they test, the
-    loop point filters, the filter space, the separation quotients (the
-    instance's with its projection, `quotient`), the completion of each
-    space asked for (`completion_of`: the instance's space, its separation
-    quotient and the sibling's, so the embedding, functoriality and
-    universal-property checks do not complete them again), and, per
-    (source, target) pair, the combined test values and whether each index
-    map is uniformly continuous (by the test-value loop `_uc_over`).  The
-    per-core and per-pair verdict tables are attributes set here, read
-    without a memo call; the test values of a pair are one tuple per
-    instance, so the balls of its radii are identity hits in each space's
-    cache (`qc.vspace`).  A check's runtime includes filling any memo it is
-    the first to ask for, so runtimes move between checks when the order
-    or the set of checks changes; verdicts and witnesses do not.
+    One per distinct space in a `run_theorem_suite` call (`_Suite.state`),
+    read by every instance whose space equals it, and by those whose
+    sibling or separation quotient does.  Built with the state: the UVA
+    and VA verdicts.  Built on first read and then kept:
+
+    * the Cauchy verdicts of every core on both sides and the minimal ones,
+      as lane tables (`lanes`: one 2^n-bit int each, bit c for core c, so
+      `_Ctx.cauchy` and `_Ctx.minimal` are bit tests).  The Cauchy lanes
+      are `_cauchy_over` on every core at once, the AND over the test values
+      of the OR over the points of the down-set lanes of their balls
+      (`_cauchy_lanes`); the minimal lanes are the proper Cauchy lanes minus
+      those one point below a Cauchy lane (`_minimal_lanes`, one shift per
+      point), which `definitional_is_minimal_cauchy` decides core by core in
+      the tests;
+    * the round and roundified verdicts per core (`round`, `roundified`,
+      filled by `_Ctx`), which call the library they test;
+    * the loop point filters, the Cauchy filter space (`tilde`), the
+      separation quotient with its projection, and the completion;
+    * the oracle values the structures checks compare the library with,
+      which read nothing but the space: the VA and UVA test-value loops, the
+      topologies of the strict-ball closure, the identity's uniform
+      continuity into and out of the dual, the base refinement and the
+      symmetry of the zero pattern.
     """
 
-    def __init__(self, gen: InstanceGenerator, child_seed: int):
-        self.seed = child_seed
-        rng = random.Random(child_seed)
-        self.space = _generate_space(gen, rng)
-        sibling_gen = gen._replace(force_uva=True, force_separated=False)
-        self.sibling = _generate_space(sibling_gen, rng, max_points=4)
-        self.uva = has_uniformly_vanishing_asymmetry(self.space)
-        self.va = has_vanishing_asymmetry(self.space)
-        self._cache: dict = {}
+    def __init__(self, space: VSpace):
+        self.space = space
+        self.uva = has_uniformly_vanishing_asymmetry(space)
+        self.va = has_vanishing_asymmetry(space)
+        self.round, self.roundified = {}, {}
+        self._point_filters: dict = {}
+
+    @cached_property
+    def lanes(self) -> tuple[int, int, int]:
+        """The lane tables: Cauchy forward, Cauchy backward, minimal."""
+        cauchy = _cauchy_lanes(self.space, True)
+        return cauchy, _cauchy_lanes(self.space, False), _minimal_lanes(self.space, cauchy)
+
+    def point_filters(self, fwd: bool) -> tuple:
+        """Point filters by their test-value loop, not the library's zero masks."""
+        filters = self._point_filters.get(fwd)
+        if filters is None:
+            space = self.space
+            filters = self._point_filters[fwd] = tuple(
+                Filter(space, _point_core_over(space, i, space.test_values, fwd))
+                for i in range(space.size)
+            )
+        return filters
+
+    @cached_property
+    def tilde(self) -> CauchyFilterSpace:
+        return cauchy_filter_space(self.space)
+
+    @cached_property
+    def quotient(self) -> tuple:
+        """`separation_quotient(space)`: the quotient and the projection."""
+        return separation_quotient(self.space)
+
+    @cached_property
+    def completion(self) -> CompletionSpace:
+        return complete(self.space)
+
+    @cached_property
+    def va_loop(self) -> Verdict:
+        tv = self.space.test_values
+        return _has_va_over(self.space, tv, tv)
+
+    @cached_property
+    def uva_loop(self) -> Verdict:
+        tv = self.space.test_values
+        return _has_uva_over(self.space, tv, tv)
+
+    @cached_property
+    def va_topologies(self) -> dict:
+        return _definitional_va_topologies(self.space)
+
+    @cached_property
+    def identity_uc(self) -> tuple[Verdict, Verdict]:
+        """The identity by `_uc_over`, from the dual into the space and from
+        the space into the dual."""
+        space, tv = self.space, self.space.test_values
+        # the dual holds the same distance values, so it shares the test values
+        op, ident = space.dual(), tuple(range(space.size))
+        return _uc_over(ident, op, space, tv, tv), _uc_over(ident, space, op, tv, tv)
+
+    @cached_property
+    def base_refinement(self) -> bool:
+        return _base_refinement(self.space)
+
+    @cached_property
+    def zero_symmetric(self) -> bool:
+        return _zero_pattern_symmetric(self.space)
+
+
+class _Suite:
+    """The tables one `run_theorem_suite` call shares between its instances.
+
+    `spaces` maps a generator key to its space (`_keyed_space`), `states`
+    a space to its `_SpaceState`, and `uc` a (source, target) pair to the
+    pair's combined test values and, per index map, whether it is uniformly
+    continuous (by the test-value loop `_uc_over`); the test values are one
+    tuple per pair, so the balls of its radii are identity hits in each
+    space's cache (`qc.vspace`).  Every table is keyed on the objects,
+    compared by value (a `VSpace` by its quantale, points and distances),
+    never on `id()`, which a dead space hands on to the next one.  The
+    tables live as long as the suite object, which the call drops when it
+    returns.
+    """
+
+    def __init__(self):
+        self.spaces: dict = {}
+        self.states: dict = {}
+        self.uc: dict = {}
+
+    def state(self, space: VSpace) -> _SpaceState:
+        state = self.states.get(space)
+        if state is None:
+            state = self.states[space] = _SpaceState(space)
+        return state
+
+
+class _Ctx:
+    """One instance of the theorem suite, as the checks read it.
+
+    Per instance: the child seed (so `check_rng` draws the same numbers
+    whatever the other instances are) and the sibling.  Per space, read
+    from the space's `_SpaceState` in the suite's tables (`state`): the
+    (U)VA verdicts, the lane tables, the round and roundified tables, the
+    point filters, the filter space, the separation quotient, and the
+    completion of each space asked for (`completion_of`: the instance's
+    space, its separation quotient and the sibling's).  Per (source,
+    target) pair, read from the suite: the uniform continuity of each index
+    map (`uc`).  The lanes and the per-core tables are attributes set here,
+    read without a memo call.  Each check still compares on every instance;
+    only what it compares with is shared.  A check's runtime includes
+    filling any state it is the first to ask for, so runtimes move between
+    checks and instances when the order, the set of checks or the repeats
+    change; verdicts and witnesses do not.
+    """
+
+    def __init__(self, suite: _Suite, state: _SpaceState, sibling: VSpace, seed: int):
+        self.seed = seed
+        self.suite, self.state, self.sibling = suite, state, sibling
+        self.space, self.uva, self.va = state.space, state.uva, state.va
         # lane tables, bit c for core c: Cauchy forward and backward, minimal
-        self._cauchy = _cauchy_lanes(self.space, True)
-        self._cauchy_op = _cauchy_lanes(self.space, False)
-        self._minimal = _minimal_lanes(self.space, self._cauchy)
+        self._cauchy, self._cauchy_op, self._minimal = state.lanes
         # per core: round, roundified
-        self._round, self._roundified = {}, {}
-        # per (source, target): the combined test values, and per index map
-        # whether it is uniformly continuous
-        self._uc: dict = {}
+        self._round, self._roundified = state.round, state.roundified
+
+    @classmethod
+    def generated(cls, gen: InstanceGenerator, child_seed: int,
+                  suite: _Suite | None = None) -> "_Ctx":
+        """The instance of `gen` at `child_seed`: its space, then a sibling
+        of at most 4 points with UVA, not forced separated, both drawn from
+        one `random.Random(child_seed)`.  Built and derived through the
+        tables of `suite`; a fresh suite, shared with nothing, when None.
+        Two key matrices can give equal spaces, so both spaces are taken
+        from their states: equal spaces are one object."""
+        suite = _Suite() if suite is None else suite
+        rng = random.Random(child_seed)
+        space = _generate_space(gen, rng, built=suite.spaces)
+        sibling_gen = gen._replace(force_uva=True, force_separated=False)
+        sibling = _generate_space(sibling_gen, rng, max_points=4, built=suite.spaces)
+        return cls(suite, suite.state(space), suite.state(sibling).space, child_seed)
 
     def check_rng(self, check_id: str) -> random.Random:
         return random.Random(f"qc-check:{self.seed}:{check_id}")
-
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
 
     @property
     def cores(self):
@@ -1365,50 +1518,39 @@ class _Ctx:
         return bool(self._minimal >> mask & 1)
 
     def point_filters(self, fwd: bool = True):
-        """Point filters by their test-value loop, not the library's zero masks."""
-        space = self.space
-        return self._memo(
-            ("pf", fwd),
-            lambda: tuple(
-                Filter(space, _point_core_over(space, i, space.test_values, fwd))
-                for i in range(space.size)
-            ),
-        )
+        return self.state.point_filters(fwd)
 
     @property
     def tilde(self):
-        return self._memo(("tilde",), lambda: cauchy_filter_space(self.space))
+        return self.state.tilde
 
     @property
     def completion(self):
-        return self.completion_of(self.space)
+        return self.state.completion
 
     def completion_of(self, space: VSpace):
-        """`complete(space)`, built once per space and instance."""
-        return self._memo(("completion", space), lambda: complete(space))
+        """`complete(space)`, built once per distinct space."""
+        return self.suite.state(space).completion
 
     @property
     def quotient(self) -> tuple:
-        """`separation_quotient(space)`: the quotient and the projection."""
-        return self._memo(("quotient",), lambda: separation_quotient(self.space))
+        return self.state.quotient
 
     @property
     def separated(self):
-        return self.quotient[0]
+        return self.state.quotient[0]
 
     @property
     def sep_sibling(self):
-        return self._memo(
-            ("sep_sibling",), lambda: separation_quotient(self.sibling)[0]
-        )
+        return self.suite.state(self.sibling).quotient[0]
 
     def uc(self, fidx, source: VSpace, target: VSpace) -> bool:
         """Whether the index map `fidx` is uniformly continuous from
         `source` to `target`, by the test-value loop, decided once."""
         key = (source, target)
-        pair = self._uc.get(key)
+        pair = self.suite.uc.get(key)
         if pair is None:
-            pair = self._uc[key] = (combined_test_values(source, target), {})
+            pair = self.suite.uc[key] = (combined_test_values(source, target), {})
         tv, table = pair
         verdict = table.get(fidx)
         if verdict is None:
@@ -1876,10 +2018,8 @@ def _definitional_va_topologies(space: VSpace) -> dict:
 def _check_va_conditions(ctx: _Ctx):
     """The library's VA report against the modulus loop and the opens of
     the strict-ball closure on both sides, witnesses included."""
-    space, tv = ctx.space, ctx.space.test_values
-    report = va_equivalence_report(space)
-    oracles = {"pointwise_modulus": _has_va_over(space, tv, tv),
-               **_definitional_va_topologies(space)}
+    report = va_equivalence_report(ctx.space)
+    oracles = {"pointwise_modulus": ctx.state.va_loop, **ctx.state.va_topologies}
     closed = report.conditions
     votes = {bool(v) for v in oracles.values()}
     if votes != {report.holds} or any(closed[k] != v for k, v in oracles.items()):
@@ -1891,18 +2031,16 @@ def _check_va_conditions(ctx: _Ctx):
 
 def _check_uva_conditions(ctx: _Ctx):
     """The library's UVA report against the three conditions by their loops."""
-    space, tv = ctx.space, ctx.space.test_values
-    report = uva_equivalence_report(space)
-    # the dual holds the same distance values, so it shares the test values
-    op, ident = space.dual(), tuple(range(space.size))
-    into, outof = _uc_over(ident, op, space, tv, tv), _uc_over(ident, space, op, tv, tv)
+    state = ctx.state
+    report = uva_equivalence_report(ctx.space)
+    into, outof = state.identity_uc
     loops = {
-        "uniform_modulus": _has_uva_over(space, tv, tv),
+        "uniform_modulus": state.uva_loop,
         "identity_uniformly_continuous": (
             Verdict(True) if into and outof
             else Verdict(False, (into.witness or outof.witness))
         ),
-        "uniformities_equal": _base_refinement(space),
+        "uniformities_equal": state.base_refinement,
     }
     votes = {bool(v) for v in loops.values()}
     closed = report.conditions
@@ -1929,13 +2067,13 @@ def _check_finite_collapse(ctx: _Ctx):
     test-value loops, the library's verdicts and witnesses, and the
     per-entry zero pattern all agree, and each point filter's closed-form
     core equals its loop core on both sides."""
-    space, tv = ctx.space, ctx.space.test_values
-    va, uva = _has_va_over(space, tv, tv), _has_uva_over(space, tv, tv)
+    space, state = ctx.space, ctx.state
+    va, uva = state.va_loop, state.uva_loop
     if va != ctx.va or uva != ctx.uva:
         return {"va": va.witness, "uva": uva.witness,
                 "closed_va": ctx.va.witness, "closed_uva": ctx.uva.witness}
-    zero_sym = _zero_pattern_symmetric(space)
-    mutual = _base_refinement(space)
+    zero_sym = state.zero_symmetric
+    mutual = state.base_refinement
     if not (va.ok == uva.ok == zero_sym == mutual):
         return {"va": va.ok, "uva": uva.ok, "zero_symmetric": zero_sym, "base_refinement": mutual}
     for fwd in (True, False):
@@ -2101,19 +2239,31 @@ def run_theorem_suite(generator: InstanceGenerator, count: int,
     failure; its reports are `oracle_gate()`'s, not repeated here.  Returns
     one aggregated report per theorem; failures carry the child seed, the
     serialized instance, and the witness, enough to replay standalone.
-    When `timings` is given, the seconds spent building the instances
-    (`_Ctx`: generation, the (U)VA verdicts and the lane tables) are
-    added to its "generate" entry.
+
+    Every check runs on every instance whose gates are open.  What the
+    checks derive is shared within the call (`_Suite`): each distinct
+    repaired key matrix is built and validated once (`_keyed_space`), and
+    each distinct space's derived state once (`_SpaceState`), so a repeat
+    of a space, which is common among the small indiscrete UVA spaces,
+    costs only the checks' own comparisons; the tables are dropped when
+    the call returns.  Only the child seed and the sibling are per
+    instance (`_Ctx`).  So the first instance of each distinct space pays
+    for its derivation: when `timings` is given, the seconds spent building
+    the instances (`_Ctx.generated`: generation and, for a new space, its
+    (U)VA verdicts and lane tables) are added to its "generate" entry, and
+    the rest of the derivation to the runtime of the first check that asks
+    for it.
     """
     gate = oracle_gate()
     if any(r.failures for r in gate):
         bad = [r.id for r in gate if r.failures]
         raise InvariantError(f"oracle gate failed: {bad}; fast paths are not trusted")
     tallies = {c.id: VerificationReport(id=c.id) for c in checks}
+    suite = _Suite()
     generating = 0.0
     for child in generator.child_seeds(count):
         start = time.monotonic()
-        ctx = _Ctx(generator, child)
+        ctx = _Ctx.generated(generator, child, suite)
         generating += time.monotonic() - start
         payload = None
         for check in checks:

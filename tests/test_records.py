@@ -133,7 +133,7 @@ class TestGeneratorReplace:
     def test_sibling_streams_unchanged(self, gen, seeds, digest):
         assert gen.child_seeds(4) == seeds
         blob = "".join(
-            serialize.dumps_canonical(serialize.space_to_payload(_Ctx(gen, c).sibling))
+            serialize.dumps_canonical(serialize.space_to_payload(_Ctx.generated(gen, c).sibling))
             for c in seeds
         )
         assert hashlib.sha256(blob.encode()).hexdigest() == digest

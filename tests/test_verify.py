@@ -563,7 +563,7 @@ class TestFilterMorphismChecks:
         from qc import is_filter_morphism
         from qc.verify import _Ctx, _morphism_ok, _oracle_battery
 
-        ctx = _Ctx(InstanceGenerator(seed=41), 0)
+        ctx = _Ctx.generated(InstanceGenerator(seed=41), 0)
         verdicts = set()
         for x in (s for n in (1, 2, 3) for s in _oracle_battery(n)):
             for fidx in product(range(x.size), repeat=x.size):
@@ -616,7 +616,7 @@ class TestUvaSharpness:
         gen = InstanceGenerator(seed=25)
         count, non_uva = 40, 0
         for child in gen.child_seeds(count):
-            ctx = _Ctx(gen, child)
+            ctx = _Ctx.generated(gen, child)
             if not ctx.uva:
                 non_uva += 1
                 for check in checks:
@@ -704,7 +704,7 @@ class TestCoreLanes:
         for q in (E, Q3):
             gen = InstanceGenerator(seed=20261020, quantale=q, max_points=4)
             for child in gen.child_seeds(6):
-                ctx = _Ctx(gen, child)
+                ctx = _Ctx.generated(gen, child)
                 space = ctx.space
                 for m in range(space.full_mask + 1):
                     f = Filter(space, m)
@@ -735,11 +735,11 @@ class TestUcMemo:
         for q in (E, Q3, pinched):
             gen = InstanceGenerator(seed=41, quantale=q, max_points=3)
             for child in gen.child_seeds(4):
-                ctx = _Ctx(gen, child)
+                ctx = _Ctx.generated(gen, child)
                 cases.append((ctx, directions(ctx.space, ctx.sibling)))
         # zero distance in x, distance 1 in y: the map (0, 1) is the
         # identity on x but not uniformly continuous into y
-        ctx = _Ctx(InstanceGenerator(seed=41), 0)
+        ctx = _Ctx.generated(InstanceGenerator(seed=41), 0)
         x = VSpace(E, ["a", "b"], [[0, 0], [0, 0]])
         y = VSpace(E, ["u", "v", "w"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         cases.append((ctx, directions(x, y)))
@@ -755,6 +755,169 @@ class TestUcMemo:
                     assert memo == loop == closed, (source, target, fidx)
                     verdicts.add(memo)
         assert verdicts == {True, False}
+
+
+class TestSuiteSharing:
+    # one `run_theorem_suite` call builds, validates and derives each
+    # distinct space once (`_Suite`); every check still runs on every
+    # instance, and reads what an instance that shares nothing derives.
+    # The generators are `qc verify`'s at seed 99: its theorems section
+    # draws 13 distinct spaces in 25 ext_rational instances and 4 in 12 Q3
+    # ones, its structures section 25 in 25
+    @staticmethod
+    def _generators():
+        Q3 = BUILTIN_QUANTALES["Q3"]
+        return (
+            (InstanceGenerator(seed=99, force_uva=True), 25),
+            (InstanceGenerator(seed=100, quantale=Q3, force_uva=True), 12),
+            (InstanceGenerator(seed=101), 25),
+            (InstanceGenerator(seed=43, quantale=Q3, force_separated=True), 8),
+        )
+
+    @staticmethod
+    def _derived(ctx):
+        """What the instance reads from the suite's tables, as plain data."""
+        from itertools import product
+
+        space, sibling, state = ctx.space, ctx.sibling, ctx.state
+        cores = range(space.full_mask + 1)
+        rng = ctx.check_rng("test.derived")
+        maps = [(tuple(rng.randrange(t.size) for _ in range(s.size)), s, t)
+                for s, t in product((space, sibling), repeat=2) for _ in range(6)]
+        quotient, projection = ctx.quotient
+        out = {
+            "space": (space.points, space.dmat, sibling.points, sibling.dmat),
+            "verdicts": (ctx.uva, ctx.va),
+            "cauchy": [(ctx.cauchy(m, True), ctx.cauchy(m, False), ctx.minimal(m)) for m in cores],
+            "round": [(ctx.round_(m), ctx.roundified(m)) for m in cores],
+            "point_filters": [f.core_mask for fwd in (True, False) for f in ctx.point_filters(fwd)],
+            "tilde": ([f.core_mask for f in ctx.tilde.filters], ctx.tilde.space.dmat),
+            "quotient": (quotient.points, quotient.dmat, projection),
+            "sep_sibling": (ctx.sep_sibling.points, ctx.sep_sibling.dmat),
+            "oracles": (state.va_loop, state.uva_loop, state.va_topologies, state.identity_uc,
+                        state.base_refinement, state.zero_symmetric),
+            "uc": [ctx.uc(fidx, s, t) for fidx, s, t in maps],
+        }
+        completions = [ctx.completion_of(ctx.sep_sibling)]
+        if ctx.uva:
+            completions += [ctx.completion, ctx.completion_of(quotient)]
+        out["completions"] = [([f.core_mask for f in c.filters], c.space.dmat, c.embedding)
+                              for c in completions]
+        return out
+
+    def test_checks_read_what_an_unshared_instance_derives(self):
+        from qc.verify import THEOREM_CHECKS, TheoremCheck, _Ctx, _gates_open
+
+        def logged(check, log):
+            def fn(ctx):
+                witness = check.fn(ctx)
+                log.append((check.id, ctx.seed, witness))
+                return witness
+
+            return TheoremCheck(check.id, fn, check.gates)
+
+        checks = THEOREM_CHECKS + (TheoremCheck("test.derived", self._derived),)
+        for gen, count in self._generators():
+            shared, alone = [], []
+            reports = run_theorem_suite(gen, count, checks=[logged(c, shared) for c in checks])
+            for child in gen.child_seeds(count):
+                ctx = _Ctx.generated(gen, child)
+                alone += [(c.id, child, c.fn(ctx)) for c in checks if _gates_open(ctx, c.gates)]
+            assert len(shared) == len(alone) and shared == alone, gen
+            # every check ran on every instance it ran on before, and only
+            # the probe, whose witness is its data, failed
+            for report in reports:
+                ran = [w for cid, _, w in alone if cid == report.id]
+                assert report.instances == len(ran), report.id
+                assert report.passes == ran.count(None), report.id
+                assert report.ok == (report.id != "test.derived"), report.id
+
+    def test_equal_spaces_share_one_object_and_state(self):
+        from qc.verify import THEOREM_CHECKS, TheoremCheck
+
+        for gen, count in self._generators():
+            seen = []
+            probe = TheoremCheck("test.seen", lambda ctx: seen.append(ctx))
+            run_theorem_suite(gen, count, checks=THEOREM_CHECKS[:1] + (probe,))
+            assert len(seen) == count
+            for a in seen:
+                for b in seen:
+                    assert (a.space == b.space) == (a.space is b.space) == (a.state is b.state)
+                    assert (a.sibling == b.sibling) == (a.sibling is b.sibling)
+                    if a.sibling == b.sibling:
+                        assert a.suite.state(a.sibling) is b.suite.state(b.sibling)
+                assert a.suite is seen[0].suite and a.state is a.suite.state(a.space)
+            distinct = len({id(ctx.state) for ctx in seen})
+            if gen.force_uva:
+                assert distinct < count, gen
+
+    def test_spaces_apart_when_only_the_key_differs(self):
+        # a key is value * scale on the extended rationals; past the key
+        # budget the keys are Fractions, equal to another quantale's table
+        # indices; and a forced separation changes the space of a key
+        from qc.verify import _keyed_space
+
+        Q3 = BUILTIN_QUANTALES["Q3"]
+        ext, q3 = InstanceGenerator(seed=0), InstanceGenerator(seed=0, quantale=Q3)
+        table = {}
+        at_one = _keyed_space(ext, [[0, 2], [2, 0]], 1, table)
+        at_two = _keyed_space(ext, [[0, 2], [2, 0]], 2, table)
+        assert (at_one.d("p0", "p1"), at_two.d("p0", "p1")) == (2, 1)
+        assert _keyed_space(ext, [[0, 2], [2, 0]], 2, table) is at_two
+        fractions = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+        ranks = _keyed_space(ext, fractions, None, table)
+        indices = _keyed_space(q3, [[0, 1], [1, 0]], None, table)
+        assert (ranks.quantale, indices.quantale) == (E, Q3)
+        both = _keyed_space(ext, [[0, 0], [0, 0]], 1, table)
+        one = _keyed_space(ext._replace(force_separated=True), [[0, 0], [0, 0]], 1, table)
+        assert (both.size, one.size) == (2, 1)
+        spaces = [at_one, at_two, ranks, indices, both, one]
+        assert len(table) == len({id(s) for s in spaces}) == len(spaces)
+        assert all(validate_vspace(s).ok for s in spaces)
+
+    def test_uva_guard_runs_once_on_a_shared_space(self):
+        # a space first built without forcing UVA is checked for it when a
+        # generator that forces UVA meets its key
+        from qc import InvariantError
+        from qc.verify import _keyed_space
+
+        table = {}
+        free, uva = InstanceGenerator(seed=0), InstanceGenerator(seed=0, force_uva=True)
+        built = _keyed_space(free, [[0, 0], [1, 0]], 1, table)
+        with pytest.raises(InvariantError, match="uniformly vanishing asymmetry"):
+            _keyed_space(uva, [[0, 0], [1, 0]], 1, table)
+        assert _keyed_space(free, [[0, 0], [1, 0]], 1, table) is built
+        symmetric = _keyed_space(free, [[0, 1], [1, 0]], 1, table)
+        assert _keyed_space(uva, [[0, 1], [1, 0]], 1, table) is symmetric
+
+    def test_states_apart_when_only_the_points_or_distances_differ(self):
+        from qc.verify import _Suite
+
+        suite = _Suite()
+        a = VSpace(E, ["a", "b"], [[0, 1], [0, 0]])
+        renamed = VSpace(E, ["b", "a"], [[0, 1], [0, 0]])
+        other = VSpace(E, ["a", "b"], [[0, 2], [0, 0]])
+        twin = VSpace(E, ["a", "b"], [[0, 1], [0, 0]])
+        states = [suite.state(s) for s in (a, renamed, other)]
+        assert len({id(s) for s in states}) == 3
+        assert [s.space for s in states] == [a, renamed, other]
+        assert suite.state(twin) is states[0]
+
+    def test_no_state_outlives_the_call(self):
+        import gc
+        import weakref
+
+        from qc.verify import THEOREM_CHECKS, TheoremCheck
+
+        refs = []
+
+        def keep(ctx):
+            refs.extend(weakref.ref(o) for o in (ctx.suite, ctx.state, ctx.space, ctx.sibling))
+
+        checks = THEOREM_CHECKS + (TheoremCheck("test.keep", keep),)
+        run_theorem_suite(InstanceGenerator(seed=99, force_uva=True), 6, checks=checks)
+        gc.collect()
+        assert len(refs) == 24 and all(r() is None for r in refs)
 
 
 class TestFailureReporting:

@@ -661,6 +661,27 @@ MUTANTS = (
         "key = source",
         (UC_MEMO, SHARING),
     ),
+    Mutant(
+        "pointwise-modulus-drops-backward-half",
+        "vspace.py",
+        "return (bwd_d | fwd_e) == fwd_e and (fwd_d | bwd_e) == bwd_e",
+        "return (bwd_d | fwd_e) == fwd_e",
+        (KERNELS,),
+    ),
+    Mutant(
+        "modulus-candidates-ascending",
+        "vspace.py",
+        "candidates = sorted(space.test_values, key=q.sort_key, reverse=True)",
+        "candidates = sorted(space.test_values, key=q.sort_key)",
+        (KERNELS,),
+    ),
+    Mutant(
+        "uniform-flip-reads-forward-near-ball",
+        "vspace.py",
+        "zip(space._balls(delta, False), space._balls(eps, True))",
+        "zip(space._balls(delta, True), space._balls(eps, True))",
+        (KERNELS,),
+    ),
 )
 
 

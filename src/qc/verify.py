@@ -24,11 +24,13 @@ Five layers of defence:
   the test-value loop for all 2^n cores at once, as lane tables (one
   2^n-bit int per verdict, see `_SpaceState`), and the tests compare those
   lanes with `_cauchy_over` and `definitional_is_minimal_cauchy`;
-* the per-entry definitions of the triangle law, balls, the uniform flip,
-  the entourage core and set distances (and VA, UVA and symmetry moduli on
-  top of them) are oracles for the rank-compiled kernels of `qc.vspace`,
-  and the checked triangle repair for the keyed one the generator uses;
-  the test suite compares each with its oracle;
+* the per-entry definitions of the triangle law, balls and set distances
+  are oracles for the rank-compiled kernels of `qc.vspace`, and the
+  checked triangle repair for the keyed one the generator uses; the
+  per-entry ε references (the entourage core, and the symmetry moduli,
+  which check the uniform flip) read `definitional_balls`, while VA and
+  UVA are checked by the test-value loops; the test suite compares each
+  with its oracle;
 * the theorem suite runs every structural statement about filters,
   completions, and the asymmetry classes over seeded generated instances,
   recording failures as replayable data rather than raising.
@@ -855,131 +857,36 @@ def definitional_relation_topology(points, core) -> frozenset:
     )
 
 
-def _definitional_within(space: VSpace):
-    """Per radius t, the per-entry verdicts `d(i,j) <= t`, read lazily.
-
-    Each verdict is one checked `leq`, made on its first read and kept, so
-    within one call the flips and balls below compare each entry with each
-    radius at most once, and never compare one they do not read.
-    """
-    q, d, n = space.quantale, space.dmat, space.size
-    memo = {}
-
-    def within(t):
-        cells = memo.get(t)
-        if cells is None:
-            cells = memo[t] = [[None] * n for _ in range(n)]
-
-        def at(i, j):
-            v = cells[i][j]
-            if v is None:
-                v = cells[i][j] = q.leq(d[i][j], t)
-            return v
-
-        return at
-
-    return within
-
-
-def _definitional_flip(space: VSpace, within, delta, eps):
-    """First pair with d(y,x) <= delta but not d(x,y) <= eps, or None."""
-    near, close = within(delta), within(eps)
-    for i in range(space.size):
-        for j in range(space.size):
-            if near(j, i) and not close(i, j):
-                return (space.points[i], space.points[j])
-    return None
-
-
 def definitional_entourage_core(space: VSpace, forward: bool) -> tuple:
-    """Boolean rows: (i, j) related iff the distance is <= every test value."""
-    q = space.quantale
-    n = space.size
-    return tuple(
-        tuple(
-            all(
-                q.leq(space.dmat[i][j] if forward else space.dmat[j][i], eps)
-                for eps in space.test_values
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def definitional_uva(space: VSpace) -> Verdict:
-    """`has_uniformly_vanishing_asymmetry` on the per-entry flip."""
-    q, tv = space.quantale, space.test_values
-    within = _definitional_within(space)
-    for eps in tv:
-        if all(_definitional_flip(space, within, delta, eps) is not None for delta in tv):
-            pair = _definitional_flip(space, within, tv[0], eps)
-            return Verdict(False, {"epsilon": q.format(eps), "pair": pair})
-    return Verdict(True)
-
-
-def _definitional_balls_at(space: VSpace, i: int, within):
-    """The per-entry (forward, backward) balls around point i, by radius.
-
-    Each ball is computed once per radius from the verdicts of `within`, so
-    the quantifiers over pairs of radii below cost one checked `leq` per
-    (entry, radius), shared by the forward ball of i and the backward ball
-    of j.
-    """
-    memo = {}
-
-    def balls(eps):
-        pair = memo.get(eps)
-        if pair is None:
-            at = within(eps)
-            fwd = bwd = 0
-            for j in range(space.size):
-                if at(i, j):
-                    fwd |= 1 << j
-                if at(j, i):
-                    bwd |= 1 << j
-            pair = memo[eps] = (fwd, bwd)
-        return pair
-
-    return balls
-
-
-def _definitional_pointwise_ok(balls, delta, eps) -> bool:
-    fwd_e, bwd_e = balls(eps)
-    fwd_d, bwd_d = balls(delta)
-    return not bwd_d & ~fwd_e and not fwd_d & ~bwd_e
-
-
-def definitional_va(space: VSpace) -> Verdict:
-    """`has_vanishing_asymmetry` on per-entry balls."""
-    q, tv = space.quantale, space.test_values
-    within = _definitional_within(space)
-    for i in range(space.size):
-        balls = _definitional_balls_at(space, i, within)
-        for eps in tv:
-            if not any(_definitional_pointwise_ok(balls, d, eps) for d in tv):
-                return Verdict(False, {"point": space.points[i], "epsilon": q.format(eps)})
-    return Verdict(True)
+    """Boolean rows: (i, j) related iff the distance is <= every test value,
+    the AND of the `definitional_balls` masks over the test values."""
+    rows = [space.full_mask] * space.size
+    for eps in space.test_values:
+        rows = [r & b for r, b in zip(rows, definitional_balls(space, eps)[not forward])]
+    return tuple(tuple(bool(r >> j & 1) for j in range(space.size)) for r in rows)
 
 
 def definitional_symmetry_moduli(space: VSpace, point=None) -> dict:
     """`symmetry_modulus` (uniform, or pointwise at `point`) per entry, for
-    every test value eps, as a dict eps -> delta; one verdict table serves
-    every eps."""
-    q = space.quantale
-    within = _definitional_within(space)
-    if point is not None:
-        balls = _definitional_balls_at(space, space.index(point), within)
+    every test value eps, as a dict eps -> delta: the largest delta whose
+    `definitional_balls` put bwd_delta inside fwd_eps at every point, or at
+    `point` both that and fwd_delta inside bwd_eps; None when none does.
+    Each side is read as its rows side by side in one int, n bits a row,
+    so each admissibility test is one subset test."""
+    q, n = space.quantale, space.size
+    i = None if point is None else space.index(point)
 
-    def ok(delta, eps):
-        if point is None:
-            return _definitional_flip(space, within, delta, eps) is None
-        return _definitional_pointwise_ok(balls, delta, eps)
+    def rows(a, b):
+        return sum(m << n * k for k, m in enumerate(a if i is None else (a[i], b[i])))
 
-    deltas = sorted(space.test_values, key=q.sort_key, reverse=True)
+    sides = []
+    for t in space.test_values:
+        fwd, bwd = definitional_balls(space, t)
+        sides.append((t, rows(bwd, fwd), rows(fwd, bwd)))
+    deltas = sorted(sides, key=lambda side: q.sort_key(side[0]), reverse=True)
     return {
-        eps: next((delta for delta in deltas if ok(delta, eps)), None)
-        for eps in space.test_values
+        eps: next((delta for delta, inner, _ in deltas if not inner & ~outer), None)
+        for eps, _, outer in sides
     }
 
 
@@ -1731,7 +1638,7 @@ def _check_roundify_functorial(ctx: _Ctx):
 
 def _check_roundify_adjunction(ctx: _Ctx):
     x, y = ctx.space, ctx.sibling
-    cauchy = _cauchy_lanes(y, True)
+    cauchy = ctx.suite.state(y).lanes[0]
     y_cr = [
         m
         for m in range(1, y.full_mask + 1)

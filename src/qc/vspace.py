@@ -92,8 +92,10 @@ about c * c pairs (i, j) instead of n * n; twins of i share i's
 violations, and twins of j get j's.  The packed kernel reads the third
 point k over the representatives too, c lanes per row instead of n, and
 a flagged k stands for its whole class.  The per-entry definitions of the
-triangle law, balls, the flip, the entourage core and set distances are
-kept in `qc.verify` as oracles.
+triangle law, balls and set distances are kept in `qc.verify` as oracles;
+its per-entry ε references (the entourage core, the symmetry moduli and
+through them the flip) read its per-entry balls, and VA and UVA are
+checked by its test-value loops.
 """
 
 from __future__ import annotations

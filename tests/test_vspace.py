@@ -488,13 +488,13 @@ class TestCompiledKernels:
         from qc import quasi_uniformity_of, topology_of
         from qc.errors import InvariantError
         from qc.verify import (
+            _has_uva_over,
+            _has_va_over,
             _uc_violation,
             definitional_balls,
             definitional_entourage_core,
             definitional_set_distance,
             definitional_symmetry_moduli,
-            definitional_uva,
-            definitional_va,
             definitional_validate_vspace,
         )
 
@@ -509,8 +509,9 @@ class TestCompiledKernels:
             assert validate_vspace(space).failures == want.failures, space.dmat
             invalid += "triangle" in want.failed_checks()
             off_diagonal += "zero-diagonal" in want.failed_checks()
-            assert has_vanishing_asymmetry(space) == definitional_va(space)
-            assert has_uniformly_vanishing_asymmetry(space) == definitional_uva(space)
+            tv = space.test_values
+            assert has_vanishing_asymmetry(space) == _has_va_over(space, tv, tv)
+            assert has_uniformly_vanishing_asymmetry(space) == _has_uva_over(space, tv, tv)
             if t % 2 == 0:  # 100 spaces per quantale
                 _assert_zero_forms_match_loops(aux, space, _raw_space(aux, q, aux.randint(1, 4)))
             for forward, side in ((True, "forward"), (False, "backward")):
@@ -630,8 +631,17 @@ class TestCompiledKernels:
                 assert (space._balls(eps, True), space._balls(eps, False)) == (
                     definitional_balls(space, eps)
                 )
-            assert has_vanishing_asymmetry(space) == definitional_va(space)
-            assert has_uniformly_vanishing_asymmetry(space) == definitional_uva(space)
+            tv = space.test_values
+            assert has_vanishing_asymmetry(space) == _has_va_over(space, tv, tv)
+            assert has_uniformly_vanishing_asymmetry(space) == _has_uva_over(space, tv, tv)
+            # the moduli on Fraction keys too: uniform, and pointwise at every point
+            uniform_moduli = definitional_symmetry_moduli(space)
+            for eps in tv:
+                assert symmetry_modulus(space, eps) == uniform_moduli[eps]
+            for p in space.points:
+                pointwise_moduli = definitional_symmetry_moduli(space, p)
+                for eps in tv:
+                    assert symmetry_modulus(space, eps, "pointwise", p) == pointwise_moduli[eps]
         assert fallback > 40 and distinct > 60, (fallback, distinct)
 
     def test_hostile_denominators_take_fraction_keys(self):

@@ -62,6 +62,9 @@ LANE_WIDTH = "tests/test_vspace.py::TestTriangleKernels::test_lane_width_at_one_
 RESTRICTED = "tests/test_vspace.py::TestRankMatrixForms::test_restricted_selects_entries"
 SHARING = "tests/test_verify.py::TestSuiteSharing"
 CORE_ROWS = "tests/test_structures.py::TestQuasiUniformity::test_core_rows_shared_by_mask"
+LOOKUPS = "tests/test_vspace.py::TestNameAndBitLookups"
+CLOSURE = "tests/test_structures.py::TestTopologyOracles::test_closure_is_the_least_closed_family"
+DRAWS = "tests/test_verify.py::TestGenerator::test_draws_match_their_definition"
 
 
 class Mutant(NamedTuple):
@@ -446,8 +449,8 @@ MUTANTS = (
     Mutant(
         "filter-morphism-containment-flipped",
         "filters.py",
-        "if (image.core_mask | g.core_mask) != g.core_mask:",
-        "if (image.core_mask | g.core_mask) != image.core_mask:",
+        "if image | target != target:",
+        "if image | target != image:",
         (MORPHISMS,),
     ),
     Mutant(
@@ -671,8 +674,8 @@ MUTANTS = (
     Mutant(
         "modulus-candidates-ascending",
         "vspace.py",
-        "candidates = sorted(space.test_values, key=q.sort_key, reverse=True)",
-        "candidates = sorted(space.test_values, key=q.sort_key)",
+        "sorted(self.test_values, key=self.quantale.sort_key, reverse=True)",
+        "sorted(self.test_values, key=self.quantale.sort_key)",
         (KERNELS,),
     ),
     Mutant(
@@ -681,6 +684,76 @@ MUTANTS = (
         "zip(space._balls(delta, False), space._balls(eps, True))",
         "zip(space._balls(delta, True), space._balls(eps, True))",
         (KERNELS,),
+    ),
+    Mutant(
+        "bit-table-entries-descending",
+        "vspace.py",
+        "tuple([tuple([j for j in range(8) if m >> j & 1]) for m in range(256)])",
+        "tuple([tuple([j for j in range(8) if m >> j & 1][::-1]) for m in range(256)])",
+        (LOOKUPS,),
+    ),
+    Mutant(
+        "bit-table-drops-bit-seven",
+        "vspace.py",
+        "[j for j in range(8) if m >> j & 1]",
+        "[j for j in range(7) if m >> j & 1]",
+        (LOOKUPS,),
+    ),
+    Mutant(
+        "index-map-fast-path-reads-source-index",
+        "vspace.py",
+        "return tuple([target._pindex[fmap[p]] for p in source.points])",
+        "return tuple([source._pindex[fmap[p]] for p in source.points])",
+        (LOOKUPS,),
+    ),
+    Mutant(
+        "mask-fast-path-counts-repeated-names",
+        "vspace.py",
+        "return sum({1 << self._pindex[p] for p in names})",
+        "return sum([1 << self._pindex[p] for p in names])",
+        (LOOKUPS,),
+    ),
+    Mutant(
+        "mask-reads-a-generator-once",
+        "vspace.py",
+        "            names = list(names)  # the loop may read the names again\n",
+        "            pass\n",
+        (LOOKUPS,),
+    ),
+    Mutant(
+        "ball-cache-key-ignores-side",
+        "vspace.py",
+        "key = id(eps) if forward else ~id(eps)",
+        "key = id(eps)",
+        (KERNELS,),
+    ),
+    Mutant(
+        "quotient-independence-reads-own-columns",
+        "vspace.py",
+        "any(tuple(rank[i]) != pick(rank[r]) for i, r in enumerate(rep))",
+        "any(tuple(rank[i]) != tuple(rank[r]) for i, r in enumerate(rep))",
+        (QUOTIENT,),
+    ),
+    Mutant(
+        "divergent-core-skips-cauchy-test",
+        "verify.py",
+        "        if cauchy(mask):\n            f = Filter(space, mask)\n",
+        "        if True:\n            f = Filter(space, mask)\n",
+        ("tests/test_completion.py::TestCauchyComplete",),
+    ),
+    Mutant(
+        "closure-pairs-each-set-with-itself",
+        "verify.py",
+        "        for b in taken:\n",
+        "        for b in (a,):\n",
+        (CLOSURE,),
+    ),
+    Mutant(
+        "drawn-values-inverted",
+        "verify.py",
+        "{(n, d): Fraction(n, d) for n in",
+        "{(n, d): Fraction(d, n) for n in",
+        (DRAWS,),
     ),
 )
 

@@ -18,8 +18,9 @@ from .reporting import Verdict
 from .vspace import (
     VSpace,
     _as_index_map,
+    _bits,
     _set_distance_masks,
-    _uc_verdict,
+    _uc_witness,
     _zero_masks,
 )
 
@@ -101,9 +102,8 @@ def image_filter(fmap: dict, f: Filter, target: VSpace) -> Filter:
 def _image_core(fidx, core: int) -> int:
     """The image of a core mask under an index map."""
     m = 0
-    for i, j in enumerate(fidx):
-        if core >> i & 1:
-            m |= 1 << j
+    for i in _bits(core):
+        m |= 1 << fidx[i]
     return m
 
 
@@ -152,10 +152,9 @@ def roundify(f: Filter) -> Filter:
     space = f.space
     if not space.test_values:
         return Filter(space, space.full_mask)
-    m = 0
-    for i in range(space.size):
-        if f.core_mask >> i & 1:
-            m |= space.zero_fwd[i]
+    zeros, m = space.zero_fwd, 0
+    for i in _bits(f.core_mask):
+        m |= zeros[i]
     return Filter(space, m)
 
 
@@ -208,16 +207,18 @@ def is_filter_morphism(fmap: dict, f: Filter, g: Filter) -> Verdict:
         raise DomainMismatchError("filter morphisms need a shared quantale")
     # one index map serves the continuity test and the image
     fidx = _as_index_map(fmap, f.space, g.space)
-    uc = _uc_verdict(fidx, f.space, g.space)
-    if not uc:
-        return Verdict(False, {"reason": "not uniformly continuous", **(uc.witness or {})})
-    image = Filter(g.space, _image_core(fidx, f.core_mask))
-    if (image.core_mask | g.core_mask) != g.core_mask:
+    uc = _uc_witness(fidx, f.space, g.space)
+    if uc is not None:
+        return Verdict(False, {"reason": "not uniformly continuous", **uc})
+    # the image filter contains g iff its core lies in g's; the masks decide
+    # it, and the names are read only for the witness
+    image, target = _image_core(fidx, f.core_mask), g.core_mask
+    if image | target != target:
         return Verdict(
             False,
             {
                 "reason": "image filter does not contain the target filter",
-                "image_core": image.core,
+                "image_core": g.space.names_of(image),
                 "target_core": g.core,
             },
         )

@@ -176,7 +176,12 @@ def _draw_value(gen: InstanceGenerator, rng: random.Random):
         return q.bottom
     if roll == gen.zero_weight:
         return INF
-    return Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return _DRAWN_VALUES[rng.randint(1, 4), rng.randint(1, 3)]
+
+
+# the positive finite values `_draw_value` draws, n/d for n in 1..4 and d in
+# 1..3, each built once: a Fraction is immutable, so the draws share them
+_DRAWN_VALUES = {(n, d): Fraction(n, d) for n in range(1, 5) for d in range(1, 4)}
 
 
 def triangle_repair(quantale: ValueQuantale, dmat) -> tuple[list, int]:
@@ -502,8 +507,9 @@ def _collapsed_formula_failures(space: VSpace) -> list:
     images = [(fidx, _preimages(fidx, n), dict(zip(space.points, [space.points[j] for j in fidx])))
               for fidx in maps]
     radii = [space._balls(eps, True) for eps in space.test_values]
+    filters = [Filter(space, c) for c in cores]
     for c in cores:
-        f = Filter(space, c)
+        f = filters[c]
         fam = families[c]
         # membership
         for s, names in enumerate(subsets):
@@ -533,7 +539,7 @@ def _collapsed_formula_failures(space: VSpace) -> list:
         inter = frozenset(families[a] & families[b])
         if inter != families[a | b]:
             fail("intersection", cores=(space.names_of(a), space.names_of(b)))
-        fa, fb = Filter(space, a), Filter(space, b)
+        fa, fb = filters[a], filters[b]
         if _family_distance(q, table, families[a], families[b]) != filter_distance(fa, fb):
             fail("filter-distance", cores=(fa.core, fb.core))
     return failures
@@ -628,9 +634,10 @@ def cauchy_filter_space(space: VSpace) -> CauchyFilterSpace:
 def _divergent_cauchy_core(space: VSpace, cauchy):
     """First proper core passing `cauchy(mask)` that converges nowhere, or None."""
     for mask in range(1, space.full_mask + 1):
-        f = Filter(space, mask)
-        if cauchy(mask) and not any(converges(f, x) for x in space.points):
-            return f.core
+        if cauchy(mask):
+            f = Filter(space, mask)
+            if not any(converges(f, x) for x in space.points):
+                return f.core
     return None
 
 
@@ -670,11 +677,12 @@ def _zero_distance_failure(tilde: CauchyFilterSpace):
     # decided once; it joins `passed` only after passing, so the first
     # failing pair is still the one reported
     filters = tilde.filters
+    cores = [f.core_mask for f in filters]
     passed = set()
-    for f, zeros in zip(filters, tilde.space.zero_fwd):
+    for f, core, zeros in zip(filters, cores, tilde.space.zero_fwd):
         for k in _bits(zeros):
             g = filters[k]
-            union = f.core_mask | g.core_mask
+            union = core | cores[k]
             if union not in passed:
                 if not is_cauchy(intersect(f, g)):
                     return {"cores": (f.core, g.core)}
@@ -799,18 +807,21 @@ def definitional_balls(space: VSpace, eps) -> tuple:
 
 
 def _close_under_union_intersection(base: set) -> frozenset:
+    """The least family holding `base` and 0 that is closed under union and
+    intersection.  A worklist: each set taken is paired with itself and the
+    sets taken before it, so every pair is met once, when its later set is
+    taken, and each new union or intersection joins the worklist."""
     sets = set(base)
     sets.add(0)
-    changed = True
-    while changed:
-        changed = False
-        current = list(sets)
-        for i, a in enumerate(current):
-            for b in current[i:]:
-                for c in (a | b, a & b):
-                    if c not in sets:
-                        sets.add(c)
-                        changed = True
+    todo, taken = list(sets), []
+    while todo:
+        a = todo.pop()
+        taken.append(a)
+        for b in taken:
+            for c in (a | b, a & b):
+                if c not in sets:
+                    sets.add(c)
+                    todo.append(c)
     return frozenset(sets)
 
 
@@ -937,12 +948,9 @@ def _uc_violation(fidx, source: VSpace, near_balls, image_balls):
     """
     for i, near in enumerate(near_balls):
         within = image_balls[fidx[i]]
-        while near:
-            low = near & -near
-            j = low.bit_length() - 1
+        for j in _bits(near):
             if not within >> fidx[j] & 1:
                 return (source.points[i], source.points[j])
-            near ^= low
     return None
 
 
@@ -1611,13 +1619,16 @@ def _check_ball_distance_bounds(ctx: _Ctx):
     return None
 
 
-def _morphism_ok(uc: bool, fidx, fmask: int, gmask: int) -> bool:
-    return uc and _image_core(fidx, fmask) | gmask == gmask
+def _morphism_ok(uc: bool, image: int, gmask: int) -> bool:
+    """A filter morphism: a uniformly continuous map whose image of the
+    source core (`_image_core`) lies in the target core."""
+    return uc and image | gmask == gmask
 
 
 def _check_roundify_functorial(ctx: _Ctx):
     x, y = ctx.space, ctx.sibling
     ry = {m: roundify(Filter(y, m)).core_mask for m in range(y.full_mask + 1)}
+    rx = [ctx.roundified(m) for m in range(x.full_mask + 1)]
     for fidx in product(range(y.size), repeat=x.size):
         if not ctx.uc(fidx, x, y):
             continue
@@ -1625,7 +1636,7 @@ def _check_roundify_functorial(ctx: _Ctx):
             # a morphism iff the image lies in the target core (the map is
             # uniformly continuous here), so the images are taken once
             img = _image_core(fidx, fm)
-            rimg = _image_core(fidx, ctx.roundified(fm))
+            rimg = _image_core(fidx, rx[fm])
             for gm in range(y.full_mask + 1):
                 if img | gm == gm and rimg | ry[gm] != ry[gm]:
                     return {
@@ -1644,13 +1655,15 @@ def _check_roundify_adjunction(ctx: _Ctx):
         for m in range(1, y.full_mask + 1)
         if cauchy >> m & 1 and _round_over(Filter(y, m), y.test_values)
     ]
-    x_c = [m for m in ctx.cores if ctx.cauchy(m)]
+    x_c = [(m, ctx.roundified(m)) for m in ctx.cores if ctx.cauchy(m)]
     for fidx in product(range(y.size), repeat=x.size):
         uc = ctx.uc(fidx, x, y)
-        for fm in x_c:
+        for fm, rfm in x_c:
+            # the images of a core and of its roundification, taken once
+            img, rimg = _image_core(fidx, fm), _image_core(fidx, rfm)
             for gm in y_cr:
-                lhs = _morphism_ok(uc, fidx, ctx.roundified(fm), gm)
-                rhs = _morphism_ok(uc, fidx, fm, gm)
+                lhs = _morphism_ok(uc, rimg, gm)
+                rhs = _morphism_ok(uc, img, gm)
                 if lhs != rhs:
                     return {
                         "map": list(fidx),
@@ -2007,19 +2020,20 @@ def _check_balls_closed(ctx: _Ctx):
     fwd_top = topology_of(space, "forward")
     bwd_top = topology_of(space, "backward")
     radii = [(eps, space._balls(eps, True), space._balls(eps, False)) for eps in space.test_values]
+    full = space.full_mask
     for i in range(space.size):
         for eps, fwd_balls, bwd_balls in radii:
             fwd_ball, bwd_ball = fwd_balls[i], bwd_balls[i]
-            witness = {
-                "point": space.points[i],
-                "epsilon": space.quantale.format(eps),
-            }
-            if not fwd_top._is_open_mask(space.full_mask & ~bwd_ball):
-                return {**witness, "side": "backward ball in forward topology"}
-            if not bwd_top._is_open_mask(space.full_mask & ~fwd_ball):
-                return {**witness, "side": "forward ball in backward topology"}
-            if ctx.va and not fwd_top._is_open_mask(space.full_mask & ~fwd_ball):
-                return {**witness, "side": "forward ball in forward topology"}
+            if not fwd_top._is_open_mask(full & ~bwd_ball):
+                side = "backward ball in forward topology"
+            elif not bwd_top._is_open_mask(full & ~fwd_ball):
+                side = "forward ball in backward topology"
+            elif ctx.va and not fwd_top._is_open_mask(full & ~fwd_ball):
+                side = "forward ball in forward topology"
+            else:
+                continue
+            # the witness is formatted only for the failing (point, radius)
+            return {"point": space.points[i], "epsilon": space.quantale.format(eps), "side": side}
     return None
 
 

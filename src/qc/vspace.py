@@ -1,7 +1,12 @@
 """Finite continuity spaces: a carrier plus a quantale-valued distance matrix.
 
 Point subsets are bitmasks internally; the public API speaks point names
-and frozensets.
+and frozensets.  `_bits` lists the points of a mask in ascending order: a
+mask below 256 (any subset of a carrier of at most 8 points) is read from
+a table of bit-position tuples, and a larger one is peeled one low bit at
+a time.  Names become indices in one comprehension over the point index
+(`VSpace.mask`, `_as_index_map`); a missing, unknown or unhashable name
+falls to a loop that raises `StructureError` naming it.
 
 Every "for every eps above 0 there is a delta" predicate is decided on the
 zero masks.  The predicates see a radius only through balls, which grow
@@ -17,7 +22,8 @@ but without 0 among them; with no positives (Q1) every quantifier is
 vacuous.  The test-value loops that define VA, UVA, uniform continuity,
 the point filter, the Cauchy, round and convergence tests and the
 entourage core are oracles in `qc.verify`.  `symmetry_modulus` (the
-largest delta, not a monotone quantifier) keeps its loop.
+largest delta, not a monotone quantifier) keeps its loop, over the test
+values in descending order, sorted once per space.
 
 A space is stored in rank form, built at construction in one pass of the
 quantale's kernel `ValueQuantale._rank_values`: its distinct distance
@@ -48,8 +54,8 @@ empties the cache rather than grow it.  `dual()` takes the transposed
 ranks and `separation_quotient` the representatives' rows and columns
 (one `itemgetter` per row), over the base's values and keys with no
 value checked again; the dual is built once and linked back, so
-`space.dual().dual() is space`.  A set
-distance collects the ranks of the cross entries as a mask
+`space.dual().dual() is space`.  A set distance lists the points of
+both masks by `_bits`, collects the ranks of the cross entries as a mask
 (`_cross_ranks`) and takes their meet in one private quantale kernel,
 `ValueQuantale._meet_ranks` (the lowest rank on the extended-rational
 chain, a fold of the meet table on finite quantales), so filter distances
@@ -167,6 +173,15 @@ class VSpace:
         return tuple([tuple([values[r] for r in row]) for row in self._ranks.rank])
 
     def mask(self, names) -> int:
+        """The mask of the named points, read in one comprehension; on an
+        unknown or unhashable name the loop below raises `StructureError`."""
+        if not isinstance(names, (list, tuple, set, frozenset)):
+            names = list(names)  # the loop may read the names again
+        try:
+            # a set of bits: a repeated name is counted once
+            return sum({1 << self._pindex[p] for p in names})
+        except (KeyError, TypeError):
+            pass  # the loop below names the unknown point
         m = 0
         for p in names:
             m |= 1 << self.index(p)
@@ -179,9 +194,11 @@ class VSpace:
         """Per point, the mask of the ball of radius eps around it.
 
         Cached on the identity of `eps`: each entry holds `eps`, so its id is
-        not reused while the entry lives, and a hit hashes no Fraction.
+        not reused while the entry lives, and a hit hashes no Fraction.  The
+        key is the id forward and its complement backward: ids are not
+        negative, so the two sides never share a key.
         """
-        key = (forward, id(eps))
+        key = id(eps) if forward else ~id(eps)
         hit = self._ball_cache.get(key)
         if hit is None:
             form, q = self._ranks, self.quantale
@@ -211,6 +228,12 @@ class VSpace:
     @cached_property
     def test_values(self) -> tuple:
         return combined_test_values(self)
+
+    @cached_property
+    def _moduli_candidates(self) -> tuple:
+        """The test values in descending `sort_key` order, the order in which
+        `symmetry_modulus` tries them; sorted once per space."""
+        return tuple(sorted(self.test_values, key=self.quantale.sort_key, reverse=True))
 
     def dual(self) -> "VSpace":
         """The transposed space, built once; the dual of the dual is `self`.
@@ -757,14 +780,24 @@ def _cross_ranks(rows, targets) -> int:
     return ranks
 
 
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of `mask`, ascending."""
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of `mask`, ascending.
+
+    Masks below 256 (every carrier of at most 8 points) are read from
+    `_BITS`; larger ones peel their lowest bit at a time.
+    """
+    if mask < 256:
+        return _BITS[mask]
     out = []
     while mask:
         low = mask & -mask
         mask ^= low
         out.append(low.bit_length() - 1)
-    return out
+    return tuple(out)
+
+
+# per mask below 256, the positions of its set bits, ascending
+_BITS = tuple([tuple([j for j in range(8) if m >> j & 1]) for m in range(256)])
 
 
 def classify(space: VSpace) -> dict:
@@ -796,11 +829,16 @@ def separation_quotient(space: VSpace) -> tuple[VSpace, dict]:
         earlier = f & b & ((1 << i) - 1)
         if earlier:
             rep[i] = rep[(earlier & -earlier).bit_length() - 1]
-    if any(rank[i][j] != rank[rep[i]][rep[j]] for i in range(n) for j in range(n)):
-        raise InvariantError(
-            "quotient distance is not representative independent; "
-            "the input space violates the triangle law"
-        )
+    # with every point its own representative nothing can differ; else row i
+    # must read as its representative's row at the representatives' columns,
+    # which one `itemgetter` gathers (over two points at least: some i > 0 moved)
+    if rep != list(range(n)):
+        pick = itemgetter(*rep)
+        if any(tuple(rank[i]) != pick(rank[r]) for i, r in enumerate(rep)):
+            raise InvariantError(
+                "quotient distance is not representative independent; "
+                "the input space violates the triangle law"
+            )
     reps = sorted(set(rep))
     # built the way dual() is: every value occurs between representatives,
     # since each entry equals one, so none is checked or ranked again
@@ -876,7 +914,7 @@ def symmetry_modulus(space: VSpace, eps, mode: str = "uniform", point=None):
     eps = q.check(eps)
     if not q.well_above(eps, q.bottom):
         raise PreconditionError(f"{q.format(eps)} is not well above 0")
-    candidates = sorted(space.test_values, key=q.sort_key, reverse=True)
+    candidates = space._moduli_candidates
     if mode == "uniform":
         for delta in candidates:
             if _uniform_flip_ok(space, delta, eps) is None:
@@ -892,6 +930,13 @@ def symmetry_modulus(space: VSpace, eps, mode: str = "uniform", point=None):
 
 
 def _as_index_map(fmap, source: VSpace, target: VSpace) -> tuple[int, ...]:
+    """Per source point, the target index of its image under the name map,
+    read in one comprehension; on a missing or unknown name the loop below
+    raises `StructureError`."""
+    try:
+        return tuple([target._pindex[fmap[p]] for p in source.points])
+    except (KeyError, TypeError):
+        pass  # the loop below names what is wrong
     out = []
     for p in source.points:
         if p not in fmap:
@@ -908,26 +953,25 @@ def is_uniformly_continuous(fmap: dict, source: VSpace, target: VSpace) -> Verdi
     """
     if source.quantale != target.quantale:
         raise DomainMismatchError("uniform continuity needs a shared quantale")
-    return _uc_verdict(_as_index_map(fmap, source, target), source, target)
+    witness = _uc_witness(_as_index_map(fmap, source, target), source, target)
+    return Verdict(witness is None, witness)
 
 
-def _uc_verdict(fidx, source: VSpace, target: VSpace) -> Verdict:
-    """`is_uniformly_continuous` on an index map over one quantale."""
+def _uc_witness(fidx, source: VSpace, target: VSpace) -> dict | None:
+    """`is_uniformly_continuous` on an index map over one quantale: None
+    when the map is uniformly continuous, else the witness."""
     # over one quantale the test values of one space are empty iff those of
     # any spaces are
     if source.test_values:
         images = target.zero_fwd
         for i, near in enumerate(source.zero_fwd):
             within = images[fidx[i]]
-            while near:
-                low = near & -near
-                j = low.bit_length() - 1
+            for j in _bits(near):
                 if not within >> fidx[j] & 1:
                     pair = (source.points[i], source.points[j])
                     eps = _least_test_value(source, target)
-                    return Verdict(False, {"epsilon": target.quantale.format(eps), "pair": pair})
-                near ^= low
-    return Verdict(True)
+                    return {"epsilon": target.quantale.format(eps), "pair": pair}
+    return None
 
 
 def _least_test_value(*spaces: VSpace):

@@ -250,6 +250,23 @@ class TestTopologyOracles:
     """The neighbourhood forms against the closure of the strict-ball base
     and the scan of every subset, compared by their open sets."""
 
+    def test_closure_is_the_least_closed_family(self):
+        # the worklist closure against rounds over every pair until none adds a set
+        import random
+
+        from qc.verify import _close_under_union_intersection
+
+        rng = random.Random(20261031)
+        for _ in range(300):
+            base = {rng.getrandbits(6) for _ in range(rng.randint(0, 6))}
+            want = base | {0}
+            while True:
+                more = {c for a in want for b in want for c in (a | b, a & b)} - want
+                if not more:
+                    break
+                want |= more
+            assert _close_under_union_intersection(base) == want, base
+
     def test_generated_spaces(self, Q1, Q3, chain4, pinched):
         from qc import InstanceGenerator
         from qc.verify import definitional_topology

@@ -87,6 +87,30 @@ class TestGenerator:
                 relaxed += again
         assert seeds >= 300 and relaxed >= 30, (seeds, relaxed)
 
+    def test_draws_match_their_definition(self):
+        # the drawn values against the weights they are defined by, on one
+        # stream each: 0 at zero_weight, INF at 1, n/d (n in 1..4, d in 1..3) at 6
+        import random
+
+        from qc.verify import _draw_value
+
+        for seed, weight in ((3, 3), (4, 0), (5, 1)):
+            gen = InstanceGenerator(seed=seed, zero_weight=weight)
+            rng, ref = random.Random(seed), random.Random(seed)
+            seen = set()
+            for _ in range(2000):
+                roll = ref.randrange(weight + 7)
+                if roll < weight:
+                    want = Fraction(0)
+                elif roll == weight:
+                    want = INF
+                else:
+                    want = Fraction(ref.randint(1, 4), ref.randint(1, 3))
+                got = _draw_value(gen, rng)
+                assert got == want and type(got) is type(want)
+                seen.add(want)
+            assert len(seen) == 10 + (weight > 0)  # 9 distinct n/d, INF and 0
+
     def test_checks_each_drawn_entry_once(self):
         # the repair checks each distinct drawn entry object; the space is
         # built from its values, elements already, with no check of its own
@@ -561,6 +585,7 @@ class TestFilterMorphismChecks:
         from itertools import product
 
         from qc import is_filter_morphism
+        from qc.filters import _image_core
         from qc.verify import _Ctx, _morphism_ok, _oracle_battery
 
         ctx = _Ctx.generated(InstanceGenerator(seed=41), 0)
@@ -572,7 +597,7 @@ class TestFilterMorphismChecks:
                 for fm in range(x.full_mask + 1):
                     for gm in range(x.full_mask + 1):
                         lib = is_filter_morphism(fmap, Filter(x, fm), Filter(x, gm))
-                        loop = _morphism_ok(uc, fidx, fm, gm)
+                        loop = _morphism_ok(uc, _image_core(fidx, fm), gm)
                         assert bool(lib) == loop, (x, fidx, fm, gm)
                         verdicts.add((uc, loop))
         assert verdicts == {(True, True), (True, False), (False, False)}

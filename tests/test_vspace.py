@@ -391,6 +391,69 @@ class TestUniformContinuity:
             is_uniformly_continuous({"a": "a"}, x2a, x2a)
 
 
+class TestNameAndBitLookups:
+    # `_as_index_map` and `VSpace.mask` read names in one comprehension and
+    # fall back to a loop that names what is wrong; `_bits` reads a table
+    # below 256 and peels bits above
+
+    def _calls(self, fmap, space):
+        from qc import Filter, image_filter, is_filter_morphism
+
+        f = Filter(space, 1)
+        return (
+            lambda: is_uniformly_continuous(fmap, space, space),
+            lambda: image_filter(fmap, f, space),
+            lambda: is_filter_morphism(fmap, f, f),
+        )
+
+    def test_partial_map_names_the_missing_point(self, x3z):
+        for call in self._calls({"a": "a", "c": "a"}, x3z):
+            with pytest.raises(StructureError, match="map is not total: missing point 'b'"):
+                call()
+
+    def test_image_outside_the_target_is_an_unknown_point(self, x2a):
+        for fmap, name in (({"a": "a", "b": "z"}, "'z'"), ({"a": ["a"], "b": "b"}, r"\['a'\]")):
+            for call in self._calls(fmap, x2a):
+                with pytest.raises(StructureError, match=f"unknown point {name}"):
+                    call()
+
+    def test_index_map_reads_the_target_order(self):
+        # the names are shared, at other positions in the target
+        from qc import Filter, image_filter
+        from qc.vspace import _as_index_map
+
+        source = VSpace(E, ["a", "b", "c"], [[0] * 3 for _ in range(3)])
+        target = VSpace(E, ["c", "a"], [[0] * 2 for _ in range(2)])
+        fmap = {"a": "a", "b": "c", "c": "a"}
+        assert _as_index_map(fmap, source, target) == (1, 0, 1)
+        assert image_filter(fmap, Filter(source, 0b010), target).core == ("c",)
+        assert image_filter(fmap, Filter(source, 0b101), target).core == ("a",)
+
+    def test_mask(self, x3z):
+        assert x3z.mask(["c", "a", "a"]) == 0b101
+        assert x3z.mask(p for p in ("b", "c")) == 0b110
+        assert x3z.mask(frozenset()) == 0
+        with pytest.raises(StructureError, match="unknown point 'z'"):
+            x3z.mask(["a", "z"])
+        # a generator is read again by the loop that names the unknown point
+        with pytest.raises(StructureError, match="unknown point 'z'"):
+            x3z.mask(p for p in ("a", "z"))
+        with pytest.raises(StructureError, match=r"unknown point \['a'\]"):
+            x3z.mask(["b", ["a"]])
+
+    def test_bits_match_bit_peeling(self):
+        from qc.vspace import _bits
+
+        for mask in [*range(1 << 10), (1 << 40) | 5]:
+            want, rest = [], mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                want.append(low.bit_length() - 1)
+            got = _bits(mask)
+            assert type(got) is tuple and list(got) == want == sorted(want), mask
+
+
 class TestEmptySpace:
     def test_empty_is_legal(self):
         empty = VSpace(E, [], [])

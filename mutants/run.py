@@ -65,6 +65,7 @@ CORE_ROWS = "tests/test_structures.py::TestQuasiUniformity::test_core_rows_share
 LOOKUPS = "tests/test_vspace.py::TestNameAndBitLookups"
 CLOSURE = "tests/test_structures.py::TestTopologyOracles::test_closure_is_the_least_closed_family"
 DRAWS = "tests/test_verify.py::TestGenerator::test_draws_match_their_definition"
+TOPOLOGY_CLI = "tests/test_cli.py::TestTopologyUniformity"
 
 
 class Mutant(NamedTuple):
@@ -600,6 +601,20 @@ MUTANTS = (
         "for i in _bits(m))",
         "for i in _bits(m)[1:])",
         (TOPOLOGY,),
+    ),
+    Mutant(
+        "topology-cli-prints-other-side",
+        "cli.py",
+        "nbs = topology_of(space, side).neighbourhoods",
+        'nbs = topology_of(space, {"forward": "backward"}.get(side, "forward")).neighbourhoods',
+        (TOPOLOGY_CLI,),
+    ),
+    Mutant(
+        "topology-cli-drops-a-name",
+        "cli.py",
+        "list(space.names_of(m))",
+        "list(space.names_of(m & m - 1))",
+        (TOPOLOGY_CLI,),
     ),
     Mutant(
         "generator-entries-not-marked-checked",

@@ -182,9 +182,10 @@ def _cmd_topology(args, out: _Out) -> int:
     space = _read_valid_space(args.file)
     report = {}
     for side in ("forward", "backward"):
-        top = topology_of(space, side)
-        report[side] = [list(names) for names in top.open_sets()]
-        out.text(f"{side} opens: {report[side]}")
+        nbs = topology_of(space, side).neighbourhoods
+        report[side] = {p: list(space.names_of(m)) for p, m in zip(space.points, nbs)}
+        for p, names in report[side].items():
+            out.text(f"{side} neighbourhood: {json.dumps({p: names})}")
     out.finish("report", {"command": "topology", **report})
     return EXIT_OK
 
@@ -201,7 +202,7 @@ def _cmd_uniformity(args, out: _Out) -> int:
             if uni.core[i][j]
         ]
         report[side] = pairs
-        out.text(f"{side} entourage core: {pairs}")
+        out.text(f"{side} entourage core: {json.dumps(pairs)}")
     out.finish("report", {"command": "uniformity", **report})
     return EXIT_OK
 

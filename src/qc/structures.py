@@ -4,7 +4,8 @@ The topology is generated by the strict balls {y : eps well-above d(x,y)}
 over the test values; the quasi-uniformity by the relations d(x,y) <= eps.
 On a finite carrier both are principal: the topology is stored by each
 point's least open neighbourhood and the quasi-uniformity by its core
-relation, so equality questions compare one mask or row per point.  On a
+relation, so equality questions compare one mask or row per point, and
+nothing here lists the up to 2^n open sets: `is_open` tests one.  On a
 valid space both are read off the zero masks, as the quantified
 predicates of `qc.vspace` are.  The closure of the strict-ball base under
 union and intersection and the subset scan for the opens of a relation
@@ -53,12 +54,6 @@ class FiniteTopology(NamedTuple):
 
     def _is_open_mask(self, m: int) -> bool:
         return all(self.neighbourhoods[i] | m == m for i in _bits(m))
-
-    def open_sets(self) -> tuple[tuple[str, ...], ...]:
-        """Open sets as sorted name tuples, smallest mask first; one test
-        per subset, since there can be 2^n of them."""
-        masks = range(1 << len(self.points))
-        return tuple(_names(self.points, m) for m in masks if self._is_open_mask(m))
 
     def is_open(self, names) -> bool:
         return self._is_open_mask(sum({1 << _index(self.points, p) for p in names}))

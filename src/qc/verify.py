@@ -1243,8 +1243,8 @@ class _SpaceState:
     """What the theorem checks derive from one space alone.
 
     One per distinct space in a `run_theorem_suite` call (`_Suite.state`),
-    read by every instance whose space equals it, and by those whose
-    sibling or separation quotient does.  Built with the state: the UVA
+    read by every instance whose space, sibling, separation quotient or
+    Cauchy filter space equals it.  Built with the state: the UVA
     and VA verdicts.  Built on first read and then kept:
 
     * the Cauchy verdicts of every core on both sides and the minimal ones,
@@ -1765,7 +1765,7 @@ def _check_completion_isometric_to_quotient(ctx: _Ctx):
     mask_to_idx = {f.core_mask: i for i, f in enumerate(comp.filters)}
     if set(rounded.values()) != set(mask_to_idx):
         return {"check": "roundification does not map Cauchy filters onto minimal filters"}
-    quotient, projection = separation_quotient(tilde.space)
+    quotient, projection = ctx.suite.state(tilde.space).quotient
     class_image = {}
     for name, cls in projection.items():
         if class_image.setdefault(cls, rounded[name]) != rounded[name]:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qc import EXT_RATIONAL, FiniteQuantale, VSpace, serialize
+from qc import EXT_RATIONAL, FiniteQuantale, VSpace, serialize, topology_of
 from qc.cli import main
 
 E = EXT_RATIONAL
@@ -323,17 +323,71 @@ class TestInvalidSpace:
 
 class TestTopologyUniformity:
     def test_topology(self, capsys, x2n_file):
+        # each point's least open neighbourhood, in carrier order
         code, out, _ = run(capsys, "--format", "structured", "topology", x2n_file)
         assert code == 0
         payload = json.loads(out)["payload"]
-        assert payload["forward"] == [[], ["b"], ["a", "b"]]
-        assert payload["backward"] == [[], ["a"], ["a", "b"]]
+        assert payload == {
+            "command": "topology",
+            "forward": {"a": ["a", "b"], "b": ["b"]},
+            "backward": {"a": ["a"], "b": ["a", "b"]},
+        }
+
+    def test_topology_text(self, capsys, x2n_file):
+        code, out, _ = run(capsys, "topology", x2n_file)
+        assert code == 0
+        assert out.splitlines() == [
+            'forward neighbourhood: {"a": ["a", "b"]}',
+            'forward neighbourhood: {"b": ["b"]}',
+            'backward neighbourhood: {"a": ["a"]}',
+            'backward neighbourhood: {"b": ["a", "b"]}',
+        ]
+
+    @pytest.mark.parametrize("command", ["topology", "uniformity"])
+    def test_text_lines_are_json_after_the_label(self, capsys, tmp_path, command):
+        # a name holding a quote and a non-ASCII character prints as JSON,
+        # as every other command prints names
+        space = VSpace(E, ['a"b', "é"], [[0, 0], [1, 0]])
+        path = write_space(tmp_path, "quoted.json", space)
+        code, out, _ = run(capsys, command, path)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == (4 if command == "topology" else 2)
+        for line in lines:
+            label, _, rest = line.partition(": ")
+            assert label.split()[0] in ("forward", "backward"), line
+            json.loads(rest)
+        first = {"topology": {'a"b': ['a"b', "é"]},
+                 "uniformity": [['a"b', 'a"b'], ['a"b', "é"], ["é", "é"]]}[command]
+        assert json.loads(lines[0].partition(": ")[2]) == first
 
     def test_uniformity(self, capsys, x2n_file):
         code, out, _ = run(capsys, "--format", "structured", "uniformity", x2n_file)
         payload = json.loads(out)["payload"]
         assert ["a", "b"] in payload["forward"]
         assert ["a", "b"] not in payload["backward"]
+
+
+class TestSixtyFourPoints:
+    # every space-reading command on 64 points, in process and with no
+    # wall-clock bound: none of them may enumerate the 2^64 subsets
+    @pytest.mark.parametrize("off, names", [(1, 64), (0, 4096)])
+    def test_every_command_exits_zero(self, capsys, tmp_path, off, names):
+        n = 64
+        space = VSpace(E, [f"p{i}" for i in range(n)],
+                       [[0 if i == j else off for j in range(n)] for i in range(n)])
+        path = write_space(tmp_path, "sixty_four.json", space)
+        for argv in (["validate-space", path], ["classify", path], ["complete", path],
+                     ["uniformity", path], ["roundify", path, "--core", "p0"]):
+            assert run(capsys, *argv)[0] == 0, argv
+        code, out, _ = run(capsys, "--format", "structured", "topology", path)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        for side in ("forward", "backward"):
+            nbs = topology_of(space, side).neighbourhoods
+            assert len(payload[side]) == n and set(payload[side]) == set(space.points)
+            count = sum(len(v) for v in payload[side].values())
+            assert count == sum(bin(m).count("1") for m in nbs) == names
 
 
 class TestRoundify:

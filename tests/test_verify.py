@@ -825,6 +825,9 @@ class TestSuiteSharing:
         }
         completions = [ctx.completion_of(ctx.sep_sibling)]
         if ctx.uva:
+            # off UVA the filter space breaks the triangle law, and has no quotient
+            tilde_quotient, tilde_projection = ctx.suite.state(ctx.tilde.space).quotient
+            out["tilde_quotient"] = (tilde_quotient.points, tilde_quotient.dmat, tilde_projection)
             completions += [ctx.completion, ctx.completion_of(quotient)]
         out["completions"] = [([f.core_mask for f in c.filters], c.space.dmat, c.embedding)
                               for c in completions]
@@ -875,6 +878,23 @@ class TestSuiteSharing:
             distinct = len({id(ctx.state) for ctx in seen})
             if gen.force_uva:
                 assert distinct < count, gen
+
+    def test_each_space_quotiented_once(self, monkeypatch):
+        # one suite run takes the separation quotient of each space object
+        # once: a generated space, a sibling, or a shared Cauchy filter space
+        import qc.verify as verify
+
+        quotiented, built = [], []
+        quotient, filter_space = verify.separation_quotient, verify.cauchy_filter_space
+        monkeypatch.setattr(verify, "separation_quotient",
+                            lambda space: quotiented.append(space) or quotient(space))
+        monkeypatch.setattr(verify, "cauchy_filter_space",
+                            lambda space: built.append(filter_space(space)) or built[-1])
+        gen, count = self._generators()[0]
+        run_theorem_suite(gen, count)
+        assert len({id(space) for space in quotiented}) == len(quotiented)
+        tildes = {id(tilde.space) for tilde in built}
+        assert sum(id(space) in tildes for space in quotiented) == len(built) > 0
 
     def test_spaces_apart_when_only_the_key_differs(self):
         # a key is value * scale on the extended rationals; past the key
@@ -1034,3 +1054,21 @@ class TestLazyImport:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+class TestSubsetScansStayInVerify:
+    def test_no_subset_loop_outside_verify(self):
+        # exponential enumerations are oracles in `qc.verify`; the library
+        # itself uses closed forms
+        from pathlib import Path
+
+        import qc
+
+        hits = [
+            f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(Path(qc.__file__).parent.glob("*.py"))
+            if path.name != "verify.py"
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if "range(1 <<" in line
+        ]
+        assert hits == []

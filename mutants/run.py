@@ -66,6 +66,8 @@ LOOKUPS = "tests/test_vspace.py::TestNameAndBitLookups"
 CLOSURE = "tests/test_structures.py::TestTopologyOracles::test_closure_is_the_least_closed_family"
 DRAWS = "tests/test_verify.py::TestGenerator::test_draws_match_their_definition"
 TOPOLOGY_CLI = "tests/test_cli.py::TestTopologyUniformity"
+CENSUS = "tests/test_verify.py::TestTheoremSuite::test_q1_census_has_one_space_per_size"
+RAN_ONLY = "tests/test_cli.py::TestVerifyCommand::test_lists_only_checks_that_ran"
 
 
 class Mutant(NamedTuple):
@@ -769,6 +771,20 @@ MUTANTS = (
         "{(n, d): Fraction(n, d) for n in",
         "{(n, d): Fraction(d, n) for n in",
         (DRAWS,),
+    ),
+    Mutant(
+        "q1-census-drops-largest-size",
+        "verify.py",
+        "for n in range(1, max_points + 1)",
+        "for n in range(1, max_points)",
+        (CENSUS,),
+    ),
+    Mutant(
+        "verify-cli-keeps-0-instance-reports",
+        "cli.py",
+        "reports = [r for r in sections[name](spent) if r.instances]",
+        "reports = list(sections[name](spent))",
+        (RAN_ONLY,),
     ),
 )
 

@@ -39,10 +39,6 @@ def _index(points: tuple, name) -> int:
         raise StructureError(f"unknown point {name!r}") from None
 
 
-def _names(points: tuple, mask: int) -> tuple[str, ...]:
-    return tuple(p for i, p in enumerate(points) if mask >> i & 1)
-
-
 class FiniteTopology(NamedTuple):
     """A finite topology, stored by each point's least open neighbourhood.
 
@@ -151,13 +147,10 @@ class EquivalenceReport(NamedTuple):
     holds: bool
 
 
-def _identity_continuous(src_top: FiniteTopology, tgt_top: FiniteTopology) -> Verdict:
-    """The identity map is continuous iff every target neighbourhood is
-    open in the source; the witness is the first that is not."""
-    for m in tgt_top.neighbourhoods:
-        if not src_top._is_open_mask(m):
-            return Verdict(False, {"open_set": _names(tgt_top.points, m)})
-    return Verdict(True)
+def _not_open(src_top: FiniteTopology, tgt_top: FiniteTopology) -> list[int]:
+    """The target neighbourhoods that are not open in the source: the
+    identity map is continuous iff there is none."""
+    return [m for m in tgt_top.neighbourhoods if not src_top._is_open_mask(m)]
 
 
 def va_equivalence_report(space: VSpace) -> EquivalenceReport:
@@ -170,12 +163,9 @@ def va_equivalence_report(space: VSpace) -> EquivalenceReport:
     modulus = has_vanishing_asymmetry(space)
     fwd = topology_of(space, "forward")
     bwd = topology_of(space, "backward")
-    into = _identity_continuous(bwd, fwd)
-    outof = _identity_continuous(fwd, bwd)
-    if into and outof:
-        homeo = Verdict(True)
-    else:
-        homeo = Verdict(False, (into.witness or outof.witness))
+    # the witness is the first neighbourhood that fails, backward into forward first
+    bad = _not_open(bwd, fwd) + _not_open(fwd, bwd)
+    homeo = Verdict(False, {"open_set": space.names_of(bad[0])}) if bad else Verdict(True)
     differs = [p for p, f, b in zip(space.points, fwd.neighbourhoods, bwd.neighbourhoods) if f != b]
     equal = Verdict(False, {"point": differs[0]}) if differs else Verdict(True)
     conditions = {

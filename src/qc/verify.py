@@ -32,8 +32,10 @@ Five layers of defence:
   UVA are checked by the test-value loops; the test suite compares each
   with its oracle;
 * the theorem suite runs every structural statement about filters,
-  completions, and the asymmetry classes over seeded generated instances,
-  recording failures as replayable data rather than raising.
+  completions, and the asymmetry classes over the instances of a source
+  (seeded generated ones, `InstanceGenerator.contexts`, or the census of
+  the one-point quantale, `q1_census`), recording failures as replayable
+  data rather than raising.
 
 The suite refuses to run unless the first two oracle layers (the oracle
 gate) pass first.
@@ -155,13 +157,17 @@ class InstanceGenerator(NamedTuple):
         master = random.Random(f"qc:{self.seed}")
         return [master.getrandbits(63) for _ in range(count)]
 
-    def space_from_seed(self, child_seed: int, max_points=None) -> VSpace:
-        rng = random.Random(child_seed)
-        return _generate_space(self, rng, max_points)
-
     def instances(self, count: int):
         for child in self.child_seeds(count):
-            yield child, self.space_from_seed(child)
+            yield child, _generate_space(self, random.Random(child))
+
+    def contexts(self, count: int):
+        """The theorem-suite instances at the first `count` child seeds
+        (`_Ctx.generated`), built and derived through one `_Suite`; a
+        failure replays from its child seed."""
+        suite = _Suite()
+        for child in self.child_seeds(count):
+            yield _Ctx.generated(self, child, suite)
 
 
 def _draw_value(gen: InstanceGenerator, rng: random.Random):
@@ -545,12 +551,24 @@ def _collapsed_formula_failures(space: VSpace) -> list:
     return failures
 
 
+def _battery_report(report: VerificationReport, n: int, failures: list,
+                    start: float) -> VerificationReport:
+    """`report` with the collapsed-formula battery on `n` points counted in,
+    its failures `failures` then the battery's, its runtime since `start`."""
+    for space in _oracle_battery(n):
+        fs = _collapsed_formula_failures(space)
+        failures.extend(fs)
+        report.instances += 1
+        report.passes += not fs
+    report.failures = tuple(failures)
+    report.runtime = time.monotonic() - start
+    return report
+
+
 def oracle_filters(n: int) -> VerificationReport:
     """Principality of all families plus the collapsed-formula battery."""
     start = time.monotonic()
-    report = VerificationReport(id=f"oracle.filters.n{n}")
     families = list(enumerate_filter_families(n))
-    report.instances += 1
     failures = []
     if len(families) != 1 << n:
         failures.append({"check": "principality-count", "found": len(families)})
@@ -558,35 +576,14 @@ def oracle_filters(n: int) -> VerificationReport:
         core = _family_core(fam)
         if fam != _family_of_core(n, core):
             failures.append({"check": "principality", "core": core})
-    if not failures:
-        report.passes += 1
-    for space in _oracle_battery(n):
-        report.instances += 1
-        fs = _collapsed_formula_failures(space)
-        if fs:
-            failures.extend(fs)
-        else:
-            report.passes += 1
-    report.failures = tuple(failures)
-    report.runtime = time.monotonic() - start
-    return report
+    report = VerificationReport(id=f"oracle.filters.n{n}", instances=1, passes=int(not failures))
+    return _battery_report(report, n, failures, start)
 
 
 def oracle_collapsed_formulas(n: int = 4) -> VerificationReport:
     """Collapsed-formula battery alone, for carriers too big to enumerate."""
     start = time.monotonic()
-    report = VerificationReport(id=f"oracle.collapsed.n{n}")
-    failures = []
-    for space in _oracle_battery(n):
-        report.instances += 1
-        fs = _collapsed_formula_failures(space)
-        if fs:
-            failures.extend(fs)
-        else:
-            report.passes += 1
-    report.failures = tuple(failures)
-    report.runtime = time.monotonic() - start
-    return report
+    return _battery_report(VerificationReport(id=f"oracle.collapsed.n{n}"), n, [], start)
 
 
 # ---------------------------------------------------------------------------
@@ -610,15 +607,13 @@ class CauchyFilterSpace(NamedTuple):
     base: VSpace
     space: VSpace
     filters: tuple[Filter, ...]
-    base_uva: Verdict
 
 
 def cauchy_filter_space(space: VSpace) -> CauchyFilterSpace:
     """Enumerate proper Cauchy filters by core, in ascending mask order.
 
     Works on any valid space; when the base lacks uniformly vanishing
-    asymmetry the returned flag records the witness and the structural
-    guarantees about the result are void.
+    asymmetry the structural guarantees about the result are void.
     """
     _refuse_large(space)
     cores = (Filter(space, m) for m in range(1, space.full_mask + 1))
@@ -627,7 +622,6 @@ def cauchy_filter_space(space: VSpace) -> CauchyFilterSpace:
         base=space,
         space=_filters_to_space(space, filters),
         filters=tuple(filters),
-        base_uva=has_uniformly_vanishing_asymmetry(space),
     )
 
 
@@ -1242,8 +1236,8 @@ def oracle_gate() -> list[VerificationReport]:
 class _SpaceState:
     """What the theorem checks derive from one space alone.
 
-    One per distinct space in a `run_theorem_suite` call (`_Suite.state`),
-    read by every instance whose space, sibling, separation quotient or
+    One per distinct space of a source's `_Suite` (`_Suite.state`), read
+    by every instance whose space, sibling, separation quotient or
     Cauchy filter space equals it.  Built with the state: the UVA
     and VA verdicts.  Built on first read and then kept:
 
@@ -1337,7 +1331,7 @@ class _SpaceState:
 
 
 class _Suite:
-    """The tables one `run_theorem_suite` call shares between its instances.
+    """The tables one source of instances shares between them.
 
     `spaces` maps a generator key to its space (`_keyed_space`), `states`
     a space to its `_SpaceState`, and `uc` a (source, target) pair to the
@@ -1347,8 +1341,8 @@ class _Suite:
     space's cache (`qc.vspace`).  Every table is keyed on the objects,
     compared by value (a `VSpace` by its quantale, points and distances),
     never on `id()`, which a dead space hands on to the next one.  The
-    tables live as long as the suite object, which the call drops when it
-    returns.
+    tables live as long as the suite object, which its source drops when
+    it is used up.
     """
 
     def __init__(self):
@@ -1478,6 +1472,21 @@ class _Ctx:
             fidx for fidx in product(range(target.size), repeat=source.size)
             if self.uc(fidx, source, target)
         ]
+
+
+def q1_census(max_points: int):
+    """Every space over the one-point quantale Q1 on 1 to `max_points`
+    points p0, p1, ... (all distances 0: one per size), as suite instances
+    sharing one `_Suite`.  The sibling is the census space of min(n, 4)
+    points; the seed is the census index n - 1, which replays it."""
+    q1 = BUILTIN_QUANTALES["Q1"]
+    suite = _Suite()
+    spaces = [
+        VSpace(q1, [f"p{i}" for i in range(n)], [[q1.bottom] * n for _ in range(n)])
+        for n in range(1, max_points + 1)
+    ]
+    for index, space in enumerate(spaces):
+        yield _Ctx(suite, suite.state(space), spaces[min(index, 3)], index)
 
 
 def _zero_pattern_symmetric(space: VSpace) -> bool:
@@ -2151,41 +2160,34 @@ def _gates_open(ctx: _Ctx, gates) -> bool:
     return True
 
 
-def run_theorem_suite(generator: InstanceGenerator, count: int,
-                      checks=THEOREM_CHECKS,
+def run_theorem_suite(instances, checks=THEOREM_CHECKS,
                       timings: dict | None = None) -> list[VerificationReport]:
-    """Run every theorem check over `count` generated instances.
+    """Run every theorem check over `instances`, an iterable of `_Ctx`
+    (`InstanceGenerator.contexts`, `q1_census`).
 
     The oracle gate runs first and the suite refuses to start on any gate
     failure; its reports are `oracle_gate()`'s, not repeated here.  Returns
-    one aggregated report per theorem; failures carry the child seed, the
-    serialized instance, and the witness, enough to replay standalone.
+    one aggregated report per theorem, 0-instance ones included; failures
+    carry the instance's seed (its source's replay key), the serialized
+    instance, and the witness, enough to replay standalone.
 
-    Every check runs on every instance whose gates are open.  What the
-    checks derive is shared within the call (`_Suite`): each distinct
-    repaired key matrix is built and validated once (`_keyed_space`), and
-    each distinct space's derived state once (`_SpaceState`), so a repeat
-    of a space, which is common among the small indiscrete UVA spaces,
-    costs only the checks' own comparisons; the tables are dropped when
-    the call returns.  Only the child seed and the sibling are per
-    instance (`_Ctx`).  So the first instance of each distinct space pays
-    for its derivation: when `timings` is given, the seconds spent building
-    the instances (`_Ctx.generated`: generation and, for a new space, its
-    (U)VA verdicts and lane tables) are added to its "generate" entry, and
-    the rest of the derivation to the runtime of the first check that asks
-    for it.
+    Every check runs on every instance whose gates are open.  A source
+    shares each distinct space's derived state between its instances
+    (`_Suite`, `_SpaceState`), so the first instance of a space pays for
+    its derivation: when `timings` is given, the seconds spent drawing the
+    instances (for a new space, with its (U)VA verdicts and lane tables)
+    are added to its "generate" entry, and the rest of the derivation to
+    the runtime of the first check that asks for it.
     """
     gate = oracle_gate()
     if any(r.failures for r in gate):
         bad = [r.id for r in gate if r.failures]
         raise InvariantError(f"oracle gate failed: {bad}; fast paths are not trusted")
     tallies = {c.id: VerificationReport(id=c.id) for c in checks}
-    suite = _Suite()
     generating = 0.0
-    for child in generator.child_seeds(count):
-        start = time.monotonic()
-        ctx = _Ctx.generated(generator, child, suite)
-        generating += time.monotonic() - start
+    drawn = time.monotonic()
+    for ctx in instances:
+        generating += time.monotonic() - drawn
         payload = None
         for check in checks:
             if not _gates_open(ctx, check.gates):
@@ -2206,6 +2208,7 @@ def run_theorem_suite(generator: InstanceGenerator, count: int,
                 report.failures += (
                     {"seed": ctx.seed, "instance": payload, "witness": witness},
                 )
+        drawn = time.monotonic()
     if timings is not None:
         timings["generate"] = timings.get("generate", 0.0) + generating
     return [tallies[c.id] for c in checks]

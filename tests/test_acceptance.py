@@ -26,7 +26,7 @@ from qc import (
     validate_value_quantale,
 )
 from qc.cli import main
-from qc.verify import PREDICATE_IDS, THEOREM_CHECKS, definitional_extension
+from qc.verify import PREDICATE_IDS, THEOREM_CHECKS, definitional_extension, q1_census
 
 from helpers import subset_well_above
 
@@ -165,7 +165,7 @@ def test_criterion_5_theorem_suite():
             seed=20240810, quantale=BUILTIN_QUANTALES["Q3"], force_uva=True, max_points=5
         )
         for gen, count in ((ext, 200), (q3, 100)):
-            reports = {r.id: r for r in run_theorem_suite(gen, count)}
+            reports = {r.id: r for r in run_theorem_suite(gen.contexts(count))}
             for theorem in THEOREM_IDS:
                 report = reports[theorem]
                 assert report.instances == count, theorem
@@ -225,7 +225,7 @@ def test_criterion_7_equivalence_lists():
     with criterion(7, "asymmetry equivalence lists agree; finite collapse holds"):
         gen = InstanceGenerator(seed=20240810, max_points=5)
         count = 100
-        reports = {r.id: r for r in run_theorem_suite(gen, count)}
+        reports = {r.id: r for r in run_theorem_suite(gen.contexts(count))}
         for check_id in EQUIVALENCE_IDS:
             report = reports[check_id]
             assert report.instances == count
@@ -237,7 +237,7 @@ def test_criterion_8_category_laws():
         ids = ("filters.identity_morphism", "filters.morphism_composition")
         checks = tuple(c for c in THEOREM_CHECKS if c.id in ids)
         gen = InstanceGenerator(seed=20240810, max_points=3)
-        reports = run_theorem_suite(gen, 50, checks=checks)
+        reports = run_theorem_suite(gen.contexts(50), checks=checks)
         assert [r.id for r in reports] == list(ids)
         for report in reports:
             assert report.instances == 50
@@ -246,9 +246,9 @@ def test_criterion_8_category_laws():
 
 def test_criterion_9_degenerate_quantale():
     with criterion(9, "degenerate one-point quantale: UVA, single-point completions"):
-        gen = InstanceGenerator(seed=20240810, quantale=BUILTIN_QUANTALES["Q1"])
-        count = 50
-        reports = {r.id: r for r in run_theorem_suite(gen, count)}
+        # the whole Q1 census on 1 to 6 points: one space per carrier size
+        count = 6
+        reports = {r.id: r for r in run_theorem_suite(q1_census(count))}
         for check_id in (
             "degenerate.uva_everywhere",
             "degenerate.all_filters_cauchy",

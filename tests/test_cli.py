@@ -448,8 +448,19 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "28da289b475402b54773f14a16118b9f4b4cf84672d855dbb551a774c61faaf8"
+            "3bad0bb18a249562607ab8dadac7504ae48d0b13ced37d6dead516d101581cfb"
         )
+
+    @pytest.mark.parametrize("seed", [42, 99, 1000, 31337])
+    def test_lists_only_checks_that_ran(self, capsys, seed):
+        # a check whose gates stayed closed on every instance of a section
+        # is left out of it; the degenerate section is the Q1 census, whose
+        # checks each run on all 5 of its spaces
+        code, out, _ = run(capsys, "verify", "--seed", str(seed), "--instances", "25")
+        assert code == 0
+        assert "[0/0]" not in out
+        for check_id in ("uva_everywhere", "all_filters_cauchy", "completion_single_point"):
+            assert out.count(f"ok   degenerate.{check_id} [5/5]") == 1
 
     def test_space_reports_pinned(self, capsys, tmp_path, x2a, x2n, x2s, x3z, xq1):
         # validate-space, classify and complete stay byte-identical on the

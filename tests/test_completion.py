@@ -60,7 +60,6 @@ class TestCauchyFilterSpace:
         assert [f.core for f in result.filters] == [("a",), ("b",)]
         assert result.space.d("{a}", "{b}") == 1
         assert result.space.d("{b}", "{a}") == 2
-        assert result.base_uva.ok
 
     def test_x3z_cores_match_oracle(self, x3z):
         result = cauchy_filter_space(x3z)
@@ -72,9 +71,10 @@ class TestCauchyFilterSpace:
         one = VSpace(E, ["p"], [[0]])
         assert len(cauchy_filter_space(one).filters) == 1
 
-    def test_non_uva_flagged(self, x2n):
+    def test_non_uva_base_enumerated(self, x2n):
+        # without UVA the filters are still every proper Cauchy core
         result = cauchy_filter_space(x2n)
-        assert not result.base_uva.ok
+        assert [frozenset(f.core) for f in result.filters] == cauchy_cores_oracle(x2n)
 
     def test_size_cap(self, monkeypatch):
         # the 2^n oracles refuse carriers past a fixed 16 points; no

@@ -183,7 +183,7 @@ class TestNoRecordInOutput:
         monkeypatch.setattr(
             verify, "complete", lambda s: real(s)._replace(space=real(s).space.dual())
         )
-        reports = verify.run_theorem_suite(InstanceGenerator(seed=13, force_uva=True), 6)
+        reports = verify.run_theorem_suite(InstanceGenerator(seed=13, force_uva=True).contexts(6))
         failures = [rec for r in reports for rec in r.failures]
         assert failures
         assert not any(_contains_record(r.payload()) for r in reports)

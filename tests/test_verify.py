@@ -23,7 +23,7 @@ from qc import (
     triangle_repair,
     validate_vspace,
 )
-from qc.verify import _dense_values, _zero_asymmetry
+from qc.verify import _dense_values, _generate_space, _zero_asymmetry, q1_census
 
 E = EXT_RATIONAL
 
@@ -76,12 +76,14 @@ class TestGenerator:
             {"quantale": BUILTIN_QUANTALES["Q3"]},
             {"quantale": BUILTIN_QUANTALES["Q3"], "force_uva": True},
         ]
+        import random
+
         seeds = relaxed = 0
         for t, config in enumerate(configs):
             gen = InstanceGenerator(seed=700 + t, **config)
             for child in gen.child_seeds(45):
                 want, again = _generate_by_values(gen, child)
-                got = gen.space_from_seed(child)
+                got = _generate_space(gen, random.Random(child))
                 assert (got.points, got.dmat) == (want.points, want.dmat), (config, child)
                 seeds += 1
                 relaxed += again
@@ -136,7 +138,8 @@ class TestGenerator:
                 for i in range(n):
                     d[i][i] = gen.quantale.bottom
                 drawn = len({id(e) for row in d for e in row})
-                assert count_checks(lambda: gen.space_from_seed(child)) == drawn, (config, child)
+                got = count_checks(lambda: _generate_space(gen, random.Random(child)))
+                assert got == drawn, (config, child)
 
 
 def _generate_by_values(gen, child):
@@ -349,32 +352,57 @@ class TestEpsilonOracle:
 
 class TestTheoremSuite:
     def test_uva_run_passes(self):
-        reports = run_theorem_suite(InstanceGenerator(seed=13, force_uva=True), 12)
+        reports = run_theorem_suite(InstanceGenerator(seed=13, force_uva=True).contexts(12))
         assert all(r.ok for r in reports), [r.id for r in reports if not r.ok]
         ran = {r.id for r in reports if r.instances}
         assert "completion.universal_property" in ran
         assert "filters.minimal_iff_cauchy_round" in ran
 
     def test_unconstrained_run_passes(self):
-        reports = run_theorem_suite(InstanceGenerator(seed=14), 12)
+        reports = run_theorem_suite(InstanceGenerator(seed=14).contexts(12))
         assert all(r.ok for r in reports), [r.id for r in reports if not r.ok]
 
     def test_q3_run_passes(self):
         gen = InstanceGenerator(
             seed=15, quantale=BUILTIN_QUANTALES["Q3"], force_uva=True
         )
-        reports = run_theorem_suite(gen, 10)
+        reports = run_theorem_suite(gen.contexts(10))
         assert all(r.ok for r in reports)
 
-    def test_q1_run_exercises_degenerate_checks(self):
-        gen = InstanceGenerator(seed=16, quantale=BUILTIN_QUANTALES["Q1"])
-        reports = run_theorem_suite(gen, 8)
+    def test_q1_census_exercises_degenerate_checks(self):
+        reports = run_theorem_suite(q1_census(5))
         assert all(r.ok for r in reports)
         by_id = {r.id: r for r in reports}
-        assert by_id["degenerate.completion_single_point"].instances == 8
-        assert by_id["degenerate.uva_everywhere"].instances == 8
+        for check_id in ("degenerate.uva_everywhere", "degenerate.all_filters_cauchy",
+                         "degenerate.completion_single_point"):
+            assert by_id[check_id].instances == by_id[check_id].passes == 5
         # roundness lemmas need a positive cone and must not run over Q1
         assert by_id["filters.roundify_round_iff_uva"].instances == 0
+        assert by_id["filters.minimal_iff_cauchy_round"].instances == 0
+
+    def test_q1_census_has_one_space_per_size(self):
+        # over Q1 every distance is 0: one space per carrier size, none with
+        # a test value, so the degenerate gate opens on every instance and
+        # the positives gate on none
+        from qc.verify import THEOREM_CHECKS, _gates_open
+
+        Q1 = BUILTIN_QUANTALES["Q1"]
+        for max_points in (1, 4, 6):
+            census = list(q1_census(max_points))
+            assert [ctx.seed for ctx in census] == list(range(max_points))
+            assert [ctx.space.size for ctx in census] == list(range(1, max_points + 1))
+            for ctx in census:
+                n = ctx.space.size
+                assert ctx.space.quantale == Q1 and ctx.space.test_values == ()
+                assert ctx.space.points == tuple(f"p{i}" for i in range(n))
+                assert all(e == Q1.bottom for row in ctx.space.dmat for e in row)
+                assert ctx.sibling is census[min(n, 4) - 1].space
+                assert ctx.state is ctx.suite.state(ctx.space)
+                for check in THEOREM_CHECKS:
+                    if "degenerate" in check.gates:
+                        assert _gates_open(ctx, check.gates)
+                    if "positives" in check.gates:
+                        assert not _gates_open(ctx, check.gates)
 
     def test_closed_form_checks_run_ungated(self, pinched):
         # the closed form and Cauchy completeness hold on every finite space,
@@ -389,7 +417,7 @@ class TestTheoremSuite:
             InstanceGenerator(seed=20, quantale=pinched),
             InstanceGenerator(seed=21, quantale=BUILTIN_QUANTALES["Q1"]),
         ):
-            reports = run_theorem_suite(gen, 6, checks=checks)[-2:]
+            reports = run_theorem_suite(gen.contexts(6), checks=checks)[-2:]
             assert [r.id for r in reports] == list(ids)
             assert all(r.ok and r.instances == r.passes == 6 for r in reports)
 
@@ -401,7 +429,7 @@ class TestTheoremSuite:
         check = verify.TheoremCheck(
             "closed_form", verify._check_minimal_filters_closed_form
         )
-        report = run_theorem_suite(InstanceGenerator(seed=19, zero_weight=1), 6,
+        report = run_theorem_suite(InstanceGenerator(seed=19, zero_weight=1).contexts(6),
                                    checks=(check,))[-1]
         assert report.failures
 
@@ -414,7 +442,7 @@ class TestTheoremSuite:
         )
         check = next(c for c in verify.THEOREM_CHECKS
                      if c.id == "completion.minimal_space_isometric_to_quotient")
-        report = run_theorem_suite(InstanceGenerator(seed=13, force_uva=True), 12,
+        report = run_theorem_suite(InstanceGenerator(seed=13, force_uva=True).contexts(12),
                                    checks=(check,))[-1]
         assert report.failures
         witness = report.failures[0]["witness"]
@@ -424,7 +452,7 @@ class TestTheoremSuite:
         import qc.verify as verify
 
         check = next(c for c in verify.THEOREM_CHECKS if c.id == check_id)
-        report = run_theorem_suite(gen, count, checks=(check,))[-1]
+        report = run_theorem_suite(gen.contexts(count), checks=(check,))[-1]
         assert report.instances > 0
         return report
 
@@ -543,15 +571,15 @@ class TestTheoremSuite:
 
     def test_reports_are_replayable(self):
         gen = InstanceGenerator(seed=17, force_uva=True)
-        reports = run_theorem_suite(gen, 3)
+        reports = run_theorem_suite(gen.contexts(3))
         payloads = [r.payload() for r in reports]
         for p in payloads:
             assert set(p) == {"id", "instances", "passes", "failures"}
 
     def test_determinism_of_payloads(self):
         gen = InstanceGenerator(seed=18, force_uva=True)
-        a = [r.payload() for r in run_theorem_suite(gen, 5)]
-        b = [r.payload() for r in run_theorem_suite(gen, 5)]
+        a = [r.payload() for r in run_theorem_suite(gen.contexts(5))]
+        b = [r.payload() for r in run_theorem_suite(gen.contexts(5))]
         assert a == b
 
 
@@ -562,7 +590,7 @@ class TestFilterMorphismChecks:
         import qc.verify as verify
 
         checks = tuple(c for c in verify.THEOREM_CHECKS if c.id in self.CHECKS)
-        return run_theorem_suite(gen, count, checks=checks)
+        return run_theorem_suite(gen.contexts(count), checks=checks)
 
     def test_checks_hold(self):
         reports = self._run(InstanceGenerator(seed=21), 15)
@@ -648,7 +676,7 @@ class TestUvaSharpness:
                     assert check.fn(ctx) is None, (check.id, child)
         assert 0 < non_uva < count
         # the checks run on every instance, UVA or not
-        for report in run_theorem_suite(gen, count, checks=checks):
+        for report in run_theorem_suite(gen.contexts(count), checks=checks):
             assert report.instances == report.passes == count, report.id
 
 
@@ -847,7 +875,7 @@ class TestSuiteSharing:
         checks = THEOREM_CHECKS + (TheoremCheck("test.derived", self._derived),)
         for gen, count in self._generators():
             shared, alone = [], []
-            reports = run_theorem_suite(gen, count, checks=[logged(c, shared) for c in checks])
+            reports = run_theorem_suite(gen.contexts(count), checks=[logged(c, shared) for c in checks])
             for child in gen.child_seeds(count):
                 ctx = _Ctx.generated(gen, child)
                 alone += [(c.id, child, c.fn(ctx)) for c in checks if _gates_open(ctx, c.gates)]
@@ -866,7 +894,7 @@ class TestSuiteSharing:
         for gen, count in self._generators():
             seen = []
             probe = TheoremCheck("test.seen", lambda ctx: seen.append(ctx))
-            run_theorem_suite(gen, count, checks=THEOREM_CHECKS[:1] + (probe,))
+            run_theorem_suite(gen.contexts(count), checks=THEOREM_CHECKS[:1] + (probe,))
             assert len(seen) == count
             for a in seen:
                 for b in seen:
@@ -891,7 +919,7 @@ class TestSuiteSharing:
         monkeypatch.setattr(verify, "cauchy_filter_space",
                             lambda space: built.append(filter_space(space)) or built[-1])
         gen, count = self._generators()[0]
-        run_theorem_suite(gen, count)
+        run_theorem_suite(gen.contexts(count))
         assert len({id(space) for space in quotiented}) == len(quotiented)
         tildes = {id(tilde.space) for tilde in built}
         assert sum(id(space) in tildes for space in quotiented) == len(built) > 0
@@ -960,7 +988,7 @@ class TestSuiteSharing:
             refs.extend(weakref.ref(o) for o in (ctx.suite, ctx.state, ctx.space, ctx.sibling))
 
         checks = THEOREM_CHECKS + (TheoremCheck("test.keep", keep),)
-        run_theorem_suite(InstanceGenerator(seed=99, force_uva=True), 6, checks=checks)
+        run_theorem_suite(InstanceGenerator(seed=99, force_uva=True).contexts(6), checks=checks)
         gc.collect()
         assert len(refs) == 24 and all(r() is None for r in refs)
 
@@ -973,7 +1001,7 @@ class TestFailureReporting:
             return {"boom": True}
 
         gen = InstanceGenerator(seed=31, force_uva=True)
-        reports = run_theorem_suite(gen, 3, checks=(TheoremCheck("test.always_fails", bad),))
+        reports = run_theorem_suite(gen.contexts(3), checks=(TheoremCheck("test.always_fails", bad),))
         report = [r for r in reports if r.id == "test.always_fails"][0]
         assert report.instances == 3 and report.passes == 0
         assert len(report.failures) == 3
@@ -990,7 +1018,7 @@ class TestFailureReporting:
             raise PE("deliberate")
 
         gen = InstanceGenerator(seed=32, force_uva=True)
-        reports = run_theorem_suite(gen, 2, checks=(TheoremCheck("test.raises", explodes),))
+        reports = run_theorem_suite(gen.contexts(2), checks=(TheoremCheck("test.raises", explodes),))
         report = [r for r in reports if r.id == "test.raises"][0]
         assert report.failures
         assert report.failures[0]["witness"] == {"error": "deliberate"}
@@ -999,7 +1027,7 @@ class TestFailureReporting:
 class TestNonChainSuite:
     def test_theorem_suite_over_pinched_diamond(self, pinched):
         gen = InstanceGenerator(seed=606, quantale=pinched, force_uva=True)
-        reports = run_theorem_suite(gen, 10)
+        reports = run_theorem_suite(gen.contexts(10))
         assert all(r.ok for r in reports), [r.id for r in reports if not r.ok]
 
     def test_filter_morphism_checks_over_pinched_diamond(self, pinched):
@@ -1007,7 +1035,7 @@ class TestNonChainSuite:
 
         checks = tuple(c for c in verify.THEOREM_CHECKS
                        if c.id in TestFilterMorphismChecks.CHECKS)
-        reports = run_theorem_suite(InstanceGenerator(seed=608, quantale=pinched), 6,
+        reports = run_theorem_suite(InstanceGenerator(seed=608, quantale=pinched).contexts(6),
                                     checks=checks)
         assert all(r.ok and r.instances == 6 for r in reports)
 

@@ -68,6 +68,9 @@ DRAWS = "tests/test_verify.py::TestGenerator::test_draws_match_their_definition"
 TOPOLOGY_CLI = "tests/test_cli.py::TestTopologyUniformity"
 CENSUS = "tests/test_verify.py::TestTheoremSuite::test_q1_census_has_one_space_per_size"
 RAN_ONLY = "tests/test_cli.py::TestVerifyCommand::test_lists_only_checks_that_ran"
+MODULI = "tests/test_vspace.py::TestSymmetryModulus"
+PROCESS = "tests/test_cli.py::TestProcessEntry"
+COLLECTOR = "tests/test_cli.py::TestCollector"
 
 
 class Mutant(NamedTuple):
@@ -785,6 +788,34 @@ MUTANTS = (
         "reports = [r for r in sections[name](spent) if r.instances]",
         "reports = list(sections[name](spent))",
         (RAN_ONLY,),
+    ),
+    Mutant(
+        "modulus-bisection-returns-first-inadmissible",
+        "vspace.py",
+        "return tv[lo - 1] if lo else None",
+        "return tv[lo] if lo else None",
+        (MODULI, KERNELS),
+    ),
+    Mutant(
+        "modulus-bisection-on-a-non-chain",
+        "vspace.py",
+        "if q.is_finite and q._chain_keys is None:",
+        "if False:",
+        (KERNELS,),
+    ),
+    Mutant(
+        "exit-freeze-inside-main",
+        "cli.py",
+        "    out = _Out(args.format, args.output)\n",
+        "    gc.freeze()\n    out = _Out(args.format, args.output)\n",
+        (COLLECTOR,),
+    ),
+    Mutant(
+        "exit-path-drops-code",
+        "cli.py",
+        "sys.exit(code)",
+        "sys.exit()",
+        (PROCESS,),
     ),
 )
 

@@ -157,10 +157,6 @@ class InstanceGenerator(NamedTuple):
         master = random.Random(f"qc:{self.seed}")
         return [master.getrandbits(63) for _ in range(count)]
 
-    def instances(self, count: int):
-        for child in self.child_seeds(count):
-            yield child, _generate_space(self, random.Random(child))
-
     def contexts(self, count: int):
         """The theorem-suite instances at the first `count` child seeds
         (`_Ctx.generated`), built and derived through one `_Suite`; a

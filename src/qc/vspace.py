@@ -22,8 +22,9 @@ but without 0 among them; with no positives (Q1) every quantifier is
 vacuous.  The test-value loops that define VA, UVA, uniform continuity,
 the point filter, the Cauchy, round and convergence tests and the
 entourage core are oracles in `qc.verify`.  `symmetry_modulus` (the
-largest delta, not a monotone quantifier) keeps its loop, over the test
-values in descending order, sorted once per space.
+largest delta, not a monotone quantifier) keeps a search over the test
+values: a bisection on chains, where balls grow with the radius, and
+elsewhere a scan in descending order, sorted once per space.
 
 A space is stored in rank form, built at construction in one pass of the
 quantale's kernel `ValueQuantale._rank_values`: its distinct distance
@@ -232,7 +233,8 @@ class VSpace:
     @cached_property
     def _moduli_candidates(self) -> tuple:
         """The test values in descending `sort_key` order, the order in which
-        `symmetry_modulus` tries them; sorted once per space."""
+        `symmetry_modulus` tries them on tables that are not chains; sorted
+        once per space."""
         return tuple(sorted(self.test_values, key=self.quantale.sort_key, reverse=True))
 
     def dual(self) -> "VSpace":
@@ -909,24 +911,38 @@ def has_vanishing_asymmetry(space: VSpace) -> Verdict:
 
 
 def symmetry_modulus(space: VSpace, eps, mode: str = "uniform", point=None):
-    """Largest admissible delta from the test set, or None when absent."""
+    """Largest admissible delta from the test set, or None when absent.
+
+    Balls grow with the radius, so on a chain (the extended rationals and
+    the capped chains) the admissible deltas are a prefix of the ascending
+    test values, and a bisection finds its last one.  On other tables the
+    test values are tried from the largest down, in `sort_key` order.
+    """
     q = space.quantale
     eps = q.check(eps)
     if not q.well_above(eps, q.bottom):
         raise PreconditionError(f"{q.format(eps)} is not well above 0")
-    candidates = space._moduli_candidates
     if mode == "uniform":
-        for delta in candidates:
-            if _uniform_flip_ok(space, delta, eps) is None:
-                return delta
-        return None
-    if mode == "pointwise":
+        def admissible(delta):
+            return _uniform_flip_ok(space, delta, eps) is None
+    elif mode == "pointwise":
         i = space.index(point)
-        for delta in candidates:
-            if _pointwise_modulus_ok(space, i, delta, eps):
-                return delta
-        return None
-    raise ValueError(f"mode must be 'uniform' or 'pointwise', got {mode!r}")
+
+        def admissible(delta):
+            return _pointwise_modulus_ok(space, i, delta, eps)
+    else:
+        raise ValueError(f"mode must be 'uniform' or 'pointwise', got {mode!r}")
+    if q.is_finite and q._chain_keys is None:
+        return next(filter(admissible, space._moduli_candidates), None)
+    tv = space.test_values
+    lo, hi = 0, len(tv)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if admissible(tv[mid]):
+            lo = mid + 1
+        else:
+            hi = mid
+    return tv[lo - 1] if lo else None
 
 
 def _as_index_map(fmap, source: VSpace, target: VSpace) -> tuple[int, ...]:

@@ -6,10 +6,12 @@ so a test can compare a fast library answer against a first-principles
 computation.
 """
 
+import random
 from itertools import product
 from math import lcm
 
 from qc import INF
+from qc.verify import _generate_space
 
 
 def leq_ext(a, b) -> bool:
@@ -89,6 +91,14 @@ def subset_distributive(leq, add) -> bool:
             if add[x][m] != finite_meet(leq, [add[x][s] for s in members], top):
                 return False
     return True
+
+
+def generated(gen, count):
+    """`(child seed, space)` for the first `count` spaces of the generator
+    `gen`'s stream, each drawn from a `random.Random` of its child seed, as
+    `InstanceGenerator.contexts` draws its instances."""
+    for child in gen.child_seeds(count):
+        yield child, _generate_space(gen, random.Random(child))
 
 
 def all_maps(src_points, tgt_points):

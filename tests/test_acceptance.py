@@ -28,7 +28,7 @@ from qc import (
 from qc.cli import main
 from qc.verify import PREDICATE_IDS, THEOREM_CHECKS, definitional_extension, q1_census
 
-from helpers import subset_well_above
+from helpers import generated, subset_well_above
 
 
 @contextmanager
@@ -135,7 +135,7 @@ def test_criterion_3_filter_collapse_oracles():
 def test_criterion_4_epsilon_reduction():
     with criterion(4, "test-set evaluation equals 1000-sample dense evaluation"):
         gen = InstanceGenerator(seed=20240810, max_points=5)
-        spaces = [space for _, space in gen.instances(50)]
+        spaces = [space for _, space in generated(gen, 50)]
         for space in spaces:
             for predicate in PREDICATE_IDS:
                 report = oracle_epsilon_reduction(space, predicate, samples=1000, seed=6)
@@ -192,7 +192,7 @@ def test_criterion_6_universal_property():
                 if is_uniformly_continuous(fmap, source, target):
                     yield fmap
 
-        pairs = list(zip(src_gen.instances(50), tgt_gen.instances(50)))
+        pairs = list(zip(generated(src_gen, 50), generated(tgt_gen, 50)))
         for (child, source), (_, target_base) in pairs:
             target = complete(target_base).space
             assert target.size <= 4

@@ -611,3 +611,97 @@ class TestVerifyFailurePath:
         summary_line = next(l for l in lines if l.startswith("FAIL"))
         assert lines.index(witness_line) < lines.index(summary_line)
         assert "1 checks failed" in out
+
+
+class TestProcessEntry:
+    # `python -m qc.cli` (`qc.cli.run`) against in-process `main()`: the same
+    # exit code, the same stdout and stderr bytes and the same report file
+    @staticmethod
+    def _process(*argv):
+        import os
+        import subprocess
+        from pathlib import Path
+
+        import qc
+
+        env = dict(os.environ, PYTHONPATH=str(Path(qc.__file__).resolve().parent.parent))
+        return subprocess.run([sys.executable, "-m", "qc.cli", *argv], env=env,
+                              stdin=subprocess.DEVNULL, capture_output=True, timeout=120)
+
+    def _assert_same(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        done = self._process(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, out.encode("utf-8"), err.encode("utf-8")
+        )
+        return code, out, err
+
+    def test_verify_to_stdout_exits_zero(self, capsys):
+        code, out, _ = self._assert_same(
+            capsys, "verify", "--seed", "7", "--instances", "3", "--format", "structured"
+        )
+        assert code == 0 and json.loads(out)["payload"]["command"] == "verify"
+
+    def test_verify_to_output_file_exits_zero(self, capsys, tmp_path):
+        argv = ["--format", "structured", "verify", "--seed", "7", "--instances", "3", "--output"]
+        in_process, by_process = tmp_path / "main.json", tmp_path / "process.json"
+        code, out, err = run(capsys, *argv, str(in_process))
+        done = self._process(*argv, str(by_process))
+        assert (code, out, err) == (0, "", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert by_process.read_bytes() == in_process.read_bytes()
+
+    def test_complete_on_non_uva_exits_one(self, capsys, x2n_file):
+        code, _, err = self._assert_same(capsys, "complete", x2n_file)
+        assert code == 1 and err.startswith("mathematical failure:")
+
+    def test_malformed_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"schema": "qc/1", "kind": "space", "payload": ')
+        code, out, err = self._assert_same(capsys, "classify", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_script_entry_is_run(self):
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"qc": "qc.cli:run"}
+
+
+class TestCollector:
+    # only the process entry `run()` freezes the collector, after `main()`
+    # has returned; `main()` runs many times in one process
+    def test_main_leaves_collector_state(self, capsys, x2n_file):
+        import gc
+
+        before = (gc.isenabled(), gc.get_freeze_count())
+        for argv in (
+            ["verify", "--seed", "7", "--instances", "2"],
+            ["classify", x2n_file],
+            ["complete", x2n_file],
+            ["classify", "missing.json"],
+            ["--no-such-flag"],
+        ):
+            run(capsys, *argv)
+            assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
+
+    def test_no_collector_call_outside_run(self):
+        import inspect
+        import re
+        from pathlib import Path
+
+        import qc
+        import qc.cli
+
+        lines, first = inspect.getsourcelines(qc.cli.run)
+        inside_run = range(first, first + len(lines))
+        hits = [
+            f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(Path(qc.__file__).parent.glob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(r"\bgc\.|\bfrom gc\b", line)
+            and not (path.name == "cli.py" and number in inside_run)
+        ]
+        assert hits == []

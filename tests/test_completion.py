@@ -30,7 +30,7 @@ from qc import (
     zero_distance_intersection_cauchy,
 )
 from qc.verify import definitional_extension
-from helpers import ball_raw, leq_ext
+from helpers import ball_raw, generated, leq_ext
 
 E = EXT_RATIONAL
 
@@ -186,11 +186,11 @@ class TestCanonicalEmbedding:
     def test_is_the_completion_embedding(self, x2a, x3z, Q1, Q3, chain4, pinched):
         # over each quantale (Q1 has no test values) and the empty carrier
         spaces = [x2a, x3z, VSpace(E, [], [])]
-        spaces += [s for _, s in InstanceGenerator(seed=31, force_uva=True).instances(40)]
+        spaces += [s for _, s in generated(InstanceGenerator(seed=31, force_uva=True), 40)]
         for k, q in enumerate((Q1, Q3, chain4, pinched)):
             gen = InstanceGenerator(seed=700 + k, quantale=q, min_points=1, max_points=6,
                                     zero_weight=1, force_uva=True)
-            spaces += [s for _, s in gen.instances(40)]
+            spaces += [s for _, s in generated(gen, 40)]
         assert 0 < sum(not classify(s)["separated"] for s in spaces) < len(spaces)
         assert any(not s.test_values for s in spaces)
         for space in spaces:
@@ -220,7 +220,7 @@ class TestPointCores:
         monkeypatch.setattr(filters, "point_filter", refuse)
         monkeypatch.setattr(completion, "point_filter", refuse, raising=False)
         monkeypatch.setattr(completion, "Filter", counted)
-        spaces = [x3z] + [s for _, s in InstanceGenerator(seed=41, force_uva=True).instances(20)]
+        spaces = [x3z] + [s for _, s in generated(InstanceGenerator(seed=41, force_uva=True), 20)]
         for space in spaces:
             built.clear()
             comp = complete(space)
@@ -271,7 +271,7 @@ class TestMinimalFilters:
                     seed=900 + 2 * k + force_uva, quantale=q, min_points=1,
                     max_points=6, zero_weight=1, force_uva=force_uva,
                 )
-                for _, space in gen.instances(100):
+                for _, space in generated(gen, 100):
                     got = [f.core_mask for f in minimal_cauchy_filters(space)]
                     assert got == definitional_minimal_masks(space), space.dmat
                     compared += 1
@@ -319,7 +319,7 @@ class TestFilterSpaceBuilder:
                     seed=700 + 2 * k + force_uva, quantale=q, min_points=1,
                     max_points=4, zero_weight=1, force_uva=force_uva,
                 )
-                spaces += [space for _, space in gen.instances(15)]
+                spaces += [space for _, space in generated(gen, 15)]
             for space in spaces:
                 self._assert_matches_definition(space)
                 kinds[bool(has_uniformly_vanishing_asymmetry(space))] += 1
@@ -435,9 +435,9 @@ class TestExtension:
                         assert_matches(fmap, comp, target)
                         checked += 1
         rng = random.Random(44)
-        free = [s for _, s in InstanceGenerator(seed=44, max_points=4).instances(200)
+        free = [s for _, s in generated(InstanceGenerator(seed=44, max_points=4), 200)
                 if has_uniformly_vanishing_asymmetry(s)][:40]
-        targets = InstanceGenerator(seed=45, max_points=3, force_uva=True).instances(40)
+        targets = generated(InstanceGenerator(seed=45, max_points=3, force_uva=True), 40)
         for source, (_, base) in zip(free, targets):
             comp, target = complete(source), complete(base).space
             maps = list(uc_maps(source, target))

@@ -30,6 +30,8 @@ from qc.reporting import CheckFailure, ValidationReport
 from qc.structures import uniformities_equal
 from qc.verify import THEOREM_CHECKS, _Ctx, cauchy_filter_space
 
+from helpers import generated
+
 
 def _records(space):
     comp = complete(space)
@@ -144,7 +146,7 @@ class TestGeneratorReplace:
         direct = InstanceGenerator(seed=5, max_points=4, force_uva=True)
         assert type(sibling) is InstanceGenerator and sibling == direct
         assert sibling.child_seeds(6) == direct.child_seeds(6)
-        assert list(sibling.instances(6)) == list(direct.instances(6))
+        assert list(generated(sibling, 6)) == list(generated(direct, 6))
 
 
 class TestNoRecordInOutput:
@@ -156,7 +158,7 @@ class TestNoRecordInOutput:
         witnesses = []
         for gen in (InstanceGenerator(seed=44, max_points=4),
                     InstanceGenerator(seed=45, quantale=BUILTIN_QUANTALES["Q3"])):
-            for _, space in gen.instances(30):
+            for _, space in generated(gen, 30):
                 op = space.dual()
                 ident = {p: p for p in space.points}
                 verdicts = [

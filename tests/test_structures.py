@@ -19,6 +19,8 @@ from qc import (
     va_equivalence_report,
 )
 
+from helpers import generated
+
 E = EXT_RATIONAL
 
 
@@ -275,7 +277,7 @@ class TestTopologyOracles:
 
         count = 0
         for t, q in enumerate((E, Q1, Q3, chain4, pinched)):
-            for _, space in InstanceGenerator(seed=900 + t, quantale=q).instances(120):
+            for _, space in generated(InstanceGenerator(seed=900 + t, quantale=q), 120):
                 for side in ("forward", "backward"):
                     _assert_agrees(topology_of(space, side), definitional_topology(space, side))
                     count += 1
@@ -363,7 +365,7 @@ class TestTopologyOracles:
         assert all(s._ranks.keys.scale is None for s in wide)
         spaces = int_keyed + wide
         for t, q in enumerate((Q1, Q3, chain4, pinched)):
-            spaces += [s for _, s in InstanceGenerator(seed=950 + t, quantale=q).instances(30)]
+            spaces += [s for _, s in generated(InstanceGenerator(seed=950 + t, quantale=q), 30)]
         non_discrete = 0
         for space in spaces:
             assert validate_vspace(space).ok, space.dmat

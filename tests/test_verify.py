@@ -25,42 +25,44 @@ from qc import (
 )
 from qc.verify import _dense_values, _generate_space, _zero_asymmetry, q1_census
 
+from helpers import generated
+
 E = EXT_RATIONAL
 
 
 class TestGenerator:
     def test_determinism(self):
         gen = InstanceGenerator(seed=99)
-        first = list(gen.instances(8))
-        second = list(gen.instances(8))
+        first = list(generated(gen, 8))
+        second = list(generated(gen, 8))
         assert [s for _, s in first] == [s for _, s in second]
         assert [c for c, _ in first] == [c for c, _ in second]
 
     def test_seed_changes_stream(self):
-        a = [s for _, s in InstanceGenerator(seed=1).instances(5)]
-        b = [s for _, s in InstanceGenerator(seed=2).instances(5)]
+        a = [s for _, s in generated(InstanceGenerator(seed=1), 5)]
+        b = [s for _, s in generated(InstanceGenerator(seed=2), 5)]
         assert a != b
 
     def test_generated_spaces_valid(self):
-        for _, space in InstanceGenerator(seed=5).instances(20):
+        for _, space in generated(InstanceGenerator(seed=5), 20):
             assert validate_vspace(space).ok
             assert 2 <= space.size <= 5
 
     def test_force_uva(self):
         gen = InstanceGenerator(seed=5, force_uva=True)
-        for _, space in gen.instances(20):
+        for _, space in generated(gen, 20):
             assert has_uniformly_vanishing_asymmetry(space).ok
 
     def test_force_separated(self):
         from qc import classify
 
         gen = InstanceGenerator(seed=5, force_separated=True)
-        for _, space in gen.instances(20):
+        for _, space in generated(gen, 20):
             assert classify(space)["separated"]
 
     def test_finite_quantale_generation(self):
         gen = InstanceGenerator(seed=5, quantale=BUILTIN_QUANTALES["Q3"])
-        for _, space in gen.instances(10):
+        for _, space in generated(gen, 10):
             assert validate_vspace(space).ok
             assert space.quantale == BUILTIN_QUANTALES["Q3"]
 
@@ -331,7 +333,7 @@ class TestEpsilonOracle:
                                           for i in range(3)])
         assert wide._ranks.keys.scale is None
         gen = InstanceGenerator(seed=20261026, max_points=5)
-        spaces = _epsilon_battery() + [s for _, s in gen.instances(50)] + [wide]
+        spaces = _epsilon_battery() + [s for _, s in generated(gen, 50)] + [wide]
         classes = exact = 0
         for space in spaces:
             values = list(space._ranks.values)
@@ -602,7 +604,7 @@ class TestFilterMorphismChecks:
         gen = InstanceGenerator(seed=22, max_points=5)
         reports = self._run(gen, 5)
         assert all(r.ok and r.instances == 5 for r in reports)
-        spaces = [s for _, s in gen.instances(5)]
+        spaces = [s for _, s in generated(gen, 5)]
         assert max(s.size for s in spaces) == 5
         assert not all(has_uniformly_vanishing_asymmetry(s) for s in spaces)
 
@@ -657,7 +659,7 @@ class TestUvaSharpness:
         for space in (x2a, x3z, xq1):
             assert _zero_asymmetry(space) is None
         gen = InstanceGenerator(seed=26)
-        for _, space in gen.instances(40):
+        for _, space in generated(gen, 40):
             uva = has_uniformly_vanishing_asymmetry(space).ok
             assert (_zero_asymmetry(space) is None) == uva
 
@@ -716,7 +718,7 @@ class TestCoreLanes:
         for q in (E, Q3, Q1, pinched):
             for uva in (True, False):
                 gen = InstanceGenerator(seed=20261019, quantale=q, force_uva=uva, max_points=5)
-                spaces += [s for _, s in gen.instances(12)]
+                spaces += [s for _, s in generated(gen, 12)]
         for q in (E, Q3, Q1, pinched):
             spaces += [VSpace(q, [], []), VSpace(q, ["a"], [[q.bottom]])]
         return spaces

@@ -338,6 +338,49 @@ class TestSymmetryModulus:
         with pytest.raises(PreconditionError):
             symmetry_modulus(x2a, Fraction(0))
 
+    def test_bisection_computes_logarithmically_many_balls(self, monkeypatch):
+        # 64 points with d(i, j) = 1 + (64i + j)/10000 off the diagonal and
+        # 4,034 test values: a chain, so each modulus is a bisection.  A
+        # delta is admissible iff it lies below every d(y, x) whose flip
+        # d(x, y) exceeds eps (pointwise at x, also with x and y swapped), so
+        # the modulus is the largest test value below the least such entry
+        from qc.vspace import _RankForm
+
+        n = 64
+        names = [f"p{i}" for i in range(n)]
+        d = [[0 if i == j else 1 + Fraction(64 * i + j, 10000) for j in range(n)] for i in range(n)]
+        space = VSpace(E, names, d)
+        tv = space.test_values
+        assert len(tv) == 4034
+
+        def expected(eps, pairs):
+            bounds = [d[y][x] for x, y in pairs if not E.leq(d[x][y], eps)]
+            below = [t for t in tv if all(E.leq(t, b) and t != b for b in bounds)]
+            return below[-1] if below else None
+
+        every_pair = [(x, y) for x in range(n) for y in range(n)]
+        computed = 0
+        masks = _RankForm.masks
+
+        def counting(form, ranks, forward):
+            nonlocal computed
+            computed += 1
+            return masks(form, ranks, forward)
+
+        monkeypatch.setattr(_RankForm, "masks", counting)
+        for eps in (tv[0], tv[1], tv[len(tv) // 2], tv[-2], INF):
+            for mode, x in (("uniform", None), ("pointwise", 0), ("pointwise", 37)):
+                space._ball_cache.clear()
+                computed = 0
+                if x is None:
+                    want = expected(eps, every_pair)
+                else:
+                    want = expected(eps, [(x, y) for y in range(n)] + [(y, x) for y in range(n)])
+                assert symmetry_modulus(space, eps, mode, None if x is None else names[x]) == want
+                # one bisection step reads the delta balls of its side(s)
+                # beside the eps balls computed once
+                assert 0 < computed <= 3 * len(tv).bit_length(), (eps, mode, computed)
+
 
 class TestAsymmetryClasses:
     def test_x2a_uva(self, x2a):

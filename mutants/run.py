@@ -71,6 +71,9 @@ RAN_ONLY = "tests/test_cli.py::TestVerifyCommand::test_lists_only_checks_that_ra
 MODULI = "tests/test_vspace.py::TestSymmetryModulus"
 PROCESS = "tests/test_cli.py::TestProcessEntry"
 COLLECTOR = "tests/test_cli.py::TestCollector"
+PIN = "tests/test_verify.py::TestGatePin::test_pin_is_the_oracles_answers"
+NO_ORACLE = "tests/test_verify.py::TestGatePin::test_verify_runs_no_oracle"
+FALLBACK = "tests/test_verify.py::TestGatePin::test_mismatch_runs_the_full_gate"
 
 
 class Mutant(NamedTuple):
@@ -535,7 +538,36 @@ MUTANTS = (
         "verify.py",
         "_preimages(fidx, n)",
         "_preimages(maps[(maps.index(fidx) + 1) % len(maps)], n)",
-        ("tests/test_verify.py::TestFamilyOracle",),
+        ("tests/test_verify.py::TestFamilyOracle", PIN),
+    ),
+    Mutant(
+        "gate-library-side-drops-pair-answers",
+        "verify.py",
+        "_gate_answers(_library_cores, _collapsed_library, _test_value_profile)",
+        "_gate_answers(_library_cores, lambda space: _collapsed_library(space)[:1],\n"
+        "                             _test_value_profile)",
+        (NO_ORACLE,),
+    ),
+    Mutant(
+        "gate-mismatch-taken-as-pass",
+        "verify.py",
+        "if _gate_digest(rows) == _GATE_PIN:",
+        "if True:",
+        (FALLBACK,),
+    ),
+    Mutant(
+        "gate-skips-filter-batteries-n1-n3",
+        "verify.py",
+        "for n in (1, 2, 3, 4):",
+        "for n in (4,):",
+        (NO_ORACLE,),
+    ),
+    Mutant(
+        "intersect-meets-cores",
+        "filters.py",
+        "return Filter(f.space, f.core_mask | g.core_mask)",
+        "return Filter(f.space, f.core_mask & g.core_mask)",
+        ("tests/test_verify.py::TestFamilyOracle::test_oracle_filters_pass",),
     ),
     Mutant(
         "filters-to-space-targets-from-source-core",

@@ -28,7 +28,7 @@ from qc import (
 )
 from qc.reporting import CheckFailure, ValidationReport
 from qc.structures import uniformities_equal
-from qc.verify import THEOREM_CHECKS, _Ctx, cauchy_filter_space
+from qc.verify import THEOREM_CHECKS, _Ctx, _Suite, cauchy_filter_space
 
 from helpers import generated
 
@@ -135,7 +135,7 @@ class TestGeneratorReplace:
     def test_sibling_streams_unchanged(self, gen, seeds, digest):
         assert gen.child_seeds(4) == seeds
         blob = "".join(
-            serialize.dumps_canonical(serialize.space_to_payload(_Ctx.generated(gen, c).sibling))
+            serialize.dumps_canonical(serialize.space_to_payload(_Ctx.generated(gen, c, _Suite()).sibling))
             for c in seeds
         )
         assert hashlib.sha256(blob.encode()).hexdigest() == digest

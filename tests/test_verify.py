@@ -297,6 +297,111 @@ class TestFamilyOracle:
         assert all(f["cores"] == (("p0",), ("p1",)) for f in report.failures)
 
 
+class TestGatePin:
+    # each process computes the library's side of the oracle gate and
+    # compares its digest with `_GATE_PIN`, the oracles' side pinned
+    ORACLES = ("enumerate_filter_families", "_family_of_core", "_family_distance",
+               "_family_roundify", "_dense_values")
+
+    def test_pin_is_the_oracles_answers(self):
+        # an intentional change to the oracles re-pins by the printed line
+        import qc.verify as verify
+
+        rows = verify._gate_answers(verify._family_cores, verify._collapsed_oracle,
+                                    verify._dense_profile)
+        pin = verify._gate_digest(rows)
+        assert pin == verify._GATE_PIN, f"re-derived pin: _GATE_PIN = {pin}"
+
+        # hashed through hash(): nothing whose hash PYTHONHASHSEED moves
+        def ints(value):
+            if isinstance(value, tuple):
+                return all(ints(v) for v in value)
+            return type(value) in (int, bool)
+
+        assert all(ints(answers) for _, _, answers, _ in rows)
+
+    def test_verify_runs_no_oracle(self, monkeypatch, capsys):
+        # counted as TestSuiteSharing counts: a stale pin falls back to the
+        # full gate, which calls every one of them
+        import qc.verify as verify
+        from qc.cli import main
+
+        calls = dict.fromkeys(self.ORACLES, 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in self.ORACLES:
+            monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+        monkeypatch.setattr(verify, "_GATE_CACHE", None)
+        code = main(["--format", "structured", "verify", "--seed", "3", "--instances", "2"])
+        capsys.readouterr()
+        assert code == 0
+        assert calls == dict.fromkeys(self.ORACLES, 0)
+
+    def test_pinned_path_under_two_hash_seeds(self):
+        import os
+        import subprocess
+        import sys
+
+        import qc
+
+        script = (
+            "import qc.verify as verify\n"
+            "def full():\n"
+            "    raise SystemExit('the full gate ran')\n"
+            "verify._full_gate = full\n"
+            "reports = verify.oracle_gate()\n"
+            "assert len(reports) == 12 and all(r.ok and r.passes == r.instances for r in reports)\n"
+        )
+        src = os.path.dirname(os.path.dirname(qc.__file__))
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, (seed, proc.stderr)
+
+    def test_pinned_reports_equal_the_full_gate(self, monkeypatch):
+        import qc.verify as verify
+
+        monkeypatch.setattr(verify, "_GATE_CACHE", None)
+        pinned = [r.payload() for r in verify.oracle_gate()]
+        assert pinned == [r.payload() for r in verify._full_gate()]
+
+    @pytest.mark.parametrize("fault", ["filter_distance", "intersect"])
+    def test_mismatch_runs_the_full_gate(self, monkeypatch, fault):
+        # the fault of TestFamilyOracle's wrong filter distance, and a wrong
+        # intersection core, which the gate reads from `filters.intersect`
+        import qc.verify as verify
+        from qc import InvariantError
+
+        real = getattr(verify, fault)
+
+        def wrong(f, g):
+            out = real(f, g)
+            if (f.core_mask, g.core_mask) != (0b01, 0b10):
+                return out
+            if fault == "intersect":
+                return Filter(f.space, 0b01)
+            q = f.space.quantale
+            return q.bottom if out == q.top else q.top
+
+        monkeypatch.setattr(verify, fault, wrong)
+        monkeypatch.setattr(verify, "_GATE_CACHE", None)
+        gate = [r.payload() for r in verify.oracle_gate()]
+        assert gate == [r.payload() for r in verify._full_gate()]
+        failed = {r["id"]: {f["check"] for f in r["failures"]} for r in gate if r["failures"]}
+        check = "filter-distance" if fault == "filter_distance" else "intersection"
+        assert failed == dict.fromkeys(["oracle.filters.n2", "oracle.filters.n3",
+                                        "oracle.collapsed.n4"], {check})
+        with pytest.raises(InvariantError, match="oracle gate failed"):
+            run_theorem_suite(InstanceGenerator(seed=1).contexts(1))
+
+
 class TestEpsilonOracle:
     @pytest.mark.parametrize(
         "predicate",
@@ -616,9 +721,9 @@ class TestFilterMorphismChecks:
 
         from qc import is_filter_morphism
         from qc.filters import _image_core
-        from qc.verify import _Ctx, _morphism_ok, _oracle_battery
+        from qc.verify import _Ctx, _Suite, _morphism_ok, _oracle_battery
 
-        ctx = _Ctx.generated(InstanceGenerator(seed=41), 0)
+        ctx = _Ctx.generated(InstanceGenerator(seed=41), 0, _Suite())
         verdicts = set()
         for x in (s for n in (1, 2, 3) for s in _oracle_battery(n)):
             for fidx in product(range(x.size), repeat=x.size):
@@ -664,14 +769,14 @@ class TestUvaSharpness:
             assert (_zero_asymmetry(space) is None) == uva
 
     def test_checks_pass_on_non_uva_instances(self):
-        from qc.verify import THEOREM_CHECKS, _Ctx
+        from qc.verify import THEOREM_CHECKS, _Ctx, _Suite
 
         checks = tuple(c for c in THEOREM_CHECKS if c.id in self.CHECKS)
         assert [c.id for c in checks] == list(self.CHECKS)
         gen = InstanceGenerator(seed=25)
         count, non_uva = 40, 0
         for child in gen.child_seeds(count):
-            ctx = _Ctx.generated(gen, child)
+            ctx = _Ctx.generated(gen, child, _Suite())
             if not ctx.uva:
                 non_uva += 1
                 for check in checks:
@@ -754,12 +859,12 @@ class TestCoreLanes:
                         ("minimal", False, True), ("minimal", False, False)}
 
     def test_ctx_reads_its_lanes(self, Q3):
-        from qc.verify import _Ctx, _cauchy_over, definitional_is_minimal_cauchy
+        from qc.verify import _Ctx, _Suite, _cauchy_over, definitional_is_minimal_cauchy
 
         for q in (E, Q3):
             gen = InstanceGenerator(seed=20261020, quantale=q, max_points=4)
             for child in gen.child_seeds(6):
-                ctx = _Ctx.generated(gen, child)
+                ctx = _Ctx.generated(gen, child, _Suite())
                 space = ctx.space
                 for m in range(space.full_mask + 1):
                     f = Filter(space, m)
@@ -778,7 +883,7 @@ class TestUcMemo:
         from itertools import product
 
         from qc import is_uniformly_continuous
-        from qc.verify import _Ctx, _uc_over
+        from qc.verify import _Ctx, _Suite, _uc_over
         from qc.vspace import combined_test_values
 
         def directions(x, y):
@@ -790,11 +895,11 @@ class TestUcMemo:
         for q in (E, Q3, pinched):
             gen = InstanceGenerator(seed=41, quantale=q, max_points=3)
             for child in gen.child_seeds(4):
-                ctx = _Ctx.generated(gen, child)
+                ctx = _Ctx.generated(gen, child, _Suite())
                 cases.append((ctx, directions(ctx.space, ctx.sibling)))
         # zero distance in x, distance 1 in y: the map (0, 1) is the
         # identity on x but not uniformly continuous into y
-        ctx = _Ctx.generated(InstanceGenerator(seed=41), 0)
+        ctx = _Ctx.generated(InstanceGenerator(seed=41), 0, _Suite())
         x = VSpace(E, ["a", "b"], [[0, 0], [0, 0]])
         y = VSpace(E, ["u", "v", "w"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         cases.append((ctx, directions(x, y)))
@@ -864,7 +969,7 @@ class TestSuiteSharing:
         return out
 
     def test_checks_read_what_an_unshared_instance_derives(self):
-        from qc.verify import THEOREM_CHECKS, TheoremCheck, _Ctx, _gates_open
+        from qc.verify import THEOREM_CHECKS, TheoremCheck, _Ctx, _Suite, _gates_open
 
         def logged(check, log):
             def fn(ctx):
@@ -879,7 +984,7 @@ class TestSuiteSharing:
             shared, alone = [], []
             reports = run_theorem_suite(gen.contexts(count), checks=[logged(c, shared) for c in checks])
             for child in gen.child_seeds(count):
-                ctx = _Ctx.generated(gen, child)
+                ctx = _Ctx.generated(gen, child, _Suite())
                 alone += [(c.id, child, c.fn(ctx)) for c in checks if _gates_open(ctx, c.gates)]
             assert len(shared) == len(alone) and shared == alone, gen
             # every check ran on every instance it ran on before, and only

@@ -1323,9 +1323,11 @@ def _gate_digest(rows) -> int:
     """`hash` of the answers of `_gate_answers`.
 
     They hold only tuples, ints and bools, whose hashes no PYTHONHASHSEED
-    moves.  On 64-bit CPython an int below 2**61 - 1 hashes to itself and a
-    tuple mixes its items' hashes into 64 bits by xxHash64's round, so a
-    false match is as unlikely as with a 64-bit digest.
+    moves.  On 64-bit CPython `hash` is one-to-one on the ints from -1 to
+    2**61 - 2, where theirs lie (cores, -1 for none, and the numerators and
+    denominators of values), and a tuple mixes its items' hashes into 64
+    bits by xxHash64's round, so a false match is as unlikely as with a
+    64-bit digest.
     """
     return hash(tuple([answers for _, _, answers, _ in rows]))
 

@@ -312,11 +312,12 @@ class TestGatePin:
         pin = verify._gate_digest(rows)
         assert pin == verify._GATE_PIN, f"re-derived pin: _GATE_PIN = {pin}"
 
-        # hashed through hash(): nothing whose hash PYTHONHASHSEED moves
+        # hashed through hash(): nothing whose hash PYTHONHASHSEED moves,
+        # and only ints on which hash is one-to-one
         def ints(value):
             if isinstance(value, tuple):
                 return all(ints(v) for v in value)
-            return type(value) in (int, bool)
+            return type(value) in (int, bool) and -1 <= value < 2**61 - 1
 
         assert all(ints(answers) for _, _, answers, _ in rows)
 

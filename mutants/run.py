@@ -74,6 +74,8 @@ COLLECTOR = "tests/test_cli.py::TestCollector"
 PIN = "tests/test_verify.py::TestGatePin::test_pin_is_the_oracles_answers"
 NO_ORACLE = "tests/test_verify.py::TestGatePin::test_verify_runs_no_oracle"
 FALLBACK = "tests/test_verify.py::TestGatePin::test_mismatch_runs_the_full_gate"
+PROFILE_FAULT = "tests/test_verify.py::TestGatePin::test_profile_mismatch_fails_its_epsilon_report"
+PLANTED_FAMILY = "tests/test_verify.py::TestFamilyOracle::test_planted_family_is_named"
 
 
 class Mutant(NamedTuple):
@@ -558,9 +560,31 @@ MUTANTS = (
     Mutant(
         "gate-skips-filter-batteries-n1-n3",
         "verify.py",
-        "for n in (1, 2, 3, 4):",
-        "for n in (4,):",
+        "for n in (1, 2, 3, 4)]",
+        "for n in (4,)]",
         (NO_ORACLE,),
+    ),
+    Mutant(
+        "gate-cores-item-reports-nothing",
+        "verify.py",
+        '"cores": _principality_failures,',
+        '"cores": lambda n, got, want: [],',
+        (PLANTED_FAMILY,),
+    ),
+    Mutant(
+        "gate-diff-skips-epsilon-rows",
+        "verify.py",
+        "[] if g == w else _ITEM_FAILURES[kind](*args, g, w)",
+        '[] if g == w or kind == "profile" else _ITEM_FAILURES[kind](*args, g, w)',
+        (PROFILE_FAULT,),
+    ),
+    Mutant(
+        "gate-battery-diff-names-wrong-space",
+        "verify.py",
+        'failures.append({"check": kind, "space": serialize.space_to_payload(space), **data})',
+        'failures.append({"check": kind, **data,\n'
+        '                         "space": serialize.space_to_payload(_oracle_battery(space.size)[0])})',
+        (FALLBACK,),
     ),
     Mutant(
         "intersect-meets-cores",

@@ -331,7 +331,11 @@ class ExtendedRationalQuantale(ValueQuantale):
     def parse(self, text):
         limit = _literal_digit_limit()
         if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
-            value = self.check(text)
+            # a negative number in a file is malformed input, as "-1" is
+            try:
+                value = self.check(text)
+            except DomainMismatchError as exc:
+                raise StructureError(str(exc)) from None
             top = max(value.numerator, value.denominator)
             # 2**(3 * limit) < 10**limit, so shorter ints need no power of ten
             if limit and top.bit_length() > 3 * limit and top >= 10**limit:
@@ -672,7 +676,11 @@ class FiniteQuantale(ValueQuantale):
 
     def parse(self, text):
         if isinstance(text, int) and not isinstance(text, bool):
-            return self.check(text)
+            # an index out of range in a file is malformed input
+            try:
+                return self.check(text)
+            except DomainMismatchError as exc:
+                raise StructureError(str(exc)) from None
         if isinstance(text, str):
             try:
                 return self.names.index(text)

@@ -34,8 +34,9 @@ Five layers of defence:
 * the theorem suite runs every structural statement about filters,
   completions, and the asymmetry classes over the instances of a source
   (seeded generated ones, `InstanceGenerator.contexts`, or the census of
-  the one-point quantale, `q1_census`), recording failures as replayable
-  data rather than raising.
+  the one-point quantale, `q1_census`), recording failures as data (the
+  seed, the instance and the witness; see `run_theorem_suite`) rather
+  than raising.
 
 The suite refuses to run unless the first two oracle layers (the oracle
 gate) pass first; a process compares the library's answers with the
@@ -47,7 +48,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import product
 from operator import and_
 from typing import NamedTuple
@@ -572,14 +573,28 @@ def _collapsed_oracle(space: VSpace) -> tuple:
     return per_core, pairs
 
 
-def _collapsed_formula_failures(space: VSpace) -> list:
-    """Compare every collapsed core formula with the family-level definition."""
+def _principality_failures(n: int, got: tuple, want: tuple) -> list:
+    """Where the filter families on n points (`_family_cores`) are not the
+    library's filters, one per core (`_library_cores`): a family count other
+    than theirs, then each family that is not principal, by its core."""
+    failures = []
+    if len(want) != len(got):
+        failures.append({"check": "principality-count", "found": len(want)})
+    # the answers keep no family, so they are enumerated again to name them
+    failures += [{"check": "principality", "core": _family_core(fam)}
+                 for fam in enumerate_filter_families(n) if _principal_core(n, fam) < 0]
+    return failures
+
+
+def _collapsed_formula_failures(space: VSpace, answers: tuple, wanted: tuple) -> list:
+    """Where the collapsed core formulas on `space` (`_collapsed_library`'s
+    `answers`) differ from the family-level definitions (`wanted`)."""
     failures = []
 
     def fail(kind, **data):
         failures.append({"check": kind, "space": serialize.space_to_payload(space), **data})
 
-    (cores, pairs), (want_cores, want_pairs) = _collapsed_library(space), _collapsed_oracle(space)
+    (cores, pairs), (want_cores, want_pairs) = answers, wanted
     names_of = space.names_of
     for c, (got, want) in enumerate(zip(cores, want_cores, strict=True)):
         core = names_of(c)
@@ -600,39 +615,13 @@ def _collapsed_formula_failures(space: VSpace) -> list:
     return failures
 
 
-def _battery_report(report: VerificationReport, n: int, failures: list,
-                    start: float) -> VerificationReport:
-    """`report` with the collapsed-formula battery on `n` points counted in,
-    its failures `failures` then the battery's, its runtime since `start`."""
-    for space in _oracle_battery(n):
-        fs = _collapsed_formula_failures(space)
-        failures.extend(fs)
-        report.instances += 1
-        report.passes += not fs
-    report.failures = tuple(failures)
-    report.runtime = time.monotonic() - start
-    return report
-
-
-def oracle_filters(n: int) -> VerificationReport:
-    """Principality of all families plus the collapsed-formula battery."""
-    start = time.monotonic()
-    families = list(enumerate_filter_families(n))
-    failures = []
-    if len(families) != 1 << n:
-        failures.append({"check": "principality-count", "found": len(families)})
-    for fam in families:
-        core = _family_core(fam)
-        if fam != _family_of_core(n, core):
-            failures.append({"check": "principality", "core": core})
-    report = VerificationReport(id=f"oracle.filters.n{n}", instances=1, passes=int(not failures))
-    return _battery_report(report, n, failures, start)
-
-
-def oracle_collapsed_formulas(n: int = 4) -> VerificationReport:
-    """Collapsed-formula battery alone, for carriers too big to enumerate."""
-    start = time.monotonic()
-    return _battery_report(VerificationReport(id=f"oracle.collapsed.n{n}"), n, [], start)
+def _battery_row(n: int, principality: bool) -> tuple:
+    """A gate report's id and items (see `_gate_items`) for the filter
+    battery on n points, after the filters themselves when `principality`."""
+    items = [("collapsed", space) for space in _oracle_battery(n)]
+    if principality:
+        return f"oracle.filters.n{n}", [("cores", n)] + items
+    return f"oracle.collapsed.n{n}", items
 
 
 # ---------------------------------------------------------------------------
@@ -1210,35 +1199,6 @@ def _predicate_profile(space: VSpace, predicate: str, values) -> tuple:
     raise PreconditionError(f"unknown predicate {predicate!r}; known: {PREDICATE_IDS}")
 
 
-def oracle_epsilon_reduction(space: VSpace, predicate: str, samples: int = 1000,
-                             seed: int = 0) -> VerificationReport:
-    """Test-set evaluation must equal dense-sample evaluation exactly."""
-    if space.quantale.is_finite:
-        raise PreconditionError(
-            "dense sampling applies to the extended-rational family only"
-        )
-    start = time.monotonic()
-    dense = _dense_representatives(space, samples, seed)
-    via_test = _predicate_profile(space, predicate, space.test_values)
-    via_dense = _predicate_profile(space, predicate, dense)
-    failures = ()
-    if via_test != via_dense:
-        failures = (
-            {
-                "check": "epsilon-reduction",
-                "predicate": predicate,
-                "space": serialize.space_to_payload(space),
-            },
-        )
-    return VerificationReport(
-        id=f"oracle.epsilon.{predicate}",
-        instances=1,
-        passes=0 if failures else 1,
-        failures=failures,
-        runtime=time.monotonic() - start,
-    )
-
-
 def _epsilon_battery() -> list[VSpace]:
     ext = EXT_RATIONAL
     return [
@@ -1257,46 +1217,32 @@ def _epsilon_battery() -> list[VSpace]:
 _GATE_SAMPLES, _GATE_SEED = 160, 11
 
 
-def _full_gate() -> list[VerificationReport]:
-    """Every oracle of the gate against the library, with its failures."""
-    reports = [oracle_filters(n) for n in (1, 2, 3)]
-    reports.append(oracle_collapsed_formulas(4))
+def _gate_items() -> list:
+    """The oracle gate's reports, each as its id and its items.  An item is
+    what one answer is about: ("cores", n), the filters on n <= 3 points;
+    ("collapsed", space), the collapsed formulas on a filter battery space;
+    or ("profile", space, predicate), a predicate's verdicts on an epsilon
+    battery space."""
+    rows = [_battery_row(n, n < 4) for n in (1, 2, 3, 4)]
     # one battery for every predicate, so each space's ball cache serves all
     battery = _epsilon_battery()
-    for predicate in PREDICATE_IDS:
-        agg = VerificationReport(id=f"oracle.epsilon.{predicate}")
-        start = time.monotonic()
-        for space in battery:
-            sub = oracle_epsilon_reduction(space, predicate, _GATE_SAMPLES, _GATE_SEED)
-            agg.instances += sub.instances
-            agg.passes += sub.passes
-            agg.failures += sub.failures
-        agg.runtime = time.monotonic() - start
-        reports.append(agg)
-    return reports
-
-
-def _gate_answers(cores, collapsed, profile) -> list:
-    """One side of every comparison the full gate makes, per report: its
-    id, its instance count, the answers, and the seconds they took.  The
-    answers are `cores(n)`, the filters on n <= 3 points by core, then
-    `collapsed(space)` per battery space, and `profile(space, predicate)`
-    per epsilon battery space."""
-    rows = []
-    for n in (1, 2, 3, 4):
-        start = time.monotonic()
-        answers = tuple([collapsed(space) for space in _oracle_battery(n)])
-        if n < 4:
-            answers = (cores(n),) + answers
-        rid = f"oracle.filters.n{n}" if n < 4 else "oracle.collapsed.n4"
-        rows.append((rid, len(answers), answers, time.monotonic() - start))
-    battery = _epsilon_battery()
-    for predicate in PREDICATE_IDS:
-        start = time.monotonic()
-        answers = tuple([profile(space, predicate) for space in battery])
-        rows.append((f"oracle.epsilon.{predicate}", len(answers), answers,
-                     time.monotonic() - start))
+    rows += [(f"oracle.epsilon.{predicate}", [("profile", space, predicate) for space in battery])
+             for predicate in PREDICATE_IDS]
     return rows
+
+
+def _gate_answers(cores, collapsed, profile, rows=None) -> list:
+    """One side of the gate's comparison: per report of `rows` (by default
+    `_gate_items`), its id, its items, their answers and the seconds they
+    took.  An item's answer is `cores(n)`, `collapsed(space)` or
+    `profile(space, predicate)`, by its kind."""
+    side = {"cores": cores, "collapsed": collapsed, "profile": profile}
+    out = []
+    for rid, items, *_ in rows or _gate_items():
+        start = time.monotonic()
+        answers = tuple([side[kind](*args) for kind, *args in items])
+        out.append((rid, items, answers, time.monotonic() - start))
+    return out
 
 
 def _library_cores(n: int) -> tuple:
@@ -1314,9 +1260,69 @@ def _test_value_profile(space: VSpace, predicate: str) -> tuple:
     return _predicate_profile(space, predicate, space.test_values)
 
 
-def _dense_profile(space: VSpace, predicate: str) -> tuple:
-    return _predicate_profile(space, predicate,
-                              _dense_representatives(space, _GATE_SAMPLES, _GATE_SEED))
+def _dense_profile(space: VSpace, predicate: str, samples: int = _GATE_SAMPLES,
+                   seed: int = _GATE_SEED) -> tuple:
+    return _predicate_profile(space, predicate, _dense_representatives(space, samples, seed))
+
+
+def _profile_failures(space: VSpace, predicate: str, got: tuple, want: tuple) -> list:
+    """The test-value profile `got` differs from the dense-sample one."""
+    return [{"check": "epsilon-reduction", "predicate": predicate,
+             "space": serialize.space_to_payload(space)}]
+
+
+# the witnesses of an unequal pair of answers, by the kind of their item
+_ITEM_FAILURES = {
+    "cores": _principality_failures,
+    "collapsed": _collapsed_formula_failures,
+    "profile": _profile_failures,
+}
+
+
+def _gate_reports(rows, wanted) -> list[VerificationReport]:
+    """The gate's one comparison: each answer of the library's `rows`
+    against the same answer of the oracles' `wanted` (both `_gate_answers`).
+    An item passes when they are equal, and otherwise when its kind finds
+    no witness (`_ITEM_FAILURES`); a report's runtime is the seconds both
+    sides took for it."""
+    reports = []
+    for (rid, items, got, seconds), (_, _, want, more) in zip(rows, wanted, strict=True):
+        found = [[] if g == w else _ITEM_FAILURES[kind](*args, g, w)
+                 for (kind, *args), g, w in zip(items, got, want, strict=True)]
+        reports.append(VerificationReport(rid, len(items), found.count([]),
+                                          tuple([f for fs in found for f in fs]),
+                                          seconds + more))
+    return reports
+
+
+def _compared(row, profile=_dense_profile) -> VerificationReport:
+    """The report of one row of the gate, both sides computed."""
+    # the oracles' side first: past three points the family enumeration
+    # refuses before the library's side has run
+    wanted = _gate_answers(_family_cores, _collapsed_oracle, profile, [row])
+    rows = _gate_answers(_library_cores, _collapsed_library, _test_value_profile, [row])
+    return _gate_reports(rows, wanted)[0]
+
+
+def oracle_filters(n: int) -> VerificationReport:
+    """Principality of all families plus the collapsed-formula battery."""
+    return _compared(_battery_row(n, True))
+
+
+def oracle_collapsed_formulas(n: int = 4) -> VerificationReport:
+    """Collapsed-formula battery alone, for carriers too big to enumerate."""
+    return _compared(_battery_row(n, False))
+
+
+def oracle_epsilon_reduction(space: VSpace, predicate: str, samples: int = 1000,
+                             seed: int = 0) -> VerificationReport:
+    """Test-set evaluation must equal dense-sample evaluation exactly."""
+    if space.quantale.is_finite:
+        raise PreconditionError(
+            "dense sampling applies to the extended-rational family only"
+        )
+    return _compared((f"oracle.epsilon.{predicate}", [("profile", space, predicate)]),
+                     partial(_dense_profile, samples=samples, seed=seed))
 
 
 def _gate_digest(rows) -> int:
@@ -1334,7 +1340,7 @@ def _gate_digest(rows) -> int:
 
 # `_gate_digest` of the oracles' answers (`_family_cores`, `_collapsed_oracle`,
 # `_dense_profile`) on 64-bit CPython, where every process then skips the
-# oracles; elsewhere the digest differs and each runs the full gate.
+# oracles; elsewhere the digest differs and each computes them.
 # tests/test_verify.py::TestGatePin re-derives it and prints the new value.
 _GATE_PIN = 3008329935789549966
 
@@ -1345,22 +1351,23 @@ def oracle_gate() -> list[VerificationReport]:
     """Oracle battery the theorem suite insists on before trusting fast paths.
 
     Built once per process.  The oracles' answers do not depend on the
-    library, so they are pinned (`_GATE_PIN`): the gate computes only the
+    library, so they are pinned (`_GATE_PIN`): the gate computes the
     library's side of every comparison (the filters by core,
     `_collapsed_library` on the filter batteries, the test-value profiles
     of the epsilon battery) and compares its digest with the pin.  On a
-    match every report passes, timed by the library's side; on any
-    mismatch the full gate runs (`_full_gate`), and its reports, failures
-    and witnesses included, are the gate's.
+    match the pin stands for the oracles' answers, which then equal the
+    library's and cost nothing; on any mismatch the oracles' side is
+    computed.  Either way the reports, failures and witnesses included,
+    are the comparison of the two sides (`_gate_reports`).
     """
     global _GATE_CACHE
     if _GATE_CACHE is None:
         rows = _gate_answers(_library_cores, _collapsed_library, _test_value_profile)
         if _gate_digest(rows) == _GATE_PIN:
-            _GATE_CACHE = [VerificationReport(rid, k, k, (), seconds)
-                           for rid, k, _, seconds in rows]
+            wanted = [(rid, items, answers, 0.0) for rid, items, answers, _ in rows]
         else:
-            _GATE_CACHE = _full_gate()
+            wanted = _gate_answers(_family_cores, _collapsed_oracle, _dense_profile, rows)
+        _GATE_CACHE = _gate_reports(rows, wanted)
     return list(_GATE_CACHE)
 
 
@@ -2299,9 +2306,15 @@ def run_theorem_suite(instances, checks=THEOREM_CHECKS,
 
     The oracle gate runs first and the suite refuses to start on any gate
     failure; its reports are `oracle_gate()`'s, not repeated here.  Returns
-    one aggregated report per theorem, 0-instance ones included; failures
-    carry the instance's seed (its source's replay key), the serialized
-    instance, and the witness, enough to replay standalone.
+    one aggregated report per theorem, 0-instance ones included.  A failure
+    holds the instance's seed (its source's replay key), the serialized
+    instance and the witness, and not the sibling: a check that reads the
+    instance alone replays from the failure, while the five pair checks
+    that also read the sibling (`filters.roundify_functorial`,
+    `filters.roundify_adjunction`, `filters.morphism_composition`,
+    `completion.functorial_on_maps`, `completion.universal_property`)
+    replay only by drawing the instance again from its source, whose
+    parameters the failure does not hold either.
 
     Every check runs on every instance whose gates are open.  A source
     shares each distinct space's derived state between its instances

@@ -131,6 +131,18 @@ class TestValidate:
         assert lines[1].startswith("failed axiom a∧b ≻ 0 witness: ")
         assert lines[-1] == "quantale: invalid"
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_builtin_name_is_valid(self, capsys, tmp_path, fmt):
+        path = tmp_path / "q3.json"
+        path.write_text(serialize.dumps_canonical(serialize.envelope("quantale", "Q3")))
+        code, out, err = run(capsys, "--format", fmt, "validate-quantale", str(path))
+        assert code == 0 and err == ""
+        if fmt == "text":
+            assert out == "quantale: valid (built-in or symbolic family)\n"
+        else:
+            assert serialize.loads_envelope(out, "report")[1] == {
+                "command": "validate-quantale", "valid": True, "failures": []}
+
     def test_space_over_diamond_tables_exits_two(self, capsys, tmp_path, diamond_tables):
         names, leq, join = diamond_tables
         quantale = serialize.quantale_to_payload(FiniteQuantale(names, leq, join))
@@ -297,6 +309,27 @@ class TestHugeLiterals:
         code, out, err = run(capsys, "validate-space", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: bad JSON") and "nested too deeply" in err
+
+
+class TestOutOfDomainNumbers:
+    # a JSON number outside the quantale is malformed input, as the string
+    # "-1" is: exit 2 with one error line, not a mathematical failure
+    @pytest.mark.parametrize(
+        "command,quantale,entry,message",
+        [
+            ("classify", "ext_rational", -1, "negative value -1 is not in [0, inf]"),
+            ("classify", "Q3", 7, "index 7 out of range for Q3"),
+            ("classify", "Q3", -1, "index -1 out of range for Q3"),
+            ("validate-space", "Q3", 3, "index 3 out of range for Q3"),
+            ("classify", "ext_rational", "-1", "negative rational literal '-1'"),
+        ],
+    )
+    def test_exits_two(self, capsys, tmp_path, command, quantale, entry, message):
+        payload = {"quantale": quantale, "points": ["a", "b"], "d": [[0, entry], [0, 0]]}
+        path = tmp_path / "bad.json"
+        path.write_text(serialize.dumps_canonical(serialize.envelope("space", payload)))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestInvalidSpace:

@@ -178,6 +178,38 @@ class TestValidateQuantale:
         assert report.failures[0].witness == {"x": "a", "S": ("a", "b"), "lhs": "a", "rhs": "T"}
         assert report.failures[1].witness == {"a": "a", "b": "b"}
 
+    @pytest.mark.parametrize(
+        "leq,add,failed,witness",
+        [
+            # 1 is not below itself
+            ([[1, 1, 1], [0, 0, 1], [0, 0, 1]], [[0, 1, 2], [1, 2, 2], [2, 2, 2]],
+             ("partial-order",), {"law": "reflexivity", "element": "1"}),
+            # 0 and 1 are below each other
+            ([[1, 1, 1], [1, 1, 1], [0, 0, 1]], [[0, 1, 2], [1, 2, 2], [2, 2, 2]],
+             ("partial-order",), {"law": "antisymmetry", "pair": ("0", "1")}),
+            # 0 <= 1 <= 2 but not 0 <= 2
+            ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[0, 1, 2], [1, 2, 2], [2, 2, 2]],
+             ("partial-order",), {"law": "transitivity", "triple": ("0", "1", "2")}),
+            # on the 4-chain, 1 + 2 = 2 but 2 + 1 = 3
+            ("chain", [[0, 1, 2, 3], [1, 1, 2, 3], [2, 3, 3, 3], [3, 3, 3, 3]],
+             ("addition-commutative",), {"pair": ("1", "2")}),
+            # (1 + 1) + 2 = 2 + 2 = 3 but 1 + (1 + 2) = 1 + 2 = 2
+            ("chain", [[0, 1, 2, 3], [1, 2, 2, 3], [2, 2, 3, 3], [3, 3, 3, 3]],
+             ("addition-associative",), {"triple": ("1", "1", "2")}),
+            # on the 3-chain, 0 <= 1 but 0 + 1 = 1 is above 1 + 1 = 0, and
+            # 1 + (0 meet 1) = 1 is above (1 + 0) meet (1 + 1) = 0
+            ("chain", [[0, 1, 2], [1, 0, 2], [2, 2, 2]],
+             ("addition-monotone", "x+⋀S = ⋀(x+S)"), {"x": "0", "y": "1", "a": "1"}),
+        ],
+    )
+    def test_rejection_names_axiom_and_witness(self, leq, add, failed, witness):
+        n = len(add)
+        if leq == "chain":
+            leq = [[i <= j for j in range(n)] for i in range(n)]
+        report = validate_value_quantale([str(i) for i in range(n)], leq, add)
+        assert report.failed_checks() == failed
+        assert report.failures[0].witness == witness
+
     def test_distributivity_matches_subset_oracle(
         self, Q1, Q3, chain4, pinched, diamond_tables, saturated_diamond_tables
     ):
@@ -221,9 +253,16 @@ class TestElementHandling:
         for name in Q3.names:
             assert Q3.format(Q3.parse(name)) == name
 
-    def test_parse_rejects_garbage(self):
+    def test_parse_rejects_garbage(self, Q3):
         with pytest.raises(StructureError):
             E.parse("-1")
+        # numbers outside the carrier are malformed input when parsed, and
+        # foreign elements when checked
+        for q, bad in ((E, -1), (E, Fraction(-1, 2)), (Q3, 7), (Q3, -1)):
+            with pytest.raises(StructureError):
+                q.parse(bad)
+            with pytest.raises(DomainMismatchError):
+                q.check(bad)
         with pytest.raises(StructureError):
             E.parse("a/b")
 

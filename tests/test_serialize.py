@@ -239,3 +239,69 @@ class TestEnvelope:
             serialize.envelope("space", serialize.space_to_payload(x2a))
         )
         assert one == two
+
+
+_SPACE = {"quantale": "ext_rational", "points": ["a", "b"], "d": [["0", "1"], ["1", "0"]]}
+_COMPLETION = {"space": _SPACE, "points": [{"core": ["a"]}, {"core": ["b"]}],
+               "embedding": {"a": 0, "b": 1}}
+_PARSERS = {"space": serialize.parse_space, "quantale": serialize.parse_quantale,
+            "filter": serialize.parse_filter, "completion": serialize.parse_completion}
+
+
+def _without(payload, field):
+    return {k: v for k, v in payload.items() if k != field}
+
+
+class TestMalformedDocuments:
+    # the envelope and payload errors of `serialize`, each raised on one
+    # document; a command that reads the document exits 2 with one line
+    @pytest.mark.parametrize(
+        "doc,kind,command,message",
+        [
+            pytest.param({"schema": serialize.SCHEMA, "payload": _SPACE}, "space", "classify",
+                         "envelope is missing its kind", id="missing-kind"),
+            pytest.param({"schema": serialize.SCHEMA, "kind": "space"}, "space", "classify",
+                         "envelope is missing its payload", id="missing-payload"),
+            pytest.param(serialize.envelope("space", [_SPACE]), "space", "validate-space",
+                         "space payload must be an object", id="non-object-space"),
+            pytest.param(serialize.envelope("quantale", ["Q3"]), "quantale", "validate-quantale",
+                         "quantale payload must be a name or an object",
+                         id="non-object-quantale"),
+            pytest.param(serialize.envelope("quantale", {"kind": "ordinal"}), "quantale",
+                         "validate-quantale", "unknown quantale kind 'ordinal'",
+                         id="unknown-quantale-kind"),
+            pytest.param(serialize.envelope("space", {**_SPACE, "quantale": {"kind": "ordinal"}}),
+                         "space", "classify", "unknown quantale kind 'ordinal'",
+                         id="space-over-unknown-quantale-kind"),
+            pytest.param(serialize.envelope("filter", {"core": ["a"]}), "filter", None,
+                         "filter payload needs 'space' and 'core'", id="filter-without-space"),
+            pytest.param(serialize.envelope("filter", {"space": _SPACE}), "filter", None,
+                         "filter payload needs 'space' and 'core'", id="filter-without-core"),
+            pytest.param(serialize.envelope("filter", [_SPACE, ["a"]]), "filter", None,
+                         "filter payload needs 'space' and 'core'", id="non-object-filter"),
+        ] + [
+            pytest.param(serialize.envelope("completion", _without(_COMPLETION, field)),
+                         "completion", None, f"completion payload is missing {field!r}",
+                         id=f"completion-without-{field}")
+            for field in ("space", "points", "embedding")
+        ],
+    )
+    def test_raises_structure_error(self, capsys, tmp_path, doc, kind, command, message):
+        from qc.cli import main
+
+        with pytest.raises(StructureError) as info:
+            _PARSERS[kind](serialize.parse_envelope(doc, kind)[1])
+        assert str(info.value) == message
+        if command is not None:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            code = main([command, str(path)])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    def test_table_documents_are_otherwise_valid(self):
+        # each row above breaks one field of these
+        assert serialize.parse_space(_SPACE).size == 2
+        doc = serialize.parse_completion(_COMPLETION)
+        assert doc.cores == (("a",), ("b",)) and doc.embedding == {"a": 0, "b": 1}
+        assert serialize.parse_filter({"space": _SPACE, "core": ["a"]}).core == ("a",)

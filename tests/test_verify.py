@@ -272,6 +272,25 @@ class TestFamilyOracle:
         assert report.ok
         assert report.passes == report.instances
 
+    def test_planted_family_is_named(self, monkeypatch):
+        # a family that is not principal, planted in the enumeration on two
+        # points, fails the count and is named by the meet of its members
+        import qc.verify as verify
+
+        real = verify.enumerate_filter_families
+
+        def planted(n):
+            yield from real(n)
+            if n == 2:
+                yield frozenset({0b01, 0b10, 0b11})
+
+        monkeypatch.setattr(verify, "enumerate_filter_families", planted)
+        report = oracle_filters(2)
+        assert report.failures == ({"check": "principality-count", "found": 5},
+                                   {"check": "principality", "core": 0})
+        assert (report.instances, report.passes) == (9, 8)
+        assert oracle_filters(3).ok
+
     def test_collapsed_formulas_pass_at_four(self):
         report = oracle_collapsed_formulas(4)
         assert report.ok
@@ -353,9 +372,9 @@ class TestGatePin:
 
         script = (
             "import qc.verify as verify\n"
-            "def full():\n"
-            "    raise SystemExit('the full gate ran')\n"
-            "verify._full_gate = full\n"
+            "def oracle(*args):\n"
+            "    raise SystemExit('an oracle row was computed')\n"
+            "verify._family_cores = verify._collapsed_oracle = verify._dense_profile = oracle\n"
             "reports = verify.oracle_gate()\n"
             "assert len(reports) == 12 and all(r.ok and r.passes == r.instances for r in reports)\n"
         )
@@ -367,18 +386,25 @@ class TestGatePin:
             assert proc.returncode == 0, (seed, proc.stderr)
 
     def test_pinned_reports_equal_the_full_gate(self, monkeypatch):
+        # the pinned reports are those of the library's answers compared
+        # with the oracles' answers computed
         import qc.verify as verify
 
         monkeypatch.setattr(verify, "_GATE_CACHE", None)
         pinned = [r.payload() for r in verify.oracle_gate()]
-        assert pinned == [r.payload() for r in verify._full_gate()]
+        rows = verify._gate_answers(verify._library_cores, verify._collapsed_library,
+                                    verify._test_value_profile)
+        wanted = verify._gate_answers(verify._family_cores, verify._collapsed_oracle,
+                                      verify._dense_profile, rows)
+        assert pinned == [r.payload() for r in verify._gate_reports(rows, wanted)]
+        assert [r["id"] for r in pinned] == [rid for rid, _, _, _ in rows]
 
     @pytest.mark.parametrize("fault", ["filter_distance", "intersect"])
     def test_mismatch_runs_the_full_gate(self, monkeypatch, fault):
         # the fault of TestFamilyOracle's wrong filter distance, and a wrong
         # intersection core, which the gate reads from `filters.intersect`
         import qc.verify as verify
-        from qc import InvariantError
+        from qc import InvariantError, serialize
 
         real = getattr(verify, fault)
 
@@ -393,12 +419,46 @@ class TestGatePin:
 
         monkeypatch.setattr(verify, fault, wrong)
         monkeypatch.setattr(verify, "_GATE_CACHE", None)
-        gate = [r.payload() for r in verify.oracle_gate()]
-        assert gate == [r.payload() for r in verify._full_gate()]
-        failed = {r["id"]: {f["check"] for f in r["failures"]} for r in gate if r["failures"]}
+        gate = verify.oracle_gate()
+        failed = {r.id: {f["check"] for f in r.failures} for r in gate if r.failures}
         check = "filter-distance" if fault == "filter_distance" else "intersection"
         assert failed == dict.fromkeys(["oracle.filters.n2", "oracle.filters.n3",
                                         "oracle.collapsed.n4"], {check})
+        # one witness per battery space, in battery order, each naming its
+        # space; every distance over Q1, the last space, is equal
+        for report in gate:
+            if report.failures:
+                n = int(report.id[-1])
+                spaces = [serialize.space_to_payload(s) for s in verify._oracle_battery(n)]
+                if fault == "filter_distance":
+                    spaces.pop()
+                assert [f["space"] for f in report.failures] == spaces
+                assert all(f["cores"] == (("p0",), ("p1",)) for f in report.failures)
+                assert report.passes == report.instances - len(spaces)
+        with pytest.raises(InvariantError, match="oracle gate failed"):
+            run_theorem_suite(InstanceGenerator(seed=1).contexts(1))
+
+    def test_profile_mismatch_fails_its_epsilon_report(self, monkeypatch):
+        # a wrong test-value verdict of one predicate on one epsilon battery
+        # space fails that predicate's report, with that space as witness
+        import qc.verify as verify
+        from qc import InvariantError, serialize
+
+        target = serialize.space_to_payload(verify._epsilon_battery()[1])
+        real = verify._test_value_profile
+
+        def wrong(space, predicate):
+            out = real(space, predicate)
+            if predicate == "is_round" and serialize.space_to_payload(space) == target:
+                return (not out[0],) + out[1:]
+            return out
+
+        monkeypatch.setattr(verify, "_test_value_profile", wrong)
+        monkeypatch.setattr(verify, "_GATE_CACHE", None)
+        failed = [r.payload() for r in verify.oracle_gate() if r.failures]
+        assert failed == [{"id": "oracle.epsilon.is_round", "instances": 4, "passes": 3,
+                           "failures": [{"check": "epsilon-reduction", "predicate": "is_round",
+                                         "space": target}]}]
         with pytest.raises(InvariantError, match="oracle gate failed"):
             run_theorem_suite(InstanceGenerator(seed=1).contexts(1))
 

@@ -52,7 +52,6 @@ FILTER_RANGE = "tests/test_records.py::TestFilterRange"
 CARRIER = "tests/test_vspace.py::TestCarrierAttributes"
 HELD_MEMORY = "tests/test_completion.py::TestRepeatedCompletions"
 RADIUS_CACHE = "tests/test_vspace.py::TestRadiusCache"
-DEDUPE = "tests/test_verify.py::TestEpsilonOracle::test_dedupe_matches_leq_patterns"
 LANES = "tests/test_verify.py::TestCoreLanes"
 MINIMAL = "tests/test_completion.py::TestMinimalFilters"
 LITERALS = "tests/test_vspace.py::TestBuildPath::test_literal_fast_path_matches_fraction"
@@ -221,6 +220,44 @@ MUTANTS = (
         (TRIANGLE,),
     ),
     Mutant(
+        "class-sum-memo-keyed-on-a-alone",
+        "vspace.py",
+        "ranks = above.get((a, b))\n"
+        "                    if ranks is None:\n"
+        "                        s = q.add(values[a], values[b])\n"
+        "                        ranks = above[a, b] =",
+        "ranks = above.get(a)\n"
+        "                    if ranks is None:\n"
+        "                        s = q.add(values[a], values[b])\n"
+        "                        ranks = above[a] =",
+        (TRIANGLE,),
+    ),
+    Mutant(
+        "class-ranks-below-the-sum-taken-as-violations",
+        "vspace.py",
+        "every & ~q._below_mask(values, s)",
+        "every & q._below_mask(values, s)",
+        (TRIANGLE,),
+    ),
+    Mutant(
+        "class-points-memo-keyed-without-row",
+        "vspace.py",
+        "hit = points.get((i, ranks))\n"
+        "                    if hit is None:\n"
+        "                        hit = points[i, ranks] =",
+        "hit = points.get(ranks)\n"
+        "                    if hit is None:\n"
+        "                        hit = points[ranks] =",
+        (TRIANGLE,),
+    ),
+    Mutant(
+        "triangle-dispatch-inverted",
+        "vspace.py",
+        "    if form.keys is not None:\n        found = _packed_triangle_violations",
+        "    if form.keys is None:\n        found = _packed_triangle_violations",
+        (TRIANGLE,),
+    ),
+    Mutant(
         "capped-chain-test-skips-addition-table",
         "quantale.py",
         "self._position if is_chain and capped else None",
@@ -298,17 +335,10 @@ MUTANTS = (
         (ONE_PASS,),
     ),
     Mutant(
-        "fraction-sentinel-max-plus-one",
-        "quantale.py",
-        "keys.append(2 * keys[-1] + 1)",
-        "keys.append(keys[-1] + 1)",
-        (ONE_PASS,),
-    ),
-    Mutant(
         "count-below-unbounded",
         "quantale.py",
-        "return bisect_right(okeys.keys, element, 0, okeys.finite)",
-        "return bisect_right(okeys.keys, element)",
+        "return bisect_right(okeys.keys, key, 0, okeys.finite)",
+        "return bisect_right(okeys.keys, key)",
         (KERNELS,),
     ),
     Mutant(
@@ -527,13 +557,6 @@ MUTANTS = (
         "if not entries.checked:",
         "if False:",
         (BUILD,),
-    ),
-    Mutant(
-        "dedupe-lt-equals-le",
-        "verify.py",
-        "seen.setdefault((le, le - (le > 0 and form.values[le - 1] == v)), v)",
-        "seen.setdefault((le, le), v)",
-        (DEDUPE,),
     ),
     Mutant(
         "preimage-table-of-next-map",

@@ -13,26 +13,26 @@ a compiled space's distinct values, which were checked when the space was
 built, so they make no check per value.  `_meet_ranks` is the meet behind
 set and filter distances.  `_rank_values` compiles a space's checked
 entries in one pass: their distinct values in `sort_key` order, the rank
-of each entry, and an exact key per value where the quantale has them,
-with x <= a + b iff key(x) <= key(a) + key(b).  On the extended-rational
-chain a key is value * L with L the lcm of the denominators, as a plain
-int, taken per entry before anything is sorted: the int keys order and
-identify the values, so equal elements merge on their keys and no
-Fraction is hashed or compared.  INF, always the last value, gets a top
-sentinel above every sum of two finite keys.  When L would pass
-`_KEY_SCALE_BITS` bits (many coprime denominators), the values are sorted
-as Fractions and the keys are the Fractions themselves, with a Fraction
-sentinel, so the size of the keys is bounded.  A finite quantale has keys
+of each entry, and an int key per value where the quantale has them,
+with x <= a + b iff key(x) <= key(a) + key(b).  A key is always an int;
+a space has keys or it has none.  On the extended-rational chain a key
+is value * L with L the lcm of the denominators, taken per entry before
+anything is sorted: the int keys order and identify the values, so
+equal elements merge on their keys and no Fraction is hashed or
+compared.  INF, always the last value, gets a top sentinel above every
+sum of two finite keys.  When L would pass `_KEY_SCALE_BITS` bits (many
+coprime denominators), the values are sorted as Fractions and have no
+keys, so the size of a key is bounded.  A finite quantale has keys
 when its tables make it a capped chain: a chain whose sum is the element
 at position min(key(a) + key(b), key(top)), its key being its position.
 It decides this once, when it is built; no key exceeds the top's, so the
 sum of two keys needs no cap.
 Order tests and sums then run on keys: `_count_below` for balls, in
-`qc.vspace` the packed-lane triangle check on int keys, and in
-`qc.verify` `triangle_repair` on the extended rationals.  `_below_mask`
-is the order test of the class triangle kernel in `qc.vspace`, and of
-balls on tables without keys: the order table of a finite quantale, or a
-bisection on the extended-rational chain.
+`qc.vspace` the packed-lane triangle check, and in `qc.verify`
+`triangle_repair` on the extended rationals.  Without keys the order
+test is `_below_mask`, for balls and for the class triangle kernel in
+`qc.vspace`: the order table of a finite quantale, or a bisection on the
+extended-rational chain.
 
 The well-above relation on finite tables is computed by the closed form
 
@@ -46,6 +46,7 @@ corpus of small lattices before anything downstream relies on it.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from bisect import bisect_right
@@ -107,29 +108,28 @@ class _Infinity:
 INF = _Infinity()
 
 # Bit budget for the scale L of extended-rational order keys.  Past it the
-# keys are the Fractions themselves: L grows with the number of coprime
-# denominators, and lcm keys of a few dozen ~20-bit prime denominators
-# already cost more memory than the Fractions they replace.
+# values have no keys: L grows with the number of coprime denominators,
+# and lcm keys of a few dozen ~20-bit prime denominators already cost
+# more memory than the Fractions they would replace.
 _KEY_SCALE_BITS = 128
 
 
 class _OrderKeys(NamedTuple):
-    """Exact order keys for the values of a compiled space on a chain.
+    """Exact int order keys for the values of a compiled space on a chain.
 
-    Built with the values by `ValueQuantale._rank_values`.
+    Built with the values by `ValueQuantale._rank_values`, which gives None
+    in their place where the values have no keys.
 
-    On the extended rationals `keys[u]` is `values[u] * scale` as an int, or
-    `values[u]` itself when `scale` is None (the Fraction fallback).  When
-    INF occurs it is the last value, and its key is a top sentinel above
-    the sum of any two finite keys.  `finite` counts the finite values.  On
-    a capped chain `keys[u]` is the position of `values[u]`, `scale` is 1
-    and `finite` counts every value.  Keys are ascending, x <= a + b iff
-    key(x) <= key(a) + key(b), and `scale` is None exactly when the keys
-    are Fractions.
+    On the extended rationals `keys[u]` is `values[u] * scale`.  When INF
+    occurs it is the last value, and its key is a top sentinel above the
+    sum of any two finite keys.  `finite` counts the finite values.  On a
+    capped chain `keys[u]` is the position of `values[u]`, `scale` is 1
+    and `finite` counts every value.  Keys are ascending ints, and x <= a + b
+    iff key(x) <= key(a) + key(b).
     """
 
     keys: tuple
-    scale: int | None
+    scale: int
     finite: int
 
 
@@ -168,8 +168,8 @@ class ValueQuantale:
         of a matrix, each checked once; two of them may denote the same
         element.  `values` is the tuple of the distinct elements in
         `sort_key` order, `renumber[c]` the index of `checked[c]` in it,
-        and `keys` the values' exact order keys, or None where the
-        quantale has none.  Nothing is checked.
+        and `keys` the values' int order keys, or None where they have
+        none.  Nothing is checked.
         """
         raise NotImplementedError
 
@@ -247,10 +247,11 @@ class ExtendedRationalQuantale(ValueQuantale):
         # each entry gets its int key value * L first; the keys order and
         # identify the values, so the sort and the merge of equal elements
         # ("1/2" and "0.5") run on ints.  INF is keyed -1 until its sentinel
-        # is known: 2 * the largest finite key + 1, or 1 when it stands alone
+        # is known: 2 * the largest finite key + 1, or 1 when it stands alone.
+        # Past the key budget the values are sorted as themselves, unkeyed
         scale = lcm(*{v.denominator for v in checked if v is not INF})
         if scale.bit_length() > _KEY_SCALE_BITS:
-            return self._rank_fractions(checked)
+            return (*_rank_by(checked, self.sort_key), None)
         ints = [-1 if v is INF else v.numerator * (scale // v.denominator) for v in checked]
         order = sorted(set(ints))
         if order and order[0] < 0:
@@ -264,15 +265,6 @@ class ExtendedRationalQuantale(ValueQuantale):
             order[-1] = 2 * order[finite - 1] + 1 if finite else 1
         return values, [rank_of[k] for k in ints], _OrderKeys(tuple(order), scale, finite)
 
-    def _rank_fractions(self, checked):
-        """`_rank_values` past the key budget: the Fractions are the keys."""
-        values, renumber = _rank_by(checked, self.sort_key)
-        finite = len(values) - (bool(values) and values[-1] is INF)
-        keys = list(values[:finite])
-        if finite < len(values):
-            keys.append(2 * keys[-1] + 1)  # finite values exist: L is past the budget
-        return values, renumber, _OrderKeys(tuple(keys), None, finite)
-
     def _count_below(self, okeys: _OrderKeys, element) -> int:
         """Number of the keyed values <= element; they are a prefix.
 
@@ -281,19 +273,18 @@ class ExtendedRationalQuantale(ValueQuantale):
         element = self.check(element)
         if isinstance(element, _Infinity):
             return len(okeys.keys)
-        if okeys.scale is not None:
-            # keys are ints: v <= element iff key(v) <= floor(element * L)
-            element = element.numerator * okeys.scale // element.denominator
-        # a finite element never reaches the sentinel, however large it is
-        return bisect_right(okeys.keys, element, 0, okeys.finite)
+        # v <= element iff key(v) <= floor(element * L); a finite element
+        # never reaches the sentinel, however large it is
+        key = element.numerator * okeys.scale // element.denominator
+        return bisect_right(okeys.keys, key, 0, okeys.finite)
 
     def _below_mask(self, values, element) -> int:
         """Bit u set iff values[u] <= element, found by bisection.
 
         `values` is as returned by `_rank_values`, or a subsequence of such
         values, so those below `element` are a prefix.  Only `element` is
-        checked: this is the order test of the class triangle kernel, which
-        runs when the keys are Fractions (past the key budget).
+        checked: this is the order test of balls and of the class triangle
+        kernel on values without keys (past the key budget).
         """
         return (1 << bisect_right(values, self.check(element))) - 1
 
@@ -506,10 +497,12 @@ def _lattice_tables(leq):
     _LatticeProblem with a witness when the structure is missing.
     """
     n = len(leq)
-    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
+    # a finite poset has a bottom (top) iff it has one minimal (maximal)
+    # element, so a missing one is named by the candidates it has instead
+    bottoms = [i for i in range(n) if sum(leq[j][i] for j in range(n)) == 1]
     if len(bottoms) != 1:
         raise _LatticeProblem({"law": "bottom", "candidates": tuple(bottoms)})
-    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
+    tops = [i for i in range(n) if sum(leq[i]) == 1]
     if len(tops) != 1:
         raise _LatticeProblem({"law": "top", "candidates": tuple(tops)})
     meet_t = [[0] * n for _ in range(n)]
@@ -544,11 +537,13 @@ class FiniteQuantale(ValueQuantale):
         names, leq_t, add_t = _normalise_tables(names, leq, add)
         po = _partial_order_witness(leq_t)
         if po is not None:
+            po = json.dumps(_fmt_witness(names, po), sort_keys=True)
             raise StructureError(f"order table is not a partial order: {po}")
         try:
             meet_t, join_t, bottom, top = _lattice_tables(leq_t)
         except _LatticeProblem as exc:
-            raise StructureError(f"order table is not a complete lattice: {exc.witness}")
+            w = json.dumps(_fmt_witness(names, exc.witness), sort_keys=True)
+            raise StructureError(f"order table is not a complete lattice: {w}") from None
         self.names = names
         self.label = label or "finite[" + ",".join(names) + "]"
         self._leq = leq_t
@@ -757,9 +752,8 @@ def validate_value_quantale(names, leq, add) -> ValidationReport:
 
     po = _partial_order_witness(leq_t)
     if po is not None:
-        w = {k: _fmt_witness(names, v) for k, v in po.items()}
         return ValidationReport(
-            "value-quantale", (CheckFailure("partial-order", w),)
+            "value-quantale", (CheckFailure("partial-order", _fmt_witness(names, po)),)
         )
     try:
         q = FiniteQuantale(names, leq_t, add_t)
@@ -767,7 +761,7 @@ def validate_value_quantale(names, leq, add) -> ValidationReport:
         try:
             _lattice_tables(leq_t)
         except _LatticeProblem as exc:
-            w = {k: _fmt_witness(names, v) for k, v in exc.witness.items()}
+            w = _fmt_witness(names, exc.witness)
             return ValidationReport(
                 "value-quantale", (CheckFailure("complete-lattice", w),)
             )
@@ -837,6 +831,9 @@ def validate_value_quantale(names, leq, add) -> ValidationReport:
 
 
 def _fmt_witness(names, value):
+    """`value` with each table index named, through tuples and dict values."""
+    if isinstance(value, dict):
+        return {k: _fmt_witness(names, v) for k, v in value.items()}
     if isinstance(value, int) and 0 <= value < len(names):
         return names[value]
     if isinstance(value, tuple):

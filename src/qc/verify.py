@@ -195,9 +195,10 @@ def triangle_repair(quantale: ValueQuantale, dmat) -> tuple[list, int]:
     Entries are checked once, on the way in.  The loop is the one of
     `definitional_triangle_repair`, run on table indices for a finite
     quantale and on exact keys on the extended rationals (value * L with L
-    the lcm of the denominators, or the Fractions themselves past the key
-    budget; INF is None, since relaxed sums outgrow any top sentinel), and
-    it returns the same matrix and the same number of rounds.
+    the lcm of the denominators, or the values themselves past the key
+    budget, where they have no keys; INF is None, since relaxed sums
+    outgrow any top sentinel), and it returns the same matrix and the same
+    number of rounds.
     """
     keys, scale, rounds = _repair_keys(quantale, dmat)
     value = _key_value(scale)
@@ -209,8 +210,10 @@ def _repair_keys(quantale: ValueQuantale, dmat):
     scale (see `_key_value`), and the number of rounds.
 
     The keys are table indices on a finite quantale, and on the extended
-    rationals the exact keys with None for INF.  Either way a sum of keys
-    is the key of the sum, and a value is 0 iff its key is the key of 0.
+    rationals the int keys of the rank form's kernel, or the values
+    themselves where it gives none, with None for INF.  Either way a sum
+    of keys is the key of the sum, and a value is 0 iff its key is the key
+    of 0.
     """
     # each distinct entry object is checked once: a drawn matrix repeats the
     # shared zero and INF, and a finite quantale's small int indices
@@ -220,18 +223,21 @@ def _repair_keys(quantale: ValueQuantale, dmat):
         d = [[checked[id(e)] for e in row] for row in dmat]
         return d, None, _relax(d, _tables(quantale))
     # the keys of the rank form's kernel, with None for INF's rank
-    _, renumber, okeys = quantale._rank_values(list(checked.values()))
-    keys = okeys.keys[: okeys.finite] + (None,)
+    values, renumber, okeys = quantale._rank_values(list(checked.values()))
+    if okeys is None:
+        keys, scale = [None if v is INF else v for v in values], None
+    else:
+        keys, scale = okeys.keys[: okeys.finite] + (None,), okeys.scale
     key = dict(zip(checked, [keys[r] for r in renumber]))
     k = [[key[id(e)] for e in row] for row in dmat]
-    return k, okeys.scale, _relax(k, None)
+    return k, scale, _relax(k, None)
 
 
 def _key_value(scale):
-    """The map from a key to its value: a finite quantale's table indices
-    and the extended rationals' keys past the key budget (the Fractions
-    themselves) are their values, with scale None; other keys are value *
-    scale.  None, the key of INF, never occurs on a finite quantale."""
+    """The map from a key to its value.  With scale None the keys are the
+    values themselves: a finite quantale's table indices, and the extended
+    rationals past the key budget.  Other keys are value * scale.  None,
+    the key of INF, never occurs on a finite quantale."""
 
     def value(c):
         if c is None:
@@ -1138,18 +1144,15 @@ def _dedupe_by_pattern(space: VSpace, values) -> tuple:
     Every predicate consulted here depends on a candidate value only
     through its comparisons with the distance entries, so equal patterns
     give equal inner verdicts and the quantifiers over the full sample set
-    equal the quantifiers over the representatives.  On the extended
-    rationals the entries are a chain, so a pattern (which entries are
-    <= v, and which are >= v) is fixed by how many entries are <= v and how
-    many are < v, read from the order keys (`_count_below`).  Both counts
-    grow with v, so the patterns sort as their values do.
+    equal the quantifiers over the representatives.  A pattern is the
+    checked comparisons e <= v and v <= e with each distinct entry e; the
+    first value of each pattern stands for it.
     """
-    q, form = space.quantale, space._ranks
+    q, entries = space.quantale, space._ranks.values
     seen = {}
     for v in values:
-        le = q._count_below(form.keys, v)
-        seen.setdefault((le, le - (le > 0 and form.values[le - 1] == v)), v)
-    return tuple([seen[key] for key in sorted(seen)])
+        seen.setdefault(tuple([q.leq(e, v) for e in entries] + [q.leq(v, e) for e in entries]), v)
+    return tuple(sorted(seen.values(), key=q.sort_key))
 
 
 @lru_cache(maxsize=64)
@@ -1717,6 +1720,9 @@ def _check_minimal_iff(ctx: _Ctx):
 
 
 def _check_point_filters_coincide(ctx: _Ctx):
+    """Under VA the forward and backward point filters coincide.  Gated on
+    `uva`: the library's VA and UVA closed forms both say that the zero
+    relation is symmetric, so the two gates open on the same instances."""
     fwd = ctx.point_filters(True)
     bwd = ctx.point_filters(False)
     for p, f, g in zip(ctx.space.points, fwd, bwd):
@@ -2245,7 +2251,7 @@ THEOREM_CHECKS = (
     TheoremCheck("filters.roundify_preserves_cauchy", _check_roundify_preserves_cauchy),
     TheoremCheck("filters.roundify_round_iff_uva", _check_roundify_round_iff_uva, ("positives",)),
     TheoremCheck("filters.minimal_iff_cauchy_round", _check_minimal_iff, ("positives",)),
-    TheoremCheck("filters.point_filters_coincide_under_va", _check_point_filters_coincide, ("va",)),
+    TheoremCheck("filters.point_filters_coincide_under_va", _check_point_filters_coincide, ("uva",)),
     TheoremCheck("filters.cauchy_iff_op_cauchy_under_uva", _check_cauchy_iff_op, ("uva",)),
     TheoremCheck("filters.roundify_idempotent", _check_roundify_idempotent, ("uva",)),
     TheoremCheck("filters.ball_set_distance_bounds", _check_ball_distance_bounds),
@@ -2283,8 +2289,6 @@ THEOREM_CHECKS = (
 def _gates_open(ctx: _Ctx, gates) -> bool:
     for gate in gates:
         if gate == "uva" and not ctx.uva:
-            return False
-        if gate == "va" and not ctx.va:
             return False
         if gate == "positives" and not ctx.space.test_values:
             return False

@@ -66,29 +66,29 @@ those rank masks, with one meet per class
 `_EntryClasses` marked checked: its entries are never hashed one by one,
 and the meets, elements already, are not checked again.
 
-The rank form also holds one exact order key per value where the quantale
-has them.  On the extended rationals a key is value * L as an int, with L
-the lcm of the denominators and a top sentinel for INF; the kernel keys
-each checked entry first and sorts and merges the int keys, so building
-such a space hashes, compares and sorts no Fraction.  When L would pass
-the quantale's bit budget, the Fractions are sorted as before and are
-their own keys, with a Fraction sentinel.  On a finite quantale whose
-tables make it a capped chain (such as Q2, Q3 and chain4) the key is the
-element's position in the chain; the quantale decides this once, from
-its order and addition tables.  Other finite tables have no keys, and no
-chain is assumed.  Either way x <= a + b iff key(x) <= key(a) + key(b).
-A ball bisects the keys at the radius's key (floor(eps * L) on the
-extended rationals).
+The rank form also holds one int order key per value, or no keys at all.
+On the extended rationals a key is value * L, with L the lcm of the
+denominators and a top sentinel for INF; the kernel keys each checked
+entry first and sorts and merges the int keys, so building such a space
+hashes, compares and sorts no Fraction.  When L would pass the
+quantale's bit budget, the values are sorted as Fractions and have no
+keys.  On a finite quantale whose tables make it a capped chain (such as
+Q2, Q3 and chain4) the key is the element's position in the chain; the
+quantale decides this once, from its order and addition tables.  Other
+finite tables have no keys, and no chain is assumed.  Either way
+x <= a + b iff key(x) <= key(a) + key(b).  A ball bisects the keys at the
+radius's key (floor(eps * L) on the extended rationals); without keys it
+selects the values below the radius with the quantale's `_below_mask`.
 
-The triangle check in `validate_vspace` has two kernels.  With int keys
-it packs each row of keys into one int, a lane per twin class with a
-guard bit above each lane, and tests a row against every other row with one
+The triangle check in `validate_vspace` has two kernels.  With keys it
+packs each row of keys into one int, a lane per twin class with a guard
+bit above each lane, and tests a row against every other row with one
 subtraction (`_packed_triangle_violations`); one-byte lanes are built by
-`translate` through a table of keys.  Every other input (Fraction
-keys past the budget, and tables that are not capped chains, such as
-`pinched`) goes through the class kernel, which takes each sum of two
-values once with the quantale addition and reads the points not below it
-from the values of a row (`_table_triangle_violations`).
+`translate` through a table of keys.  Without keys (extended rationals
+past the budget, and tables that are not capped chains, such as
+`pinched`) the class kernel takes each sum of two values once with the
+quantale addition, selects the ranks not below it once, and reads row
+i's points at those ranks once per row (`_table_triangle_violations`).
 
 The triangle check works once per twin class.  Twins are points with an
 equal row and an equal column of ranks, found by exact equality (keyed
@@ -339,8 +339,9 @@ class _RankForm:
     row is `bytes` with at most 256 values and a tuple past that
     (`_row_type`).  `transpose` is `rank` transposed, built on first read,
     with rows of the same type.  `keys` holds
-    the quantale's exact order keys of the values, and is None where the
-    quantale has none (finite tables that are not capped chains).  All
+    the values' int order keys, and is None where they have none (finite
+    tables that are not capped chains, extended rationals past the key
+    budget).  All
     three come from one pass of `ValueQuantale._rank_values` over the
     checked entries: on int-keyed spaces the values are sorted and merged
     on their int keys, and no Fraction is hashed or compared.
@@ -573,13 +574,12 @@ def _triangle_violations(space: VSpace) -> list[tuple[int, list[int]]]:
     violations are those of i; a twin j' of j has d(i,j') = d(i,j) by the
     equal columns and d(j',k) = d(j,k) by the equal rows, so the mask of
     (i, j') is that of (i, j).  The rows are filled in from the representatives,
-    and twins share them.  Int order keys take the packed-lane kernel;
-    every other input, Fraction keys and tables that are not capped
-    chains, the class kernel.
+    and twins share them.  A space with order keys takes the packed-lane
+    kernel, one without them the class kernel.
     """
     form = space._ranks
     twins = _twins(form)
-    if form.keys is not None and form.keys.scale is not None:
+    if form.keys is not None:
         found = _packed_triangle_violations(space, twins)
     else:
         found = _table_triangle_violations(space, twins)
@@ -681,55 +681,40 @@ def _joined_lanes(rows, keys, flag: int, width: int) -> tuple[bytes, list[bytes]
 def _table_triangle_violations(space: VSpace, twins: dict) -> dict[int, dict[int, int]]:
     """The triangle check over value classes, with the quantale's own sum.
 
-    No chain is assumed.  The points k with d(i,k) not below a value s are
-    the union of the classes of row i whose value is not below s, found by
-    the quantale's `_below_mask` on the distinct values of row i: the order
-    table of a finite quantale, or a bisection on the extended-rational
-    chain (the route of Fraction keys).  For a pair
-    (i, j) with d(i,j) = values[a], the violations are the union over the
-    classes b of row j of the points of class b that are not below
-    values[a] + values[b], a sum taken once per (a, b) with the exact
-    quantale addition.  The pairs are visited one value a at a time, so the
-    table of sums never holds more than one row.  Only twin representatives
-    i and j are visited, and the result has the shape of
-    `_packed_triangle_violations`.
+    No chain is assumed.  For a pair (i, j) with d(i,j) = values[a], the
+    violations are the union over the classes b of row j of the points of
+    class b where row i holds a rank not below values[a] + values[b].  Two
+    memos share the work.  Per rank pair (a, b): the ranks not below the
+    sum, from one exact quantale addition and one `_below_mask` over the
+    values (the order table of a finite quantale, or a bisection on the
+    extended-rational chain).  Per (i, those ranks): the points of row i
+    at them.  Only twin representatives i and j are visited, and the
+    result has the shape of `_packed_triangle_violations`.
     """
     q = space.quantale
     form = space._ranks
     values, rows = form.values, _masks_by_rank(form.rank)
+    every = (1 << len(values)) - 1
     reps = sum(1 << i for i in twins)
-    # per representative: its distinct values ascending, their masks, and a
-    # memo from a set of those values (as a mask) to the points at the others
-    local = {}
+    above, points, out = {}, {}, {}
     for i in twins:
-        ranks = sorted(rows[i])
-        local[i] = (tuple([values[u] for u in ranks]), tuple([rows[i][u] for u in ranks]), {})
-    out = {i: {} for i in twins}
-    for a, va in enumerate(values):
-        sums = {}
-        for i in twins:
-            pairs = rows[i].get(a, 0) & reps
-            if not pairs:
-                continue
-            vals_i, masks_i, above_i = local[i]
-            bad_i = out[i]
-            hits = {}  # class b -> points of row i not below values[a] + values[b]
+        row_i = rows[i]
+        bad_i = out[i] = {}
+        for a, pairs in row_i.items():
+            pairs &= reps
             while pairs:
                 low = pairs & -pairs
                 j = low.bit_length() - 1
                 pairs ^= low
                 ks = 0
                 for b, mask_j in rows[j].items():
-                    hit = hits.get(b)
+                    ranks = above.get((a, b))
+                    if ranks is None:
+                        s = q.add(values[a], values[b])
+                        ranks = above[a, b] = every & ~q._below_mask(values, s)
+                    hit = points.get((i, ranks))
                     if hit is None:
-                        s = sums.get(b)
-                        if s is None:
-                            s = sums[b] = q.add(va, values[b])
-                        below = q._below_mask(vals_i, s)
-                        hit = above_i.get(below)
-                        if hit is None:
-                            hit = above_i[below] = _union(enumerate(masks_i), ~below)
-                        hits[b] = hit
+                        hit = points[i, ranks] = _union(row_i.items(), ranks)
                     ks |= mask_j & hit
                 if ks:
                     bad_i[j] = ks

@@ -113,9 +113,9 @@ def sorted_rank_values(q, checked, budget=128):
     The distinct checked elements sorted with `q.sort_key`, the index of
     each entry among them, and their order keys as `(keys, scale, finite)`:
     on the extended rationals value * L with L the lcm of the denominators
-    (the Fractions themselves, scale None, when L has more than `budget`
-    bits) and the sentinel 2 * max + 1 (1 alone) for INF; on a capped chain
-    the chain positions; None on other tables.
+    and the sentinel 2 * max + 1 (1 alone) for INF, or None when L has more
+    than `budget` bits; on a capped chain the chain positions; None on other
+    tables.
     """
     values = tuple(sorted(set(checked), key=q.sort_key))
     rank_of = {v: r for r, v in enumerate(values)}
@@ -126,10 +126,9 @@ def sorted_rank_values(q, checked, budget=128):
         return values, renumber, keys
     finite = len(values) - (bool(values) and values[-1] == INF)
     scale = lcm(*[v.denominator for v in values[:finite]])
-    if scale.bit_length() <= budget:
-        ks = [v.numerator * (scale // v.denominator) for v in values[:finite]]
-    else:
-        scale, ks = None, list(values[:finite])
+    if scale.bit_length() > budget:
+        return values, renumber, None
+    ks = [v.numerator * (scale // v.denominator) for v in values[:finite]]
     if finite < len(values):
         ks.append(2 * ks[-1] + 1 if ks else 1)
     return values, renumber, (tuple(ks), scale, finite)
@@ -157,17 +156,3 @@ def count_checks(build) -> int:
     finally:
         sys.setprofile(old)
     return calls
-
-
-def leq_pattern_dedupe(space, values) -> tuple:
-    """One value per pattern of checked comparisons with the distinct
-    entries (e <= v and v <= e for each entry e), first come first kept,
-    in ascending order: the definition `qc.verify._dedupe_by_pattern`
-    reads from two counts on the order keys."""
-    q = space.quantale
-    entries = sorted({e for row in space.dmat for e in row}, key=q.sort_key)
-    seen = {}
-    for v in values:
-        key = tuple(q.leq(e, v) for e in entries) + tuple(q.leq(v, e) for e in entries)
-        seen.setdefault(key, v)
-    return tuple(sorted(seen.values(), key=q.sort_key))

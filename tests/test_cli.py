@@ -230,6 +230,40 @@ class TestValidate:
         assert code == 2 and out == ""
         assert err == f"error: finite quantale {message}\n"
 
+    @pytest.mark.parametrize(
+        "names,below,message",
+        [
+            # a 2-cycle: a <= b <= a
+            (["a", "b"], [(0, 1), (1, 0)],
+             'not a partial order: {"law": "antisymmetry", "pair": ["a", "b"]}'),
+            # two maximal elements and no top
+            (["z", "a", "b"], [(0, 1), (0, 2)],
+             'not a complete lattice: {"candidates": ["a", "b"], "law": "top"}'),
+            # a bowtie: c and d both above a and b, with no meet of c and d
+            (["t", "c", "d", "a", "b", "z"],
+             [(1, 0), (2, 0), (3, 1), (3, 2), (4, 1), (4, 2), (5, 3), (5, 4)],
+             'not a complete lattice: {"law": "meet", "pair": ["c", "d"]}'),
+            # the same bowtie listed bottom first meets no defect before a join
+            (["z", "a", "b", "c", "d", "t"],
+             [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)],
+             'not a complete lattice: {"law": "join", "pair": ["a", "b"]}'),
+        ],
+        ids=["two-cycle", "no-top", "no-meet", "no-join"],
+    )
+    def test_order_table_defect_names_elements(self, capsys, tmp_path, names, below, message):
+        # the order is the reflexive-transitive closure of `below`; the
+        # error line names the elements, as validate-quantale's witness does
+        n = len(names)
+        leq = [[i == j or (i, j) in below for j in range(n)] for i in range(n)]
+        for k in range(n):
+            leq = [[leq[i][j] or leq[i][k] and leq[k][j] for j in range(n)] for i in range(n)]
+        tables = {"kind": "finite", "elements": names, "leq": leq, "add": [[0] * n] * n}
+        doc = {"quantale": tables, "points": ["x"], "d": [[names[0]]]}
+        path = tmp_path / "defect.json"
+        path.write_text(serialize.dumps_canonical(serialize.envelope("space", doc)))
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out, err) == (2, "", f"error: order table is {message}\n")
+
     @pytest.mark.parametrize("payload", [[], 3, None])
     def test_quantale_payload_of_another_type_exits_two(self, capsys, tmp_path, payload):
         path = tmp_path / "mistyped.json"

@@ -339,8 +339,8 @@ class TestTopologyOracles:
         # on a valid space each neighbourhood is a strict ball centred at its
         # point and lies inside every strict ball, of any centre, that holds
         # the point.  Strict balls are read per entry with `well_above`, on
-        # each key form of the extended rationals (int keys, Fraction keys
-        # past the int scale, INF entries, 0 and 1 points) and on generated
+        # each key form of the extended rationals (int keys, no keys past
+        # the int scale, INF entries, 0 and 1 points) and on generated
         # spaces over the finite quantales
         from qc import InstanceGenerator, validate_vspace
 
@@ -361,8 +361,8 @@ class TestTopologyOracles:
                                         [Fraction(1, big[2]), 0, 1 + Fraction(1, big[0])],
                                         [INF, INF, 0]]),
         ]
-        assert all(s._ranks.keys.scale is not None for s in int_keyed)
-        assert all(s._ranks.keys.scale is None for s in wide)
+        assert all(s._ranks.keys is not None for s in int_keyed)
+        assert all(s._ranks.keys is None for s in wide)
         spaces = int_keyed + wide
         for t, q in enumerate((Q1, Q3, chain4, pinched)):
             spaces += [s for _, s in generated(InstanceGenerator(seed=950 + t, quantale=q), 30)]

@@ -708,7 +708,7 @@ class TestCompiledKernels:
                 call()
 
         # the exact keys of the extended rationals: large coprime denominators
-        # (lcm keys past the budget, so the Fraction keys run), INF entries,
+        # (lcm keys past the budget, so the keyless routes run), INF entries,
         # and rows of all-distinct values
         primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121]
         fallback = distinct = 0
@@ -729,7 +729,7 @@ class TestCompiledKernels:
                 for i in range(n):
                     d[i][i] = Fraction(0)
             space = VSpace(E, [f"p{i}" for i in range(n)], d)
-            fallback += space._ranks.keys.scale is None
+            fallback += space._ranks.keys is None
             distinct += all(len(set(row)) == n for row in d)
             assert validate_vspace(space).failures == definitional_validate_vspace(space).failures
             # 10**12 is finite but above the INF key's sentinel
@@ -740,7 +740,7 @@ class TestCompiledKernels:
             tv = space.test_values
             assert has_vanishing_asymmetry(space) == _has_va_over(space, tv, tv)
             assert has_uniformly_vanishing_asymmetry(space) == _has_uva_over(space, tv, tv)
-            # the moduli on Fraction keys too: uniform, and pointwise at every point
+            # the moduli without keys too: uniform, and pointwise at every point
             uniform_moduli = definitional_symmetry_moduli(space)
             for eps in tv:
                 assert symmetry_modulus(space, eps) == uniform_moduli[eps]
@@ -750,10 +750,10 @@ class TestCompiledKernels:
                     assert symmetry_modulus(space, eps, "pointwise", p) == pointwise_moduli[eps]
         assert fallback > 40 and distinct > 60, (fallback, distinct)
 
-    def test_hostile_denominators_take_fraction_keys(self):
+    def test_hostile_denominators_have_no_keys(self):
         # distances with distinct ~20-bit prime denominators: lcm keys would
-        # grow with the number of values, so past the budget the keys are the
-        # Fractions themselves and stay as small as the entries
+        # grow with the number of values, so past the budget the values have
+        # no keys and stay as small as the entries
         from qc.quantale import _KEY_SCALE_BITS
         from qc.verify import definitional_validate_vspace
 
@@ -773,12 +773,11 @@ class TestCompiledKernels:
                 d[i][j] = d[j][i] = 1 + Fraction(1, next(dens))
             d[i][n] = d[n][i] = INF
         space = VSpace(E, [f"p{i}" for i in range(n + 1)], d)
-        keys = space._ranks.keys
-        assert keys.scale is None and keys.finite == n * (n - 1) // 2 + 1
-        assert all(isinstance(k, Fraction) for k in keys.keys)
-        assert max(k.denominator.bit_length() for k in keys.keys) <= 21
-        assert max(k.numerator.bit_length() for k in keys.keys) <= 23
-        assert keys.keys[-1] > 2 * keys.keys[-2]  # the Fraction top sentinel
+        values = space._ranks.values
+        assert space._ranks.keys is None and len(values) == n * (n - 1) // 2 + 2
+        assert values[-1] is INF and all(isinstance(v, Fraction) for v in values[:-1])
+        assert max(v.denominator.bit_length() for v in values[:-1]) <= 21
+        assert max(v.numerator.bit_length() for v in values[:-1]) <= 23
         assert validate_vspace(space).ok and definitional_validate_vspace(space).ok
         # the same values on three points stay within the budget as ints
         small = VSpace(E, ["a", "b", "c"], [row[:3] for row in d[:3]])
@@ -1182,7 +1181,7 @@ class TestTriangleKernels:
             for i in range(n):
                 d[i][i] = Fraction(0)
             space = VSpace(E, [f"p{i}" for i in range(n)], d)
-            assert space._ranks.keys.scale is not None
+            assert space._ranks.keys is not None
             invalid += bool(self._agrees(ran, space, "packed"))
         assert invalid > 60, invalid
         wide = VSpace(E, ["a", "b"], [[0, 40], [INF, 0]])
@@ -1243,7 +1242,7 @@ class TestTriangleKernels:
                 invalid += bool(self._agrees(ran, _raw_space(rng, q, rng.randint(1, 6)), "table"))
         assert invalid > 20, invalid
 
-    def test_fraction_keys_take_the_class_kernel(self, ran):
+    def test_past_the_budget_takes_the_class_kernel(self, ran):
         import random
 
         rng = random.Random(13)
@@ -1259,7 +1258,7 @@ class TestTriangleKernels:
             for i in range(n):
                 d[i][i] = Fraction(0)
             space = VSpace(E, [f"p{i}" for i in range(n)], d)
-            assert space._ranks.keys.scale is None
+            assert space._ranks.keys is None
             invalid += bool(self._agrees(ran, space, "table"))
         assert invalid > 10, invalid
 
@@ -1671,8 +1670,8 @@ class TestOnePassBuild:
             form, want = _kernel_and_oracle(q, d, parse)
             _assert_same_build(form, want)
             if not q.is_finite and n:
-                fallback += form.keys.scale is None
-                sides += form.keys.scale is not None and form.keys.scale.bit_length() == 128
+                fallback += form.keys is None
+                sides += form.keys is not None and form.keys.scale.bit_length() == 128
         assert fallback > 20 and sides > 20, (fallback, sides)
 
     @pytest.mark.parametrize(
@@ -1694,12 +1693,12 @@ class TestOnePassBuild:
 
     def test_past_the_budget_keeps_fractions(self):
         # L = 2**128 has 129 bits: the values are sorted as Fractions and
-        # are their own keys, under a Fraction sentinel
+        # have no keys
         a, b = Fraction(1, 2**128), Fraction(3, 2)
         form, want = _kernel_and_oracle(E, [[b, a, INF], [a, 0, b]])
         _assert_same_build(form, want)
-        assert form.keys == ((0, a, b, 2 * b + 1), None, 3)
-        assert all(type(k) is Fraction for k in form.keys.keys)
+        assert (form.values, form.keys) == ((0, a, b, INF), None)
+        assert all(type(v) is Fraction for v in form.values[:-1])
 
     def test_equal_entries_merge_on_their_keys(self):
         checked = [Fraction(1, 2), INF, Fraction(0), Fraction(2, 4), INF, Fraction(3), Fraction(0)]
@@ -1744,9 +1743,9 @@ class TestOnePassBuild:
                 Fraction(rng.randint(1, 90), rng.randint(1, 12)) for _ in range(5)
             ]
             form, made = count(E, [[rng.choice(pool) for _ in range(n)] for _ in range(n)])
-            assert form.keys.scale is not None and made == 0
+            assert form.keys is not None and made == 0
         form, made = count(E, [[Fraction(1, 2**128), Fraction(1, 3), Fraction(1, 2**128)]])
-        assert form.keys.scale is None and made > 0
+        assert form.keys is None and made > 0
         form, made = count(chain4, [[0, 3], [2, 0]])
         assert made == 0
 
